@@ -8,10 +8,11 @@ Subcommands
     dual        emit the degree-one pairing tables and the formal weight
                 pattern of the functional generators
     verify      run named verification suites and report PASS / FAIL /
-                INCONCLUSIVE per check
+                INCONCLUSIVE / ERROR per check
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error,
-3 no failure but at least one inconclusive check (step-cap reached).
+Exit codes: 0 all checks pass, 1 at least one check fails or crashes
+(ERROR), 2 usage error, 3 no failure but at least one inconclusive check
+(step-cap reached).
 
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.
@@ -56,6 +57,11 @@ def _parse_signature(raw: str | None, N: int) -> JSignature:
         raise UsageError("signature %r has %d slots, need %d for --n %d"
                          % (raw, j.n, N - 1, N))
     return j
+
+
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError("%s must be at least %d, got %d" % (name, low, value))
 
 
 def _write(ns, payload: str) -> None:
@@ -139,6 +145,7 @@ def _classical_report(j: JSignature, samples: int, seed: int) -> dict:
 
 def cmd_classical(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
+    _check_at_least("--samples", ns.samples, 0)
     report = _classical_report(j, ns.samples, ns.seed)
     doc = {"config": _config(ns, j), "report": report}
     if ns.format == "json":
@@ -153,24 +160,22 @@ def cmd_dual(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     ctx = DualPairing(j)
     pattern = formal_l_pattern(j)
-    tables = {}
-    for family in ("upper", "lower"):
-        rows = []
-        for (i, k, jj, l), val in sorted(ctx.degree_one(family).items()):
-            rows.append({"functional": [i, jj], "entry": [k, l],
-                         "value": render.dual_json(val)})
-        tables[family] = rows
+    tables = {family: sorted(ctx.degree_one(family).items())
+              for family in ("upper", "lower")}
     if ns.format == "json":
         doc = {"config": _config(ns, j),
                "pattern": render.pattern_json(pattern),
-               "tables": tables}
+               "tables": {family: [{"functional": [i, jj], "entry": [k, l],
+                                    "value": render.dual_json(val)}
+                                   for (i, k, jj, l), val in rows]
+                          for family, rows in tables.items()}}
         _write(ns, _json_doc(doc))
     else:
         parts = ["# formal functional weight pattern "
                  "(* marks inverted-weight terms defined only through the pairing)",
                  render.pattern_text(pattern), "# degree-one pairing tables"]
-        for family in ("upper", "lower"):
-            for (i, k, jj, l), val in sorted(ctx.degree_one(family).items()):
+        for family, rows in tables.items():
+            for (i, k, jj, l), val in rows:
                 parts.append("<%s[%d,%d], t[%d,%d]> = %s"
                              % (family, i, jj, k, l, val))
         _write(ns, "\n".join(parts) + "\n")
@@ -317,14 +322,17 @@ def _run_one(args: tuple) -> tuple:
                             seed=seed, samples=samples)
     try:
         status, detail = _SUITE_FN[name](j, ns)
-    except Exception as exc:  # a crash is a failure, not a pass
-        status, detail = "FAIL", "error: %s" % exc
+    except Exception as exc:  # a crash is neither a pass nor a refutation
+        status, detail = "ERROR", "%s: %s" % (type(exc).__name__, exc)
     return (name, status, detail)
 
 
 def cmd_verify(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     names = _parse_suites(ns.suite)
+    _check_at_least("--degree", ns.degree, 0)
+    _check_at_least("--samples", ns.samples, 0)
+    _check_at_least("--jobs", ns.jobs, 1)
     jobs = ns.jobs
     work = [(name, ns.j if ns.j else ",".join(render.signature_json(j)),
              ns.n, ns.degree, ns.step_cap, ns.seed, ns.samples)
@@ -345,7 +353,7 @@ def cmd_verify(ns) -> int:
                  for nm, st, dt in results]
         _write(ns, "\n".join(lines) + "\n")
     statuses = {st for _, st, _ in results}
-    if "FAIL" in statuses:
+    if "FAIL" in statuses or "ERROR" in statuses:
         return EXIT_FAIL
     if "INCONCLUSIVE" in statuses:
         return EXIT_INCONCLUSIVE

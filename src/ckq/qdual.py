@@ -2,14 +2,22 @@
 
 The dual algebra is generated by two triangular matrices of linear
 functionals on the quantum group: an upper family read off the flipped
-braid tensor and a lower family read off its inverse.  Degree one fixes
-every value; longer monomials are evaluated by threading the functional
-rows through the word, one matrix column per generator.
+braid tensor and a lower family read off its inverse.  A functional word
+with families `fams`, start rows `avec` and end rows `bvec` pairs with an
+element through its representation matrix: for one letter of the element,
+the transition row avec -> cvec is the chained tensor column of that
+letter, and the pairing is entry (avec, bvec) of the product of the rows.
+
+There is one word evaluator, `DualPairing._rows`: it folds a word from the
+left, one transition row per letter, and keeps the rows of its prefixes
+in a memo the caller owns.  A polynomial's row is the coefficient sum of
+its words' rows, so one row of a relation answers every end row at once.
 
 Weight-tagged generators never force an inverse nilpotent into a
-coefficient: each column value is taken whole from the paired tensor and
-split over the entry's weight pattern, so the leftover weight stays in
-the coefficient ring where it is well defined.
+coefficient.  The row of a split generator takes each column value whole
+from the paired tensor and splits it over the entry's weight pattern:
+every term goes to the first pattern weight it contains, and its leftover
+weight stays in the coefficient ring, where it is well defined.
 """
 
 from itertools import product
@@ -80,8 +88,7 @@ class DualPairing:
     """Evaluation context for one signature: tensors, patterns, caches."""
 
     __slots__ = ("j", "N", "n", "r_plus", "r_minus", "metric", "_pattern",
-                 "_hops", "_hops_rev", "_slices", "_columns", "_columns_rev",
-                 "_vcolumns", "_tmat")
+                 "_hops", "_columns", "_vcolumns", "_tmat")
 
     def __init__(self, j: JSignature):
         if j.N < 3:
@@ -94,21 +101,12 @@ class DualPairing:
         self.metric = contract(frt_c(self.N, self.n), j)
         self._pattern = weight_pattern_symplectic(j)
         self._hops = {}
-        self._hops_rev = {}
-        self._slices = {}
         for fam in FUNCTIONAL_FAMILIES:
             hop: dict = {}
-            rev: dict = {}
-            sli: dict = {}
             for (o1, o2, i1, i2), val in self.tensor(fam).data.items():
                 hop.setdefault((o1, o2), []).append((i1, i2, val))
-                rev.setdefault((i1, i2), []).append((o1, o2, val))
-                sli.setdefault(o2, []).append((o1, i1, i2, val))
             self._hops[fam] = hop
-            self._hops_rev[fam] = rev
-            self._slices[fam] = sli
         self._columns = {}
-        self._columns_rev = {}
         self._vcolumns = {}
         self._tmat = None
 
@@ -145,25 +143,6 @@ class DualPairing:
             states = new
         got = {pre: acc for (pre, y), acc in states.items() if y == l}
         self._columns[key] = got
-        return got
-
-    def _column_rev(self, fams: tuple, cvec: tuple, k: int, l: int) -> dict:
-        """Same transitions keyed from the produced side; used as an oracle."""
-        key = (fams, cvec, k, l)
-        got = self._columns_rev.get(key)
-        if got is not None:
-            return got
-        states = {((), l): DualElement.one(self.n)}
-        for r in range(len(fams) - 1, -1, -1):
-            rev = self._hops_rev[fams[r]]
-            c = cvec[r]
-            new: dict = {}
-            for (suf, y), acc in states.items():
-                for x1, y1, val in rev.get((c, y), ()):
-                    _add_to(new, ((x1,) + suf, y1), val * acc)
-            states = new
-        got = {pre: acc for (pre, y), acc in states.items() if y == k}
-        self._columns_rev[key] = got
         return got
 
     # -- weight bookkeeping --------------------------------------------
@@ -204,50 +183,43 @@ class DualPairing:
             self._vcolumns[key] = got
         return got
 
-    # -- word values -----------------------------------------------------
+    # -- the word evaluator --------------------------------------------
 
-    def _word_value(self, fams, avec, bvec, word) -> DualElement:
-        states = {avec: DualElement.one(self.n)}
-        for g in word:
-            new: dict = {}
-            for cur, acc in states.items():
-                for cvec, val in self._column_at(fams, cur, g).items():
-                    _add_to(new, cvec, acc * val)
-            states = new
-            if not states:
-                break
-        got = states.get(bvec)
-        return DualElement.zero(self.n) if got is None else got
+    def _rows(self, fams: tuple, avec: tuple, word: tuple,
+              memo: dict) -> dict:
+        """Row avec of the word's representation matrix: cvec -> value.
 
-    def _word_value_right(self, fams, avec, bvec, word) -> DualElement:
-        """Right-folded evaluation of the same value; cross-check path."""
-        states = {bvec: DualElement.one(self.n)}
-        for g in reversed(word):
-            new: dict = {}
-            for cur, acc in states.items():
-                for pvec, col in self._column_rev(fams, cur, g.i, g.k).items():
-                    v = self._valuate(col, g.i, g.k, g.mask)
-                    if v:
-                        _add_to(new, pvec, v * acc)
-            states = new
-            if not states:
-                break
-        got = states.get(avec)
-        return DualElement.zero(self.n) if got is None else got
+        The word is a product of split generators or of assembled entries
+        (k, l); it is folded from the left, one transition row per letter.
+        `memo` maps proper prefixes to their rows for this one (fams,
+        avec); the caller owns it, so each prefix is folded once per
+        caller while whole words, rarely met twice, are not kept.
+        """
+        if not word:
+            return {avec: DualElement.one(self.n)}
+        pre = word[:-1]
+        head = memo.get(pre)
+        if head is None:
+            head = memo[pre] = self._rows(fams, avec, pre, memo)
+        g = word[-1]
+        got: dict = {}
+        for cur, acc in head.items():
+            if isinstance(g, GenSymbol):
+                step = self._column_at(fams, cur, g)
+            else:
+                step = self._column(fams, cur, *g)
+            for cvec, val in step.items():
+                _add_to(got, cvec, acc * val)
+        return got
 
-    def _entry_word_value(self, fams, avec, bvec, positions) -> DualElement:
-        """Value on a product of assembled entries (no weight splitting)."""
-        states = {avec: DualElement.one(self.n)}
-        for k, l in positions:
-            new: dict = {}
-            for cur, acc in states.items():
-                for cvec, val in self._column(fams, cur, k, l).items():
-                    _add_to(new, cvec, acc * val)
-            states = new
-            if not states:
-                break
-        got = states.get(bvec)
-        return DualElement.zero(self.n) if got is None else got
+    def _poly_row(self, fams: tuple, avec: tuple, terms: list,
+                  memo: dict) -> dict:
+        """Row avec of sum c * rho(word) over the (c, word) terms."""
+        out: dict = {}
+        for c, w in terms:
+            for cvec, val in self._rows(fams, avec, w, memo).items():
+                _add_to(out, cvec, c * val)
+        return out
 
     # -- public evaluation -------------------------------------------
 
@@ -288,81 +260,47 @@ class DualPairing:
         (split generators, assembled entries, relation polynomials).
         """
         total = DualElement.zero(self.n)
+        terms = self._matrix_terms(element)
         for lc, lw in self._functional_terms(functional):
             fams = tuple(g.family for g in lw)
             avec = tuple(g.i for g in lw)
-            bvec = tuple(g.k for g in lw)
-            for tc, tw in self._matrix_terms(element):
-                val = self._word_value(fams, avec, bvec, tw)
-                if val:
-                    total = total + lc * tc * val
-        return total
-
-    def pair_right_folded(self, functional, element) -> DualElement:
-        """Same value folded from the other end; evaluation-order oracle."""
-        total = DualElement.zero(self.n)
-        for lc, lw in self._functional_terms(functional):
-            fams = tuple(g.family for g in lw)
-            avec = tuple(g.i for g in lw)
-            bvec = tuple(g.k for g in lw)
-            for tc, tw in self._matrix_terms(element):
-                val = self._word_value_right(fams, avec, bvec, tw)
-                if val:
-                    total = total + lc * tc * val
+            val = self._poly_row(fams, avec, terms, {}).get(
+                tuple(g.k for g in lw))
+            if val is not None:
+                total = total + lc * val
         return total
 
     def degree_one(self, family) -> dict:
         """Values on assembled entries, keyed like the paired tensor."""
         T = self.entry_matrix()
+        rng = range(1, self.N + 1)
+        fams = (family,)
         out = {}
-        for i in range(1, self.N + 1):
-            for jj in range(1, self.N + 1):
-                sym = GenSymbol(family, i, jj)
-                for k in range(1, self.N + 1):
-                    for l in range(1, self.N + 1):
-                        val = self.pair(sym, T.entry(k, l))
-                        if val:
-                            out[(i, k, jj, l)] = val
-        return out
-
-    # -- batched two-row transitions (the exchange-law workhorse) ------
-
-    def _pair_matrix(self, fams: tuple, k: int, l: int) -> dict:
-        """All two-row transitions ((x1,x2) -> (y1,y2)) across entry (k,l)."""
-        f1, f2 = fams
-        out: dict = {}
-        for x1, y1, mid, v1 in self._slices[f1].get(k, ()):
-            for x2, y2, end, v2 in self._slices[f2].get(mid, ()):
-                if end == l:
-                    _add_to(out, ((x1, x2), (y1, y2)), v1 * v2)
+        for i in rng:
+            memo: dict = {}
+            for k in rng:
+                for l in rng:
+                    terms = self._matrix_terms(T.entry(k, l))
+                    for (jj,), val in self._poly_row(fams, (i,), terms,
+                                                     memo).items():
+                        out[(i, k, jj, l)] = val
         return out
 
 
-def _composite_identity(N: int, n: int) -> dict:
-    one = DualElement.one(n)
-    return {((a, b), (a, b)): one
-            for a in range(1, N + 1) for b in range(1, N + 1)}
+def _fold_word(ctx: DualPairing, fams: tuple, word: tuple,
+               memos: dict) -> dict:
+    """Pairing values of every functional word over the families against
+    one entry word, keyed (avec, cvec).
 
-
-def _mat_mul(A: dict, B: dict) -> dict:
-    by_row: dict = {}
-    for (r, c), val in B.items():
-        by_row.setdefault(r, []).append((c, val))
-    out: dict = {}
-    for (r, m), u in A.items():
-        for c, v in by_row.get(m, ()):
-            _add_to(out, (r, c), u * v)
+    `memos` maps each start row avec to its prefix memo; share it across
+    the words of one family tuple only.
+    """
+    out = {}
+    for avec in product(range(1, ctx.N + 1), repeat=len(fams)):
+        memo = memos.setdefault(avec, {})
+        for cvec, val in ctx._rows(fams, avec, word, memo).items():
+            out[(avec, cvec)] = val
     return out
-
-
-def _fold_word(ctx: DualPairing, fams: tuple, word: tuple) -> dict:
-    """Pairing values of every two-row functional word against one entry word."""
-    if not word:
-        return _composite_identity(ctx.N, ctx.n)
-    acc = ctx._pair_matrix(fams, *word[0])
-    for pos in word[1:]:
-        acc = _mat_mul(acc, ctx._pair_matrix(fams, *pos))
-    return acc
 
 
 # ------------------------------------------------------------ verification
@@ -385,9 +323,10 @@ def verify_ll(j: JSignature, degree: int = 2) -> dict:
     identities = 0
     for fams in (("upper", "upper"), ("lower", "lower"), ("upper", "lower")):
         rev = (fams[1], fams[0])
+        memos = {fams: {}, rev: {}}
         for word in entry_words(N, degree):
-            A = _fold_word(ctx, fams, word)
-            B = _fold_word(ctx, rev, word)
+            A = _fold_word(ctx, fams, word, memos[fams])
+            B = A if rev == fams else _fold_word(ctx, rev, word, memos[rev])
             a_rows: dict = {}
             for (row, col), val in A.items():
                 a_rows.setdefault(row, []).append((col, val))
@@ -425,8 +364,9 @@ def verify_l_additional(j: JSignature, degree: int = 2) -> dict:
     words = tuple(entry_words(N, degree))
     for fam in FUNCTIONAL_FAMILIES:
         fams = (fam, fam)
+        memos: dict = {}
         for word in words:
-            A = _fold_word(ctx, fams, word)
+            A = _fold_word(ctx, fams, word, memos)
             eps = _position_counit(n, word)
             for label, M in (("metric", ct), ("inverse-metric", cti)):
                 right: dict = {}
@@ -451,18 +391,21 @@ def verify_l_additional(j: JSignature, degree: int = 2) -> dict:
                     if vals != expect:
                         failures.append({"family": fam, "metric": label,
                                          "law": law, "word": word})
+    zero = DualElement.zero(n)
     for k in range(1, N + 1):
         for fams in (("upper", "lower"), ("lower", "upper")):
+            memo: dict = {}
             for word in words:
-                val = ctx._entry_word_value(fams, (k, k), (k, k), word)
+                val = ctx._rows(fams, (k, k), word, memo).get((k, k), zero)
                 identities += 1
                 if val != _position_counit(n, word):
                     failures.append({"law": "diagonal-inverse", "slot": k,
                                      "families": fams, "word": word})
     diag = tuple(range(1, N + 1))
     fams = ("upper",) * N
+    memo = {}
     for word in words:
-        val = ctx._entry_word_value(fams, diag, diag, word)
+        val = ctx._rows(fams, diag, word, memo).get(diag, zero)
         identities += 1
         if val != _position_counit(n, word):
             failures.append({"law": "diagonal-product", "word": word})
@@ -475,23 +418,32 @@ def relations_pair_to_zero(j: JSignature, max_len: int = 2) -> dict:
 
     This is the statement that the degree-one tables extend to
     functionals on the quotient algebra, not merely on the free one.
+    Words sharing their families and start row avec share one row of
+    each relation, rho(rel)[avec], which is read at every end row bvec.
     """
     ctx = DualPairing(j)
-    rels = QuantumCKGroup(j).relations()
+    rels = [(ctx._matrix_terms(r), source)
+            for r, source in QuantumCKGroup(j).relations().tagged()]
     syms = dual_symbols(ctx.N)
     words = [()]
     if max_len >= 1:
         words += [(s,) for s in syms]
     if max_len >= 2:
         words += [(s, t) for s in syms for t in syms]
-    checked = 0
-    failures = []
-    for r, source in rels.tagged():
-        for w in words:
-            checked += 1
-            if ctx.pair(w, r):
-                failures.append({"source": source, "word": w})
-    return {"ok": not failures, "checked": checked, "failures": failures}
+    groups: dict = {}
+    for idx, w in enumerate(words):
+        key = (tuple(g.family for g in w), tuple(g.i for g in w))
+        groups.setdefault(key, []).append((idx, tuple(g.k for g in w)))
+    hits = []
+    for (fams, avec), members in groups.items():
+        memo: dict = {}
+        for r, (terms, _) in enumerate(rels):
+            row = ctx._poly_row(fams, avec, terms, memo)
+            hits.extend((r, idx) for idx, bvec in members if bvec in row)
+    hits.sort()
+    failures = [{"source": rels[r][1], "word": words[idx]} for r, idx in hits]
+    return {"ok": not failures, "checked": len(rels) * len(words),
+            "failures": failures}
 
 
 def verify_antipode_duality(j: JSignature) -> dict:

@@ -230,13 +230,13 @@ def relations_json(j: JSignature, rels) -> dict:
     return {
         "n": j.N,
         "j": signature_json(j),
-        "symbols": [symbol_json(g) for g in rels_symbols(rels, j)],
+        "symbols": [symbol_json(g) for g in rels_symbols(j)],
         "relations": [{"terms": poly_json(p), "source": src}
                       for p, src in rels.tagged()],
     }
 
 
-def rels_symbols(rels, j: JSignature) -> list:
+def rels_symbols(j: JSignature) -> list:
     from .qgroup import t_symbols
     return list(t_symbols(j))
 

@@ -118,23 +118,6 @@ class QTensor:
                 del out[key]
         return out
 
-    def apply_covec(self, vec: dict) -> dict:
-        """Apply on the right to a row vector {(i,j): coeff}."""
-        out: dict = {}
-        for (i, j, k, l), u in self.data.items():
-            w = vec.get((i, j))
-            if w is None:
-                continue
-            key = (k, l)
-            p = w * u
-            acc = out.get(key)
-            t = p if acc is None else acc + p
-            if t:
-                out[key] = t
-            elif acc is not None:
-                del out[key]
-        return out
-
     def __repr__(self) -> str:
         return "QTensor(N=%d, n=%d, nnz=%d)" % (self.N, self.n, self.nnz())
 

@@ -162,3 +162,37 @@ def test_relations_text_has_one_line_per_relation():
 def test_missing_subcommand_exits_2():
     r = run_cli([])
     assert r.returncode == 2
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the inputs were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "exchange", "--degree", "-1"],
+    ["verify", "--suite", "classical", "--samples", "-1"],
+    ["verify", "--suite", "ybe,cubic", "--jobs", "0"],
+    ["classical", "--samples", "-1"],
+])
+def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_work)
+    monkeypatch.setattr(cli, "_run_one", _no_work)
+    monkeypatch.setattr(cli, "_classical_report", _no_work)
+    assert cli.main(argv + ["--n", "3"]) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_crashing_suite_reports_error_not_fail(monkeypatch, capsys):
+    def crash(j, ns):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli._SUITE_FN, "cubic", crash)
+    rc = cli.main(["verify", "--n", "3", "--suite", "ybe,cubic",
+                   "--jobs", "1", "--format", "json"])
+    assert rc == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == [
+        {"suite": "ybe", "status": "PASS",
+         "detail": "braid relation on 3-dim tensor cube"},
+        {"suite": "cubic", "status": "ERROR",
+         "detail": "ZeroDivisionError: boom"}]

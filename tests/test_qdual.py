@@ -3,6 +3,7 @@ import pytest
 from ckq.coeffring import DualElement, JSignature
 from ckq.ckclassical import weight_pattern_symplectic
 from ckq.freealg import GenSymbol, NCPoly, mat_symbol
+from ckq import qdual
 from ckq.qgroup import QuantumCKGroup, antipode, build_t, t_symbols
 from ckq.qdual import (
     DualPairing,
@@ -22,6 +23,7 @@ from ckq.qdual import (
 )
 
 from conftest import all_signatures, seeded
+from dual_oracle import RightFold
 
 J33 = JSignature.parse("iota,iota")
 J31 = JSignature.parse("iota,1")
@@ -192,30 +194,39 @@ def test_left_and_right_folds_agree_on_split_words():
     rng = seeded("qdual-folds")
     for j in (J30, J33):
         ctx = DualPairing(j)
+        oracle = RightFold(ctx)
         syms = t_symbols(j)
         duals = dual_symbols(3)
         words = [(a, b) for a in syms for b in syms]
         words += [tuple(rng.choice(syms) for _ in range(3)) for _ in range(60)]
+        nonzero = 0
         for w in words:
             f = rng.choice(duals)
-            assert ctx.pair(f, w) == ctx.pair_right_folded(f, w)
+            val = ctx.pair(f, w)
+            assert val == oracle.pair(f, w)
+            nonzero += bool(val)
+        assert nonzero > 0
 
 
 def test_left_and_right_folds_agree_on_entry_products():
     for j in (J30, J33):
         ctx = DualPairing(j)
+        oracle = RightFold(ctx)
         T = build_t(j)
-        pairs = [(upper_symbol(1, 2), lower_symbol(2, 1)),
-                 (upper_symbol(1, 1), upper_symbol(2, 3))]
+        functionals = [upper_symbol(1, 3), lower_symbol(3, 2),
+                       (upper_symbol(1, 2), lower_symbol(2, 1)),
+                       (upper_symbol(1, 1), upper_symbol(2, 3))]
+        nonzero = 0
         for k1 in range(1, 4):
             for l1 in range(1, 4):
                 for k2 in range(1, 4):
                     for l2 in range(1, 4):
                         m = T.entry(k1, l1) * T.entry(k2, l2)
-                        for f in (upper_symbol(1, 3), lower_symbol(3, 2)):
-                            assert ctx.pair(f, m) == ctx.pair_right_folded(f, m)
-                        for fw in pairs:
-                            assert ctx.pair(fw, m) == ctx.pair_right_folded(fw, m)
+                        for f in functionals:
+                            val = ctx.pair(f, m)
+                            assert val == oracle.pair(f, m)
+                            nonzero += bool(val)
+        assert nonzero > 0
 
 
 def test_dual_coproduct_and_counit_shapes():
@@ -253,7 +264,7 @@ def test_batched_exchange_values_match_pointwise_pairing():
         for _ in range(6):
             word = tuple((rng.randint(1, 3), rng.randint(1, 3))
                          for _ in range(rng.randint(1, 2)))
-            table = _fold_word(ctx, fams, word)
+            table = _fold_word(ctx, fams, word, {})
             elem = NCPoly.one(J33.n)
             for k, l in word:
                 elem = elem * T.entry(k, l)
@@ -295,6 +306,39 @@ def test_relations_pair_to_zero_all_n3_signatures():
         report = relations_pair_to_zero(j, max_len=2)
         assert report["ok"], report["failures"][:3]
         assert report["checked"] == expected[str(j)]
+
+
+def test_relations_pair_to_zero_refutes_non_relations(monkeypatch):
+    """Injected non-relations are caught, word by word, as the oracle says."""
+    # at iota,1 no functional word of length <= 2 separates the product
+    # from zero, and the oracle agrees
+    caught = {J30: {"fake-product", "fake-trace"}, J31: {"fake-trace"}}
+    real_group = qdual.QuantumCKGroup
+    for j in (J30, J31):
+        T = build_t(j)
+        rels = real_group(j).relations()
+        assert rels.add(T.entry(1, 2) * T.entry(2, 1), "fake-product")
+        assert rels.add(T.entry(1, 1) + T.entry(3, 3), "fake-trace")
+
+        class Injected(real_group):
+            def relations(self):
+                return rels
+
+        monkeypatch.setattr(qdual, "QuantumCKGroup", Injected)
+        report = relations_pair_to_zero(j, max_len=2)
+        monkeypatch.setattr(qdual, "QuantumCKGroup", real_group)
+
+        oracle = RightFold(DualPairing(j))
+        syms = dual_symbols(3)
+        words = [()] + [(s,) for s in syms]
+        words += [(s, t) for s in syms for t in syms]
+        expect = [{"source": src, "word": w}
+                  for r, src in rels.tagged() for w in words
+                  if oracle.pair(w, r)]
+        assert not report["ok"]
+        assert report["checked"] == len(rels) * len(words) == 14287 + 2 * 157
+        assert {f["source"] for f in expect} == caught[j]
+        assert report["failures"] == expect
 
 
 def test_relation_values_vanish_term_by_term_sample():
