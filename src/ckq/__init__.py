@@ -18,9 +18,6 @@ from .coeffring import (
     NotInvertibleError,
     ScalarExpr,
     dual_div,
-    dual_inverse,
-    dual_mul,
-    set_v_degree_cap,
     specialize_q,
 )
 from .freealg import GenSymbol, NCPoly, mat_symbol

@@ -12,7 +12,8 @@ Subcommands
 
 Exit codes: 0 all checks pass, 1 at least one check fails or crashes
 (ERROR), 2 usage error, 3 no failure but at least one inconclusive check
-(step-cap reached).
+(a certificate cites a polynomial that is not a generator of the emitted
+ideal).
 
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.
@@ -27,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import ckclassical, qgroup, render, rmatrix
 from .coeffring import JSignature
-from .freealg import DEFAULT_STEP_CAP
 from .qdual import DualPairing, formal_l_pattern
 
 EXIT_PASS = 0
@@ -236,14 +236,12 @@ def _suite_coproduct(j, ns) -> tuple:
 
 
 def _suite_antipode(j, ns) -> tuple:
-    report = qgroup.verify_antipode(j, step_cap=ns.step_cap)
+    report = qgroup.verify_antipode(j)
     if report["ok"]:
-        return ("PASS", "S(T)T and TS(T) reduce to the identity")
-    if report["inconclusive"] and not report["nonzero"]:
-        return ("INCONCLUSIVE",
-                "%d entries hit the step cap %d"
-                % (len(report["inconclusive"]), ns.step_cap))
-    return ("FAIL", "%d entries do not reduce to zero" % len(report["nonzero"]))
+        return ("PASS", "S(T)T - I = C L and TS(T) - I = M C^-1, all %d "
+                        "cofactor entries are relations" % report["entries"])
+    return ("INCONCLUSIVE", "%d of %d cofactor entries are not relations"
+            % (len(report["uncertified"]), report["entries"]))
 
 
 def _suite_contraction(j, ns) -> tuple:
@@ -316,10 +314,9 @@ def _parse_suites(raw: str) -> list:
 
 
 def _run_one(args: tuple) -> tuple:
-    name, raw_j, n, degree, step_cap, seed, samples = args
+    name, raw_j, n, degree, seed, samples = args
     j = _parse_signature(raw_j, n)
-    ns = argparse.Namespace(n=n, degree=degree, step_cap=step_cap,
-                            seed=seed, samples=samples)
+    ns = argparse.Namespace(n=n, degree=degree, seed=seed, samples=samples)
     try:
         status, detail = _SUITE_FN[name](j, ns)
     except Exception as exc:  # a crash is neither a pass nor a refutation
@@ -335,7 +332,7 @@ def cmd_verify(ns) -> int:
     _check_at_least("--jobs", ns.jobs, 1)
     jobs = ns.jobs
     work = [(name, ns.j if ns.j else ",".join(render.signature_json(j)),
-             ns.n, ns.degree, ns.step_cap, ns.seed, ns.samples)
+             ns.n, ns.degree, ns.seed, ns.samples)
             for name in names]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -405,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of suites, or all: %s" % ", ".join(SUITES))
     p.add_argument("--degree", type=int, default=2,
                    help="word length bound for dual-side suites")
-    p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP,
-                   help="rewriting step budget before INCONCLUSIVE")
     p.add_argument("--jobs", type=int,
                    default=int(os.environ.get("CKQ_JOBS", "1")),
                    help="suite worker processes (env CKQ_JOBS)")

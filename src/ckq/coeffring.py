@@ -35,7 +35,7 @@ class NotInvertibleError(ArithmeticError):
 
 
 class DegreeCapError(RuntimeError):
-    """Internal guard: the v-degree exceeded the configured cap."""
+    """Internal guard: the v-degree exceeded the cap ``_V_CAP``."""
 
 
 _MAX_GENERATORS = 16
@@ -43,14 +43,6 @@ _MAX_GENERATORS = 16
 # Quadratic relations over contracted coefficients never exceed v-degree
 # a little above 2; anything larger signals a bug upstream.
 _V_CAP = 4
-
-
-def set_v_degree_cap(cap: int) -> int:
-    """Set the global v-degree guard, returning the previous value."""
-    global _V_CAP
-    old = _V_CAP
-    _V_CAP = int(cap)
-    return old
 
 
 def _frac(x) -> Fraction:
@@ -628,9 +620,9 @@ class DualElement:
 def dual_div(c: DualElement, r: DualElement) -> DualElement | None:
     """Find d with d*r == c, or None if no quotient is found.
 
-    Handles the shapes that occur as relation coefficients: units of D_n,
-    single-subset elements, and exact (anti)equality.  Partial by design;
-    a None simply means a rewrite rule does not apply.
+    Handles units of D_n, single-subset elements (the group weights), and
+    exact (anti)equality.  Partial by design; a None means no quotient was
+    found.
     """
     if c.n != r.n:
         raise DimensionError("mixing D_%d with D_%d" % (c.n, r.n))
@@ -779,13 +771,3 @@ def specialize_q(x: ScalarExpr, j: JSignature) -> DualElement:
             elif acc is not None:
                 del top[e1]
     return DualElement(n, {0: ScalarExpr(body), mask: ScalarExpr(top)})
-
-
-def dual_mul(a: DualElement, b: DualElement) -> DualElement:
-    """Product in D_n (operator form of ``a * b``)."""
-    return a * b
-
-
-def dual_inverse(a: DualElement) -> DualElement:
-    """Inverse in D_n (operator form of ``a.inverse()``)."""
-    return a.inverse()

@@ -5,30 +5,22 @@ central.  Symbols carry a tensor-copy label, and symbols with distinct
 copies commute — words are kept normalized with copies in ascending order
 (stable, so the order inside each copy is untouched).
 
-Equality modulo a relation ideal is never decided by normal forms alone:
-``reduce`` rewrites with an explicit step cap and every successful run can
-be replayed as a membership certificate, a list of (left, relation, right)
-cofactor triples whose expansion reproduces the input exactly.
+There is no normal form modulo a relation ideal here: ideal membership is
+shown by explicit certificates, built and replayed by exact expansion
+where a claim needs one (see ``qgroup``).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeffring import (
-    DimensionError,
-    DualElement,
-    JSignature,
-    dual_div,
-)
+from .coeffring import DimensionError, DualElement, JSignature
 
 #: ordering rank of the symbol families: quantum-matrix coordinates first,
 #: then the upper and lower triangular functionals of the dual algebra.
 _FAMILY_RANK = {"mat": 0, "upper": 1, "lower": 2}
 
 _FAMILY_LABEL = {"mat": "t", "upper": "l+", "lower": "l-"}
-
-DEFAULT_STEP_CAP = 100_000
 
 
 class GenSymbol(NamedTuple):
@@ -127,13 +119,6 @@ class NCPoly:
 
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def lead(self) -> tuple:
-        """(word, coeff) of the degree-lexicographically largest term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        w = max(self.terms, key=word_key)
-        return w, self.terms[w]
 
     def key(self) -> tuple:
         return tuple(sorted(
@@ -254,123 +239,3 @@ class NCPoly:
 
     def __repr__(self) -> str:
         return "NCPoly(%d terms over D_%d)" % (len(self.terms), self.n)
-
-
-# ---------------------------------------------------------------- rewriting
-
-
-class ReductionInconclusive(RuntimeError):
-    """Step cap hit before a normal form was reached; never means "equal"."""
-
-    def __init__(self, steps: int, remainder: "NCPoly"):
-        super().__init__("reduction inconclusive after %d steps" % steps)
-        self.steps = steps
-        self.remainder = remainder
-
-
-class _Rule(NamedTuple):
-    lead: tuple
-    coeff: DualElement
-    poly: NCPoly
-    index: int
-
-
-def make_rules(relations: list) -> list:
-    """Orient each relation at its largest word.  Order is preserved:
-    earlier relations are tried first at every rewrite step."""
-    rules = []
-    for idx, rel in enumerate(relations):
-        if not rel:
-            raise ValueError("relation %d is identically zero" % idx)
-        lead, coeff = rel.lead()
-        rules.append(_Rule(lead, coeff, rel, idx))
-    return rules
-
-
-def _matches(word: tuple, rules: list):
-    """Candidate rewrites: exact lead matches first, then proper subwords
-    (leftmost position first), rules always in list order."""
-    for rule in rules:
-        if rule.lead == word:
-            yield rule, 0
-    L = len(word)
-    for rule in rules:
-        lu = len(rule.lead)
-        if lu >= L:
-            continue
-        for pos in range(L - lu + 1):
-            if word[pos:pos + lu] == rule.lead:
-                yield rule, pos
-
-
-def reduce_poly(p: NCPoly, rules: list, step_cap: int = DEFAULT_STEP_CAP,
-                trace: list | None = None) -> NCPoly:
-    """Rewrite until no leading word of any rule divides any term.
-
-    Deterministic: the largest rewritable term is processed first, with the
-    first applicable rule/position.  A rule applies only when its leading
-    coefficient divides the term's (dual_div); the step cap turns looping
-    into an explicit ReductionInconclusive, never a wrong answer.
-    """
-    work = dict(p.terms)
-    steps = 0
-    while True:
-        hit = None
-        for w in sorted(work, key=word_key, reverse=True):
-            cw = work[w]
-            for rule, pos in _matches(w, rules):
-                d = dual_div(cw, rule.coeff)
-                if d is not None:
-                    hit = (w, d, rule, pos)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return NCPoly(p.n, work, normalized=True)
-        if steps >= step_cap:
-            raise ReductionInconclusive(steps, NCPoly(p.n, work, normalized=True))
-        steps += 1
-        w, d, rule, pos = hit
-        pre = w[:pos]
-        post = w[pos + len(rule.lead):]
-        if trace is not None:
-            trace.append((d, pre, rule.index, post))
-        for rw, rc in rule.poly.terms.items():
-            key = canonical_word(pre + rw + post)
-            delta = d * rc
-            acc = work.get(key)
-            t = -delta if acc is None else acc - delta
-            if t:
-                work[key] = t
-            elif acc is not None:
-                del work[key]
-
-
-def expand_certificate(cert: list, relations: list, n: int) -> NCPoly:
-    """Sum of left * relation * right over the certificate triples."""
-    acc = NCPoly.zero(n)
-    for left, idx, right in cert:
-        acc = acc + left * relations[idx] * right
-    return acc
-
-
-def membership_certificate(p: NCPoly, relations: list,
-                           step_cap: int = DEFAULT_STEP_CAP) -> list | None:
-    """Exhibit p = sum(left * relation * right), or None if the rewrite
-    strategy does not reach zero.  A returned certificate has been replayed
-    by pure expansion and compared against p, so it is a proof.
-
-    Raises ReductionInconclusive when the step cap is hit.
-    """
-    rules = make_rules(relations)
-    trace: list = []
-    remainder = reduce_poly(p, rules, step_cap, trace)
-    if remainder:
-        return None
-    cert = [
-        (NCPoly(p.n, {pre: d}), idx, NCPoly(p.n, {post: DualElement.one(p.n)}))
-        for d, pre, idx, post in trace
-    ]
-    if expand_certificate(cert, relations, p.n) != p:
-        raise ArithmeticError("certificate replay mismatch")
-    return cert

@@ -147,12 +147,10 @@ def test_05_hopf_axioms():
             rep = qgroup.verify_delta_compat(j)
             if not rep["ok"]:
                 failures.append("coproduct certificates %s" % j)
-    for j in all_signatures(3):
-        rep = qgroup.verify_antipode(j, step_cap=100_000)
-        if rep["inconclusive"]:
-            failures.append("antipode inconclusive %s" % j)
-        elif not rep["ok"]:
-            failures.append("antipode nonzero %s" % j)
+    for N in (3, 4, 5):
+        for j in all_signatures(N):
+            if not qgroup.verify_antipode(j)["ok"]:
+                failures.append("antipode uncertified %s" % j)
     ok = not failures
     record_acceptance("05 Hopf axioms: coproduct, counit, exact antipode", ok)
     assert ok, failures

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckq import cli
+from ckq import cli, qgroup
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,11 +90,6 @@ def test_unknown_suite_exits_2():
     assert "unknown suite" in r.stderr
 
 
-def test_step_cap_reports_inconclusive_exit_3():
-    r = run_cli(["verify", "--n", "3", "--j", "1,1", "--suite", "antipode",
-                 "--step-cap", "1"])
-    assert r.returncode == 3
-    assert "INCONCLUSIVE" in r.stdout
 
 
 def test_verify_fast_suites_pass_exit_0():
@@ -196,3 +191,25 @@ def test_crashing_suite_reports_error_not_fail(monkeypatch, capsys):
          "detail": "braid relation on 3-dim tensor cube"},
         {"suite": "cubic", "status": "ERROR",
          "detail": "ZeroDivisionError: boom"}]
+
+
+def test_uncertified_antipode_reports_inconclusive_exit_3(monkeypatch, capsys):
+    # without the orthogonality family no cofactor entry is a generator
+    monkeypatch.setattr(qgroup.QuantumCKGroup, "relations",
+                        lambda self: qgroup.rtt_relations(self.T, self.R))
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
+                   "antipode", "--jobs", "1"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "INCONCLUSIVE" in out
+    assert "18 of 18 cofactor entries" in out
+
+
+def test_antipode_certificate_mismatch_reports_error(monkeypatch, capsys):
+    monkeypatch.setattr(qgroup, "antipode", lambda T, C: T.transpose())
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
+                   "antipode", "--jobs", "1", "--format", "json"])
+    assert rc == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["status"] == "ERROR"
+    assert result["detail"].startswith("ArithmeticError: certificate mismatch")

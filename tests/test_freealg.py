@@ -1,20 +1,7 @@
-"""Free algebra: word normalization, arithmetic, rewriting, certificates."""
-
-import pytest
+"""Free algebra: word normalization, arithmetic, symbol and coefficient maps."""
 
 from ckq.coeffring import DualElement, JSignature, ScalarExpr
-from ckq.freealg import (
-    GenSymbol,
-    NCPoly,
-    ReductionInconclusive,
-    canonical_word,
-    expand_certificate,
-    make_rules,
-    mat_symbol,
-    membership_certificate,
-    reduce_poly,
-    word_key,
-)
+from ckq.freealg import GenSymbol, NCPoly, canonical_word, mat_symbol, word_key
 
 from conftest import rand_dual, seeded
 
@@ -105,87 +92,6 @@ def test_evaluate_commutative():
     assert p.evaluate(lambda g: vals[g]).is_zero()
     q = gen(t(1, 1)) * gen(t(1, 1))
     assert q.evaluate(lambda g: vals[g]) == DualElement.scalar(1, 9)
-
-
-def test_lead_term():
-    p = gen(t(1, 1)) + gen(t(2, 1)) * gen(t(1, 2))
-    w, c = p.lead()
-    assert w == (t(2, 1), t(1, 2))
-    assert c == DualElement.one(1)
-
-
-def test_reduce_relation_to_zero():
-    # a relation reduces itself to zero in one step
-    q = DualElement.scalar(1, ScalarExpr.q_power(1))
-    rel = gen(t(2, 1)) * gen(t(1, 1)) - gen(t(1, 1)) * gen(t(2, 1)) * q
-    rules = make_rules([rel])
-    assert reduce_poly(rel, rules).is_zero()
-
-
-def test_reduce_applies_inside_words():
-    q = DualElement.scalar(1, ScalarExpr.q_power(1))
-    rel = gen(t(2, 1)) * gen(t(1, 1)) - q * gen(t(1, 1)) * gen(t(2, 1))
-    rules = make_rules([rel])
-    p = gen(t(1, 2)) * gen(t(2, 1)) * gen(t(1, 1))
-    r = reduce_poly(p, rules)
-    assert r == q * (gen(t(1, 2)) * gen(t(1, 1)) * gen(t(2, 1)))
-
-
-def test_reduce_step_cap():
-    rel = gen(t(2, 1)) * gen(t(1, 1)) - gen(t(1, 1)) * gen(t(2, 1))
-    p = gen(t(2, 1)) * gen(t(1, 1))
-    with pytest.raises(ReductionInconclusive):
-        reduce_poly(p, make_rules([rel]), step_cap=0)
-
-
-def test_reduce_already_normal():
-    rel = gen(t(2, 1)) * gen(t(1, 1)) - gen(t(1, 1)) * gen(t(2, 1))
-    p = gen(t(1, 1)) * gen(t(2, 1)) + NCPoly.one(1)
-    assert reduce_poly(p, make_rules([rel])) == p
-
-
-def test_reduce_skips_indivisible_coefficients():
-    # iota1 * lead cannot be cancelled by a rule with coefficient iota2...
-    i1 = DualElement.iota(2, 1)
-    i2 = DualElement.iota(2, 2)
-    rel = NCPoly.gen(2, t(2, 1), i2) * NCPoly.gen(2, t(1, 1))
-    # ...so the target is already in normal form with respect to it
-    p = NCPoly.gen(2, t(2, 1), i1) * NCPoly.gen(2, t(1, 1))
-    assert reduce_poly(p, make_rules([rel])) == p
-    # while an iota1*iota2 multiple is cancellable
-    p2 = NCPoly.gen(2, t(2, 1), i1 * i2) * NCPoly.gen(2, t(1, 1))
-    assert reduce_poly(p2, make_rules([rel])).is_zero()
-
-
-def test_membership_certificate_roundtrip():
-    q = DualElement.scalar(1, ScalarExpr.q_power(1))
-    rels = [
-        gen(t(2, 1)) * gen(t(1, 1)) - q * gen(t(1, 1)) * gen(t(2, 1)),
-        gen(t(2, 2)) * gen(t(1, 1)) - gen(t(1, 1)) * gen(t(2, 2)),
-    ]
-    p = (gen(t(2, 2)) * rels[0] + rels[1] * gen(t(1, 2)) * q)
-    cert = membership_certificate(p, rels)
-    assert cert is not None
-    assert expand_certificate(cert, rels, 1) == p
-
-
-def test_membership_certificate_trivial_cases():
-    rels = [gen(t(2, 1)) * gen(t(1, 1)) - gen(t(1, 1)) * gen(t(2, 1))]
-    assert membership_certificate(NCPoly.zero(1), rels) == []
-    cert = membership_certificate(rels[0], rels)
-    assert len(cert) == 1
-    left, idx, right = cert[0]
-    assert idx == 0 and left == NCPoly.one(1) and right == NCPoly.one(1)
-
-
-def test_membership_failure_is_none():
-    rels = [gen(t(2, 1)) * gen(t(1, 1)) - gen(t(1, 1)) * gen(t(2, 1))]
-    assert membership_certificate(gen(t(1, 2)), rels) is None
-
-
-def test_make_rules_rejects_zero():
-    with pytest.raises(ValueError):
-        make_rules([NCPoly.zero(1)])
 
 
 def test_specialize_distributes_over_mul():
