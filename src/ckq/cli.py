@@ -64,6 +64,20 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise UsageError("%s must be at least %d, got %d" % (name, low, value))
 
 
+# entry_words yields N^(2*degree) functional words per family pair; the
+# largest admitted case is N=5 at degree 3.
+MAX_WORDS_PER_PAIR = 5 ** 6
+
+
+def _check_degree(N: int, degree: int) -> None:
+    _check_at_least("--degree", degree, 0)
+    words = N ** (2 * degree)
+    if words > MAX_WORDS_PER_PAIR:
+        raise UsageError("--degree %d at --n %d gives %d words per family "
+                         "pair, more than %d" % (degree, N, words,
+                                                 MAX_WORDS_PER_PAIR))
+
+
 def _write(ns, payload: str) -> None:
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -327,7 +341,7 @@ def _run_one(args: tuple) -> tuple:
 def cmd_verify(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     names = _parse_suites(ns.suite)
-    _check_at_least("--degree", ns.degree, 0)
+    _check_degree(ns.n, ns.degree)
     _check_at_least("--samples", ns.samples, 0)
     _check_at_least("--jobs", ns.jobs, 1)
     jobs = ns.jobs
@@ -401,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", type=str, default="all",
                    help="comma list of suites, or all: %s" % ", ".join(SUITES))
     p.add_argument("--degree", type=int, default=2,
-                   help="word length bound for dual-side suites")
+                   help="word length bound for dual-side suites "
+                        "(N^(2*degree) at most %d)" % MAX_WORDS_PER_PAIR)
     p.add_argument("--jobs", type=int,
                    default=int(os.environ.get("CKQ_JOBS", "1")),
                    help="suite worker processes (env CKQ_JOBS)")

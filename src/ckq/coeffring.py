@@ -309,34 +309,38 @@ class ScalarExpr:
         return ScalarExpr({(-se, 0): coef.inverse()})
 
     def exact_div(self, other: "ScalarExpr") -> "ScalarExpr | None":
-        """Exact polynomial quotient self / other, or None.
+        """Exact quotient self / other, or None when other does not divide.
 
         Laurent in s, so s-exponents may go negative; v-exponents may not.
-        Division by a multi-term divisor runs a bounded long division.
+        Long division in the (v, s) lexicographic order yields the
+        quotient's terms in strictly decreasing order.  Both coefficient
+        rings (Q(i, sqrt2)[v] for powers of s, Laurent polynomials in s
+        for powers of v) are domains, so every term of an exact quotient
+        lies in the box of s- and v-exponents bounded by the differences
+        of the operands' extreme exponents.  The first quotient term
+        outside that box proves non-divisibility, and the loop ends within
+        the box size.
         """
         if not other:
             return None
         if not self:
             return ScalarExpr.zero()
+        s_lo, s_hi, v_lo, v_hi = _exponent_box(self)
+        o_s_lo, o_s_hi, o_v_lo, o_v_hi = _exponent_box(other)
+        s_lo, s_hi = s_lo - o_s_lo, s_hi - o_s_hi
+        v_lo, v_hi = max(0, v_lo - o_v_lo), v_hi - o_v_hi
         lead = max(other.terms, key=lambda e: (e[1], e[0]))
-        lead_c = other.terms[lead]
-        lead_inv = lead_c.inverse()
+        lead_inv = other.terms[lead].inverse()
         rem = self
         quo: dict = {}
-        s_span = (max(e[0] for e in self.terms) - min(e[0] for e in self.terms)
-                  + max(e[0] for e in other.terms) - min(e[0] for e in other.terms))
-        budget = (s_span + 2) * (max(e[1] for e in self.terms) + 2) + 8
         while rem:
             (rs, rv) = max(rem.terms, key=lambda e: (e[1], e[0]))
-            if rv < lead[1]:
-                return None
             qe = (rs - lead[0], rv - lead[1])
-            qc = rem.terms[(rs, rv)] * lead_inv
-            quo[qe] = quo.get(qe, _C_ZERO) + qc
-            rem = rem - ScalarExpr({qe: qc}) * other
-            budget -= 1
-            if budget < 0:
+            if not (s_lo <= qe[0] <= s_hi and v_lo <= qe[1] <= v_hi):
                 return None
+            qc = rem.terms[(rs, rv)] * lead_inv
+            quo[qe] = qc
+            rem = rem - ScalarExpr({qe: qc}) * other
         return ScalarExpr(quo)
 
     # -- specializations ----------------------------------------------
@@ -400,6 +404,13 @@ class ScalarExpr:
 
 _S_ZERO = ScalarExpr.zero()
 _S_ONE = ScalarExpr.one()
+
+
+def _exponent_box(sc: ScalarExpr) -> tuple:
+    """(min s, max s, min v, max v) over the terms of a nonzero scalar."""
+    ss = [se for se, _ in sc.terms]
+    vs = [ve for _, ve in sc.terms]
+    return min(ss), max(ss), min(vs), max(vs)
 
 
 def _coerce_scalar(x) -> ScalarExpr:
@@ -621,8 +632,9 @@ def dual_div(c: DualElement, r: DualElement) -> DualElement | None:
     """Find d with d*r == c, or None if no quotient is found.
 
     Handles units of D_n, single-subset elements (the group weights), and
-    exact (anti)equality.  Partial by design; a None means no quotient was
-    found.
+    exact (anti)equality.  For a unit or a single-subset r a None means r
+    does not divide c; otherwise the search is partial by design and a None
+    means no quotient was found.
     """
     if c.n != r.n:
         raise DimensionError("mixing D_%d with D_%d" % (c.n, r.n))

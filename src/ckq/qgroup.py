@@ -154,6 +154,22 @@ def expand_atomic(p: NCPoly, j: JSignature) -> NCPoly:
 # ------------------------------------------------------------- relation sets
 
 
+def sign_key(p: NCPoly) -> tuple:
+    """min(p.key(), (-p).key()): the key of p up to sign.
+
+    Both keys list the same words in the same order, so the first term's
+    coefficient decides which is smaller; the negated key is built only
+    when it wins.
+    """
+    key = p.key()
+    if not key:
+        return key
+    word, coef_key = key[0]
+    if (-p.terms[word]).key() < coef_key:
+        return (-p).key()
+    return key
+
+
 class RelationSet:
     """Deduplicated list of relations (NCPoly = 0) with provenance tags."""
 
@@ -168,7 +184,7 @@ class RelationSet:
     def add(self, p: NCPoly, source: str) -> bool:
         if not p:
             return False
-        key = min(p.key(), (-p).key())
+        key = sign_key(p)
         if key in self._keys:
             return False
         self._keys.add(key)
@@ -517,7 +533,7 @@ def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
                 if not p:
                     continue
                 entries += 1
-                if min(p.key(), (-p).key()) not in keys:
+                if sign_key(p) not in keys:
                     uncertified.append((tag, i, k))
     return {"ok": not uncertified, "entries": entries,
             "uncertified": uncertified}

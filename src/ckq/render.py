@@ -121,17 +121,30 @@ def _monomial_tex(se: int, ve: int, coef) -> str:
     return sign + " ".join(factors)
 
 
+def _lam_monomial(sc: ScalarExpr):
+    """(se, ve, c) with sc == (q - q^-1) * c s^se v^ve, or None.
+
+    Read off the shape: exactly two terms c s^(se+2) v^ve and
+    -c s^(se-2) v^ve.  These are the only scalars whose quotient by the
+    commutator gap is a single monomial."""
+    if len(sc.terms) != 2:
+        return None
+    (lo, lo_c), (hi, hi_c) = sorted(sc.terms.items())
+    if hi[1] != lo[1] or hi[0] - lo[0] != 4 or lo_c != -hi_c:
+        return None
+    return hi[0] - 2, hi[1], hi_c
+
+
 def scalar_tex(sc: ScalarExpr) -> str:
     """Laurent terms in the deformation parameter; a global factor equal
-    to the standard commutator gap is pulled out when that keeps the
-    remainder a single monomial."""
+    to the standard commutator gap q - q^-1 is pulled out when the scalar
+    is that gap times a single monomial (decided from its two terms, with
+    no division)."""
     if sc.is_zero():
         return "0"
-    gap = ScalarExpr.lam()
-    quot = sc.exact_div(gap)
-    if quot is not None and len(quot.terms) == 1:
-        ((se, ve), coef), = quot.terms.items()
-        inner = _monomial_tex(se, ve, coef)
+    gap_monomial = _lam_monomial(sc)
+    if gap_monomial is not None:
+        inner = _monomial_tex(*gap_monomial)
         if inner == "1":
             return r"\lambda"
         if inner == "-1":

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, formats, byte determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,20 @@ def test_rmatrix_json_matches_golden(tmp_path):
                    "--format", "json", "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / "rmatrix_n3_iotaiota.json").read_bytes()
+
+
+N5_DIGESTS = json.loads((GOLDEN / "relations_n5_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("sig", ["1,1,1,1", "iota,1,iota,1",
+                                 "iota,iota,iota,iota"])
+def test_relations_n5_match_golden_digests(tmp_path, sig):
+    for fmt in ("json", "text", "latex"):
+        argv = ["relations", "--n", "5", "--j", sig, "--format", fmt]
+        out = tmp_path / ("rel." + fmt)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == N5_DIGESTS[" ".join(argv)], " ".join(argv)
 
 
 def test_output_bytes_stable_across_hash_seeds():
@@ -168,13 +183,28 @@ def _no_work(*args, **kwargs):
     ["verify", "--suite", "classical", "--samples", "-1"],
     ["verify", "--suite", "ybe,cubic", "--jobs", "0"],
     ["classical", "--samples", "-1"],
+    ["verify", "--n", "4", "--suite", "exchange", "--degree", "4"],
+    ["verify", "--n", "5", "--suite", "metric", "--degree", "4"],
+    ["verify", "--n", "3", "--suite", "pairing", "--degree", "5"],
 ])
 def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_work)
     monkeypatch.setattr(cli, "_run_one", _no_work)
     monkeypatch.setattr(cli, "_classical_report", _no_work)
-    assert cli.main(argv + ["--n", "3"]) == 2
+    # --n 3 unless the case names its own size
+    assert cli.main(argv[:1] + ["--n", "3"] + argv[1:]) == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,degree", [(3, 4), (4, 3), (5, 3)])
+def test_largest_admitted_degrees_reach_the_suites(monkeypatch, n, degree):
+    ran = []
+    monkeypatch.setattr(cli, "_run_one",
+                        lambda w: ran.append(w) or (w[0], "PASS", ""))
+    argv = ["verify", "--n", str(n), "--suite", "exchange",
+            "--degree", str(degree)]
+    assert cli.main(argv) == 0
+    assert [w[3] for w in ran] == [degree]
 
 
 def test_crashing_suite_reports_error_not_fail(monkeypatch, capsys):

@@ -87,6 +87,39 @@ def test_scalar_exact_div():
     assert q3.exact_div(v) is None
 
 
+def test_scalar_exact_div_random():
+    rng = random.Random(19)
+    lam = ScalarExpr.lam()
+    divisors = [lam, lam * lam, lam * ScalarExpr.v_power(1) + ScalarExpr.one()]
+    exact = inexact = 0
+    for _ in range(400):
+        a = rand_scalar(rng)
+        b = rng.choice(divisors) if rng.random() < 0.5 else rand_scalar(rng)
+        if not b:
+            continue
+        if len(b.terms) > 1:
+            assert (a * b).exact_div(b) == a
+        x = rand_scalar(rng)
+        q = x.exact_div(b)
+        if q is None:
+            inexact += 1
+        else:
+            exact += 1
+            assert q * b == x
+    assert exact and inexact
+
+
+def test_scalar_exact_div_wide_non_divisible():
+    # positive coefficients keep the value at s = 1 nonzero, so no
+    # multiple of q - q^-1 (which vanishes there) can equal x
+    rng = random.Random(29)
+    exps = rng.sample(range(-100, 100), 30)
+    x = ScalarExpr({(se, rng.randint(0, 1)): Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    for se in exps})
+    assert x.exact_div(ScalarExpr.lam()) is None
+    assert (x * ScalarExpr.lam()).exact_div(ScalarExpr.lam()) == x
+
+
 def test_scalar_ring_axioms_random():
     rng = random.Random(11)
     for _ in range(400):

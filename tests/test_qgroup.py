@@ -26,6 +26,7 @@ from ckq.qgroup import (
     rtt_components,
     rtt_relations,
     s_squared_conjugation,
+    sign_key,
     t_symbols,
     verify_antipode,
     verify_coassociativity,
@@ -364,3 +365,19 @@ def test_full_relation_set_matches_class_method():
     G = QuantumCKGroup(j)
     direct = full_relation_set(G.T, G.R, G.C)
     assert direct.key_set() == G.relations().key_set()
+
+
+_SIGN_KEY_CASES = ([(j, c) for N in (3, 4) for j in all_signatures(N)
+                    for c in (True, False)]
+                   + [(JSignature.parse(raw), True) for raw in
+                      ("1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota")])
+
+
+@pytest.mark.parametrize("j,contracted", _SIGN_KEY_CASES, ids=str)
+def test_sign_key_is_key_up_to_sign(j, contracted):
+    flips = set()
+    for p in QuantumCKGroup(j, contracted=contracted).relations():
+        key = min(p.key(), (-p).key())
+        assert sign_key(p) == sign_key(-p) == key
+        flips.add(key == p.key())
+    assert flips == {True, False}
