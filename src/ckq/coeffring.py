@@ -2,8 +2,9 @@
 
 Values live in a commutative tower built from the rationals:
 
-* ``Cyclo8``: the field Q(i, sqrt2), stored as four fractions over the
-  basis {1, i, sqrt2, i*sqrt2}.
+* ``Cyclo8``: the field Q(i, sqrt2), stored as four integer numerators
+  over the basis {1, i, sqrt2, i*sqrt2} and one positive denominator, in
+  lowest terms.
 * ``ScalarExpr``: Laurent polynomials in a carrier ``s`` with ``s^2 = q``
   (so half-integer powers of q stay exact), polynomial in a deformation
   variable ``v``, coefficients in ``Cyclo8``.
@@ -17,12 +18,17 @@ the substitution q^a -> 1 + a*J*v used to contract the deformed data.
 
 Everything is immutable and exact.  Rendering (``__str__``) is canonical:
 terms are emitted in a fixed sorted order, so equal values always print
-identically.
+identically.  The public constructors validate their input; the ring
+operations build their results through private ``_raw`` constructors,
+which trust it.  Multiplying by the interned one (``ScalarExpr.one()``,
+``DualElement.one(n)``) returns the other operand.  A constant hashes
+like the number it equals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 
@@ -54,15 +60,36 @@ def _frac(x) -> Fraction:
 
 
 class Cyclo8:
-    """An element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2)."""
+    """An element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
 
-    __slots__ = ("a", "b", "c", "d")
+    Stored as one tuple ``(a, b, c, d, den)`` of Python ints: four
+    numerators over a common positive denominator, in lowest terms, so
+    equal values have equal tuples.  The tuple is also the element's key.
+    ``a``, ``b``, ``c`` and ``d`` read the components as fractions.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _frac(a)
-        self.b = _frac(b)
-        self.c = _frac(c)
-        self.d = _frac(d)
+        parts = [_frac(x) for x in (a, b, c, d)]
+        den = lcm(*(p.denominator for p in parts))
+        # den is the lcm of reduced denominators, so no prime divides it
+        # and every numerator: the tuple is already in lowest terms
+        self._t = tuple(p.numerator * (den // p.denominator) for p in parts) + (den,)
+
+    @classmethod
+    def _raw(cls, t: tuple) -> "Cyclo8":
+        """Wrap a tuple ``(a, b, c, d, den)`` already in lowest terms."""
+        obj = _new(cls)
+        obj._t = t
+        return obj
+
+    @classmethod
+    def _rational(cls, x) -> "Cyclo8":
+        """An int or a Fraction (always in lowest terms) as an element."""
+        if isinstance(x, int):
+            return cls._raw((int(x), 0, 0, 0, 1))
+        return cls._raw((x.numerator, 0, 0, 0, x.denominator))
 
     @classmethod
     def i(cls) -> "Cyclo8":
@@ -72,53 +99,82 @@ class Cyclo8:
     def sqrt2(cls) -> "Cyclo8":
         return cls(0, 0, 1)
 
+    a = property(lambda self: Fraction(self._t[0], self._t[4]))
+    b = property(lambda self: Fraction(self._t[1], self._t[4]))
+    c = property(lambda self: Fraction(self._t[2], self._t[4]))
+    d = property(lambda self: Fraction(self._t[3], self._t[4]))
+
     def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.d)
+        return self._t != _ZERO_T
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo8(other)
-        if not isinstance(other, Cyclo8):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        if type(other) is not Cyclo8:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyclo8._rational(other)
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        a, b, c, d, den = self._t
+        if b or c or d:
+            return hash(self._t)
+        return hash(Fraction(a, den))  # a rational hashes like the number
 
     def __add__(self, other) -> "Cyclo8":
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo8(other)
-        return Cyclo8(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        if type(other) is not Cyclo8:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyclo8._rational(other)
+        a1, b1, c1, d1, e1 = self._t
+        a2, b2, c2, d2, e2 = other._t
+        if e1 != e2:
+            a1, b1, c1, d1 = a1 * e2, b1 * e2, c1 * e2, d1 * e2
+            a2, b2, c2, d2 = a2 * e1, b2 * e1, c2 * e1, d2 * e1
+            e1 *= e2
+        if b1 or c1 or d1 or b2 or c2 or d2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+        return _reduced_rational(a1 + a2, e1)
+
+    __radd__ = __add__
 
     def __sub__(self, other) -> "Cyclo8":
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo8(other)
-        return Cyclo8(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        if not isinstance(other, (int, Fraction, Cyclo8)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "Cyclo8":
+        return (-self).__add__(other)
 
     def __neg__(self) -> "Cyclo8":
-        return Cyclo8(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, den = self._t
+        return Cyclo8._raw((-a, -b, -c, -d, den))
 
     def __mul__(self, other) -> "Cyclo8":
-        if isinstance(other, (int, Fraction)):
-            return Cyclo8(self.a * other, self.b * other, self.c * other, self.d * other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        if not (b1 or c1 or d1) and not (b2 or c2 or d2):
-            return Cyclo8(a1 * a2)
-        return Cyclo8(
-            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        if type(other) is not Cyclo8:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyclo8._rational(other)
+        a1, b1, c1, d1, e1 = self._t
+        a2, b2, c2, d2, e2 = other._t
+        if b1 or c1 or d1 or b2 or c2 or d2:
+            return _reduced(
+                a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+                e1 * e2,
+            )
+        return _reduced_rational(a1 * a2, e1 * e2)
 
     __rmul__ = __mul__
 
     def conj_i(self) -> "Cyclo8":
-        return Cyclo8(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, den = self._t
+        return Cyclo8._raw((a, -b, c, -d, den))
 
     def conj_sqrt2(self) -> "Cyclo8":
-        return Cyclo8(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, den = self._t
+        return Cyclo8._raw((a, b, -c, -d, den))
 
     def inverse(self) -> "Cyclo8":
         """Field inverse via the product of the three Galois conjugates."""
@@ -126,15 +182,16 @@ class Cyclo8:
             raise NotInvertibleError("division by zero in Q(i, sqrt2)")
         cofactor = self.conj_i() * self.conj_sqrt2() * self.conj_i().conj_sqrt2()
         norm = self * cofactor
-        if norm.b or norm.c or norm.d:  # pragma: no cover - norm is Galois invariant
+        if not norm.is_rational():  # pragma: no cover - norm is Galois invariant
             raise ArithmeticError("field norm left the rationals")
         return cofactor * (1 / norm.a)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self._t
+        return not (b or c or d)
 
-    def key(self):
-        return (self.a, self.b, self.c, self.d)
+    def key(self) -> tuple:
+        return self._t
 
     def __str__(self) -> str:
         parts = []
@@ -155,6 +212,28 @@ class Cyclo8:
 
     def __repr__(self) -> str:
         return "Cyclo8(%s)" % self
+
+
+_new = object.__new__
+_ZERO_T = (0, 0, 0, 0, 1)
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> Cyclo8:
+    """The element (a + b*i + c*sqrt2 + d*i*sqrt2) / den, den > 0."""
+    if den != 1:
+        g = gcd(a, b, c, d, den)
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    return Cyclo8._raw((a, b, c, d, den))
+
+
+def _reduced_rational(a: int, den: int) -> Cyclo8:
+    """The rational element a / den, den > 0."""
+    if den != 1:
+        g = gcd(a, den)
+        if g != 1:
+            a, den = a // g, den // g
+    return Cyclo8._raw((a, 0, 0, 0, den))
 
 
 _C_ZERO = Cyclo8()
@@ -182,23 +261,36 @@ class ScalarExpr:
         self.terms = clean
         self._key = None
 
+    @classmethod
+    def _raw(cls, terms: dict) -> "ScalarExpr":
+        """Adopt ``terms`` as is: nonzero Cyclo8 values at exponents that
+        satisfy the checks of ``__init__``."""
+        obj = _new(cls)
+        obj.terms = terms
+        obj._key = None
+        return obj
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ScalarExpr":
-        return cls()
+        return _S_ZERO
 
     @classmethod
     def one(cls) -> "ScalarExpr":
-        return cls({(0, 0): _C_ONE})
+        return _S_ONE
 
     @classmethod
     def from_value(cls, x) -> "ScalarExpr":
         if isinstance(x, ScalarExpr):
             return x
-        if isinstance(x, Cyclo8):
-            return cls({(0, 0): x})
-        return cls({(0, 0): Cyclo8(_frac(x))})
+        if not isinstance(x, Cyclo8):
+            x = Cyclo8._rational(_frac(x))
+        if not x:
+            return _S_ZERO
+        if x == _C_ONE:
+            return _S_ONE
+        return cls._raw({(0, 0): x})
 
     @classmethod
     def s_power(cls, e: int, coef=1) -> "ScalarExpr":
@@ -227,10 +319,10 @@ class ScalarExpr:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Cyclo8)):
+        if type(other) is not ScalarExpr:
+            if not isinstance(other, (int, Fraction, Cyclo8)):
+                return NotImplemented
             other = ScalarExpr.from_value(other)
-        if not isinstance(other, ScalarExpr):
-            return NotImplemented
         return self.terms == other.terms
 
     def key(self):
@@ -239,51 +331,75 @@ class ScalarExpr:
         return self._key
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())  # equals that number
         return hash(self.key())
 
     def __add__(self, other) -> "ScalarExpr":
-        if isinstance(other, (int, Fraction, Cyclo8)):
+        if type(other) is not ScalarExpr:
+            if not isinstance(other, (int, Fraction, Cyclo8)):
+                return NotImplemented
             other = ScalarExpr.from_value(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
-            s = c if acc is None else acc + c
+            if acc is None:
+                out[e] = c
+                continue
+            s = acc + c
             if s:
                 out[e] = s
-            elif acc is not None:
+            else:
                 del out[e]
-        return ScalarExpr(out)
+        return ScalarExpr._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr({e: -c for e, c in self.terms.items()})
+        return ScalarExpr._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ScalarExpr":
-        if isinstance(other, (int, Fraction, Cyclo8)):
+        if type(other) is not ScalarExpr:
+            if not isinstance(other, (int, Fraction, Cyclo8)):
+                return NotImplemented
             other = ScalarExpr.from_value(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "ScalarExpr":
+        if not isinstance(other, (int, Fraction, Cyclo8)):
+            return NotImplemented
         return ScalarExpr.from_value(other) - self
 
     def __mul__(self, other) -> "ScalarExpr":
-        if isinstance(other, (int, Fraction, Cyclo8)):
+        if type(other) is not ScalarExpr:
+            if not isinstance(other, (int, Fraction, Cyclo8)):
+                return NotImplemented
             other = ScalarExpr.from_value(other)
-        if not isinstance(other, ScalarExpr):
-            return NotImplemented
+        if other is _S_ONE:
+            return self
+        if self is _S_ONE:
+            return other
+        # Nonzero times nonzero is nonzero in Q(i, sqrt2), so only sums
+        # can cancel; for the same reason the top v-degree of a product
+        # never cancels, and the cap is checked per pair of terms.
         out: dict = {}
         for (s1, v1), c1 in self.terms.items():
             for (s2, v2), c2 in other.terms.items():
-                e = (s1 + s2, v1 + v2)
+                ve = v1 + v2
+                if ve > _V_CAP:
+                    raise DegreeCapError("v-degree %d exceeds cap %d" % (ve, _V_CAP))
+                e = (s1 + s2, ve)
                 p = c1 * c2
                 acc = out.get(e)
-                s = p if acc is None else acc + p
+                if acc is None:
+                    out[e] = p
+                    continue
+                s = acc + p
                 if s:
                     out[e] = s
-                elif acc is not None:
+                else:
                     del out[e]
-        return ScalarExpr(out)
+        return ScalarExpr._raw(out)
 
     __rmul__ = __mul__
 
@@ -402,8 +518,8 @@ class ScalarExpr:
         return "ScalarExpr[%s]" % self
 
 
-_S_ZERO = ScalarExpr.zero()
-_S_ONE = ScalarExpr.one()
+_S_ZERO = ScalarExpr()
+_S_ONE = ScalarExpr({(0, 0): _C_ONE})
 
 
 def _exponent_box(sc: ScalarExpr) -> tuple:
@@ -427,9 +543,7 @@ class DualElement:
     __slots__ = ("n", "terms", "_key")
 
     def __init__(self, n: int, terms: dict | None = None):
-        if not (0 <= n <= _MAX_GENERATORS):
-            raise ValueError("generator count out of range: %d" % n)
-        self.n = n
+        self.n = _generator_count(n)
         clean: dict = {}
         if terms:
             for mask, sc in terms.items():
@@ -441,19 +555,32 @@ class DualElement:
         self.terms = clean
         self._key = None
 
+    @classmethod
+    def _raw(cls, n: int, terms: dict) -> "DualElement":
+        """Adopt ``terms`` as is: nonzero ScalarExpr values at subsets of
+        the n generators."""
+        obj = _new(cls)
+        obj.n = n
+        obj.terms = terms
+        obj._key = None
+        return obj
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "DualElement":
-        return cls(n)
+        return _D_ZEROS[_generator_count(n)]
 
     @classmethod
     def one(cls, n: int) -> "DualElement":
-        return cls(n, {0: _S_ONE})
+        return _D_ONES[_generator_count(n)]
 
     @classmethod
     def scalar(cls, n: int, x) -> "DualElement":
-        return cls(n, {0: _coerce_scalar(x)})
+        sc = _coerce_scalar(x)
+        if sc is _S_ONE:
+            return cls.one(n)
+        return cls(n, {0: sc})
 
     @classmethod
     def iota(cls, n: int, k: int) -> "DualElement":
@@ -463,6 +590,8 @@ class DualElement:
 
     @classmethod
     def monomial(cls, n: int, mask: int, x=1) -> "DualElement":
+        if not mask:
+            return cls.scalar(n, x)
         return cls(n, {mask: _coerce_scalar(x)})
 
     # -- structure ----------------------------------------------------
@@ -478,7 +607,7 @@ class DualElement:
         return self.terms.get(0, _S_ZERO)
 
     def nil_part(self) -> "DualElement":
-        return DualElement(self.n, {m: s for m, s in self.terms.items() if m})
+        return DualElement._raw(self.n, {m: s for m, s in self.terms.items() if m})
 
     def is_unit(self) -> bool:
         b = self.body()
@@ -493,20 +622,22 @@ class DualElement:
         return self._key
 
     def __hash__(self):
+        if all(m == 0 for m in self.terms):
+            return hash(self.body())  # equals that scalar
         return hash(self.key())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
+        if type(other) is not DualElement:
+            if not isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
+                return NotImplemented
             other = DualElement.scalar(self.n, other)
-        if not isinstance(other, DualElement):
-            return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def _check(self, other) -> "DualElement":
-        if isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
+        if type(other) is not DualElement:
+            if not isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
+                raise TypeError("cannot combine DualElement with %r" % (other,))
             return DualElement.scalar(self.n, other)
-        if not isinstance(other, DualElement):
-            raise TypeError("cannot combine DualElement with %r" % (other,))
         if other.n != self.n:
             raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
         return other
@@ -518,17 +649,20 @@ class DualElement:
         out = dict(self.terms)
         for m, s in other.terms.items():
             acc = out.get(m)
-            t = s if acc is None else acc + s
+            if acc is None:
+                out[m] = s
+                continue
+            t = acc + s
             if t:
                 out[m] = t
-            elif acc is not None:
+            else:
                 del out[m]
-        return DualElement(self.n, out)
+        return DualElement._raw(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DualElement":
-        return DualElement(self.n, {m: -s for m, s in self.terms.items()})
+        return DualElement._raw(self.n, {m: -s for m, s in self.terms.items()})
 
     def __sub__(self, other) -> "DualElement":
         return self + (-self._check(other))
@@ -537,13 +671,24 @@ class DualElement:
         return self._check(other) - self
 
     def __mul__(self, other) -> "DualElement":
-        if isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
+        # ScalarExpr has no zero divisors, so only sums can cancel.
+        n = self.n
+        if type(other) is not DualElement:
+            if not isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
+                return NotImplemented
             sc = _coerce_scalar(other)
-            return DualElement(self.n, {m: s * sc for m, s in self.terms.items()})
-        if not isinstance(other, DualElement):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
+            if sc is _S_ONE:
+                return self
+            if not sc:
+                return _D_ZEROS[n]
+            return DualElement._raw(n, {m: s * sc for m, s in self.terms.items()})
+        if other.n != n:
+            raise DimensionError("mixing D_%d with D_%d" % (n, other.n))
+        one = _D_ONES[n]
+        if other is one:
+            return self
+        if self is one:
+            return other
         out: dict = {}
         for m1, s1 in self.terms.items():
             for m2, s2 in other.terms.items():
@@ -552,12 +697,15 @@ class DualElement:
                 m = m1 | m2
                 p = s1 * s2
                 acc = out.get(m)
-                t = p if acc is None else acc + p
+                if acc is None:
+                    out[m] = p
+                    continue
+                t = acc + p
                 if t:
                     out[m] = t
-                elif acc is not None:
+                else:
                     del out[m]
-        return DualElement(self.n, out)
+        return DualElement._raw(n, out)
 
     __rmul__ = __mul__
 
@@ -626,6 +774,16 @@ class DualElement:
 
     def __repr__(self) -> str:
         return "DualElement[%s | D_%d]" % (self, self.n)
+
+
+def _generator_count(n: int) -> int:
+    if not (0 <= n <= _MAX_GENERATORS):
+        raise ValueError("generator count out of range: %d" % n)
+    return n
+
+
+_D_ZEROS = tuple(DualElement._raw(n, {}) for n in range(_MAX_GENERATORS + 1))
+_D_ONES = tuple(DualElement._raw(n, {0: _S_ONE}) for n in range(_MAX_GENERATORS + 1))
 
 
 def dual_div(c: DualElement, r: DualElement) -> DualElement | None:

@@ -72,11 +72,13 @@ class NCPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict | None = None, normalized: bool = False):
+        """``normalized=True`` adopts ``terms`` as is: canonical words to
+        nonzero coefficients in D_n."""
         self.n = n
         out: dict = {}
         if terms:
             if normalized:
-                out = {w: c for w, c in terms.items() if c}
+                out = terms
             else:
                 for w, c in terms.items():
                     c = _coerce(n, c)
@@ -148,10 +150,13 @@ class NCPoly:
         out = dict(self.terms)
         for w, c in other.terms.items():
             acc = out.get(w)
-            t = c if acc is None else acc + c
+            if acc is None:
+                out[w] = c
+                continue
+            t = acc + c
             if t:
                 out[w] = t
-            elif acc is not None:
+            else:
                 del out[w]
         return NCPoly(self.n, out, normalized=True)
 
@@ -169,7 +174,8 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if not isinstance(other, NCPoly):
             c = _coerce(self.n, other)
-            return NCPoly(self.n, {w: u * c for w, u in self.terms.items()},
+            # a nilpotent c can kill a term
+            return NCPoly(self.n, {w: t for w, u in self.terms.items() if (t := u * c)},
                           normalized=True)
         if other.n != self.n:
             raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
@@ -181,10 +187,13 @@ class NCPoly:
                     continue
                 w = canonical_word(w1 + w2)
                 acc = out.get(w)
-                t = c if acc is None else acc + c
+                if acc is None:
+                    out[w] = c
+                    continue
+                t = acc + c
                 if t:
                     out[w] = t
-                elif acc is not None:
+                else:
                     del out[w]
         return NCPoly(self.n, out, normalized=True)
 

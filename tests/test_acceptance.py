@@ -157,7 +157,7 @@ def test_05_hopf_axioms():
 
 
 def test_06_contraction_commutes_with_generation():
-    failures = [str(j) for j in all_signatures(3)
+    failures = ["N=%d %s" % (N, j) for N in (3, 4, 5) for j in all_signatures(N)
                 if not qgroup.contraction_commutes(j)]
     ok = not failures
     record_acceptance("06 contract-then-generate equals generate-then-contract",

@@ -58,6 +58,43 @@ def test_cyclo8_field_axioms_random():
         assert x * y == y * x
 
 
+def test_cyclo8_mixed_operands_defer_or_reflect():
+    two = Cyclo8(2)
+    # a ScalarExpr operand: Cyclo8 defers to the reflected operator
+    assert two * ScalarExpr.one() == ScalarExpr.from_value(2)
+    assert isinstance(two * ScalarExpr.one(), ScalarExpr)
+    assert two + ScalarExpr.one() == ScalarExpr.from_value(3)
+    assert isinstance(two + ScalarExpr.one(), ScalarExpr)
+    assert two - ScalarExpr.one() == ScalarExpr.one()
+    assert two * DualElement.iota(2, 1) == DualElement.iota(2, 1) * 2
+    # an int on the left: Cyclo8's own reflected operators
+    assert sum([Cyclo8(1), Cyclo8(2)]) == Cyclo8(3)
+    assert 1 - two == Cyclo8(-1)
+    assert Fraction(1, 2) - Cyclo8.i() == Cyclo8(Fraction(1, 2), -1)
+    with pytest.raises(TypeError):
+        two + 0.5
+
+
+def test_hash_agrees_with_equality_across_the_tower():
+    def forms(x):
+        return [x, Cyclo8(x), ScalarExpr.from_value(x), DualElement.scalar(0, x),
+                DualElement.scalar(3, x)]
+
+    values = []
+    for x in (0, 1, -3, 7):
+        values += [x, Fraction(x)] + forms(x)
+    for x in (Fraction(1, 2), Fraction(-5, 3)):
+        values += forms(x)
+    i = Cyclo8.i()
+    values += [i, ScalarExpr.from_value(i), DualElement.scalar(2, i)]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert len({Cyclo8(1), 1, Fraction(1), ScalarExpr.one(), DualElement.one(2)}) == 1
+    assert len({ScalarExpr.lam(), ScalarExpr.s_power(2) - ScalarExpr.s_power(-2)}) == 1
+
+
 # ------------------------------------------------------------ ScalarExpr
 
 
@@ -136,6 +173,11 @@ def test_v_degree_cap_guard():
     v = ScalarExpr.v_power(1)
     with pytest.raises(DegreeCapError):
         top * v
+    with pytest.raises(DegreeCapError):
+        DualElement.scalar(2, top) * DualElement.scalar(2, v)
+    with pytest.raises(DegreeCapError):
+        DualElement.scalar(2, top) * v
+    assert top * ScalarExpr.one() is top
 
 
 def test_scalar_rendering_canonical():
