@@ -17,7 +17,6 @@ from .coeffring import (
     JSignature,
     NotInvertibleError,
     ScalarExpr,
-    dual_div,
     specialize_q,
 )
 from .freealg import GenSymbol, NCPoly, mat_symbol
@@ -30,7 +29,6 @@ from .qdual import (
     verify_ll,
 )
 from .qgroup import (
-    PolyMatrix,
     QuantumCKGroup,
     RelationSet,
     antipode,

@@ -5,7 +5,9 @@ carries the weight J(k,p) above the diagonal and J(p,k) below it, times a
 free parameter.  Such matrices preserve the weighted quadratic form.  The
 module provides
 
-* construction and testing of special matrices,
+* the one square matrix type, over D_n here and over the noncommutative
+  polynomials of ``freealg`` in ``qgroup``, and the exact orthogonality
+  test,
 * the weighted antisymmetric generators and the exact Cayley transform,
   which samples group elements without any transcendental functions,
 * the fixed change of basis D with D C0 D^t = I (C0 the antidiagonal),
@@ -24,7 +26,6 @@ from .coeffring import (
     DualElement,
     JSignature,
     NotInvertibleError,
-    dual_div,
 )
 
 
@@ -33,7 +34,13 @@ class SingularMatrixError(ArithmeticError):
 
 
 class CKMatrix:
-    """A square matrix over D_n, optionally tagged with its signature."""
+    """A square matrix, optionally tagged with its signature.
+
+    Entries are D_n elements or noncommutative polynomials (``NCPoly``);
+    products, sums, transposes and entry maps work for both, while
+    ``identity``, ``build``, ``is_identity`` and ``inverse`` are for D_n
+    entries only.
+    """
 
     __slots__ = ("N", "j", "rows")
 
@@ -81,12 +88,12 @@ class CKMatrix:
     def __matmul__(self, other: "CKMatrix") -> "CKMatrix":
         if self.N != other.N:
             raise DimensionError("size mismatch in matrix product")
-        N = self.N
+        N, n = self.N, self.n
         out = []
         for i in range(N):
             row = []
             for k in range(N):
-                acc = DualElement.zero(self.n)
+                acc = self.rows[i][0].zero(n)
                 for m in range(N):
                     a = self.rows[i][m]
                     b = other.rows[m][k]
@@ -121,6 +128,7 @@ class CKMatrix:
         return CKMatrix([[fn(a) for a in r] for r in self.rows], self.j)
 
     def is_identity(self) -> bool:
+        """Exact test against the identity; D_n entries only."""
         one = DualElement.one(self.n)
         for i, row in enumerate(self.rows):
             for k, e in enumerate(row):
@@ -129,7 +137,8 @@ class CKMatrix:
         return True
 
     def inverse(self) -> "CKMatrix":
-        """Gauss-Jordan over D_n; pivots must be units of the local ring."""
+        """Gauss-Jordan over D_n (D_n entries only); pivots must be units
+        of the local ring."""
         N, n = self.N, self.n
         work = [list(r) + [DualElement.one(n) if i == k else DualElement.zero(n) for k in range(N)]
                 for i, r in enumerate(self.rows)]
@@ -161,26 +170,6 @@ class CKMatrix:
 
 
 # ------------------------------------------------------------ construction
-
-
-def make_special(a, j: JSignature) -> CKMatrix:
-    """Weight a parameter matrix into a group-patterned one.
-
-    Entry (k,p) becomes weight(k,p) * a[k][p]; parameters may be ints,
-    fractions, scalars or dual elements.
-    """
-    N = j.N
-    rows = list(a)
-    if len(rows) != N or any(len(r) != N for r in rows):
-        raise DimensionError("parameter matrix must be %dx%d" % (N, N))
-
-    def fn(i, k):
-        x = rows[i - 1][k - 1]
-        if not isinstance(x, DualElement):
-            x = DualElement.scalar(j.n, x)
-        return j.weight(i, k) * x
-
-    return CKMatrix.build(N, j.n, fn, j)
 
 
 def is_j_orthogonal(A: CKMatrix) -> bool:
@@ -221,27 +210,6 @@ def random_cayley(j: JSignature, rng, span: int = 3) -> CKMatrix:
             if theta:
                 X = X + lie_generator(k, p, j).scale(theta)
     return cayley(X)
-
-
-def generator_span_coords(M: CKMatrix, j: JSignature) -> dict | None:
-    """Write M as sum of c_kp * lie_generator(k,p), or None if impossible."""
-    N, n = M.N, j.n
-    coords = {}
-    for k in range(1, N + 1):
-        for p in range(k + 1, N + 1):
-            w = j.J(k, p)
-            c = dual_div(M.entry(k, p), w)
-            if c is None:
-                return None
-            if M.entry(p, k) != -(c * w):
-                return None
-            if c:
-                coords[(k, p)] = c
-    # everything off the generator support must vanish
-    recon = CKMatrix.identity(N, n, j).scale(0)
-    for (k, p), c in coords.items():
-        recon = recon + lie_generator(k, p, j).scale(c)
-    return coords if recon == M else None
 
 
 # ------------------------------------------------------- symplectic frame
@@ -323,47 +291,3 @@ def weight_pattern_symplectic(j: JSignature) -> dict:
                         masks.add(mask)
             pattern[(i, k)] = tuple(sorted(masks))
     return pattern
-
-
-# --------------------------------------------------------------- vectors
-
-
-def cartesian_vector(coords, j: JSignature) -> tuple:
-    """The weighted point (x1, J(1,2) x2, ..., J(1,N) xN)."""
-    N = j.N
-    coords = list(coords)
-    if len(coords) != N:
-        raise DimensionError("need %d coordinates" % N)
-    out = []
-    for k in range(1, N + 1):
-        x = coords[k - 1]
-        if not isinstance(x, DualElement):
-            x = DualElement.scalar(j.n, x)
-        out.append(j.J(1, k) * x)
-    return tuple(out)
-
-
-def apply_matrix(A: CKMatrix, x: tuple) -> tuple:
-    if len(x) != A.N:
-        raise DimensionError("vector length %d != matrix size %d" % (len(x), A.N))
-    return tuple(
-        sum((A.entry(i, k) * x[k - 1] for k in range(2, A.N + 1)), A.entry(i, 1) * x[0])
-        for i in range(1, A.N + 1)
-    )
-
-
-def quadratic_form(x: tuple) -> DualElement:
-    """Sum of squared coordinates (the Cayley-Klein metric on weighted points)."""
-    acc = x[0] * x[0]
-    for c in x[1:]:
-        acc = acc + c * c
-    return acc
-
-
-def antidiagonal_form(x: tuple, y: tuple) -> DualElement:
-    """The symplectic-frame bilinear form sum_i x_i y_{N+1-i}."""
-    N = len(x)
-    acc = x[0] * y[N - 1]
-    for i in range(2, N + 1):
-        acc = acc + x[i - 1] * y[N - i]
-    return acc

@@ -251,9 +251,15 @@ def _suite_coproduct(j, ns) -> tuple:
 
 def _suite_antipode(j, ns) -> tuple:
     report = qgroup.verify_antipode(j)
+    refuted = report["s_squared_refuted"]
+    if refuted:
+        return ("FAIL", "S^2 is not q^(2 rho)-conjugation at %d of %d entries"
+                % (len(refuted), j.N ** 2))
     if report["ok"]:
         return ("PASS", "S(T)T - I = C L and TS(T) - I = M C^-1, all %d "
-                        "cofactor entries are relations" % report["entries"])
+                        "cofactor entries are relations; S^2 = q^(2 rho)-"
+                        "conjugation on all %d entries"
+                % (report["entries"], j.N ** 2))
     return ("INCONCLUSIVE", "%d of %d cofactor entries are not relations"
             % (len(report["uncertified"]), report["entries"]))
 
@@ -280,9 +286,13 @@ def _suite_metric(j, ns) -> tuple:
 
 def _suite_pairing(j, ns) -> tuple:
     from .qdual import relations_pair_to_zero, verify_antipode_duality
-    report = relations_pair_to_zero(j, max_len=min(ns.degree, 2))
+    # relations_pair_to_zero stops at length 2, so the detail states the
+    # word length actually checked rather than --degree
+    max_len = min(ns.degree, 2)
+    report = relations_pair_to_zero(j, max_len=max_len)
     ok = report["ok"]
-    detail = "%d relation evaluations" % report["checked"]
+    detail = ("%d relation evaluations on functional words of length <= %d"
+              % (report["checked"], max_len))
     if ok:
         anti = verify_antipode_duality(j)
         ok = anti["ok"]

@@ -424,41 +424,6 @@ class ScalarExpr:
             raise NotInvertibleError("v is not invertible")
         return ScalarExpr({(-se, 0): coef.inverse()})
 
-    def exact_div(self, other: "ScalarExpr") -> "ScalarExpr | None":
-        """Exact quotient self / other, or None when other does not divide.
-
-        Laurent in s, so s-exponents may go negative; v-exponents may not.
-        Long division in the (v, s) lexicographic order yields the
-        quotient's terms in strictly decreasing order.  Both coefficient
-        rings (Q(i, sqrt2)[v] for powers of s, Laurent polynomials in s
-        for powers of v) are domains, so every term of an exact quotient
-        lies in the box of s- and v-exponents bounded by the differences
-        of the operands' extreme exponents.  The first quotient term
-        outside that box proves non-divisibility, and the loop ends within
-        the box size.
-        """
-        if not other:
-            return None
-        if not self:
-            return ScalarExpr.zero()
-        s_lo, s_hi, v_lo, v_hi = _exponent_box(self)
-        o_s_lo, o_s_hi, o_v_lo, o_v_hi = _exponent_box(other)
-        s_lo, s_hi = s_lo - o_s_lo, s_hi - o_s_hi
-        v_lo, v_hi = max(0, v_lo - o_v_lo), v_hi - o_v_hi
-        lead = max(other.terms, key=lambda e: (e[1], e[0]))
-        lead_inv = other.terms[lead].inverse()
-        rem = self
-        quo: dict = {}
-        while rem:
-            (rs, rv) = max(rem.terms, key=lambda e: (e[1], e[0]))
-            qe = (rs - lead[0], rv - lead[1])
-            if not (s_lo <= qe[0] <= s_hi and v_lo <= qe[1] <= v_hi):
-                return None
-            qc = rem.terms[(rs, rv)] * lead_inv
-            quo[qe] = qc
-            rem = rem - ScalarExpr({qe: qc}) * other
-        return ScalarExpr(quo)
-
     # -- specializations ----------------------------------------------
 
     def at_q_one(self) -> "ScalarExpr":
@@ -520,13 +485,6 @@ class ScalarExpr:
 
 _S_ZERO = ScalarExpr()
 _S_ONE = ScalarExpr({(0, 0): _C_ONE})
-
-
-def _exponent_box(sc: ScalarExpr) -> tuple:
-    """(min s, max s, min v, max v) over the terms of a nonzero scalar."""
-    ss = [se for se, _ in sc.terms]
-    vs = [ve for _, ve in sc.terms]
-    return min(ss), max(ss), min(vs), max(vs)
 
 
 def _coerce_scalar(x) -> ScalarExpr:
@@ -608,13 +566,6 @@ class DualElement:
 
     def nil_part(self) -> "DualElement":
         return DualElement._raw(self.n, {m: s for m, s in self.terms.items() if m})
-
-    def is_unit(self) -> bool:
-        b = self.body()
-        if len(b.terms) != 1:
-            return False
-        ((se, ve), _), = b.terms.items()
-        return ve == 0
 
     def key(self):
         if self._key is None:
@@ -786,45 +737,6 @@ _D_ZEROS = tuple(DualElement._raw(n, {}) for n in range(_MAX_GENERATORS + 1))
 _D_ONES = tuple(DualElement._raw(n, {0: _S_ONE}) for n in range(_MAX_GENERATORS + 1))
 
 
-def dual_div(c: DualElement, r: DualElement) -> DualElement | None:
-    """Find d with d*r == c, or None if no quotient is found.
-
-    Handles units of D_n, single-subset elements (the group weights), and
-    exact (anti)equality.  For a unit or a single-subset r a None means r
-    does not divide c; otherwise the search is partial by design and a None
-    means no quotient was found.
-    """
-    if c.n != r.n:
-        raise DimensionError("mixing D_%d with D_%d" % (c.n, r.n))
-    if not r:
-        return None
-    if not c:
-        return DualElement.zero(c.n)
-    try:
-        return c * r.inverse()
-    except NotInvertibleError:
-        pass
-    if len(r.terms) == 1:
-        (mask, sr), = r.terms.items()
-        out: dict = {}
-        for m, s in c.terms.items():
-            if m & mask != mask:
-                return None
-            q = s.exact_div(sr)
-            if q is None:
-                return None
-            out[m & ~mask] = q
-        d = DualElement(c.n, out)
-        if d * r == c:
-            return d
-        return None
-    if c == r:
-        return DualElement.one(c.n)
-    if c == -r:
-        return -DualElement.one(c.n)
-    return None
-
-
 class JSignature:
     """A contraction signature: one slot per level, each 1 or iota_k."""
 
@@ -893,9 +805,6 @@ class JSignature:
     def weight(self, k: int, p: int) -> DualElement:
         """The matrix-entry weight: J(k,p) above the diagonal, J(p,k) below."""
         return self.J(k, p) if k < p else self.J(p, k)
-
-    def full_J(self) -> DualElement:
-        return self.J(1, self.N)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, JSignature) and self.flags == other.flags

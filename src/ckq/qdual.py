@@ -414,7 +414,8 @@ def verify_l_additional(j: JSignature, degree: int = 2) -> dict:
 
 
 def relations_pair_to_zero(j: JSignature, max_len: int = 2) -> dict:
-    """Every functional word kills every defining relation.
+    """Every functional word of length at most min(max_len, 2) kills every
+    defining relation.
 
     This is the statement that the degree-one tables extend to
     functionals on the quotient algebra, not merely on the free one.
@@ -488,40 +489,6 @@ def verify_antipode_duality(j: JSignature) -> dict:
                             mismatches += 1
     return {"ok": mismatches == 0, "checked": checked,
             "mismatches": mismatches}
-
-
-# ------------------------------------------------------- structure maps
-
-
-def dual_coproduct(sym: GenSymbol, N: int) -> tuple:
-    """Matrix-style splitting of one functional generator."""
-    _check_functional(sym)
-    return tuple((GenSymbol(sym.family, sym.i, m), GenSymbol(sym.family, m, sym.k))
-                 for m in range(1, N + 1))
-
-
-def dual_counit(sym: GenSymbol, n: int) -> DualElement:
-    _check_functional(sym)
-    if sym.i == sym.k:
-        return DualElement.one(n)
-    return DualElement.zero(n)
-
-
-def dual_antipode(ctx: DualPairing, sym: GenSymbol) -> tuple:
-    """(coefficient, generator): the metric twist of the transpose.
-
-    Entries mirror across the antidiagonal with an invertible scalar, so
-    the antipode of a generator is again a scalar multiple of a single
-    generator of the same family.
-    """
-    _check_functional(sym)
-    N = ctx.N
-    ct = ctx.metric.transpose()
-    cti = ct.inverse()
-    im = N + 1 - sym.i
-    km = N + 1 - sym.k
-    coeff = ct.entry(sym.i, im) * cti.entry(km, sym.k)
-    return coeff, GenSymbol(sym.family, km, im)
 
 
 def formal_l_pattern(j: JSignature) -> dict:

@@ -5,98 +5,28 @@ subset monomial that the classical weight pattern allows there, so the
 entry is the D-valued combination sum_W iota_W * t[i,k;W].  The defining
 ideal collects the braid-exchange components R T1 T2 - T2 T1 R and the
 quantum orthogonality T C T^t = T^t C T = C (plus the same with C^(-1),
-which the antipode axiom consumes).
+which the antipode axiom consumes).  T and every matrix built from it are
+``CKMatrix`` instances with ``NCPoly`` entries.
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
-expansion, and both the compatibility of the coproduct with the exchange
-relations and the antipode axiom by explicit membership certificates,
-closed-form cofactor combinations of the relations that are replayed by
-exact expansion.
+expansion; the compatibility of the coproduct with the exchange relations
+and the antipode axiom by explicit membership certificates, closed-form
+cofactor combinations of the relations that are replayed by exact
+expansion; and S^2 = q^(2 rho)-conjugation as an identity of polynomial
+matrices.
 """
 
 from __future__ import annotations
 
-from .coeffring import (
-    DimensionError,
-    DualElement,
-    JSignature,
-    ScalarExpr,
-)
+from .coeffring import DualElement, JSignature, ScalarExpr
 from .ckclassical import CKMatrix, weight_pattern_symplectic
 from .rmatrix import QTensor, contract, frt_c, frt_r, rho2
 from .freealg import GenSymbol, NCPoly, mat_symbol
 
 
-class PolyMatrix:
-    """A square matrix of noncommutative polynomials."""
-
-    __slots__ = ("N", "n", "rows", "j")
-
-    def __init__(self, rows, j: JSignature | None = None):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.N = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.N:
-                raise DimensionError("matrix is not square")
-        self.n = self.rows[0][0].n if self.N else 0
-        self.j = j
-
-    @classmethod
-    def build(cls, N: int, n: int, fn, j: JSignature | None = None) -> "PolyMatrix":
-        return cls([[fn(i, k) for k in range(1, N + 1)] for i in range(1, N + 1)], j)
-
-    @classmethod
-    def identity(cls, N: int, n: int) -> "PolyMatrix":
-        return cls.build(N, n, lambda i, k: NCPoly.one(n) if i == k else NCPoly.zero(n))
-
-    @classmethod
-    def from_scalars(cls, M: CKMatrix) -> "PolyMatrix":
-        return cls.build(M.N, M.n, lambda i, k: NCPoly.scalar(M.n, M.entry(i, k)), M.j)
-
-    def entry(self, i: int, k: int) -> NCPoly:
-        return self.rows[i - 1][k - 1]
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.N != other.N:
-            raise DimensionError("size mismatch in matrix product")
-        N = self.N
-        out = []
-        for i in range(N):
-            row = []
-            for k in range(N):
-                acc = NCPoly.zero(self.n)
-                for m in range(N):
-                    a = self.rows[i][m]
-                    b = other.rows[m][k]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, self.j or other.j)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.j or other.j,
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.j or other.j,
-        )
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(list(zip(*self.rows)), self.j)
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(a) for a in r] for r in self.rows], self.j)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return "PolyMatrix(%dx%d over D_%d)" % (self.N, self.N, self.n)
+def _scalars(M: CKMatrix) -> CKMatrix:
+    """The scalar matrix M with every entry lifted to a constant polynomial."""
+    return M.map_entries(lambda e: NCPoly.scalar(M.n, e))
 
 
 # --------------------------------------------------------- generating matrix
@@ -113,7 +43,7 @@ def t_symbols(j: JSignature, copy: int = 0) -> tuple:
     return tuple(out)
 
 
-def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> PolyMatrix:
+def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
     """The generating matrix.
 
     Split form (default): entry (i,k) = sum_W iota_W * t[i,k;W] over the
@@ -133,7 +63,8 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> PolyMatrix:
                                    DualElement.monomial(n, mask))
         return acc
 
-    return PolyMatrix.build(j.N, n, fn, j)
+    rng = range(1, j.N + 1)
+    return CKMatrix([[fn(i, k) for k in rng] for i in rng], j)
 
 
 def expand_atomic(p: NCPoly, j: JSignature) -> NCPoly:
@@ -218,29 +149,37 @@ class RelationSet:
         return frozenset(self._keys)
 
 
-def rtt_components(T: PolyMatrix, R: QTensor) -> dict:
-    """All braid-exchange components, keyed (i,j,k,l), zeros included."""
-    N = T.N
+def _braid_index(R: QTensor) -> tuple:
+    """R's nonzero components grouped by output pair and by input pair."""
     rows: dict = {}
     cols: dict = {}
     for (a, b, c, d), val in R.data.items():
         rows.setdefault((a, b), []).append(((c, d), val))
         cols.setdefault((c, d), []).append(((a, b), val))
-    out = {}
-    for i in range(1, N + 1):
-        for jj in range(1, N + 1):
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    acc = NCPoly.zero(T.n)
-                    for (a, b), val in rows.get((i, jj), ()):
-                        acc = acc + (T.entry(a, k) * T.entry(b, l)) * val
-                    for (a, b), val in cols.get((k, l), ()):
-                        acc = acc - (T.entry(jj, b) * T.entry(i, a)) * val
-                    out[(i, jj, k, l)] = acc
-    return out
+    return rows, cols
 
 
-def rtt_relations(T: PolyMatrix, R: QTensor) -> RelationSet:
+def _rtt_component(T: CKMatrix, index: tuple, i: int, jj: int, k: int,
+                   l: int) -> NCPoly:
+    """Component (i,j,k,l) of R T1 T2 - T2 T1 R, from _braid_index(R)."""
+    rows, cols = index
+    acc = NCPoly.zero(T.n)
+    for (a, b), val in rows.get((i, jj), ()):
+        acc = acc + (T.entry(a, k) * T.entry(b, l)) * val
+    for (a, b), val in cols.get((k, l), ()):
+        acc = acc - (T.entry(jj, b) * T.entry(i, a)) * val
+    return acc
+
+
+def rtt_components(T: CKMatrix, R: QTensor) -> dict:
+    """All braid-exchange components, keyed (i,j,k,l), zeros included."""
+    index = _braid_index(R)
+    rng = range(1, T.N + 1)
+    return {(i, jj, k, l): _rtt_component(T, index, i, jj, k, l)
+            for i in rng for jj in rng for k in rng for l in rng}
+
+
+def rtt_relations(T: CKMatrix, R: QTensor) -> RelationSet:
     """Deduplicated braid-exchange relations R T1 T2 - T2 T1 R = 0."""
     rels = RelationSet(T.n)
     comps = rtt_components(T, R)
@@ -249,10 +188,10 @@ def rtt_relations(T: PolyMatrix, R: QTensor) -> RelationSet:
     return rels
 
 
-def orthogonality_components(T: PolyMatrix, M: CKMatrix) -> list:
+def orthogonality_components(T: CKMatrix, M: CKMatrix) -> list:
     """Components of T M T^t - M and T^t M T - M, in scan order."""
     N, n = T.N, T.n
-    Mp = PolyMatrix.from_scalars(M)
+    Mp = _scalars(M)
     left = T @ Mp @ T.transpose()
     right = T.transpose() @ Mp @ T
     out = []
@@ -263,7 +202,7 @@ def orthogonality_components(T: PolyMatrix, M: CKMatrix) -> list:
     return out
 
 
-def orthogonality_relations(T: PolyMatrix, C: CKMatrix) -> RelationSet:
+def orthogonality_relations(T: CKMatrix, C: CKMatrix) -> RelationSet:
     """Quantum orthogonality for the metric and for its inverse.
 
     The inverse-metric family is consumed by the antipode axiom; for this
@@ -276,7 +215,7 @@ def orthogonality_relations(T: PolyMatrix, C: CKMatrix) -> RelationSet:
     return rels
 
 
-def full_relation_set(T: PolyMatrix, R: QTensor, C: CKMatrix) -> RelationSet:
+def full_relation_set(T: CKMatrix, R: QTensor, C: CKMatrix) -> RelationSet:
     rels = rtt_relations(T, R)
     rels.extend(orthogonality_relations(T, C))
     return rels
@@ -337,11 +276,9 @@ def counit_leg(p: NCPoly, leg: int = 0) -> NCPoly:
     return p.substitute(fn)
 
 
-def antipode(T: PolyMatrix, C: CKMatrix) -> PolyMatrix:
+def antipode(T: CKMatrix, C: CKMatrix) -> CKMatrix:
     """S(T) = C T^t C^(-1), entrywise scalar times a mirrored entry."""
-    Cp = PolyMatrix.from_scalars(C)
-    Ci = PolyMatrix.from_scalars(C.inverse())
-    return Cp @ T.transpose() @ Ci
+    return _scalars(C) @ T.transpose() @ _scalars(C.inverse())
 
 
 # ------------------------------------------------------------- verification
@@ -422,8 +359,7 @@ def counit_annihilates(rels: RelationSet) -> bool:
     return all(counit(p).is_zero() for p in rels)
 
 
-def verify_delta_compat(j: JSignature, contracted: bool = True,
-                        full_split: bool | None = None) -> dict:
+def verify_delta_compat(j: JSignature) -> dict:
     """Certify that the coproduct descends to the quotient.
 
     For every component of R (T T')1 (T T')2 - (T T')2 (T T')1 R the
@@ -431,48 +367,32 @@ def verify_delta_compat(j: JSignature, contracted: bool = True,
     relations is constructed and replayed by exact expansion.  This runs in
     the entry-level algebra; the splitting homomorphism (verified on every
     relation component here) transports each certificate to the split
-    symbols.  full_split additionally replays the certificates after
-    splitting (default for N = 3).
+    symbols.  At N = 3 the certificates are also replayed after splitting.
     """
-    N, n = j.N, j.n
-    if full_split is None:
-        full_split = N <= 3
-    R = frt_r(N, n)
-    if contracted:
-        R = contract(R, j)
+    N = j.N
+    R = contract(frt_r(N, j.n), j)
+    index = _braid_index(R)
     pairs = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
-    rows: dict = {}
-    cols: dict = {}
-    for (a, b, c, d), val in R.data.items():
-        rows.setdefault((a, b), []).append(((c, d), val))
-        cols.setdefault((c, d), []).append(((a, b), val))
 
-    def check(A: PolyMatrix, B: PolyMatrix) -> int:
+    def check(A: CKMatrix, B: CKMatrix) -> int:
         relA = rtt_components(A, R)
         relB = rtt_components(B, R)
         P = A @ B
         checked = 0
-        for i in range(1, N + 1):
-            for jj in range(1, N + 1):
-                for k in range(1, N + 1):
-                    for l in range(1, N + 1):
-                        target = NCPoly.zero(n)
-                        for (a, b), val in rows.get((i, jj), ()):
-                            target = target + (P.entry(a, k) * P.entry(b, l)) * val
-                        for (a, b), val in cols.get((k, l), ()):
-                            target = target - (P.entry(jj, b) * P.entry(i, a)) * val
-                        acc = NCPoly.zero(n)
-                        for (a, b) in pairs:
-                            left = relA[(i, jj, a, b)]
-                            if left:
-                                acc = acc + left * (B.entry(a, k) * B.entry(b, l))
-                            right = relB[(a, b, k, l)]
-                            if right:
-                                acc = acc + (A.entry(jj, b) * A.entry(i, a)) * right
-                        if acc != target:
-                            raise ArithmeticError(
-                                "certificate mismatch at %s" % ((i, jj, k, l),))
-                        checked += 1
+        for (i, jj, k, l) in relA:
+            target = _rtt_component(P, index, i, jj, k, l)
+            acc = NCPoly.zero(j.n)
+            for (a, b) in pairs:
+                left = relA[(i, jj, a, b)]
+                if left:
+                    acc = acc + left * (B.entry(a, k) * B.entry(b, l))
+                right = relB[(a, b, k, l)]
+                if right:
+                    acc = acc + (A.entry(jj, b) * A.entry(i, a)) * right
+            if acc != target:
+                raise ArithmeticError(
+                    "certificate mismatch at %s" % ((i, jj, k, l),))
+            checked += 1
         return checked
 
     A0 = build_t(j, copy=0, atomic=True)
@@ -484,21 +404,15 @@ def verify_delta_compat(j: JSignature, contracted: bool = True,
     As, Bs = build_t(j, copy=0), build_t(j, copy=1)
     relA_atomic = rtt_components(A0, R)
     relA_split = rtt_components(As, R)
-    bridge_ok = all(
-        expand_atomic(relA_atomic[key], j) == relA_split[key]
-        for key in relA_atomic
-    )
-    split_checked = check(As, Bs) if full_split else 0
-    return {
-        "ok": bridge_ok,
-        "components": checked,
-        "split_components": split_checked,
-        "bridge_ok": bridge_ok,
-    }
+    ok = all(expand_atomic(relA_atomic[key], j) == relA_split[key]
+             for key in relA_atomic)
+    split_checked = check(As, Bs) if N <= 3 else 0
+    return {"ok": ok, "components": checked,
+            "split_components": split_checked}
 
 
 def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
-    """Certify S(T) T = T S(T) = I modulo the emitted ideal.
+    """Certify S(T) T = T S(T) = I modulo the emitted ideal, and check S^2.
 
     With S(T) = C T^t C^(-1) both defects factor through the orthogonality
     cofactors L = T^t C^(-1) T - C^(-1) and M = T C T^t - C:
@@ -510,12 +424,18 @@ def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
     and M is (up to sign) a generator of the relation set; the entries
     that are not are listed under "uncertified", which leaves the axiom
     unrefuted but not proved.
+
+    S^2 is conjugation by q^(2 rho): entry (i,k) of S(S(T)) is t[i,k]
+    times q^(2 rho_k - 2 rho_i), contracted with the signature when R is.
+    This is an identity of polynomial matrices, so the entries where it
+    fails are listed under "s_squared_refuted" and refute the antipode.
     """
     G = QuantumCKGroup(j, contracted=contracted)
     T = G.T
-    Cp = PolyMatrix.from_scalars(G.C)
-    Ci = PolyMatrix.from_scalars(G.C.inverse())
-    I = PolyMatrix.identity(G.N, G.n)
+    N, n = G.N, G.n
+    Cp = _scalars(G.C)
+    Ci = _scalars(G.C.inverse())
+    I = _scalars(CKMatrix.identity(N, n))
     S = antipode(T, G.C)
     L = T.transpose() @ Ci @ T - Ci
     M = T @ Cp @ T.transpose() - Cp
@@ -523,20 +443,30 @@ def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
         raise ArithmeticError("certificate mismatch in S(T)T - I = C L")
     if (T @ S) - I != M @ Ci:
         raise ArithmeticError("certificate mismatch in TS(T) - I = M C^-1")
+    S2 = antipode(S, G.C)
+    r2 = rho2(N)
+    refuted = []
+    for i in range(1, N + 1):
+        for k in range(1, N + 1):
+            scale = DualElement.scalar(n, ScalarExpr.q_power(r2[k - 1] - r2[i - 1]))
+            if contracted:
+                scale = scale.specialize(j)
+            if S2.entry(i, k) != T.entry(i, k) * scale:
+                refuted.append((i, k))
     keys = G.relations().key_set()
     uncertified = []
     entries = 0
     for tag, F in (("L", L), ("M", M)):
-        for i in range(1, G.N + 1):
-            for k in range(1, G.N + 1):
+        for i in range(1, N + 1):
+            for k in range(1, N + 1):
                 p = F.entry(i, k)
                 if not p:
                     continue
                 entries += 1
                 if sign_key(p) not in keys:
                     uncertified.append((tag, i, k))
-    return {"ok": not uncertified, "entries": entries,
-            "uncertified": uncertified}
+    return {"ok": not uncertified and not refuted, "entries": entries,
+            "uncertified": uncertified, "s_squared_refuted": refuted}
 
 
 def contraction_commutes(j: JSignature) -> bool:
@@ -548,18 +478,3 @@ def contraction_commutes(j: JSignature) -> bool:
     symbolic = QuantumCKGroup(j, contracted=False).relations()
     direct = QuantumCKGroup(j, contracted=True).relations()
     return symbolic.specialize(j).key_set() == direct.key_set()
-
-
-def s_squared_conjugation(j: JSignature, contracted: bool = False) -> bool:
-    """S^2 rescales entry (i,k) by the mirror-weight ratio of its slots."""
-    G = QuantumCKGroup(j, contracted=contracted)
-    S2 = antipode(antipode(G.T, G.C), G.C)
-    r2 = rho2(G.N)
-    for i in range(1, G.N + 1):
-        for k in range(1, G.N + 1):
-            scale = DualElement.scalar(G.n, ScalarExpr.s_power(2 * (r2[k - 1] - r2[i - 1])))
-            if contracted:
-                scale = scale.specialize(j)
-            if S2.entry(i, k) != G.T.entry(i, k) * scale:
-                return False
-    return True

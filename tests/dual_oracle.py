@@ -6,6 +6,9 @@ end, each generator walking the paired tensor backwards from the rows it
 produces, and each column value is split over the entry's weight pattern
 here rather than by the package.  It shares no evaluation code with
 `DualPairing`, so agreement checks the package's left fold.
+
+`dual_antipode` states the antipode of a functional generator in closed
+form, as the metric twist of its transpose.
 """
 
 from ckq.ckclassical import weight_pattern_symplectic
@@ -91,3 +94,19 @@ class RightFold:
             for tw, tc in _terms(self.n, element):
                 total = total + lc * tc * self.word_value(fams, avec, bvec, tw)
         return total
+
+
+def dual_antipode(ctx, sym):
+    """(coefficient, generator): the metric twist of the transpose.
+
+    Entries mirror across the antidiagonal with an invertible scalar, so
+    the antipode of a generator is again a scalar multiple of a single
+    generator of the same family.
+    """
+    N = ctx.N
+    ct = ctx.metric.transpose()
+    cti = ct.inverse()
+    im = N + 1 - sym.i
+    km = N + 1 - sym.k
+    coeff = ct.entry(sym.i, im) * cti.entry(km, sym.k)
+    return coeff, GenSymbol(sym.family, km, im)

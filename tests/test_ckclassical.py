@@ -9,21 +9,14 @@ from ckq.coeffring import (
     DualElement,
     JSignature,
     ScalarExpr,
-    dual_div,
 )
 from ckq.ckclassical import (
     CKMatrix,
     SingularMatrixError,
     antidiagonal_c0,
-    antidiagonal_form,
-    apply_matrix,
-    cartesian_vector,
     cayley,
-    generator_span_coords,
     is_j_orthogonal,
     lie_generator,
-    make_special,
-    quadratic_form,
     random_cayley,
     symplectic_d,
     symplectic_d_inverse,
@@ -31,6 +24,15 @@ from ckq.ckclassical import (
     weight_pattern_symplectic,
 )
 
+from classical_oracle import (
+    antidiagonal_form,
+    apply_matrix,
+    carries_weight,
+    cartesian_vector,
+    in_generator_span,
+    make_special,
+    quadratic_form,
+)
 from conftest import all_signatures, seeded
 
 
@@ -115,7 +117,7 @@ def test_cayley_entries_carry_weights():
             G = random_cayley(j, rng)
             for k in range(1, N + 1):
                 for p in range(1, N + 1):
-                    assert dual_div(G.entry(k, p), j.weight(k, p)) is not None
+                    assert carries_weight(G.entry(k, p), j.weight(k, p))
 
 
 def test_group_closure_and_inverse():
@@ -188,13 +190,17 @@ def test_commutator_closure_all_signatures():
                     A = lie_generator(*gens[a], j)
                     B = lie_generator(*gens[b], j)
                     C = A @ B - B @ A
-                    assert generator_span_coords(C, j) is not None
+                    assert in_generator_span(C, j)
 
 
 def test_generator_span_rejects_outside_elements():
     j = JSignature.trivial(2)
     M = CKMatrix.identity(3, 2, j)
-    assert generator_span_coords(M, j) is None  # symmetric part present
+    assert not in_generator_span(M, j)  # symmetric part present
+    # antisymmetric, but entry (1,2) lacks the weight J(1,2) = iota_1
+    j = JSignature.parse("iota,1")
+    assert not in_generator_span(lie_generator(1, 2, JSignature.trivial(2)), j)
+    assert in_generator_span(lie_generator(1, 2, j), j)
 
 
 # ------------------------------------------------- weight pattern oracle

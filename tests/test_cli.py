@@ -243,3 +243,27 @@ def test_antipode_certificate_mismatch_reports_error(monkeypatch, capsys):
     [result] = json.loads(capsys.readouterr().out)["results"]
     assert result["status"] == "ERROR"
     assert result["detail"].startswith("ArithmeticError: certificate mismatch")
+
+
+def test_wrong_s_squared_shift_reports_fail_exit_1(monkeypatch, capsys):
+    # S^2 = q^(2 rho)-conjugation is an exact identity, so a wrong shift
+    # refutes it even though both cofactor certificates still hold
+    monkeypatch.setattr(qgroup, "rho2", lambda N: tuple(range(N)))
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
+                   "antipode", "--jobs", "1", "--format", "json"])
+    assert rc == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["status"] == "FAIL"
+    assert result["detail"].startswith("S^2 is not q^(2 rho)-conjugation")
+
+
+def test_pairing_detail_states_the_word_length_checked(capsys):
+    # --degree 3 is admitted at N=4, but relations are paired against
+    # words of length at most 2, and the detail says so
+    rc = cli.main(["verify", "--n", "4", "--j", "iota,1,iota", "--suite",
+                   "pairing", "--degree", "3", "--jobs", "1",
+                   "--format", "json"])
+    assert rc == 0
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["status"] == "PASS"
+    assert "on functional words of length <= 2," in result["detail"]

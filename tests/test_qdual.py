@@ -7,9 +7,6 @@ from ckq import qdual
 from ckq.qgroup import QuantumCKGroup, antipode, build_t, t_symbols
 from ckq.qdual import (
     DualPairing,
-    dual_antipode,
-    dual_coproduct,
-    dual_counit,
     dual_symbols,
     entry_words,
     formal_l_pattern,
@@ -23,7 +20,7 @@ from ckq.qdual import (
 )
 
 from conftest import all_signatures, seeded
-from dual_oracle import RightFold
+from dual_oracle import RightFold, dual_antipode
 
 J33 = JSignature.parse("iota,iota")
 J31 = JSignature.parse("iota,1")
@@ -184,8 +181,11 @@ def test_multiplication_is_dual_to_coproduct():
             for f in (upper_symbol(1, 2), lower_symbol(3, 1),
                       upper_symbol(2, 2)):
                 lhs = ctx.pair(f, x + y)
+                # f[i,k] -> sum_m f[i,m] (x) f[m,k]
                 rhs = zero(j.n)
-                for lft, rgt in dual_coproduct(f, 3):
+                for m in range(1, 4):
+                    lft = GenSymbol(f.family, f.i, m)
+                    rgt = GenSymbol(f.family, m, f.k)
                     rhs = rhs + ctx.pair(lft, x) * ctx.pair(rgt, y)
                 assert lhs == rhs
 
@@ -227,17 +227,6 @@ def test_left_and_right_folds_agree_on_entry_products():
                             assert val == oracle.pair(f, m)
                             nonzero += bool(val)
         assert nonzero > 0
-
-
-def test_dual_coproduct_and_counit_shapes():
-    g = upper_symbol(1, 3)
-    legs = dual_coproduct(g, 3)
-    assert legs == tuple((upper_symbol(1, m), upper_symbol(m, 3))
-                         for m in (1, 2, 3))
-    assert dual_counit(upper_symbol(2, 2), 2) == one(2)
-    assert dual_counit(lower_symbol(2, 1), 2).is_zero()
-    with pytest.raises(ValueError):
-        dual_counit(mat_symbol(1, 1), 2)
 
 
 # ------------------------------------------------------------ main laws

@@ -11,7 +11,6 @@ from ckq.ckclassical import (
 from ckq.freealg import NCPoly, mat_symbol
 from ckq.rmatrix import QTensor
 from ckq.qgroup import (
-    PolyMatrix,
     QuantumCKGroup,
     antipode,
     build_t,
@@ -25,7 +24,6 @@ from ckq.qgroup import (
     orthogonality_relations,
     rtt_components,
     rtt_relations,
-    s_squared_conjugation,
     sign_key,
     t_symbols,
     verify_antipode,
@@ -273,9 +271,11 @@ def test_antipode_classical_inverse():
 
 
 def test_s_squared_scaling():
-    assert s_squared_conjugation(JSignature.trivial(2))
-    assert s_squared_conjugation(JSignature.parse("iota,iota"), contracted=True)
-    assert s_squared_conjugation(JSignature.trivial(3))
+    for spec, contracted in (("1,1", False), ("iota,iota", True),
+                             ("1,1,1", False)):
+        rep = verify_antipode(JSignature.parse(spec), contracted=contracted)
+        assert rep["s_squared_refuted"] == [], spec
+        assert rep["ok"], rep
 
 
 # the last five are the N=5 signatures with non-contiguous iota slots
@@ -357,7 +357,7 @@ def test_small_n_rejected():
 
 def test_polymatrix_shape_guard():
     with pytest.raises(Exception):
-        PolyMatrix([[NCPoly.one(2)], [NCPoly.one(2), NCPoly.one(2)]])
+        CKMatrix([[NCPoly.one(2)], [NCPoly.one(2), NCPoly.one(2)]])
 
 
 def test_full_relation_set_matches_class_method():

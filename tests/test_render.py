@@ -8,13 +8,14 @@ from ckq.coeffring import Cyclo8, ScalarExpr
 from ckq.qgroup import QuantumCKGroup
 
 from conftest import all_signatures, rand_cyclo, rand_scalar
+from division_oracle import exact_div
 
 
 def division_scalar_tex(sc):
     """scalar_tex with the gap factor found by dividing by q - q^-1."""
     if sc.is_zero():
         return "0"
-    quot = sc.exact_div(ScalarExpr.lam())
+    quot = exact_div(sc, ScalarExpr.lam())
     if quot is not None and len(quot.terms) == 1:
         ((se, ve), coef), = quot.terms.items()
         inner = render._monomial_tex(se, ve, coef)
