@@ -15,6 +15,12 @@ Exit codes: 0 all checks pass, 1 at least one check fails or crashes
 (a certificate cites a polynomial that is not a generator of the emitted
 ideal).
 
+Each command reads R, C, T and the relations from one ``QuantumCKGroup``,
+which builds each of them on first use.  ``verify`` deals the suites out to
+its worker processes in turn (serial is one worker); each worker builds one
+group and, for the dual-side suites, one ``DualPairing`` on it, and every
+suite takes one of these two objects.
+
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.
 """
@@ -26,9 +32,8 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import ckclassical, qgroup, render, rmatrix
+from . import ckclassical, qdual, qgroup, render, rmatrix
 from .coeffring import JSignature
-from .qdual import DualPairing, formal_l_pattern
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,6 +43,7 @@ EXIT_INCONCLUSIVE = 3
 SUITES = ("ybe", "cubic", "projector", "classical", "coassoc", "counit",
           "coproduct", "antipode", "contraction", "exchange", "metric",
           "pairing")
+DUAL_SUITES = ("exchange", "metric", "pairing")  # take a qdual.DualPairing
 
 FORMATS = ("text", "json", "latex")
 
@@ -111,8 +117,8 @@ def cmd_relations(ns) -> int:
 
 def cmd_rmatrix(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
-    R = rmatrix.contract(rmatrix.frt_r(ns.n), j)
-    C = rmatrix.contract(rmatrix.frt_c(ns.n), j)
+    G = qgroup.QuantumCKGroup(j)
+    R, C = G.R, G.C
     rp, rm = rmatrix.r_plus_minus(R)
     if ns.format == "json":
         doc = {"config": _config(ns, j),
@@ -172,8 +178,9 @@ def cmd_classical(ns) -> int:
 
 def cmd_dual(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
-    ctx = DualPairing(j)
-    pattern = formal_l_pattern(j)
+    G = qgroup.QuantumCKGroup(j)
+    ctx = qdual.DualPairing(G)
+    pattern = qdual.formal_l_pattern(j)
     tables = {family: sorted(ctx.degree_one(family).items())
               for family in ("upper", "lower")}
     if ns.format == "json":
@@ -199,102 +206,92 @@ def cmd_dual(ns) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _suite_ybe(j, ns) -> tuple:
-    R = rmatrix.contract(rmatrix.frt_r(j.N), j)
-    ok = rmatrix.verify_ybe(R)
+def _suite_ybe(G, ns) -> tuple:
+    ok = rmatrix.verify_ybe(G.R)
     return ("PASS" if ok else "FAIL",
-            "braid relation on %d-dim tensor cube" % j.N)
+            "braid relation on %d-dim tensor cube" % G.N)
 
 
-def _suite_cubic(j, ns) -> tuple:
-    R = rmatrix.contract(rmatrix.frt_r(j.N), j)
-    ok = rmatrix.verify_cubic(R, j)
+def _suite_cubic(G, ns) -> tuple:
+    ok = rmatrix.verify_cubic(G.R, G.j)
     return ("PASS" if ok else "FAIL", "minimal polynomial of braided swap")
 
 
-def _suite_projector(j, ns) -> tuple:
-    R = rmatrix.contract(rmatrix.frt_r(j.N), j)
-    C = rmatrix.contract(rmatrix.frt_c(j.N), j)
-    ok = rmatrix.projector_check(R, C, j)
+def _suite_projector(G, ns) -> tuple:
+    ok = rmatrix.projector_check(G.R, G.C, G.j)
     return ("PASS" if ok else "FAIL", "rank-one factor of the cubic")
 
 
-def _suite_classical(j, ns) -> tuple:
-    report = _classical_report(j, ns.samples, ns.seed)
+def _suite_classical(G, ns) -> tuple:
+    report = _classical_report(G.j, ns.samples, ns.seed)
     return ("PASS" if report["ok"] else "FAIL",
             "%d/%d orthogonal, %d/%d products closed"
             % (report["orthogonal"], report["samples"],
                report["products_orthogonal"], report["product_pairs"]))
 
 
-def _suite_coassoc(j, ns) -> tuple:
-    ok = qgroup.verify_coassociativity(j.N)
+def _suite_coassoc(G, ns) -> tuple:
+    ok = qgroup.verify_coassociativity(G.N)
     return ("PASS" if ok else "FAIL", "coproduct associativity on generators")
 
 
-def _suite_counit(j, ns) -> tuple:
-    ok = qgroup.verify_counit_axioms(j.N)
-    ok = ok and qgroup.counit_annihilates(qgroup.QuantumCKGroup(j).relations())
+def _suite_counit(G, ns) -> tuple:
+    ok = qgroup.verify_counit_axioms(G.N)
+    ok = ok and qgroup.counit_annihilates(G.relations())
     return ("PASS" if ok else "FAIL",
             "counit axioms and vanishing on relations")
 
 
-def _suite_coproduct(j, ns) -> tuple:
-    ok = qgroup.verify_coproduct_assembly(j)
+def _suite_coproduct(G, ns) -> tuple:
+    ok = qgroup.verify_coproduct_assembly(G)
     detail = "two-copy assembly"
     if ok:
-        report = qgroup.verify_delta_compat(j)
+        report = qgroup.verify_delta_compat(G)
         ok = report["ok"]
         detail = "two-copy assembly, %d ideal certificates" % report["components"]
     return ("PASS" if ok else "FAIL", detail)
 
 
-def _suite_antipode(j, ns) -> tuple:
-    report = qgroup.verify_antipode(j)
+def _suite_antipode(G, ns) -> tuple:
+    report = qgroup.verify_antipode(G)
     refuted = report["s_squared_refuted"]
     if refuted:
         return ("FAIL", "S^2 is not q^(2 rho)-conjugation at %d of %d entries"
-                % (len(refuted), j.N ** 2))
+                % (len(refuted), G.N ** 2))
     if report["ok"]:
         return ("PASS", "S(T)T - I = C L and TS(T) - I = M C^-1, all %d "
                         "cofactor entries are relations; S^2 = q^(2 rho)-"
                         "conjugation on all %d entries"
-                % (report["entries"], j.N ** 2))
+                % (report["entries"], G.N ** 2))
     return ("INCONCLUSIVE", "%d of %d cofactor entries are not relations"
             % (len(report["uncertified"]), report["entries"]))
 
 
-def _suite_contraction(j, ns) -> tuple:
-    ok = qgroup.contraction_commutes(j)
+def _suite_contraction(G, ns) -> tuple:
+    ok = qgroup.contraction_commutes(G)
     return ("PASS" if ok else "FAIL",
             "specializing symbolic relations matches direct generation")
 
 
-def _suite_exchange(j, ns) -> tuple:
-    from .qdual import verify_ll
-    report = verify_ll(j, degree=ns.degree)
+def _suite_exchange(ctx, ns) -> tuple:
+    report = qdual.verify_ll(ctx, degree=ns.degree)
     return ("PASS" if report["ok"] else "FAIL",
             "%d exchange identities" % report["identities"])
 
 
-def _suite_metric(j, ns) -> tuple:
-    from .qdual import verify_l_additional
-    report = verify_l_additional(j, degree=ns.degree)
+def _suite_metric(ctx, ns) -> tuple:
+    report = qdual.verify_l_additional(ctx, degree=ns.degree)
     return ("PASS" if report["ok"] else "FAIL",
             "%d metric and diagonal identities" % report["identities"])
 
 
-def _suite_pairing(j, ns) -> tuple:
-    from .qdual import relations_pair_to_zero, verify_antipode_duality
-    # relations_pair_to_zero stops at length 2, so the detail states the
-    # word length actually checked rather than --degree
-    max_len = min(ns.degree, 2)
-    report = relations_pair_to_zero(j, max_len=max_len)
+def _suite_pairing(ctx, ns) -> tuple:
+    report = qdual.relations_pair_to_zero(ctx, max_len=ns.degree)
     ok = report["ok"]
     detail = ("%d relation evaluations on functional words of length <= %d"
-              % (report["checked"], max_len))
+              % (report["checked"], ns.degree))
     if ok:
-        anti = verify_antipode_duality(j)
+        anti = qdual.verify_antipode_duality(ctx)
         ok = anti["ok"]
         detail += ", %d antipode transposes" % anti["checked"]
     return ("PASS" if ok else "FAIL", detail)
@@ -337,15 +334,23 @@ def _parse_suites(raw: str) -> list:
     return names
 
 
-def _run_one(args: tuple) -> tuple:
-    name, raw_j, n, degree, seed, samples = args
-    j = _parse_signature(raw_j, n)
-    ns = argparse.Namespace(n=n, degree=degree, seed=seed, samples=samples)
-    try:
-        status, detail = _SUITE_FN[name](j, ns)
-    except Exception as exc:  # a crash is neither a pass nor a refutation
-        status, detail = "ERROR", "%s: %s" % (type(exc).__name__, exc)
-    return (name, status, detail)
+def _run_chunk(args: tuple) -> list:
+    """Run suites in order on one group, which builds R, C, T and the
+    relations as they are first read, and one pairing context, built by
+    the first dual-side suite."""
+    names, j, ns = args
+    G, ctx = qgroup.QuantumCKGroup(j), None
+    results = []
+    for name in names:
+        try:
+            if name in DUAL_SUITES:
+                ctx = ctx or qdual.DualPairing(G)
+            status, detail = _SUITE_FN[name](
+                ctx if name in DUAL_SUITES else G, ns)
+        except Exception as exc:  # a crash is neither a pass nor a refutation
+            status, detail = "ERROR", "%s: %s" % (type(exc).__name__, exc)
+        results.append((name, status, detail))
+    return results
 
 
 def cmd_verify(ns) -> int:
@@ -354,15 +359,17 @@ def cmd_verify(ns) -> int:
     _check_degree(ns.n, ns.degree)
     _check_at_least("--samples", ns.samples, 0)
     _check_at_least("--jobs", ns.jobs, 1)
-    jobs = ns.jobs
-    work = [(name, ns.j if ns.j else ",".join(render.signature_json(j)),
-             ns.n, ns.degree, ns.seed, ns.samples)
-            for name in names]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, work))
+    # suites dealt out to the workers in turn, so the costly ones late in
+    # SUITES spread across them; serial is one chunk
+    chunks = min(ns.jobs, len(names))
+    work = [(names[k::chunks], j, ns) for k in range(chunks)]
+    if chunks > 1:
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            parts = list(pool.map(_run_chunk, work))
     else:
-        results = [_run_one(w) for w in work]
+        parts = [_run_chunk(work[0])]
+    # suite i ran as entry i // chunks of chunk i % chunks
+    results = [parts[i % chunks][i // chunks] for i in range(len(names))]
     if ns.format == "json":
         doc = {"config": _config(ns, j),
                "results": [{"suite": nm, "status": st, "detail": dt}
@@ -426,10 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of suites, or all: %s" % ", ".join(SUITES))
     p.add_argument("--degree", type=int, default=2,
                    help="word length bound for dual-side suites "
-                        "(N^(2*degree) at most %d)" % MAX_WORDS_PER_PAIR)
+                        "(N^(2*degree) at most %d; pairing walks "
+                        "(N(N+1))^degree words, about a minute at N=3 "
+                        "degree 4 and N=5 degree 3)" % MAX_WORDS_PER_PAIR)
     p.add_argument("--jobs", type=int,
                    default=int(os.environ.get("CKQ_JOBS", "1")),
-                   help="suite worker processes (env CKQ_JOBS)")
+                   help="worker processes; suites are dealt out to them "
+                        "in turn (env CKQ_JOBS)")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(fn=cmd_verify)

@@ -119,9 +119,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def key(self) -> tuple:
         return tuple(sorted(
             ((w, c.key()) for w, c in self.terms.items()),
@@ -181,11 +178,16 @@ class NCPoly:
             raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
         out: dict = {}
         for w1, c1 in self.terms.items():
+            last = w1[-1].copy if w1 else -1
             for w2, c2 in other.terms.items():
                 c = c1 * c2
                 if not c:
                     continue
-                w = canonical_word(w1 + w2)
+                # both words are canonical: already in copy order unless
+                # w1 ends in a later copy than w2 starts
+                w = w1 + w2
+                if w2 and last > w2[0].copy:
+                    w = canonical_word(w)
                 acc = out.get(w)
                 if acc is None:
                     out[w] = c

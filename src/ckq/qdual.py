@@ -1,5 +1,9 @@
 """Triangular functionals dual to the quantum matrix algebra.
 
+A ``DualPairing`` is built from one ``QuantumCKGroup`` and reads its
+braiding tensor, metric, generating matrix and relations;
+every dual-side check takes that one pairing context.
+
 The dual algebra is generated by two triangular matrices of linear
 functionals on the quantum group: an upper family read off the flipped
 braid tensor and a lower family read off its inverse.  A functional word
@@ -25,8 +29,8 @@ from itertools import product
 from .ckclassical import weight_pattern_symplectic
 from .coeffring import DualElement, JSignature
 from .freealg import GenSymbol, NCPoly, word_key
-from .qgroup import QuantumCKGroup, build_t
-from .rmatrix import contract, frt_c, frt_r, r_plus_minus
+from .qgroup import QuantumCKGroup
+from .rmatrix import r_plus_minus
 
 FUNCTIONAL_FAMILIES = ("upper", "lower")
 
@@ -65,6 +69,28 @@ def _check_functional(sym: GenSymbol):
         raise ValueError("not a functional generator: %s" % (sym,))
 
 
+def _check_matrix(sym: GenSymbol):
+    if sym.family != "mat" or sym.copy:
+        raise ValueError("not a matrix generator: %s" % (sym,))
+
+
+def _terms(n: int, x, check) -> list:
+    """(coefficient, word) terms of a symbol, word or polynomial, in word
+    order, after `check` has accepted every symbol."""
+    if isinstance(x, GenSymbol):
+        x = (x,)
+    if isinstance(x, tuple):
+        x = NCPoly(n, {x: DualElement.one(n)})
+    if not isinstance(x, NCPoly):
+        raise TypeError("cannot pair %r" % (x,))
+    out = []
+    for w in sorted(x.terms, key=word_key):
+        for g in w:
+            check(g)
+        out.append((x.terms[w], w))
+    return out
+
+
 def _add_to(out: dict, key, val):
     acc = out.get(key)
     t = val if acc is None else acc + val
@@ -85,21 +111,19 @@ def _position_counit(n: int, positions) -> DualElement:
 
 
 class DualPairing:
-    """Evaluation context for one signature: tensors, patterns, caches."""
+    """Evaluation context of one contracted group: tensors and caches."""
 
-    __slots__ = ("j", "N", "n", "r_plus", "r_minus", "metric", "_pattern",
-                 "_hops", "_columns", "_vcolumns", "_tmat")
+    __slots__ = ("group", "N", "n", "r_plus", "r_minus", "_pattern",
+                 "_hops", "_columns", "_vcolumns")
 
-    def __init__(self, j: JSignature):
-        if j.N < 3:
-            raise ValueError("functional layer defined for N >= 3")
-        self.j = j
-        self.N = j.N
-        self.n = j.n
-        braid = contract(frt_r(self.N, self.n), j)
-        self.r_plus, self.r_minus = r_plus_minus(braid)
-        self.metric = contract(frt_c(self.N, self.n), j)
-        self._pattern = weight_pattern_symplectic(j)
+    def __init__(self, G: QuantumCKGroup):
+        if not G.contracted:
+            raise ValueError("the pairing reads a contracted group")
+        self.group = G
+        self.N = G.N
+        self.n = G.n
+        self.r_plus, self.r_minus = r_plus_minus(G.R)
+        self._pattern = weight_pattern_symplectic(G.j)
         self._hops = {}
         for fam in FUNCTIONAL_FAMILIES:
             hop: dict = {}
@@ -108,7 +132,6 @@ class DualPairing:
             self._hops[fam] = hop
         self._columns = {}
         self._vcolumns = {}
-        self._tmat = None
 
     def tensor(self, family):
         """The degree-one value table of one family, as a two-leg tensor."""
@@ -117,12 +140,6 @@ class DualPairing:
         if family == "lower":
             return self.r_minus
         raise ValueError("unknown functional family %r" % (family,))
-
-    def entry_matrix(self):
-        """The split generating matrix of the paired quantum group."""
-        if self._tmat is None:
-            self._tmat = build_t(self.j)
-        return self._tmat
 
     # -- one matrix column through a stack of functional rows ----------
 
@@ -223,35 +240,6 @@ class DualPairing:
 
     # -- public evaluation -------------------------------------------
 
-    def _functional_terms(self, x) -> list:
-        if isinstance(x, GenSymbol):
-            x = (x,)
-        if isinstance(x, tuple):
-            x = NCPoly(self.n, {x: DualElement.one(self.n)})
-        if not isinstance(x, NCPoly):
-            raise TypeError("cannot pair %r" % (x,))
-        out = []
-        for w in sorted(x.terms, key=word_key):
-            for g in w:
-                _check_functional(g)
-            out.append((x.terms[w], w))
-        return out
-
-    def _matrix_terms(self, x) -> list:
-        if isinstance(x, GenSymbol):
-            x = (x,)
-        if isinstance(x, tuple):
-            x = NCPoly(self.n, {x: DualElement.one(self.n)})
-        if not isinstance(x, NCPoly):
-            raise TypeError("cannot pair %r" % (x,))
-        out = []
-        for w in sorted(x.terms, key=word_key):
-            for g in w:
-                if g.family != "mat" or g.copy:
-                    raise ValueError("not a matrix generator: %s" % (g,))
-            out.append((x.terms[w], w))
-        return out
-
     def pair(self, functional, element) -> DualElement:
         """Evaluate a functional word/polynomial on an algebra element.
 
@@ -260,8 +248,8 @@ class DualPairing:
         (split generators, assembled entries, relation polynomials).
         """
         total = DualElement.zero(self.n)
-        terms = self._matrix_terms(element)
-        for lc, lw in self._functional_terms(functional):
+        terms = _terms(self.n, element, _check_matrix)
+        for lc, lw in _terms(self.n, functional, _check_functional):
             fams = tuple(g.family for g in lw)
             avec = tuple(g.i for g in lw)
             val = self._poly_row(fams, avec, terms, {}).get(
@@ -272,7 +260,7 @@ class DualPairing:
 
     def degree_one(self, family) -> dict:
         """Values on assembled entries, keyed like the paired tensor."""
-        T = self.entry_matrix()
+        T = self.group.T
         rng = range(1, self.N + 1)
         fams = (family,)
         out = {}
@@ -280,7 +268,7 @@ class DualPairing:
             memo: dict = {}
             for k in rng:
                 for l in rng:
-                    terms = self._matrix_terms(T.entry(k, l))
+                    terms = _terms(self.n, T.entry(k, l), _check_matrix)
                     for (jj,), val in self._poly_row(fams, (i,), terms,
                                                      memo).items():
                         out[(i, k, jj, l)] = val
@@ -306,14 +294,13 @@ def _fold_word(ctx: DualPairing, fams: tuple, word: tuple,
 # ------------------------------------------------------------ verification
 
 
-def verify_ll(j: JSignature, degree: int = 2) -> dict:
+def verify_ll(ctx: DualPairing, degree: int = 2) -> dict:
     """Exchange law between two functional rows, checked as functionals.
 
     For every family pair and every product of assembled entries up to
     the degree, both sides of the braid exchange are paired against the
     word and compared exactly.
     """
-    ctx = DualPairing(j)
     N = ctx.N
     rp = ctx.r_plus
     rp_rows: dict = {}
@@ -345,7 +332,7 @@ def verify_ll(j: JSignature, degree: int = 2) -> dict:
             "failures": failures}
 
 
-def verify_l_additional(j: JSignature, degree: int = 2) -> dict:
+def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
     """Metric and diagonal laws for the functional rows, as functionals.
 
     Checks, against every product of assembled entries up to the degree:
@@ -355,9 +342,8 @@ def verify_l_additional(j: JSignature, degree: int = 2) -> dict:
     mutually inverse; the full upper diagonal multiplies to the unit
     functional.
     """
-    ctx = DualPairing(j)
     N, n = ctx.N, ctx.n
-    ct = ctx.metric.transpose()
+    ct = ctx.group.C.transpose()
     cti = ct.inverse()
     failures = []
     identities = 0
@@ -413,8 +399,8 @@ def verify_l_additional(j: JSignature, degree: int = 2) -> dict:
             "failures": failures}
 
 
-def relations_pair_to_zero(j: JSignature, max_len: int = 2) -> dict:
-    """Every functional word of length at most min(max_len, 2) kills every
+def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
+    """Every functional word of length at most max_len kills every
     defining relation.
 
     This is the statement that the degree-one tables extend to
@@ -422,15 +408,10 @@ def relations_pair_to_zero(j: JSignature, max_len: int = 2) -> dict:
     Words sharing their families and start row avec share one row of
     each relation, rho(rel)[avec], which is read at every end row bvec.
     """
-    ctx = DualPairing(j)
-    rels = [(ctx._matrix_terms(r), source)
-            for r, source in QuantumCKGroup(j).relations().tagged()]
+    rels = [(_terms(ctx.n, r, _check_matrix), source)
+            for r, source in ctx.group.relations().tagged()]
     syms = dual_symbols(ctx.N)
-    words = [()]
-    if max_len >= 1:
-        words += [(s,) for s in syms]
-    if max_len >= 2:
-        words += [(s, t) for s in syms for t in syms]
+    words = [w for d in range(max_len + 1) for w in product(syms, repeat=d)]
     groups: dict = {}
     for idx, w in enumerate(words):
         key = (tuple(g.family for g in w), tuple(g.i for g in w))
@@ -447,13 +428,12 @@ def relations_pair_to_zero(j: JSignature, max_len: int = 2) -> dict:
             "failures": failures}
 
 
-def verify_antipode_duality(j: JSignature) -> dict:
+def verify_antipode_duality(ctx: DualPairing) -> dict:
     """Degree-one mirror law: pairing the twisted-transpose functional
     against an entry equals pairing the functional against the antipode
     entry."""
-    ctx = DualPairing(j)
     N = ctx.N
-    C = ctx.metric
+    C = ctx.group.C
     ci = C.inverse()
     ct = C.transpose()
     cti = ct.inverse()

@@ -1,5 +1,10 @@
 """The quantum Cayley-Klein matrix group and its Hopf structure.
 
+``QuantumCKGroup(j)`` is the one object per signature: it builds the
+braiding tensor R, the metric C, the generating matrix T and the relation
+ideal once each, on first use, and every check here and in ``qdual`` and
+``cli`` reads them from it.
+
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
 entry is the D-valued combination sum_W iota_W * t[i,k;W].  The defining
@@ -18,6 +23,8 @@ matrices.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .coeffring import DualElement, JSignature, ScalarExpr
 from .ckclassical import CKMatrix, weight_pattern_symplectic
 from .rmatrix import QTensor, contract, frt_c, frt_r, rho2
@@ -35,12 +42,18 @@ def _scalars(M: CKMatrix) -> CKMatrix:
 def t_symbols(j: JSignature, copy: int = 0) -> tuple:
     """All generator symbols of T(j), in canonical (row-major, mask) order."""
     pat = weight_pattern_symplectic(j)
-    out = []
-    for i in range(1, j.N + 1):
-        for k in range(1, j.N + 1):
-            for mask in pat[(i, k)]:
-                out.append(mat_symbol(i, k, mask, copy))
-    return tuple(out)
+    rng = range(1, j.N + 1)
+    return tuple(mat_symbol(i, k, mask, copy)
+                 for i in rng for k in rng for mask in pat[(i, k)])
+
+
+def _split_entry(n: int, pat: dict, i: int, k: int, copy: int) -> NCPoly:
+    """sum_W iota_W * t[i,k;W] over the weight pattern of entry (i,k)."""
+    acc = NCPoly.zero(n)
+    for mask in pat[(i, k)]:
+        acc = acc + NCPoly.gen(n, mat_symbol(i, k, mask, copy),
+                               DualElement.monomial(n, mask))
+    return acc
 
 
 def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
@@ -51,17 +64,12 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
     t[i,k], used where only the entry-level algebra matters (certificates);
     the split form is its image under expand_atomic.
     """
-    n = j.n
     pat = weight_pattern_symplectic(j)
 
     def fn(i, k):
         if atomic:
-            return NCPoly.gen(n, mat_symbol(i, k, 0, copy))
-        acc = NCPoly.zero(n)
-        for mask in pat[(i, k)]:
-            acc = acc + NCPoly.gen(n, mat_symbol(i, k, mask, copy),
-                                   DualElement.monomial(n, mask))
-        return acc
+            return NCPoly.gen(j.n, mat_symbol(i, k, 0, copy))
+        return _split_entry(j.n, pat, i, k, copy)
 
     rng = range(1, j.N + 1)
     return CKMatrix([[fn(i, k) for k in rng] for i in rng], j)
@@ -70,16 +78,7 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
 def expand_atomic(p: NCPoly, j: JSignature) -> NCPoly:
     """The splitting homomorphism: t[i,k] -> sum_W iota_W * t[i,k;W]."""
     pat = weight_pattern_symplectic(j)
-    n = j.n
-
-    def fn(g):
-        acc = NCPoly.zero(n)
-        for mask in pat[(g.i, g.k)]:
-            acc = acc + NCPoly.gen(n, mat_symbol(g.i, g.k, mask, g.copy),
-                                   DualElement.monomial(n, mask))
-        return acc
-
-    return p.substitute(fn)
+    return p.substitute(lambda g: _split_entry(j.n, pat, g.i, g.k, g.copy))
 
 
 # ------------------------------------------------------------- relation sets
@@ -135,9 +134,6 @@ class RelationSet:
 
     def tagged(self):
         return zip(self.polys, self.sources)
-
-    def by_source(self, source: str) -> list:
-        return [p for p, s in self.tagged() if s == source]
 
     def specialize(self, j: JSignature) -> "RelationSet":
         out = RelationSet(self.n)
@@ -285,7 +281,13 @@ def antipode(T: CKMatrix, C: CKMatrix) -> CKMatrix:
 
 
 class QuantumCKGroup:
-    """Bundle of one quantized group: R, C, T and the relation ideal.
+    """One quantized group: R, C, T and the relation ideal.
+
+    This is the one object per signature that every suite, emitter and
+    ``DualPairing`` reads; nothing else builds R, C or T.  Each of them,
+    and the relation ideal from ``relations()``, is built on first use and
+    then kept, so a check builds only what it reads.  The weight pattern
+    is the cached ``weight_pattern_symplectic(j)``.
 
     contracted=True (default) works over R_v(j), C(j); contracted=False
     keeps q symbolic while using the same signature-dependent symbols,
@@ -298,21 +300,27 @@ class QuantumCKGroup:
         self.j = j
         self.N = j.N
         self.n = j.n
-        R = frt_r(self.N, self.n)
-        C = frt_c(self.N, self.n)
-        if contracted:
-            R = contract(R, j)
-            C = contract(C, j)
         self.contracted = contracted
-        self.R = R
-        self.C = C
-        self.T = build_t(j)
+        self._relations = None
+
+    @cached_property
+    def R(self) -> QTensor:
+        R = frt_r(self.N, self.n)
+        return contract(R, self.j) if self.contracted else R
+
+    @cached_property
+    def C(self) -> CKMatrix:
+        C = frt_c(self.N, self.n)
+        return contract(C, self.j) if self.contracted else C
+
+    @cached_property
+    def T(self) -> CKMatrix:
+        return build_t(self.j)
 
     def relations(self) -> RelationSet:
-        return full_relation_set(self.T, self.R, self.C)
-
-    def symbols(self) -> tuple:
-        return t_symbols(self.j)
+        if self._relations is None:
+            self._relations = full_relation_set(self.T, self.R, self.C)
+        return self._relations
 
 
 def verify_coassociativity(N: int) -> bool:
@@ -338,15 +346,15 @@ def verify_counit_axioms(N: int) -> bool:
     return True
 
 
-def verify_coproduct_assembly(j: JSignature) -> bool:
+def verify_coproduct_assembly(G: QuantumCKGroup) -> bool:
     """Splitting the comultiplied entries gives the two-copy matrix product.
 
     expand_atomic(Delta t[i,k]) must equal entry (i,k) of T0 @ T1 over the
     split symbols, i.e. the splitting homomorphism intertwines Delta with
     entrywise matrix comultiplication.
     """
-    prod = build_t(j, copy=0) @ build_t(j, copy=1)
-    n = j.n
+    j, n = G.j, G.n
+    prod = G.T @ build_t(j, copy=1)
     for i in range(1, j.N + 1):
         for k in range(1, j.N + 1):
             d = coproduct(NCPoly.gen(n, mat_symbol(i, k)))
@@ -359,7 +367,7 @@ def counit_annihilates(rels: RelationSet) -> bool:
     return all(counit(p).is_zero() for p in rels)
 
 
-def verify_delta_compat(j: JSignature) -> dict:
+def verify_delta_compat(G: QuantumCKGroup) -> dict:
     """Certify that the coproduct descends to the quotient.
 
     For every component of R (T T')1 (T T')2 - (T T')2 (T T')1 R the
@@ -369,8 +377,7 @@ def verify_delta_compat(j: JSignature) -> dict:
     relation component here) transports each certificate to the split
     symbols.  At N = 3 the certificates are also replayed after splitting.
     """
-    N = j.N
-    R = contract(frt_r(N, j.n), j)
+    j, N, R = G.j, G.N, G.R
     index = _braid_index(R)
     pairs = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
 
@@ -401,7 +408,7 @@ def verify_delta_compat(j: JSignature) -> dict:
 
     # the splitting homomorphism carries each certificate to split symbols:
     # verify it maps the atomic relation components onto the split ones
-    As, Bs = build_t(j, copy=0), build_t(j, copy=1)
+    As, Bs = G.T, build_t(j, copy=1)
     relA_atomic = rtt_components(A0, R)
     relA_split = rtt_components(As, R)
     ok = all(expand_atomic(relA_atomic[key], j) == relA_split[key]
@@ -411,7 +418,7 @@ def verify_delta_compat(j: JSignature) -> dict:
             "split_components": split_checked}
 
 
-def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
+def verify_antipode(G: QuantumCKGroup) -> dict:
     """Certify S(T) T = T S(T) = I modulo the emitted ideal, and check S^2.
 
     With S(T) = C T^t C^(-1) both defects factor through the orthogonality
@@ -426,11 +433,10 @@ def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
     unrefuted but not proved.
 
     S^2 is conjugation by q^(2 rho): entry (i,k) of S(S(T)) is t[i,k]
-    times q^(2 rho_k - 2 rho_i), contracted with the signature when R is.
+    times q^(2 rho_k - 2 rho_i), contracted with the signature when G is.
     This is an identity of polynomial matrices, so the entries where it
     fails are listed under "s_squared_refuted" and refute the antipode.
     """
-    G = QuantumCKGroup(j, contracted=contracted)
     T = G.T
     N, n = G.N, G.n
     Cp = _scalars(G.C)
@@ -449,8 +455,8 @@ def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
     for i in range(1, N + 1):
         for k in range(1, N + 1):
             scale = DualElement.scalar(n, ScalarExpr.q_power(r2[k - 1] - r2[i - 1]))
-            if contracted:
-                scale = scale.specialize(j)
+            if G.contracted:
+                scale = scale.specialize(G.j)
             if S2.entry(i, k) != T.entry(i, k) * scale:
                 refuted.append((i, k))
     keys = G.relations().key_set()
@@ -469,12 +475,12 @@ def verify_antipode(j: JSignature, contracted: bool = True) -> dict:
             "uncertified": uncertified, "s_squared_refuted": refuted}
 
 
-def contraction_commutes(j: JSignature) -> bool:
+def contraction_commutes(G: QuantumCKGroup) -> bool:
     """Generate symbolically then contract == generate contracted.
 
-    Compared as canonical key sets after dropping relations that contract
-    to zero, which is the only way dedup can differ between the two paths.
+    G is the contracted group; the symbolic one is built here.  Compared
+    as canonical key sets after dropping relations that contract to zero,
+    which is the only way dedup can differ between the two paths.
     """
-    symbolic = QuantumCKGroup(j, contracted=False).relations()
-    direct = QuantumCKGroup(j, contracted=True).relations()
-    return symbolic.specialize(j).key_set() == direct.key_set()
+    symbolic = QuantumCKGroup(G.j, contracted=False).relations()
+    return symbolic.specialize(G.j).key_set() == G.relations().key_set()

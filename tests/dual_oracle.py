@@ -37,7 +37,7 @@ class RightFold:
 
     def __init__(self, ctx):
         self.n = ctx.n
-        self.pattern = weight_pattern_symplectic(ctx.j)
+        self.pattern = weight_pattern_symplectic(ctx.group.j)
         self.rev = {}
         for fam in ("upper", "lower"):
             rev = {}
@@ -104,7 +104,7 @@ def dual_antipode(ctx, sym):
     generator of the same family.
     """
     N = ctx.N
-    ct = ctx.metric.transpose()
+    ct = ctx.group.C.transpose()
     cti = ct.inverse()
     im = N + 1 - sym.i
     km = N + 1 - sym.k

@@ -136,20 +136,20 @@ def test_04_classical_group_suite():
 
 def test_05_hopf_axioms():
     failures = []
-    for N in (3, 4):
+    for N in SIZES:
         if not qgroup.verify_coassociativity(N):
             failures.append("coassociativity N=%d" % N)
         if not qgroup.verify_counit_axioms(N):
             failures.append("counit N=%d" % N)
         for j in all_signatures(N):
-            if not qgroup.verify_coproduct_assembly(j):
+            G = QuantumCKGroup(j)
+            if not qgroup.verify_coproduct_assembly(G):
                 failures.append("assembly %s" % j)
-            rep = qgroup.verify_delta_compat(j)
-            if not rep["ok"]:
+            if not qgroup.verify_delta_compat(G)["ok"]:
                 failures.append("coproduct certificates %s" % j)
-    for N in (3, 4, 5):
-        for j in all_signatures(N):
-            if not qgroup.verify_antipode(j)["ok"]:
+            if not qgroup.counit_annihilates(G.relations()):
+                failures.append("counit on relations %s" % j)
+            if not qgroup.verify_antipode(G)["ok"]:
                 failures.append("antipode uncertified %s" % j)
     ok = not failures
     record_acceptance("05 Hopf axioms: coproduct, counit, exact antipode", ok)
@@ -157,8 +157,8 @@ def test_05_hopf_axioms():
 
 
 def test_06_contraction_commutes_with_generation():
-    failures = ["N=%d %s" % (N, j) for N in (3, 4, 5) for j in all_signatures(N)
-                if not qgroup.contraction_commutes(j)]
+    failures = ["N=%d %s" % (N, j) for N in SIZES for j in all_signatures(N)
+                if not qgroup.contraction_commutes(QuantumCKGroup(j))]
     ok = not failures
     record_acceptance("06 contract-then-generate equals generate-then-contract",
                       ok)
@@ -167,15 +167,16 @@ def test_06_contraction_commutes_with_generation():
 
 def test_07_duality_pairing():
     failures = []
-    for N in (3, 4):
+    for N in SIZES:
         for j in all_signatures(N):
-            if not relations_pair_to_zero(j, max_len=2)["ok"]:
+            ctx = DualPairing(QuantumCKGroup(j))
+            if not relations_pair_to_zero(ctx, max_len=2)["ok"]:
                 failures.append("relations N=%d %s" % (N, j))
-            if not verify_antipode_duality(j)["ok"]:
+            if not verify_antipode_duality(ctx)["ok"]:
                 failures.append("antipode transpose N=%d %s" % (N, j))
-            if not verify_ll(j, degree=2)["ok"]:
+            if not verify_ll(ctx, degree=2)["ok"]:
                 failures.append("exchange N=%d %s" % (N, j))
-            if not verify_l_additional(j, degree=2)["ok"]:
+            if not verify_l_additional(ctx, degree=2)["ok"]:
                 failures.append("metric laws N=%d %s" % (N, j))
     ok = not failures
     record_acceptance("07 dual pairing kills the ideal; exchange and "
@@ -248,7 +249,7 @@ def test_10_flat_limit_degenerates_to_classical_layer():
             G.T, G.C.map_entries(_flat))
         if [p.map_coeffs(_flat) for p in quantum] != classical:
             failures.append("orthogonality flat %s" % j)
-        ctx = DualPairing(j)
+        ctx = DualPairing(G)
         for family in ("upper", "lower"):
             for (i, k, jj, l), val in ctx.degree_one(family).items():
                 want_one = i == jj and k == l

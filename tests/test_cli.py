@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ckq import cli, qgroup
+from ckq import cli, qdual, qgroup
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -119,11 +119,13 @@ def test_verify_fast_suites_pass_exit_0():
 def test_verify_json_format_and_jobs_agree():
     serial = run_cli(["verify", "--n", "3", "--j", "iota,iota",
                       "--suite", "ybe,exchange,pairing", "--format", "json"])
-    pooled = run_cli(["verify", "--n", "3", "--j", "iota,iota",
-                      "--suite", "ybe,exchange,pairing", "--format", "json",
-                      "--jobs", "3"])
-    assert serial.returncode == 0 and pooled.returncode == 0
-    assert serial.stdout == pooled.stdout
+    assert serial.returncode == 0
+    # two workers take ybe,pairing and exchange; three take one each
+    for jobs in ("2", "3"):
+        pooled = run_cli(["verify", "--n", "3", "--j", "iota,iota",
+                          "--suite", "ybe,exchange,pairing", "--format",
+                          "json", "--jobs", jobs])
+        assert pooled.returncode == 0 and pooled.stdout == serial.stdout
     doc = json.loads(serial.stdout)
     assert [r["suite"] for r in doc["results"]] == ["ybe", "exchange", "pairing"]
     assert all(r["status"] == "PASS" for r in doc["results"])
@@ -189,7 +191,7 @@ def _no_work(*args, **kwargs):
 ])
 def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_work)
-    monkeypatch.setattr(cli, "_run_one", _no_work)
+    monkeypatch.setattr(cli, "_run_chunk", _no_work)
     monkeypatch.setattr(cli, "_classical_report", _no_work)
     # --n 3 unless the case names its own size
     assert cli.main(argv[:1] + ["--n", "3"] + argv[1:]) == 2
@@ -199,12 +201,12 @@ def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("n,degree", [(3, 4), (4, 3), (5, 3)])
 def test_largest_admitted_degrees_reach_the_suites(monkeypatch, n, degree):
     ran = []
-    monkeypatch.setattr(cli, "_run_one",
-                        lambda w: ran.append(w) or (w[0], "PASS", ""))
+    monkeypatch.setattr(cli, "_run_chunk",
+                        lambda w: ran.append(w) or [(w[0][0], "PASS", "")])
     argv = ["verify", "--n", str(n), "--suite", "exchange",
             "--degree", str(degree)]
     assert cli.main(argv) == 0
-    assert [w[3] for w in ran] == [degree]
+    assert [(w[0], w[2].degree) for w in ran] == [(["exchange"], degree)]
 
 
 def test_crashing_suite_reports_error_not_fail(monkeypatch, capsys):
@@ -258,12 +260,36 @@ def test_wrong_s_squared_shift_reports_fail_exit_1(monkeypatch, capsys):
 
 
 def test_pairing_detail_states_the_word_length_checked(capsys):
-    # --degree 3 is admitted at N=4, but relations are paired against
-    # words of length at most 2, and the detail says so
+    # --degree bounds the functional words the relations are paired
+    # against, and the detail says which length was checked
     rc = cli.main(["verify", "--n", "4", "--j", "iota,1,iota", "--suite",
                    "pairing", "--degree", "3", "--jobs", "1",
                    "--format", "json"])
     assert rc == 0
     [result] = json.loads(capsys.readouterr().out)["results"]
     assert result["status"] == "PASS"
-    assert "on functional words of length <= 2," in result["detail"]
+    assert "on functional words of length <= 3," in result["detail"]
+
+
+def test_verify_all_builds_each_object_once(monkeypatch, capsys):
+    # one contracted relation set, one symbolic one (for contraction) and
+    # one pairing context serve every suite of the run
+    built = {"relations": 0, "pairings": 0}
+    real_relations = qgroup.full_relation_set
+    real_init = qdual.DualPairing.__init__
+
+    def relations(*args):
+        built["relations"] += 1
+        return real_relations(*args)
+
+    def init(self, *args):
+        built["pairings"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(qgroup, "full_relation_set", relations)
+    monkeypatch.setattr(qdual.DualPairing, "__init__", init)
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite", "all",
+                   "--jobs", "1"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(cli.SUITES)
+    assert built == {"relations": 2, "pairings": 1}

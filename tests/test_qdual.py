@@ -3,7 +3,6 @@ import pytest
 from ckq.coeffring import DualElement, JSignature
 from ckq.ckclassical import weight_pattern_symplectic
 from ckq.freealg import GenSymbol, NCPoly, mat_symbol
-from ckq import qdual
 from ckq.qgroup import QuantumCKGroup, antipode, build_t, t_symbols
 from ckq.qdual import (
     DualPairing,
@@ -25,6 +24,10 @@ from dual_oracle import RightFold, dual_antipode
 J33 = JSignature.parse("iota,iota")
 J31 = JSignature.parse("iota,1")
 J30 = JSignature.parse("1,1")
+
+
+def pairing(j):
+    return DualPairing(QuantumCKGroup(j))
 
 
 def one(n):
@@ -50,7 +53,7 @@ def test_dual_symbols_enumerates_both_triangles():
 
 
 def test_functional_side_rejects_matrix_symbols():
-    ctx = DualPairing(J30)
+    ctx = pairing(J30)
     with pytest.raises(ValueError):
         ctx.pair(mat_symbol(1, 1), NCPoly.one(J30.n))
     with pytest.raises(ValueError):
@@ -61,7 +64,10 @@ def test_functional_side_rejects_matrix_symbols():
 
 def test_context_rejects_small_dimension():
     with pytest.raises(ValueError):
-        DualPairing(JSignature.parse("iota"))
+        DualPairing(QuantumCKGroup(JSignature.parse("iota")))
+    # the tables are read off the contracted braiding only
+    with pytest.raises(ValueError):
+        DualPairing(QuantumCKGroup(J33, contracted=False))
 
 
 # ------------------------------------------------------------ degree one
@@ -69,14 +75,14 @@ def test_context_rejects_small_dimension():
 
 def test_degree_one_tables_equal_paired_tensors():
     for j in all_signatures(3):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         for fam in ("upper", "lower"):
             assert ctx.degree_one(fam) == ctx.tensor(fam).data
 
 
 def test_degree_one_tables_are_triangular():
     for j in all_signatures(3) + [JSignature.parse("iota,1,iota")]:
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         for (o1, _, i1, _) in ctx.tensor("upper").data:
             assert o1 <= i1
         for (o1, _, i1, _) in ctx.tensor("lower").data:
@@ -84,7 +90,7 @@ def test_degree_one_tables_are_triangular():
 
 
 def test_off_triangle_functionals_vanish_beyond_degree_one():
-    ctx = DualPairing(J33)
+    ctx = pairing(J33)
     words = [(s,) for s in t_symbols(J33)]
     words += [(s, t) for s in t_symbols(J33)[:5] for t in t_symbols(J33)[:5]]
     for w in words:
@@ -94,7 +100,7 @@ def test_off_triangle_functionals_vanish_beyond_degree_one():
 
 def test_pair_against_unit_element_is_kronecker():
     for j in (J30, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         unit = NCPoly.one(j.n)
         for g in dual_symbols(3):
             expect = one(j.n) if g.i == g.k else zero(j.n)
@@ -105,7 +111,7 @@ def test_pair_against_unit_element_is_kronecker():
 
 def test_unit_functional_pairs_as_counit():
     for j in (J31, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         T = build_t(j)
         for k in range(1, 4):
             for l in range(1, 4):
@@ -121,7 +127,7 @@ def test_unit_functional_pairs_as_counit():
 
 def test_split_values_reassemble_entry_values():
     for j in (J31, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         pat = weight_pattern_symplectic(j)
         for fam in ("upper", "lower"):
             for i in range(1, 4):
@@ -139,7 +145,7 @@ def test_split_values_reassemble_entry_values():
 def test_split_values_carry_leftover_weights():
     # the flipped tensor holds a two-slot weight above a one-slot entry
     # pattern, so the read-off value keeps one nilpotent factor
-    ctx = DualPairing(J33)
+    ctx = pairing(J33)
     v = ctx.pair(upper_symbol(1, 2), (mat_symbol(2, 1, 1),))
     assert not v.is_zero()
     assert set(v.terms) == {2}
@@ -148,7 +154,7 @@ def test_split_values_carry_leftover_weights():
 
 def test_pair_is_bilinear():
     rng = seeded("qdual-bilinear")
-    ctx = DualPairing(J33)
+    ctx = pairing(J33)
     syms = t_symbols(J33)
     duals = dual_symbols(3)
     for _ in range(12):
@@ -173,7 +179,7 @@ def test_pair_is_bilinear():
 def test_multiplication_is_dual_to_coproduct():
     rng = seeded("qdual-convolution")
     for j in (J30, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         syms = t_symbols(j)
         for _ in range(10):
             x = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
@@ -193,7 +199,7 @@ def test_multiplication_is_dual_to_coproduct():
 def test_left_and_right_folds_agree_on_split_words():
     rng = seeded("qdual-folds")
     for j in (J30, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         oracle = RightFold(ctx)
         syms = t_symbols(j)
         duals = dual_symbols(3)
@@ -210,7 +216,7 @@ def test_left_and_right_folds_agree_on_split_words():
 
 def test_left_and_right_folds_agree_on_entry_products():
     for j in (J30, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         oracle = RightFold(ctx)
         T = build_t(j)
         functionals = [upper_symbol(1, 3), lower_symbol(3, 2),
@@ -234,20 +240,20 @@ def test_left_and_right_folds_agree_on_entry_products():
 
 def test_exchange_law_all_n3_signatures():
     for j in all_signatures(3):
-        report = verify_ll(j, degree=2)
+        report = verify_ll(pairing(j), degree=2)
         assert report["ok"], report["failures"][:3]
         assert report["identities"] == 3 * (1 + 9 + 81)
 
 
 def test_exchange_law_n4_contracted_sample():
-    report = verify_ll(JSignature.parse("iota,1,iota"), degree=2)
+    report = verify_ll(pairing(JSignature.parse("iota,1,iota")), degree=2)
     assert report["ok"], report["failures"][:3]
     assert report["identities"] == 3 * (1 + 16 + 256)
 
 
 def test_batched_exchange_values_match_pointwise_pairing():
     rng = seeded("qdual-batch")
-    ctx = DualPairing(J33)
+    ctx = pairing(J33)
     T = build_t(J33)
     for fams in (("upper", "upper"), ("upper", "lower")):
         for _ in range(6):
@@ -266,13 +272,13 @@ def test_batched_exchange_values_match_pointwise_pairing():
 
 def test_metric_and_diagonal_laws_all_n3_signatures():
     for j in all_signatures(3):
-        report = verify_l_additional(j, degree=2)
+        report = verify_l_additional(pairing(j), degree=2)
         assert report["ok"], report["failures"][:3]
         assert report["identities"] == 1365
 
 
 def test_metric_and_diagonal_laws_n4_contracted_sample():
-    report = verify_l_additional(JSignature.parse("1,iota,1"), degree=1)
+    report = verify_l_additional(pairing(JSignature.parse("1,iota,1")), degree=1)
     assert report["ok"], report["failures"][:3]
     assert report["identities"] == 17 * (8 + 8 + 1)
 
@@ -282,42 +288,43 @@ def test_transposed_metric_is_self_inverse():
     # squares to the identity, mirroring the inverse-metric collapse on
     # the quantum group side
     for j in all_signatures(3) + [JSignature.parse("1,1,1")]:
-        ctx = DualPairing(j)
-        ct = ctx.metric.transpose()
+        ctx = pairing(j)
+        ct = ctx.group.C.transpose()
         assert ct.inverse() == ct
-        assert ctx.metric.inverse() == ctx.metric
+        assert ctx.group.C.inverse() == ctx.group.C
 
 
 def test_relations_pair_to_zero_all_n3_signatures():
     expected = {"1,1": 14287, "iota,1": 14287, "1,iota": 14287,
                 "iota,iota": 10362}
     for j in all_signatures(3):
-        report = relations_pair_to_zero(j, max_len=2)
+        report = relations_pair_to_zero(pairing(j), max_len=2)
         assert report["ok"], report["failures"][:3]
         assert report["checked"] == expected[str(j)]
 
 
-def test_relations_pair_to_zero_refutes_non_relations(monkeypatch):
+def test_relations_pair_to_zero_takes_words_of_every_admitted_length():
+    # 66 relations times 1 + 12 + 12^2 + 12^3 functional words
+    report = relations_pair_to_zero(pairing(J33), max_len=3)
+    assert report["ok"], report["failures"][:3]
+    assert report["checked"] == 124410
+
+
+def test_relations_pair_to_zero_refutes_non_relations():
     """Injected non-relations are caught, word by word, as the oracle says."""
     # at iota,1 no functional word of length <= 2 separates the product
     # from zero, and the oracle agrees
     caught = {J30: {"fake-product", "fake-trace"}, J31: {"fake-trace"}}
-    real_group = qdual.QuantumCKGroup
     for j in (J30, J31):
-        T = build_t(j)
-        rels = real_group(j).relations()
+        G = QuantumCKGroup(j)
+        T = G.T
+        rels = G.relations()
         assert rels.add(T.entry(1, 2) * T.entry(2, 1), "fake-product")
         assert rels.add(T.entry(1, 1) + T.entry(3, 3), "fake-trace")
+        ctx = DualPairing(G)
+        report = relations_pair_to_zero(ctx, max_len=2)
 
-        class Injected(real_group):
-            def relations(self):
-                return rels
-
-        monkeypatch.setattr(qdual, "QuantumCKGroup", Injected)
-        report = relations_pair_to_zero(j, max_len=2)
-        monkeypatch.setattr(qdual, "QuantumCKGroup", real_group)
-
-        oracle = RightFold(DualPairing(j))
+        oracle = RightFold(ctx)
         syms = dual_symbols(3)
         words = [()] + [(s,) for s in syms]
         words += [(s, t) for s in syms for t in syms]
@@ -331,7 +338,7 @@ def test_relations_pair_to_zero_refutes_non_relations(monkeypatch):
 
 
 def test_relation_values_vanish_term_by_term_sample():
-    ctx = DualPairing(J31)
+    ctx = pairing(J31)
     rels = QuantumCKGroup(J31).relations()
     w = (upper_symbol(1, 2), upper_symbol(2, 3))
     for r in rels.polys[:10]:
@@ -344,16 +351,16 @@ def test_relation_values_vanish_term_by_term_sample():
 def test_antipode_duality_degree_one():
     for j in all_signatures(3) + [JSignature.parse("1,1,1"),
                                   JSignature.parse("iota,iota,iota")]:
-        report = verify_antipode_duality(j)
+        report = verify_antipode_duality(pairing(j))
         assert report["ok"]
         assert report["checked"] == 2 * j.N ** 4
 
 
 def test_dual_antipode_is_single_mirrored_generator():
     for j in (J30, J33):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         T = build_t(j)
-        S = antipode(T, ctx.metric)
+        S = antipode(T, ctx.group.C)
         for g in dual_symbols(3):
             coeff, m = dual_antipode(ctx, g)
             assert m.family == g.family
@@ -401,7 +408,7 @@ def test_formal_pattern_two_term_corner():
 
 def test_pairing_tables_are_kronecker_at_flat_limit():
     for j in all_signatures(3):
-        ctx = DualPairing(j)
+        ctx = pairing(j)
         for fam in ("upper", "lower"):
             flat = {key: val.at_v_zero().at_q_one()
                     for key, val in ctx.tensor(fam).data.items()}
