@@ -11,9 +11,9 @@ Subcommands
                 INCONCLUSIVE / ERROR per check
 
 Exit codes: 0 all checks pass, 1 at least one check fails or crashes
-(ERROR), 2 usage error, 3 no failure but at least one inconclusive check
-(a certificate cites a polynomial that is not a generator of the emitted
-ideal).
+(ERROR), 2 usage error (also an --out that cannot be written), 3 no failure
+but at least one inconclusive check (a certificate cites a polynomial that
+is not a generator of the emitted ideal).
 
 Each command reads R, C, T and the relations from one ``QuantumCKGroup``,
 which builds each of them on first use.  ``verify`` deals the suites out to
@@ -22,11 +22,11 @@ group and, for the dual-side suites, one ``DualPairing`` on it, and every
 suite takes one of these two objects.
 
 All output is byte-deterministic for a fixed command line: every container
-is sorted before emission and nothing depends on hash order.
+is sorted before emission and nothing depends on hash order.  JSON documents
+are written by ``render.json_text``.
 """
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -84,16 +84,31 @@ def _check_degree(N: int, degree: int) -> None:
                                                  MAX_WORDS_PER_PAIR))
 
 
+def _check_out(path: str) -> None:
+    """--out must name a file in a writable directory; checked before any
+    work is done."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise UsageError("cannot write --out %s: %s is not a writable "
+                         "directory" % (path, parent))
+    if os.path.isdir(path):
+        raise UsageError("cannot write --out %s: it is a directory" % path)
+
+
 def _write(ns, payload: str) -> None:
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError("cannot write --out %s: %s"
+                             % (ns.out, exc.strerror or exc))
     else:
         sys.stdout.write(payload)
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return render.json_text(doc) + "\n"
 
 
 def _config(ns, j: JSignature) -> dict:
@@ -451,6 +466,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if ns.out:
+            _check_out(ns.out)
         return ns.fn(ns)
     except UsageError as exc:
         print("ckq: %s" % exc, file=sys.stderr)

@@ -237,12 +237,17 @@ class NCPoly:
         return out
 
     def __str__(self) -> str:
+        return self.layout(str, str)
+
+    def layout(self, coeff_text, symbol_text) -> str:
+        """The text of ``str(p)`` with each coefficient written by
+        ``coeff_text`` and each symbol by ``symbol_text``."""
         if not self.terms:
             return "0"
         parts = []
         for w in sorted(self.terms, key=word_key, reverse=True):
-            c = str(self.terms[w])
-            ws = "*".join(str(g) for g in w) if w else "1"
+            c = coeff_text(self.terms[w])
+            ws = "*".join(symbol_text(g) for g in w) if w else "1"
             if ("+" in c[1:]) or ("-" in c[1:]):
                 c = "(" + c + ")"
             parts.append(ws if c == "1" else c + ("*" + ws if w else ""))

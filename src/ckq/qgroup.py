@@ -381,8 +381,8 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     index = _braid_index(R)
     pairs = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
 
-    def check(A: CKMatrix, B: CKMatrix) -> int:
-        relA = rtt_components(A, R)
+    def check(A: CKMatrix, B: CKMatrix, relA: dict) -> int:
+        """relA is rtt_components(A, R)."""
         relB = rtt_components(B, R)
         P = A @ B
         checked = 0
@@ -404,16 +404,16 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
 
     A0 = build_t(j, copy=0, atomic=True)
     B0 = build_t(j, copy=1, atomic=True)
-    checked = check(A0, B0)
+    relA_atomic = rtt_components(A0, R)
+    checked = check(A0, B0, relA_atomic)
 
     # the splitting homomorphism carries each certificate to split symbols:
     # verify it maps the atomic relation components onto the split ones
     As, Bs = G.T, build_t(j, copy=1)
-    relA_atomic = rtt_components(A0, R)
     relA_split = rtt_components(As, R)
     ok = all(expand_atomic(relA_atomic[key], j) == relA_split[key]
              for key in relA_atomic)
-    split_checked = check(As, Bs) if N <= 3 else 0
+    split_checked = check(As, Bs, relA_split) if N <= 3 else 0
     return {"ok": ok, "components": checked,
             "split_components": split_checked}
 

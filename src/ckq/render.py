@@ -5,9 +5,16 @@ the same bytes.  Conventions (also in docs/schema.md): rationals are
 decimal strings "p/q"; nilpotent subsets are sorted slot-index arrays;
 the deformation exponent is stored doubled (the internal variable is the
 square root of the deformation parameter).
+
+``json_text`` is the one JSON writer: every ``--format json`` document
+goes through it.  A relation document holds thousands of coefficients but
+only a few dozen distinct values, so the relation emitters format each
+distinct coefficient and symbol once per document (``_memo``) and the JSON
+writer writes each shared fragment once.
 """
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .coeffring import DualElement, JSignature, ScalarExpr
 from .freealg import GenSymbol, NCPoly, word_key
@@ -55,12 +62,11 @@ def symbol_json(g: GenSymbol) -> dict:
     return out
 
 
-def poly_json(p: NCPoly) -> list:
-    out = []
-    for w in sorted(p.terms, key=word_key):
-        out.append({"word": [symbol_json(g) for g in w],
-                    "coeff": dual_json(p.terms[w])})
-    return out
+def poly_json(p: NCPoly, symbol, coeff) -> list:
+    """Terms of p; ``symbol`` and ``coeff`` write a symbol and a
+    coefficient (see ``relations_json``)."""
+    return [{"word": [symbol(g) for g in w], "coeff": coeff(p.terms[w])}
+            for w in sorted(p.terms, key=word_key)]
 
 
 def signature_json(j: JSignature) -> list:
@@ -213,13 +219,16 @@ class EntryNaming:
         return "%s_{%d%d}%s" % (letter, g.i, g.k, prime)
 
 
-def poly_tex(p: NCPoly, naming: EntryNaming) -> str:
+def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
+    """LaTeX of p with symbols written by ``symbol_tex`` (such as
+    ``EntryNaming.symbol_tex``) and coefficients by ``coeff_tex`` (such
+    as ``dual_tex``)."""
     if p.is_zero():
         return "0"
     parts = []
     for w in sorted(p.terms, key=word_key):
-        coeff = dual_tex(p.terms[w])
-        word = r" \, ".join(naming.symbol_tex(g) for g in w)
+        coeff = coeff_tex(p.terms[w])
+        word = r" \, ".join(symbol_tex(g) for g in w)
         if not word:
             parts.append(coeff)
         elif coeff == "1":
@@ -239,12 +248,30 @@ def poly_tex(p: NCPoly, naming: EntryNaming) -> str:
 # ------------------------------------------------------------ documents
 
 
+def _memo(fn, key=None):
+    """fn, computed once per argument (or per ``key(argument)``) for as
+    long as the caller keeps the returned function."""
+    done = {}
+
+    def once(x):
+        k = x if key is None else key(x)
+        out = done.get(k)
+        if out is None:
+            out = done[k] = fn(x)
+        return out
+    return once
+
+
 def relations_json(j: JSignature, rels) -> dict:
+    """Equal symbols and equal coefficients share one fragment object, so
+    ``json_text`` writes each of them once."""
+    symbol = _memo(symbol_json)
+    coeff = _memo(dual_json, DualElement.key)
     return {
         "n": j.N,
         "j": signature_json(j),
-        "symbols": [symbol_json(g) for g in rels_symbols(j)],
-        "relations": [{"terms": poly_json(p), "source": src}
+        "symbols": [symbol(g) for g in rels_symbols(j)],
+        "relations": [{"terms": poly_json(p, symbol, coeff), "source": src}
                       for p, src in rels.tagged()],
     }
 
@@ -257,18 +284,22 @@ def rels_symbols(j: JSignature) -> list:
 def relations_text(j: JSignature, rels) -> str:
     lines = ["# n=%d j=%s relations=%d" % (j.N, ",".join(signature_json(j)),
                                            len(rels.polys))]
+    coeff = _memo(str, DualElement.key)
+    symbol = _memo(str)
     for p, src in rels.tagged():
-        lines.append("[%s] %s = 0" % (src, p))
+        lines.append("[%s] %s = 0" % (src, p.layout(coeff, symbol)))
     return "\n".join(lines) + "\n"
 
 
 def relations_tex(j: JSignature, rels) -> str:
     from .ckclassical import weight_pattern_symplectic
-    naming = EntryNaming(weight_pattern_symplectic(j))
+    symbol = _memo(EntryNaming(weight_pattern_symplectic(j)).symbol_tex)
+    coeff = _memo(dual_tex, DualElement.key)
     lines = ["%% n=%d j=%s" % (j.N, ",".join(signature_json(j))),
              r"\begin{align*}"]
     for p, src in rels.tagged():
-        lines.append("  %s &= 0 && \\text{[%s]} \\\\" % (poly_tex(p, naming), src))
+        lines.append("  %s &= 0 && \\text{[%s]} \\\\"
+                     % (poly_tex(p, symbol, coeff), src))
     lines.append(r"\end{align*}")
     return "\n".join(lines) + "\n"
 
@@ -319,3 +350,78 @@ def pattern_text(pattern: dict) -> str:
                                             letter, i, k, mark))
         lines.append("L[%d,%d] = %s" % (i, k, " + ".join(terms)))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------- JSON writer
+
+
+def _shared_containers(doc) -> set:
+    """ids of the containers that occur more than once in doc."""
+    seen, shared = set(), set()
+    stack = [doc]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, dict):
+            children = o.values()
+        elif isinstance(o, (list, tuple)):
+            children = o
+        else:
+            continue
+        if id(o) in seen:
+            shared.add(id(o))
+        else:
+            seen.add(id(o))
+            stack.extend(children)
+    return shared
+
+
+def json_text(doc) -> str:
+    """Exactly the text of the standard ``json`` module's
+    ``dumps(doc, sort_keys=True, indent=2)``.
+
+    The one JSON writer of ckq.  A container that occurs more than once in
+    doc is written once per depth and its text reused, for this call only;
+    the emitters share one fragment per distinct coefficient and symbol.
+    Keys must be str and numbers int: a float or a non-str key raises
+    TypeError instead of being written.
+    """
+    shared = _shared_containers(doc)
+    memo = {}
+
+    def write(o, depth):
+        if isinstance(o, str):
+            return _json_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if not isinstance(o, (dict, list, tuple)):
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(o).__name__)
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        if id(o) in shared:
+            text = memo.get((id(o), depth))
+            if text is not None:
+                return text
+        sep = ",\n" + "  " * (depth + 1)
+        if isinstance(o, dict):
+            parts = []
+            for k in sorted(o):
+                if not isinstance(k, str):
+                    raise TypeError("JSON keys must be str, not %s"
+                                    % type(k).__name__)
+                parts.append(_json_str(k) + ": " + write(o[k], depth + 1))
+            text = "{" + sep[1:] + sep.join(parts) + "\n" + "  " * depth + "}"
+        else:
+            text = ("[" + sep[1:] + sep.join([write(v, depth + 1) for v in o])
+                    + "\n" + "  " * depth + "]")
+        if id(o) in shared:
+            memo[(id(o), depth)] = text
+        return text
+
+    return write(doc, 0)

@@ -45,18 +45,29 @@ def test_rmatrix_json_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "rmatrix_n3_iotaiota.json").read_bytes()
 
 
-N5_DIGESTS = json.loads((GOLDEN / "relations_n5_sha256.json").read_text())
+# the sha256 of every document the emit-n5 benchmark workload writes
+N5_DIGESTS = json.loads((GOLDEN / "emit_n5_sha256.json").read_text())
+N5_SIGNATURES = ["1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota"]
 
 
-@pytest.mark.parametrize("sig", ["1,1,1,1", "iota,1,iota,1",
-                                 "iota,iota,iota,iota"])
-def test_relations_n5_match_golden_digests(tmp_path, sig):
-    for fmt in ("json", "text", "latex"):
-        argv = ["relations", "--n", "5", "--j", sig, "--format", fmt]
-        out = tmp_path / ("rel." + fmt)
+def _assert_n5_digests(tmp_path, sig, emits):
+    for command, fmt in emits:
+        argv = [command, "--n", "5", "--j", sig, "--format", fmt]
+        out = tmp_path / (command + "." + fmt)
         assert cli.main(argv + ["--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == N5_DIGESTS[" ".join(argv)], " ".join(argv)
+
+
+@pytest.mark.parametrize("sig", N5_SIGNATURES)
+def test_relations_n5_match_golden_digests(tmp_path, sig):
+    _assert_n5_digests(tmp_path, sig, [("relations", fmt)
+                                       for fmt in ("json", "text", "latex")])
+
+
+@pytest.mark.parametrize("sig", N5_SIGNATURES)
+def test_rmatrix_and_dual_n5_match_golden_digests(tmp_path, sig):
+    _assert_n5_digests(tmp_path, sig, [("rmatrix", "json"), ("dual", "json")])
 
 
 def test_output_bytes_stable_across_hash_seeds():
@@ -196,6 +207,29 @@ def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
     # --n 3 unless the case names its own size
     assert cli.main(argv[:1] + ["--n", "3"] + argv[1:]) == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_exits_2_before_any_work(monkeypatch, capsys, tmp_path,
+                                                where):
+    monkeypatch.setattr(qgroup, "QuantumCKGroup", _no_work)
+    out = tmp_path / where  # a missing directory, or a directory itself
+    rc = cli.main(["relations", "--n", "3", "--format", "json",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ckq: ") and str(out) in err
+    assert err.count("\n") == 1 and not (tmp_path / "missing").exists()
+
+
+def test_failed_out_write_exits_2_with_one_line(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "x.txt"
+    assert cli.main(["classical", "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ckq: cannot write --out %s: Permission denied\n" % out
 
 
 @pytest.mark.parametrize("n,degree", [(3, 4), (4, 3), (5, 3)])

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ckq import render
-from ckq.coeffring import Cyclo8, ScalarExpr
+from ckq import cli, render
+from ckq.coeffring import Cyclo8, JSignature, ScalarExpr
 from ckq.qgroup import QuantumCKGroup
 
 from conftest import all_signatures, rand_cyclo, rand_scalar
@@ -88,3 +89,41 @@ def test_scalar_tex_gap_forms():
         == r"-\lambda 3/2 q^{-1/2}"
     assert render.scalar_tex(ScalarExpr.s_power(4) - ScalarExpr.s_power(-4)) \
         == r"-q^{-2} + q^{2}"
+
+
+# one of every document type ckq writes as JSON
+JSON_COMMANDS = [["relations"], ["rmatrix"], ["dual"],
+                 ["verify", "--suite", "ybe,cubic"],
+                 ["classical", "--samples", "2"]]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_json_text_is_stdlib_dumps_on_every_document(monkeypatch, tmp_path, N):
+    written = []
+    json_text = render.json_text
+
+    def checked(doc):
+        text = json_text(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2)
+        written.append(len(text))
+        return text
+    monkeypatch.setattr(render, "json_text", checked)
+    for j in all_signatures(N):
+        sig = ",".join(render.signature_json(j))
+        for command in JSON_COMMANDS:
+            argv = command[:1] + ["--n", str(N), "--j", sig, "--format",
+                                  "json", "--out", str(tmp_path / "doc.json")]
+            assert cli.main(argv + command[1:]) == 0, argv
+    assert len(written) == len(JSON_COMMANDS) * len(all_signatures(N))
+
+
+def test_relation_documents_share_one_fragment_per_value():
+    j = JSignature.parse("iota,1,iota")
+    rels = QuantumCKGroup(j).relations()
+    doc = render.relations_json(j, rels)
+    terms = [t for r in doc["relations"] for t in r["terms"]]
+    coeffs = {id(t["coeff"]) for t in terms}
+    symbols = {id(g) for t in terms for g in t["word"]}
+    distinct = {c.key() for p in rels for c in p.terms.values()}
+    assert len(coeffs) == len(distinct) < len(terms)
+    assert symbols <= {id(g) for g in doc["symbols"]}
