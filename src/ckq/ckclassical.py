@@ -34,7 +34,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 class CKMatrix:
-    """A square matrix, optionally tagged with its signature.
+    """A square matrix.
 
     Entries are D_n elements or noncommutative polynomials (``NCPoly``);
     products, sums, transposes and entry maps work for both, while
@@ -42,24 +42,23 @@ class CKMatrix:
     entries only.
     """
 
-    __slots__ = ("N", "j", "rows")
+    __slots__ = ("N", "rows")
 
-    def __init__(self, rows, j: JSignature | None = None):
+    def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         self.N = len(self.rows)
         for r in self.rows:
             if len(r) != self.N:
                 raise DimensionError("matrix is not square")
-        self.j = j
 
     @classmethod
-    def identity(cls, N: int, n: int, j: JSignature | None = None) -> "CKMatrix":
+    def identity(cls, N: int, n: int) -> "CKMatrix":
         one = DualElement.one(n)
         zero = DualElement.zero(n)
-        return cls([[one if i == k else zero for k in range(N)] for i in range(N)], j)
+        return cls([[one if i == k else zero for k in range(N)] for i in range(N)])
 
     @classmethod
-    def build(cls, N: int, n: int, fn, j: JSignature | None = None) -> "CKMatrix":
+    def build(cls, N: int, n: int, fn) -> "CKMatrix":
         """Entries from fn(i, k) with 1-based indices; scalars are coerced."""
         rows = []
         for i in range(1, N + 1):
@@ -70,7 +69,7 @@ class CKMatrix:
                     e = DualElement.scalar(n, e)
                 row.append(e)
             rows.append(row)
-        return cls(rows, j)
+        return cls(rows)
 
     @property
     def n(self) -> int:
@@ -81,9 +80,6 @@ class CKMatrix:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CKMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(e.key() for e in r) for r in self.rows))
 
     def __matmul__(self, other: "CKMatrix") -> "CKMatrix":
         if self.N != other.N:
@@ -101,31 +97,27 @@ class CKMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return CKMatrix(out, self.j if self.j is not None else other.j)
+        return CKMatrix(out)
 
     def __add__(self, other: "CKMatrix") -> "CKMatrix":
         return CKMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.j if self.j is not None else other.j,
-        )
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "CKMatrix") -> "CKMatrix":
         return CKMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.j if self.j is not None else other.j,
-        )
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "CKMatrix":
-        return CKMatrix([[-a for a in r] for r in self.rows], self.j)
+        return CKMatrix([[-a for a in r] for r in self.rows])
 
     def scale(self, c) -> "CKMatrix":
-        return CKMatrix([[a * c for a in r] for r in self.rows], self.j)
+        return CKMatrix([[a * c for a in r] for r in self.rows])
 
     def transpose(self) -> "CKMatrix":
-        return CKMatrix(list(zip(*self.rows)), self.j)
+        return CKMatrix(list(zip(*self.rows)))
 
     def map_entries(self, fn) -> "CKMatrix":
-        return CKMatrix([[fn(a) for a in r] for r in self.rows], self.j)
+        return CKMatrix([[fn(a) for a in r] for r in self.rows])
 
     def is_identity(self) -> bool:
         """Exact test against the identity; D_n entries only."""
@@ -160,7 +152,7 @@ class CKMatrix:
                     continue
                 f = work[r][col]
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return CKMatrix([r[N:] for r in work], self.j)
+        return CKMatrix([r[N:] for r in work])
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
@@ -191,19 +183,19 @@ def lie_generator(k: int, p: int, j: JSignature) -> CKMatrix:
             return -w
         return DualElement.zero(j.n)
 
-    return CKMatrix.build(j.N, j.n, fn, j)
+    return CKMatrix.build(j.N, j.n, fn)
 
 
 def cayley(X: CKMatrix) -> CKMatrix:
     """The exact Cayley transform (I + X)(I - X)^(-1)."""
-    I = CKMatrix.identity(X.N, X.n, X.j)
+    I = CKMatrix.identity(X.N, X.n)
     return (I + X) @ (I - X).inverse()
 
 
 def random_cayley(j: JSignature, rng, span: int = 3) -> CKMatrix:
     """A random group element: Cayley transform of a random generator mix."""
     N = j.N
-    X = CKMatrix.identity(N, j.n, j).scale(0)
+    X = CKMatrix.identity(N, j.n).scale(0)
     for k in range(1, N + 1):
         for p in range(k + 1, N + 1):
             theta = Fraction(rng.randint(-span, span), rng.randint(1, 3))

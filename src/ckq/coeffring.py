@@ -64,7 +64,7 @@ class Cyclo8:
 
     Stored as one tuple ``(a, b, c, d, den)`` of Python ints: four
     numerators over a common positive denominator, in lowest terms, so
-    equal values have equal tuples.  The tuple is also the element's key.
+    equal values have equal tuples.
     ``a``, ``b``, ``c`` and ``d`` read the components as fractions.
     """
 
@@ -190,9 +190,6 @@ class Cyclo8:
         _, b, c, d, _ = self._t
         return not (b or c or d)
 
-    def key(self) -> tuple:
-        return self._t
-
     def __str__(self) -> str:
         parts = []
         for val, tag in ((self.a, ""), (self.b, "i"), (self.c, "sqrt2"), (self.d, "i*sqrt2")):
@@ -243,7 +240,7 @@ _C_ONE = Cyclo8(1)
 class ScalarExpr:
     """Sparse Laurent polynomial in s (s^2 = q) and polynomial in v."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict | None = None):
         clean: dict = {}
@@ -259,7 +256,7 @@ class ScalarExpr:
                     raise DegreeCapError("v-degree %d exceeds cap %d" % (ve, _V_CAP))
                 clean[(se, ve)] = coef
         self.terms = clean
-        self._key = None
+        self._hash = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "ScalarExpr":
@@ -267,7 +264,7 @@ class ScalarExpr:
         satisfy the checks of ``__init__``."""
         obj = _new(cls)
         obj.terms = terms
-        obj._key = None
+        obj._hash = None
         return obj
 
     # -- constructors -------------------------------------------------
@@ -325,15 +322,13 @@ class ScalarExpr:
             other = ScalarExpr.from_value(other)
         return self.terms == other.terms
 
-    def key(self):
-        if self._key is None:
-            self._key = tuple(sorted((e, c.key()) for e, c in self.terms.items()))
-        return self._key
-
     def __hash__(self):
-        if self.is_constant():
-            return hash(self.constant_value())  # equals that number
-        return hash(self.key())
+        if self._hash is None:
+            if self.is_constant():
+                self._hash = hash(self.constant_value())  # equals that number
+            else:
+                self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __add__(self, other) -> "ScalarExpr":
         if type(other) is not ScalarExpr:
@@ -498,7 +493,7 @@ def _coerce_scalar(x) -> ScalarExpr:
 class DualElement:
     """Element of D_n: a map from generator subsets (bitmasks) to scalars."""
 
-    __slots__ = ("n", "terms", "_key")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: dict | None = None):
         self.n = _generator_count(n)
@@ -511,7 +506,7 @@ class DualElement:
                 if sc:
                     clean[mask] = sc
         self.terms = clean
-        self._key = None
+        self._hash = None
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> "DualElement":
@@ -520,7 +515,7 @@ class DualElement:
         obj = _new(cls)
         obj.n = n
         obj.terms = terms
-        obj._key = None
+        obj._hash = None
         return obj
 
     # -- constructors -------------------------------------------------
@@ -567,15 +562,13 @@ class DualElement:
     def nil_part(self) -> "DualElement":
         return DualElement._raw(self.n, {m: s for m, s in self.terms.items() if m})
 
-    def key(self):
-        if self._key is None:
-            self._key = (self.n, tuple(sorted((m, s.key()) for m, s in self.terms.items())))
-        return self._key
-
     def __hash__(self):
-        if all(m == 0 for m in self.terms):
-            return hash(self.body())  # equals that scalar
-        return hash(self.key())
+        if self._hash is None:
+            if all(m == 0 for m in self.terms):
+                self._hash = hash(self.body())  # equals that scalar
+            else:
+                self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if type(other) is not DualElement:

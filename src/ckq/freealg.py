@@ -119,19 +119,13 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def key(self) -> tuple:
-        return tuple(sorted(
-            ((w, c.key()) for w, c in self.terms.items()),
-            key=lambda item: word_key(item[0]),
-        ))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, NCPoly):
             return self.n == other.n and self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic ---------------------------------------------------
 

@@ -72,7 +72,7 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
         return _split_entry(j.n, pat, i, k, copy)
 
     rng = range(1, j.N + 1)
-    return CKMatrix([[fn(i, k) for k in rng] for i in rng], j)
+    return CKMatrix([[fn(i, k) for k in rng] for i in rng])
 
 
 def expand_atomic(p: NCPoly, j: JSignature) -> NCPoly:
@@ -84,40 +84,29 @@ def expand_atomic(p: NCPoly, j: JSignature) -> NCPoly:
 # ------------------------------------------------------------- relation sets
 
 
-def sign_key(p: NCPoly) -> tuple:
-    """min(p.key(), (-p).key()): the key of p up to sign.
-
-    Both keys list the same words in the same order, so the first term's
-    coefficient decides which is smaller; the negated key is built only
-    when it wins.
-    """
-    key = p.key()
-    if not key:
-        return key
-    word, coef_key = key[0]
-    if (-p.terms[word]).key() < coef_key:
-        return (-p).key()
-    return key
-
-
 class RelationSet:
-    """Deduplicated list of relations (NCPoly = 0) with provenance tags."""
+    """Relations (NCPoly = 0) with provenance tags, deduplicated up to sign.
 
-    __slots__ = ("n", "polys", "sources", "_keys")
+    ``p in rels`` holds when p or -p is one of the relations, compared by
+    ``NCPoly``'s own ``==`` and ``hash``; ``add`` keeps a relation only
+    when it is not already in.
+    """
+
+    __slots__ = ("n", "polys", "sources", "_held")
 
     def __init__(self, n: int):
         self.n = n
         self.polys: list = []
         self.sources: list = []
-        self._keys: set = set()
+        self._held: set = set()
+
+    def __contains__(self, p: NCPoly) -> bool:
+        return p in self._held or -p in self._held
 
     def add(self, p: NCPoly, source: str) -> bool:
-        if not p:
+        if not p or p in self:
             return False
-        key = sign_key(p)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
+        self._held.add(p)
         self.polys.append(p)
         self.sources.append(source)
         return True
@@ -140,9 +129,6 @@ class RelationSet:
         for p, s in self.tagged():
             out.add(p.specialize(j), s)
         return out
-
-    def key_set(self) -> frozenset:
-        return frozenset(self._keys)
 
 
 def _braid_index(R: QTensor) -> tuple:
@@ -459,7 +445,7 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
                 scale = scale.specialize(G.j)
             if S2.entry(i, k) != T.entry(i, k) * scale:
                 refuted.append((i, k))
-    keys = G.relations().key_set()
+    rels = G.relations()
     uncertified = []
     entries = 0
     for tag, F in (("L", L), ("M", M)):
@@ -469,7 +455,7 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
                 if not p:
                     continue
                 entries += 1
-                if sign_key(p) not in keys:
+                if p not in rels:
                     uncertified.append((tag, i, k))
     return {"ok": not uncertified and not refuted, "entries": entries,
             "uncertified": uncertified, "s_squared_refuted": refuted}
@@ -479,8 +465,9 @@ def contraction_commutes(G: QuantumCKGroup) -> bool:
     """Generate symbolically then contract == generate contracted.
 
     G is the contracted group; the symbolic one is built here.  Compared
-    as canonical key sets after dropping relations that contract to zero,
+    as sets up to sign after dropping relations that contract to zero,
     which is the only way dedup can differ between the two paths.
     """
-    symbolic = QuantumCKGroup(G.j, contracted=False).relations()
-    return symbolic.specialize(G.j).key_set() == G.relations().key_set()
+    a = QuantumCKGroup(G.j, contracted=False).relations().specialize(G.j)
+    b = G.relations()
+    return len(a) == len(b) and all(p in b for p in a)

@@ -16,8 +16,10 @@ writer writes each shared fragment once.
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
+from .ckclassical import weight_pattern_symplectic
 from .coeffring import DualElement, JSignature, ScalarExpr
 from .freealg import GenSymbol, NCPoly, word_key
+from .qgroup import t_symbols
 
 _FAMILY_TEX = {"mat": "t", "upper": "l^{+}", "lower": "l^{-}"}
 
@@ -248,16 +250,15 @@ def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
 # ------------------------------------------------------------ documents
 
 
-def _memo(fn, key=None):
-    """fn, computed once per argument (or per ``key(argument)``) for as
-    long as the caller keeps the returned function."""
+def _memo(fn):
+    """fn, computed once per argument for as long as the caller keeps the
+    returned function."""
     done = {}
 
     def once(x):
-        k = x if key is None else key(x)
-        out = done.get(k)
+        out = done.get(x)
         if out is None:
-            out = done[k] = fn(x)
+            out = done[x] = fn(x)
         return out
     return once
 
@@ -266,25 +267,20 @@ def relations_json(j: JSignature, rels) -> dict:
     """Equal symbols and equal coefficients share one fragment object, so
     ``json_text`` writes each of them once."""
     symbol = _memo(symbol_json)
-    coeff = _memo(dual_json, DualElement.key)
+    coeff = _memo(dual_json)
     return {
         "n": j.N,
         "j": signature_json(j),
-        "symbols": [symbol(g) for g in rels_symbols(j)],
+        "symbols": [symbol(g) for g in t_symbols(j)],
         "relations": [{"terms": poly_json(p, symbol, coeff), "source": src}
                       for p, src in rels.tagged()],
     }
 
 
-def rels_symbols(j: JSignature) -> list:
-    from .qgroup import t_symbols
-    return list(t_symbols(j))
-
-
 def relations_text(j: JSignature, rels) -> str:
     lines = ["# n=%d j=%s relations=%d" % (j.N, ",".join(signature_json(j)),
                                            len(rels.polys))]
-    coeff = _memo(str, DualElement.key)
+    coeff = _memo(str)
     symbol = _memo(str)
     for p, src in rels.tagged():
         lines.append("[%s] %s = 0" % (src, p.layout(coeff, symbol)))
@@ -292,9 +288,8 @@ def relations_text(j: JSignature, rels) -> str:
 
 
 def relations_tex(j: JSignature, rels) -> str:
-    from .ckclassical import weight_pattern_symplectic
     symbol = _memo(EntryNaming(weight_pattern_symplectic(j)).symbol_tex)
-    coeff = _memo(dual_tex, DualElement.key)
+    coeff = _memo(dual_tex)
     lines = ["%% n=%d j=%s" % (j.N, ",".join(signature_json(j))),
              r"\begin{align*}"]
     for p, src in rels.tagged():

@@ -19,7 +19,12 @@ from .ckclassical import CKMatrix
 
 
 class QTensor:
-    """A sparse operator on V (x) V; keys are (out1, out2, in1, in2)."""
+    """A sparse operator on V (x) V; keys are (out1, out2, in1, in2).
+
+    Products also compose operators on more tensor legs, such as the
+    three-slot embeddings of ``verify_ybe``: the first half of a key holds
+    the output indices and the second half the input indices.
+    """
 
     __slots__ = ("N", "n", "data")
 
@@ -80,19 +85,21 @@ class QTensor:
         """Operator composition."""
         self._check(other)
         by_out: dict = {}
-        for (a, b, k, l), val in other.data.items():
-            by_out.setdefault((a, b), []).append(((k, l), val))
+        for key, val in other.data.items():
+            h = len(key) // 2
+            by_out.setdefault(key[:h], []).append((key[h:], val))
         out: dict = {}
-        for (i, j, a, b), u in self.data.items():
-            for (k, l), w in by_out.get((a, b), ()):
-                key = (i, j, k, l)
+        for key, u in self.data.items():
+            h = len(key) // 2
+            for ins, w in by_out.get(key[h:], ()):
+                kk = key[:h] + ins
                 p = u * w
-                acc = out.get(key)
+                acc = out.get(kk)
                 t = p if acc is None else acc + p
                 if t:
-                    out[key] = t
+                    out[kk] = t
                 elif acc is not None:
-                    del out[key]
+                    del out[kk]
         return QTensor(self.N, self.n, out)
 
     def map_entries(self, fn) -> "QTensor":
@@ -217,7 +224,7 @@ def contract(x, j: JSignature):
     if isinstance(x, CKMatrix):
         if x.n != j.n:
             raise DimensionError("signature D_%d vs matrix D_%d" % (j.n, x.n))
-        return CKMatrix([[e.specialize(j) for e in row] for row in x.rows], j)
+        return x.map_entries(lambda e: e.specialize(j))
     if isinstance(x, DualElement):
         return x.specialize(j)
     raise TypeError("cannot contract %r" % (x,))
@@ -284,7 +291,7 @@ def r_plus_minus(R: QTensor) -> tuple:
 # ----------------------------------------------------------- three slots
 
 
-def _embed3(R: QTensor, legs: tuple) -> dict:
+def _embed3(R: QTensor, legs: tuple) -> QTensor:
     """R on two of three slots, identity on the remaining one."""
     N = R.N
     passive = ({1, 2, 3} - set(legs)).pop()
@@ -296,36 +303,15 @@ def _embed3(R: QTensor, legs: tuple) -> dict:
             o[legs[0] - 1], o[legs[1] - 1], o[passive - 1] = i, j, c
             s[legs[0] - 1], s[legs[1] - 1], s[passive - 1] = k, l, c
             out[tuple(o) + tuple(s)] = val
-    return out
-
-
-def _mul3(A: dict, B: dict, n: int) -> dict:
-    by_out: dict = {}
-    for key, val in B.items():
-        by_out.setdefault(key[:3], []).append((key[3:], val))
-    out: dict = {}
-    for key, u in A.items():
-        for ins, w in by_out.get(key[3:], ()):
-            kk = key[:3] + ins
-            p = u * w
-            acc = out.get(kk)
-            t = p if acc is None else acc + p
-            if t:
-                out[kk] = t
-            elif acc is not None:
-                del out[kk]
-    return out
+    return QTensor(N, R.n, out)
 
 
 def verify_ybe(R: QTensor) -> bool:
     """R12 R13 R23 == R23 R13 R12 by direct expansion on V (x) V (x) V."""
-    n = R.n
     r12 = _embed3(R, (1, 2))
     r13 = _embed3(R, (1, 3))
     r23 = _embed3(R, (2, 3))
-    lhs = _mul3(_mul3(r12, r13, n), r23, n)
-    rhs = _mul3(_mul3(r23, r13, n), r12, n)
-    return lhs == rhs
+    return r12 * r13 * r23 == r23 * r13 * r12
 
 
 # -------------------------------------------------------------- checks

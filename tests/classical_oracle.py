@@ -27,7 +27,7 @@ def make_special(a, j) -> CKMatrix:
             x = DualElement.scalar(j.n, x)
         return j.weight(i, k) * x
 
-    return CKMatrix.build(N, j.n, fn, j)
+    return CKMatrix.build(N, j.n, fn)
 
 
 def cartesian_vector(coords, j) -> tuple:

@@ -195,7 +195,7 @@ def test_commutator_closure_all_signatures():
 
 def test_generator_span_rejects_outside_elements():
     j = JSignature.trivial(2)
-    M = CKMatrix.identity(3, 2, j)
+    M = CKMatrix.identity(3, 2)
     assert not in_generator_span(M, j)  # symmetric part present
     # antisymmetric, but entry (1,2) lacks the weight J(1,2) = iota_1
     j = JSignature.parse("iota,1")

@@ -71,13 +71,18 @@ def test_rmatrix_and_dual_n5_match_golden_digests(tmp_path, sig):
 
 
 def test_output_bytes_stable_across_hash_seeds():
-    a = run_cli(["relations", "--n", "3", "--j", "iota,1", "--format", "json"],
-                PYTHONHASHSEED="1")
-    b = run_cli(["relations", "--n", "3", "--j", "iota,1", "--format", "json"],
-                PYTHONHASHSEED="4242")
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
-    assert a.stdout.endswith("\n")
+    for argv in (
+        ["relations", "--n", "3", "--j", "iota,1", "--format", "json"],
+        ["relations", "--n", "4", "--j", "iota,1,iota", "--format", "latex"],
+        ["relations", "--n", "4", "--j", "iota,1,iota", "--format", "text"],
+        ["verify", "--n", "4", "--j", "iota,1,iota",
+         "--suite", "contraction,antipode", "--format", "json"],
+    ):
+        a = run_cli(argv, PYTHONHASHSEED="1")
+        b = run_cli(argv, PYTHONHASHSEED="4242")
+        assert a.returncode == 0 and b.returncode == 0, argv
+        assert a.stdout == b.stdout, argv
+        assert a.stdout.endswith("\n")
 
 
 def test_dual_output_stable_across_hash_seeds():

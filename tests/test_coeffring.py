@@ -14,6 +14,7 @@ from ckq.coeffring import (
     ScalarExpr,
     specialize_q,
 )
+from ckq.freealg import NCPoly, mat_symbol
 from conftest import all_signatures, rand_cyclo, rand_dual, rand_scalar, rand_unit_dual
 from division_oracle import exact_div
 
@@ -93,6 +94,18 @@ def test_hash_agrees_with_equality_across_the_tower():
                 assert hash(x) == hash(y), (x, y)
     assert len({Cyclo8(1), 1, Fraction(1), ScalarExpr.one(), DualElement.one(2)}) == 1
     assert len({ScalarExpr.lam(), ScalarExpr.s_power(2) - ScalarExpr.s_power(-2)}) == 1
+    # non-constant values built from the same terms in two insertion orders
+    s1 = ScalarExpr({(2, 0): 1, (-2, 1): i})
+    s2 = ScalarExpr({(-2, 1): i, (2, 0): 1})
+    d1 = DualElement(2, {0: s1, 3: ScalarExpr.lam()})
+    d2 = DualElement(2, {3: ScalarExpr.lam(), 0: s2})
+    a, b = mat_symbol(1, 2), mat_symbol(2, 1)
+    p1 = NCPoly(2, {(a, b): d1, (b,): 1})
+    p2 = NCPoly(2, {(b,): 1, (a, b): d2})
+    for x, y in ((s1, s2), (d1, d2), (p1, p2)):
+        assert list(x.terms) != list(y.terms)
+        assert x == y and hash(x) == hash(y)
+        assert x != -y and len({x, y, -x}) == 2
 
 
 # ------------------------------------------------------------ ScalarExpr

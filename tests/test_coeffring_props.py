@@ -41,12 +41,12 @@ def agree(x, oracle):
     assert (x.a, x.b, x.c, x.d) == oracle.parts()
     assert str(x) == str(oracle)
     assert render.cyclo_json(x) == render.cyclo_json(oracle)
-    *nums, den = x.key()
+    *nums, den = x._t
     assert den > 0 and gcd(*nums, den) == 1
     # lowest terms make the stored form unique: rebuilding from the
-    # oracle's fractions gives the same key and hash
+    # oracle's fractions gives the same tuple and hash
     again = Cyclo8(*oracle.parts())
-    assert again.key() == x.key() and again == x and hash(again) == hash(x)
+    assert again._t == x._t and again == x and hash(again) == hash(x)
 
 
 @PROPS

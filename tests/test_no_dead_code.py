@@ -2,20 +2,34 @@
 
 A public module-level function in ``src/ckq`` must be used somewhere else
 in the package or be re-exported by ``ckq/__init__.py``.  Helpers that only
-tests need live in ``tests/`` as oracles.
+tests need live in ``tests/`` as oracles.  A public method must be named by
+some attribute reference in the package or the tests, other than in its
+own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ckq
 
 PACKAGE = Path(ckq.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _test_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(TESTS.glob("*.py"))]
+
+
+def _attribute_counts(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
 
 
 def _used_names(node) -> set:
@@ -59,3 +73,35 @@ def test_guard_catches_a_test_only_helper():
         "def quadratic_form(x):\n    return quadratic_form(x[1:])\n").body[0])
     assert unused_public_functions(trees) == [("ckclassical.py",
                                                "quadratic_form")]
+
+
+def unreferenced_public_methods(trees: dict, test_trees: list) -> list:
+    """(module, class, name) of every public method that no attribute
+    reference outside its own body names, in the package or the tests."""
+    refs = Counter()
+    for tree in list(trees.values()) + test_trees:
+        refs += _attribute_counts(tree)
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and refs[fn.name] == _attribute_counts(fn)[fn.name]):
+                    out.append((module, cls.name, fn.name))
+    return out
+
+
+def test_every_public_method_is_referenced():
+    assert unreferenced_public_methods(_trees(), _test_trees()) == []
+
+
+def test_guard_catches_an_unreferenced_method():
+    trees = _trees()
+    matrix = next(node for node in trees["ckclassical.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "CKMatrix")
+    matrix.body.append(ast.parse(
+        "def determinant(self):\n    return self.determinant()\n").body[0])
+    assert unreferenced_public_methods(trees, _test_trees()) == [
+        ("ckclassical.py", "CKMatrix", "determinant")]

@@ -12,6 +12,7 @@ from ckq.freealg import NCPoly, mat_symbol
 from ckq.rmatrix import QTensor
 from ckq.qgroup import (
     QuantumCKGroup,
+    RelationSet,
     antipode,
     build_t,
     contraction_commutes,
@@ -24,7 +25,6 @@ from ckq.qgroup import (
     orthogonality_relations,
     rtt_components,
     rtt_relations,
-    sign_key,
     t_symbols,
     verify_antipode,
     verify_coassociativity,
@@ -37,7 +37,8 @@ from conftest import all_signatures, seeded
 
 
 def canon(p):
-    return min(p.key(), (-p).key())
+    """p up to sign, as a value."""
+    return frozenset((p, -p))
 
 
 # ---------------------------------------------------------------- builders
@@ -367,7 +368,8 @@ def test_full_relation_set_matches_class_method():
     j = JSignature.parse("iota,1")
     G = QuantumCKGroup(j)
     direct = full_relation_set(G.T, G.R, G.C)
-    assert direct.key_set() == G.relations().key_set()
+    assert direct.polys == G.relations().polys
+    assert direct.sources == G.relations().sources
 
 
 _SIGN_KEY_CASES = ([(j, c) for N in (3, 4) for j in all_signatures(N)
@@ -378,9 +380,28 @@ _SIGN_KEY_CASES = ([(j, c) for N in (3, 4) for j in all_signatures(N)
 
 @pytest.mark.parametrize("j,contracted", _SIGN_KEY_CASES, ids=str)
 def test_sign_key_is_key_up_to_sign(j, contracted):
-    flips = set()
-    for p in QuantumCKGroup(j, contracted=contracted).relations():
-        key = min(p.key(), (-p).key())
-        assert sign_key(p) == sign_key(-p) == key
-        flips.add(key == p.key())
-    assert flips == {True, False}
+    """A relation set holds each relation up to sign: p and -p are both
+    in it, adding -p changes nothing, and p plus a generator is not in."""
+    rels = QuantumCKGroup(j, contracted=contracted).relations()
+    size = len(rels)
+    g = NCPoly.gen(j.n, t_symbols(j)[0])
+    for p in list(rels):
+        assert p in rels and -p in rels
+        assert not rels.add(-p, "flipped")
+        assert len(rels) == size
+        assert p + g not in rels
+    assert len({canon(p) for p in rels}) == size
+
+
+def test_contraction_commutes_compares_relations_up_to_sign():
+    G = QuantumCKGroup(JSignature.parse("iota,1"))
+    rels = G.relations()
+    flipped, dropped = RelationSet(rels.n), RelationSet(rels.n)
+    for k, (p, src) in enumerate(rels.tagged()):
+        flipped.add(-p if k == 0 else p, src)
+        if k:
+            dropped.add(p, src)
+    G.relations = lambda: flipped
+    assert contraction_commutes(G)
+    G.relations = lambda: dropped
+    assert not contraction_commutes(G)

@@ -50,9 +50,9 @@ def test_scalar_tex_matches_division_on_relations(N, contracted):
         gap_free = contracted and any(j.flags)
         seen = set()
         for sc in relation_scalars(j, contracted):
-            if sc.key() in seen:
+            if sc in seen:
                 continue
-            seen.add(sc.key())
+            seen.add(sc)
             text = render.scalar_tex(sc)
             assert text == division_scalar_tex(sc), str(sc)
             assert not (gap_free and r"\lambda" in text)
@@ -124,6 +124,6 @@ def test_relation_documents_share_one_fragment_per_value():
     terms = [t for r in doc["relations"] for t in r["terms"]]
     coeffs = {id(t["coeff"]) for t in terms}
     symbols = {id(g) for t in terms for g in t["word"]}
-    distinct = {c.key() for p in rels for c in p.terms.values()}
+    distinct = {c for p in rels for c in p.terms.values()}
     assert len(coeffs) == len(distinct) < len(terms)
     assert symbols <= {id(g) for g in doc["symbols"]}
