@@ -84,20 +84,12 @@ class CKMatrix:
     def __matmul__(self, other: "CKMatrix") -> "CKMatrix":
         if self.N != other.N:
             raise DimensionError("size mismatch in matrix product")
-        N, n = self.N, self.n
-        out = []
-        for i in range(N):
-            row = []
-            for k in range(N):
-                acc = self.rows[i][0].zero(n)
-                for m in range(N):
-                    a = self.rows[i][m]
-                    b = other.rows[m][k]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return CKMatrix(out)
+        if not self.N:
+            return self
+        n, dot = self.n, type(self.rows[0][0]).dot
+        cols = tuple(zip(*other.rows))
+        return CKMatrix([[dot(n, [(a, b) for a, b in zip(row, col) if a and b])
+                          for col in cols] for row in self.rows])
 
     def __add__(self, other: "CKMatrix") -> "CKMatrix":
         return CKMatrix(
@@ -109,9 +101,6 @@ class CKMatrix:
 
     def __neg__(self) -> "CKMatrix":
         return CKMatrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, c) -> "CKMatrix":
-        return CKMatrix([[a * c for a in r] for r in self.rows])
 
     def transpose(self) -> "CKMatrix":
         return CKMatrix(list(zip(*self.rows)))
@@ -170,20 +159,24 @@ def is_j_orthogonal(A: CKMatrix) -> bool:
     return (A @ At).is_identity() and (At @ A).is_identity()
 
 
+def _generator_mix(j: JSignature, theta: dict) -> CKMatrix:
+    """sum theta[k,p] J(k,p) (e_kp - e_pk) over the keys k < p of theta."""
+
+    def fn(i, m):
+        if (i, m) in theta:
+            return j.J(i, m) * theta[(i, m)]
+        if (m, i) in theta:
+            return j.J(m, i) * -theta[(m, i)]
+        return 0
+
+    return CKMatrix.build(j.N, j.n, fn)
+
+
 def lie_generator(k: int, p: int, j: JSignature) -> CKMatrix:
     """The weighted antisymmetric generator J(k,p) (e_kp - e_pk), k < p."""
     if not (1 <= k < p <= j.N):
         raise ValueError("need 1 <= k < p <= N")
-    w = j.J(k, p)
-
-    def fn(i, m):
-        if (i, m) == (k, p):
-            return w
-        if (i, m) == (p, k):
-            return -w
-        return DualElement.zero(j.n)
-
-    return CKMatrix.build(j.N, j.n, fn)
+    return _generator_mix(j, {(k, p): 1})
 
 
 def cayley(X: CKMatrix) -> CKMatrix:
@@ -195,13 +188,10 @@ def cayley(X: CKMatrix) -> CKMatrix:
 def random_cayley(j: JSignature, rng, span: int = 3) -> CKMatrix:
     """A random group element: Cayley transform of a random generator mix."""
     N = j.N
-    X = CKMatrix.identity(N, j.n).scale(0)
-    for k in range(1, N + 1):
-        for p in range(k + 1, N + 1):
-            theta = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-            if theta:
-                X = X + lie_generator(k, p, j).scale(theta)
-    return cayley(X)
+    # one angle per generator J(k,p) (e_kp - e_pk), k < p, in row-major order
+    theta = {(k, p): Fraction(rng.randint(-span, span), rng.randint(1, 3))
+             for k in range(1, N + 1) for p in range(k + 1, N + 1)}
+    return cayley(_generator_mix(j, theta))
 
 
 # ------------------------------------------------------- symplectic frame

@@ -374,27 +374,7 @@ class ScalarExpr:
             return self
         if self is _S_ONE:
             return other
-        # Nonzero times nonzero is nonzero in Q(i, sqrt2), so only sums
-        # can cancel; for the same reason the top v-degree of a product
-        # never cancels, and the cap is checked per pair of terms.
-        out: dict = {}
-        for (s1, v1), c1 in self.terms.items():
-            for (s2, v2), c2 in other.terms.items():
-                ve = v1 + v2
-                if ve > _V_CAP:
-                    raise DegreeCapError("v-degree %d exceeds cap %d" % (ve, _V_CAP))
-                e = (s1 + s2, ve)
-                p = c1 * c2
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = p
-                    continue
-                s = acc + p
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return ScalarExpr._raw(out)
+        return ScalarExpr._raw(_scalar_dot(((self, other),)))
 
     __rmul__ = __mul__
 
@@ -480,6 +460,35 @@ class ScalarExpr:
 
 _S_ZERO = ScalarExpr()
 _S_ONE = ScalarExpr({(0, 0): _C_ONE})
+
+
+def _scalar_dot(pairs) -> dict:
+    """The terms of the sum of s1 * s2 over the (s1, s2) pairs of scalars:
+    a map from (s, v) exponents to nonzero coefficients.
+
+    Nonzero times nonzero is nonzero in Q(i, sqrt2), so only sums cancel;
+    for the same reason the top v-degree of a product never cancels, and
+    the cap is checked per pair of terms.
+    """
+    out: dict = {}
+    for s1, s2 in pairs:
+        for (se1, ve1), c1 in s1.terms.items():
+            for (se2, ve2), c2 in s2.terms.items():
+                ve = ve1 + ve2
+                if ve > _V_CAP:
+                    raise DegreeCapError("v-degree %d exceeds cap %d" % (ve, _V_CAP))
+                e = (se1 + se2, ve)
+                c = c2 if c1 is _C_ONE else c1 if c2 is _C_ONE else c1 * c2
+                t = out.get(e)
+                if t is None:
+                    out[e] = c
+                    continue
+                t = t + c
+                if t:
+                    out[e] = t
+                else:
+                    del out[e]
+    return out
 
 
 def _coerce_scalar(x) -> ScalarExpr:
@@ -633,25 +642,49 @@ class DualElement:
             return self
         if self is one:
             return other
-        out: dict = {}
-        for m1, s1 in self.terms.items():
-            for m2, s2 in other.terms.items():
-                if m1 & m2:
-                    continue  # a squared nilpotent dies
-                m = m1 | m2
-                p = s1 * s2
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = p
-                    continue
-                t = acc + p
-                if t:
-                    out[m] = t
-                else:
-                    del out[m]
-        return DualElement._raw(n, out)
+        return DualElement.dot(n, ((self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, n: int, pairs) -> "DualElement":
+        """The sum of a * b over the (a, b) pairs of elements of D_n.
+
+        The scalar pairs that land on each subset are collected and summed
+        once by ``_scalar_dot`` (a subset reached by one pair takes the
+        plain product), so no product or partial sum is formed per pair.
+        ``*`` is the one-pair case: a squared nilpotent dies, and a
+        v-degree above ``_V_CAP`` raises ``DegreeCapError``.
+        """
+        by_subset: dict = {}
+        for a, b in pairs:
+            if a.n != n or b.n != n:
+                raise DimensionError("operand outside D_%d" % n)
+            for m1, s1 in a.terms.items():
+                for m2, s2 in b.terms.items():
+                    if m1 & m2:
+                        continue  # a squared nilpotent dies
+                    scalars = by_subset.get(m1 | m2)
+                    if scalars is None:
+                        by_subset[m1 | m2] = [(s1, s2)]
+                    else:
+                        scalars.append((s1, s2))
+        terms: dict = {}
+        for m, scalars in by_subset.items():
+            if len(scalars) == 1:
+                (s1, s2), = scalars
+                s = s1 * s2  # ScalarExpr has no zero divisors
+            else:
+                out = _scalar_dot(scalars)
+                if not out:
+                    continue
+                s = ScalarExpr._raw(out)
+            # a coefficient equal to one is stored as the interned one,
+            # which later products short-cut and every such one shares
+            terms[m] = _S_ONE if s.terms == _S_ONE.terms else s
+        if len(terms) == 1 and terms.get(0) is _S_ONE:
+            return _D_ONES[n]
+        return DualElement._raw(n, terms)
 
     def __pow__(self, k: int) -> "DualElement":
         if k < 0:
@@ -687,10 +720,9 @@ class DualElement:
 
     def specialize(self, j: "JSignature") -> "DualElement":
         """Apply q^a -> 1 + a*J*v to every scalar coefficient."""
-        out = DualElement.zero(self.n)
-        for m, s in self.terms.items():
-            out = out + DualElement.monomial(self.n, m) * specialize_q(s, j)
-        return out
+        n = self.n
+        return DualElement.dot(n, [(DualElement._raw(n, {m: _S_ONE}), specialize_q(s, j))
+                                   for m, s in self.terms.items()])
 
     # -- rendering ----------------------------------------------------
 

@@ -5,6 +5,11 @@ central.  Symbols carry a tensor-copy label, and symbols with distinct
 copies commute — words are kept normalized with copies in ascending order
 (stable, so the order inside each copy is untouched).
 
+``NCPoly.dot`` is the one place where word products are formed: ``*``,
+matrix-product entries and the exchange components and certificates of
+``qgroup`` all go through it, and it sums the coefficients that land on
+each output word once, in ``DualElement.dot``.
+
 There is no normal form modulo a relation ideal here: ideal membership is
 shown by explicit certificates, built and replayed by exact expansion
 where a claim needs one (see ``qgroup``).
@@ -168,34 +173,48 @@ class NCPoly:
             # a nilpotent c can kill a term
             return NCPoly(self.n, {w: t for w, u in self.terms.items() if (t := u * c)},
                           normalized=True)
-        if other.n != self.n:
-            raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            last = w1[-1].copy if w1 else -1
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                # both words are canonical: already in copy order unless
-                # w1 ends in a later copy than w2 starts
-                w = w1 + w2
-                if w2 and last > w2[0].copy:
-                    w = canonical_word(w)
-                acc = out.get(w)
-                if acc is None:
-                    out[w] = c
-                    continue
-                t = acc + c
-                if t:
-                    out[w] = t
-                else:
-                    del out[w]
-        return NCPoly(self.n, out, normalized=True)
+        return NCPoly.dot(self.n, ((self, other),))
 
     def __rmul__(self, other) -> "NCPoly":
         # scalars only (NCPoly * NCPoly is handled by __mul__)
         return self * other
+
+    @classmethod
+    def dot(cls, n: int, pairs) -> "NCPoly":
+        """The sum of p * q over the (p, q) pairs of polynomials over D_n.
+
+        The coefficient pairs that land on each output word are collected
+        and summed once by ``DualElement.dot`` (a word reached by one pair
+        takes the plain product), so no product polynomial or partial sum
+        is built per pair.
+        """
+        by_word: dict = {}
+        for p, q in pairs:
+            if p.n != n or q.n != n:
+                raise DimensionError("operand outside D_%d" % n)
+            for w1, c1 in p.terms.items():
+                last = w1[-1].copy if w1 else -1
+                for w2, c2 in q.terms.items():
+                    # both words are canonical: already in copy order unless
+                    # w1 ends in a later copy than w2 starts
+                    w = w1 + w2
+                    if w2 and last > w2[0].copy:
+                        w = canonical_word(w)
+                    coeffs = by_word.get(w)
+                    if coeffs is None:
+                        by_word[w] = [(c1, c2)]
+                    else:
+                        coeffs.append((c1, c2))
+        out = {}
+        for w, coeffs in by_word.items():
+            if len(coeffs) == 1:
+                (c1, c2), = coeffs
+                c = c1 * c2
+            else:
+                c = DualElement.dot(n, coeffs)
+            if c:
+                out[w] = c
+        return cls(n, out, normalized=True)
 
     # -- coefficient maps ----------------------------------------------
 

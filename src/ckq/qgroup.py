@@ -49,11 +49,8 @@ def t_symbols(j: JSignature, copy: int = 0) -> tuple:
 
 def _split_entry(n: int, pat: dict, i: int, k: int, copy: int) -> NCPoly:
     """sum_W iota_W * t[i,k;W] over the weight pattern of entry (i,k)."""
-    acc = NCPoly.zero(n)
-    for mask in pat[(i, k)]:
-        acc = acc + NCPoly.gen(n, mat_symbol(i, k, mask, copy),
-                               DualElement.monomial(n, mask))
-    return acc
+    return NCPoly(n, {(mat_symbol(i, k, mask, copy),): DualElement.monomial(n, mask)
+                      for mask in pat[(i, k)]}, normalized=True)
 
 
 def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
@@ -88,8 +85,10 @@ class RelationSet:
     """Relations (NCPoly = 0) with provenance tags, deduplicated up to sign.
 
     ``p in rels`` holds when p or -p is one of the relations, compared by
-    ``NCPoly``'s own ``==`` and ``hash``; ``add`` keeps a relation only
-    when it is not already in.
+    ``NCPoly``'s own ``==``; ``add`` keeps a relation only when it is not
+    already in.  The relations are bucketed by the hash of their word set,
+    which p and -p share, so -p is built only when a relation on the same
+    words is held.
     """
 
     __slots__ = ("n", "polys", "sources", "_held")
@@ -98,15 +97,18 @@ class RelationSet:
         self.n = n
         self.polys: list = []
         self.sources: list = []
-        self._held: set = set()
+        self._held: dict = {}
 
     def __contains__(self, p: NCPoly) -> bool:
-        return p in self._held or -p in self._held
+        return _holds(self._held.get(hash(frozenset(p.terms)), ()), p)
 
     def add(self, p: NCPoly, source: str) -> bool:
-        if not p or p in self:
+        if not p:
             return False
-        self._held.add(p)
+        held = self._held.setdefault(hash(frozenset(p.terms)), [])
+        if _holds(held, p):
+            return False
+        held.append(p)
         self.polys.append(p)
         self.sources.append(source)
         return True
@@ -131,6 +133,11 @@ class RelationSet:
         return out
 
 
+def _holds(held, p: NCPoly) -> bool:
+    """Whether p or -p is in ``held``, relations on p's word set."""
+    return bool(held) and (p in held or -p in held)
+
+
 def _braid_index(R: QTensor) -> tuple:
     """R's nonzero components grouped by output pair and by input pair."""
     rows: dict = {}
@@ -145,12 +152,10 @@ def _rtt_component(T: CKMatrix, index: tuple, i: int, jj: int, k: int,
                    l: int) -> NCPoly:
     """Component (i,j,k,l) of R T1 T2 - T2 T1 R, from _braid_index(R)."""
     rows, cols = index
-    acc = NCPoly.zero(T.n)
-    for (a, b), val in rows.get((i, jj), ()):
-        acc = acc + (T.entry(a, k) * T.entry(b, l)) * val
-    for (a, b), val in cols.get((k, l), ()):
-        acc = acc - (T.entry(jj, b) * T.entry(i, a)) * val
-    return acc
+    e = T.entry
+    return NCPoly.dot(
+        T.n, [(e(a, k), e(b, l) * val) for (a, b), val in rows.get((i, jj), ())]
+        + [(e(jj, b), e(i, a) * -val) for (a, b), val in cols.get((k, l), ())])
 
 
 def rtt_components(T: CKMatrix, R: QTensor) -> dict:
@@ -226,11 +231,9 @@ def coproduct(p: NCPoly, leg: int = 0) -> NCPoly:
             return NCPoly.gen(n, g)
         if g.copy > leg:
             return NCPoly.gen(n, g.with_copy(g.copy + 1))
-        acc = NCPoly.zero(n)
-        for m in range(1, N + 1):
-            acc = acc + (NCPoly.gen(n, GenSymbol("mat", g.i, m, 0, leg))
-                         * NCPoly.gen(n, GenSymbol("mat", m, g.k, 0, leg + 1)))
-        return acc
+        return NCPoly.dot(n, [(NCPoly.gen(n, GenSymbol("mat", g.i, m, 0, leg)),
+                               NCPoly.gen(n, GenSymbol("mat", m, g.k, 0, leg + 1)))
+                              for m in range(1, N + 1)])
 
     return p.substitute(fn)
 
@@ -371,18 +374,23 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
         """relA is rtt_components(A, R)."""
         relB = rtt_components(B, R)
         P = A @ B
+        # BB[a,b,k,l] = B[a,k] B[b,l] and AA[jj,b,i,a] = A[jj,b] A[i,a]
+        BB = {(a, b, k, l): B.entry(a, k) * B.entry(b, l)
+              for (a, b) in pairs for (k, l) in pairs}
+        AA = {(jj, b, i, a): A.entry(jj, b) * A.entry(i, a)
+              for (jj, b) in pairs for (i, a) in pairs}
         checked = 0
         for (i, jj, k, l) in relA:
             target = _rtt_component(P, index, i, jj, k, l)
-            acc = NCPoly.zero(j.n)
+            terms = []
             for (a, b) in pairs:
                 left = relA[(i, jj, a, b)]
                 if left:
-                    acc = acc + left * (B.entry(a, k) * B.entry(b, l))
+                    terms.append((left, BB[(a, b, k, l)]))
                 right = relB[(a, b, k, l)]
                 if right:
-                    acc = acc + (A.entry(jj, b) * A.entry(i, a)) * right
-            if acc != target:
+                    terms.append((AA[(jj, b, i, a)], right))
+            if NCPoly.dot(j.n, terms) != target:
                 raise ArithmeticError(
                     "certificate mismatch at %s" % ((i, jj, k, l),))
             checked += 1

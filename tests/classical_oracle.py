@@ -3,10 +3,14 @@
 The package samples group elements by the Cayley transform and reads the
 symplectic weight pattern off the frame change.  These helpers build the
 same objects from the definition instead: a parameter matrix weighted
-slot by slot, the weighted Cartesian point, and the two invariant forms.
+slot by slot, the weighted Cartesian point, the two invariant forms, the
+Lie algebra generators, and a Cayley sample as the transform of a sum of
+scaled generators.
 """
 
-from ckq.ckclassical import CKMatrix
+from fractions import Fraction
+
+from ckq.ckclassical import CKMatrix, cayley
 from ckq.coeffring import DimensionError, DualElement, ScalarExpr
 
 
@@ -93,3 +97,31 @@ def in_generator_span(M: CKMatrix, j) -> bool:
             if not carries_weight(M.entry(k, p), j.weight(k, p)):
                 return False
     return True
+
+
+def generator_by_definition(k: int, p: int, j) -> CKMatrix:
+    """J(k,p) (e_kp - e_pk): the weight at (k,p), its negation at (p,k)."""
+    w = j.J(k, p)
+
+    def fn(i, m):
+        if (i, m) == (k, p):
+            return w
+        if (i, m) == (p, k):
+            return -w
+        return DualElement.zero(j.n)
+
+    return CKMatrix.build(j.N, j.n, fn)
+
+
+def random_cayley_by_generators(j, rng, span: int = 3) -> CKMatrix:
+    """``ckclassical.random_cayley`` from its definition: the Cayley
+    transform of the sum of theta * J(k,p) (e_kp - e_pk), drawing theta
+    for each k < p in row-major order."""
+    N = j.N
+    X = CKMatrix.identity(N, j.n).map_entries(lambda e: e * 0)
+    for k in range(1, N + 1):
+        for p in range(k + 1, N + 1):
+            theta = Fraction(rng.randint(-span, span), rng.randint(1, 3))
+            if theta:
+                X = X + generator_by_definition(k, p, j).map_entries(lambda e: e * theta)
+    return cayley(X)

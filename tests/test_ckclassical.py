@@ -29,9 +29,11 @@ from classical_oracle import (
     apply_matrix,
     carries_weight,
     cartesian_vector,
+    generator_by_definition,
     in_generator_span,
     make_special,
     quadratic_form,
+    random_cayley_by_generators,
 )
 from conftest import all_signatures, seeded
 
@@ -82,7 +84,7 @@ def test_cayley_boost_frozen():
     assert G.entry(1, 2) == i1 * 2
     assert G.entry(2, 1) == -(i1 * 2)
     # half-angle parameter
-    H = cayley(X.scale(Fraction(1, 2)))
+    H = cayley(X.map_entries(lambda e: e * Fraction(1, 2)))
     assert H.entry(1, 2) == i1
     assert H.entry(2, 1) == -i1
 
@@ -96,7 +98,7 @@ def test_cayley_rotation_frozen():
     assert G.entry(2, 1) == -DualElement.one(1)
     assert G.entry(2, 2) == DualElement.zero(1)
     # t = 1/2 gives the (3/5, 4/5) rotation
-    H = cayley(lie_generator(1, 2, j).scale(Fraction(1, 2)))
+    H = cayley(lie_generator(1, 2, j).map_entries(lambda e: e * Fraction(1, 2)))
     assert H.entry(1, 1) == DualElement.scalar(1, Fraction(3, 5))
     assert H.entry(1, 2) == DualElement.scalar(1, Fraction(4, 5))
 
@@ -107,6 +109,25 @@ def test_cayley_elements_are_orthogonal():
         for j in all_signatures(N):
             for _ in range(2):
                 assert is_j_orthogonal(random_cayley(j, rng))
+
+
+def test_lie_generator_is_the_weighted_antisymmetric_unit():
+    for N in (2, 3, 4):
+        for j in all_signatures(N)[::3]:
+            for k in range(1, N + 1):
+                for p in range(k + 1, N + 1):
+                    assert lie_generator(k, p, j) == generator_by_definition(k, p, j)
+
+
+def test_random_cayley_is_the_transform_of_scaled_generators():
+    # same draws in the same order, so every seed gives the same samples
+    for N in (2, 3, 4, 5):
+        for j in all_signatures(N)[::3]:
+            for seed in ("a", "b", "c"):
+                rng, ref = seeded(seed + str(j)), seeded(seed + str(j))
+                for _ in range(2):
+                    assert random_cayley(j, rng) == random_cayley_by_generators(j, ref)
+                assert rng.random() == ref.random()
 
 
 def test_cayley_entries_carry_weights():

@@ -223,6 +223,18 @@ def test_nilpotency():
     assert ((iota(n, 1) * iota(n, 2)) * iota(n, 1)).is_zero()
 
 
+def test_products_equal_to_one_are_the_interned_one():
+    # specialized relation sets share one coefficient object per unit value
+    n = 2
+    half, two = DualElement.scalar(n, Fraction(1, 2)), DualElement.scalar(n, 2)
+    assert half * two is DualElement.one(n)
+    assert DualElement.dot(n, [(half, half)] * 4) is DualElement.one(n)
+    x = DualElement(n, {0: ScalarExpr.from_value(Fraction(1, 2)), 1: ScalarExpr.from_value(3)})
+    assert (x * two).terms[0] is ScalarExpr.one()
+    j = JSignature.parse("iota,1")
+    assert DualElement.scalar(j.n, ScalarExpr.q_power(2)).specialize(j).terms[0] is ScalarExpr.one()
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionError):
         iota(2, 1) + iota(3, 1)

@@ -1,0 +1,204 @@
+"""Property tests of the fused sum-of-products kernels against the naive
+left fold of ``*`` and ``+``.
+
+``DualElement.dot``, ``NCPoly.dot`` and ``CKMatrix.__matmul__`` accumulate
+each output coefficient once, and ``*`` is their one-pair case; the
+references here build every term product and every partial sum from the
+definitions, without ``*`` of D_n or of polynomials.  Derandomized, so every run draws the same
+examples.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ckq.ckclassical import CKMatrix  # noqa: E402
+from ckq.coeffring import _V_CAP, Cyclo8, DegreeCapError, DualElement, ScalarExpr  # noqa: E402
+from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
+
+PROPS = settings(derandomize=True, max_examples=100, deadline=None)
+FEW = settings(PROPS, max_examples=30)
+N = 3  # D_3: three nilpotent generators
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+cyclos = st.one_of(st.builds(Cyclo8, small),
+                   st.builds(Cyclo8, small, small, st.integers(-1, 1), st.integers(-1, 1)))
+# v-exponents up to the cap, so products can exceed it
+scalars = st.one_of(
+    st.just(ScalarExpr.one()),
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, _V_CAP)),
+                    cyclos, max_size=3).map(ScalarExpr),
+)
+# masks overlap freely, so iota_k^2 kills are common
+duals = st.dictionaries(st.integers(0, (1 << N) - 1), scalars, max_size=3).map(
+    lambda terms: DualElement(N, terms))
+low_duals = st.dictionaries(
+    st.integers(0, (1 << N) - 1),
+    st.one_of(st.just(ScalarExpr.one()),
+              st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 1)),
+                              cyclos, max_size=2).map(ScalarExpr)),
+    max_size=3).map(lambda terms: DualElement(N, terms))
+
+# symbols on copies 0..2: a product of words with mixed copy labels must be
+# sorted by copy (canonical_word)
+symbols = st.builds(mat_symbol, st.integers(1, 2), st.integers(1, 2),
+                    st.just(0), st.integers(0, 2))
+words = st.lists(symbols, max_size=2).map(tuple)
+polys = st.dictionaries(words, low_duals, max_size=3).map(lambda t: NCPoly(N, t))
+
+
+def with_cancellation(pairs, draw):
+    """Insert the negation of some pair and then the pair again, so an
+    output coefficient cancels to zero partway and is re-added."""
+    pairs = list(pairs)
+    if pairs:
+        k = draw(st.integers(0, len(pairs) - 1))
+        a, b = pairs[k]
+        pairs[k + 1:k + 1] = [(-a, b), (a, b)]
+    return pairs
+
+
+def naive_dual_mul(a, b):
+    """D_n product by its definition: one partial sum per pair of terms,
+    a squared nilpotent dies, and ``ScalarExpr`` refuses a v-degree above
+    the cap."""
+    acc = DualElement.zero(N)
+    for m1, s1 in a.terms.items():
+        for m2, s2 in b.terms.items():
+            if m1 & m2:
+                continue
+            for (se1, ve1), c1 in s1.terms.items():
+                for (se2, ve2), c2 in s2.terms.items():
+                    e = (se1 + se2, ve1 + ve2)
+                    acc = acc + DualElement(N, {m1 | m2: ScalarExpr({e: c1 * c2})})
+    return acc
+
+
+def naive_mul(p, q):
+    """NCPoly product by its definition: one coefficient product and one
+    partial sum per pair of words."""
+    acc = NCPoly.zero(N)
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            acc = acc + NCPoly(N, {w1 + w2: naive_dual_mul(c1, c2)})
+    return acc
+
+
+def fold(zero, products):
+    """The naive left fold: build each product, then each partial sum."""
+    acc = zero
+    for make in products:
+        try:
+            acc = acc + make()
+        except DegreeCapError:
+            return DegreeCapError
+    return acc
+
+
+def kernel(fn, *args):
+    try:
+        return fn(*args)
+    except DegreeCapError:
+        return DegreeCapError
+
+
+@st.composite
+def dual_pairs(draw, elements=duals):
+    pairs = draw(st.lists(st.tuples(elements, elements), max_size=5))
+    return with_cancellation(pairs, draw)
+
+
+@PROPS
+@given(dual_pairs())
+def test_dot_is_the_fold_of_products(pairs):
+    want = fold(DualElement.zero(N), [lambda a=a, b=b: naive_dual_mul(a, b) for a, b in pairs])
+    got = kernel(DualElement.dot, N, pairs)
+    assert got == want
+    if got is not DegreeCapError:
+        assert all(s and all(s.terms.values()) for s in got.terms.values())
+
+
+def test_dot_kills_squared_nilpotents_and_caps_the_v_degree():
+    i1, i2 = DualElement.iota(N, 1), DualElement.iota(N, 2)
+    assert DualElement.dot(N, [(i1, i1 + i2), (i2, i1)]) == i1 * i2 * 2
+    assert DualElement.dot(N, [(i1, i2), (-i2, i1)]) == DualElement.zero(N)
+    hi = DualElement.scalar(N, ScalarExpr.v_power(_V_CAP - 1))
+    v = DualElement.scalar(N, ScalarExpr.v_power(1))
+    assert DualElement.dot(N, [(hi, v)]) == hi * v
+    with pytest.raises(DegreeCapError):
+        DualElement.dot(N, [(hi, v), (hi, v * v)])
+
+
+@PROPS
+@given(duals, duals)
+def test_dual_product_is_the_one_pair_dot(a, b):
+    assert kernel(a.__mul__, b) == kernel(naive_dual_mul, a, b)
+
+
+@st.composite
+def poly_pairs(draw):
+    # q scaled by an integer or an element of D_n, as in the exchange
+    # components
+    coeff = st.one_of(st.integers(-2, 2), low_duals)
+    pairs = draw(st.lists(st.tuples(polys, st.tuples(polys, coeff)), max_size=4))
+    return with_cancellation([(p, q * c) for p, (q, c) in pairs], draw)
+
+
+@PROPS
+@given(poly_pairs())
+def test_poly_dot_is_the_fold_of_products(pairs):
+    want = fold(NCPoly.zero(N), [lambda p=p, q=q: naive_mul(p, q) for p, q in pairs])
+    got = kernel(NCPoly.dot, N, pairs)
+    assert got == want
+    if got is not DegreeCapError:
+        assert all(c for c in got.terms.values())
+        assert NCPoly(N, got.terms).terms == got.terms  # words are canonical
+
+
+@PROPS
+@given(polys, polys)
+def test_poly_product_is_the_one_pair_dot(p, q):
+    assert kernel(p.__mul__, q) == kernel(naive_mul, p, q)
+
+
+def test_poly_dot_sorts_mixed_copies():
+    a0, a1, b2 = mat_symbol(1, 1, 0, 0), mat_symbol(1, 2, 0, 1), mat_symbol(2, 1, 0, 2)
+    p = NCPoly.gen(N, a1) + NCPoly.gen(N, b2)
+    q = NCPoly.gen(N, a0)
+    got = NCPoly.dot(N, [(p, q), (q, p * -1)])
+    assert got == NCPoly.zero(N)  # distinct copies commute
+    got = NCPoly.dot(N, [(p, q * 2), (q, p)])
+    assert got == naive_mul(p, q) * 3
+    assert got.terms == {(a0, a1): DualElement.scalar(N, 3), (a0, b2): DualElement.scalar(N, 3)}
+
+
+def matrices(entries, size=3):
+    return st.lists(st.lists(entries, min_size=size, max_size=size),
+                    min_size=size, max_size=size).map(CKMatrix)
+
+
+def naive_matmul(A, B, zero, mul):
+    rows = []
+    for i in range(A.N):
+        row = []
+        for k in range(A.N):
+            row.append(fold(zero, [lambda a=A.rows[i][m], b=B.rows[m][k]: mul(a, b)
+                                   for m in range(A.N)]))
+        rows.append(row)
+    if any(e is DegreeCapError for r in rows for e in r):
+        return DegreeCapError
+    return CKMatrix(rows)
+
+
+@FEW
+@given(matrices(duals), matrices(duals))
+def test_matmul_over_dn_is_the_fold(A, B):
+    assert kernel(A.__matmul__, B) == naive_matmul(A, B, DualElement.zero(N), naive_dual_mul)
+
+
+@FEW
+@given(matrices(polys, 2), matrices(polys, 2))
+def test_matmul_over_polynomials_is_the_fold(A, B):
+    assert kernel(A.__matmul__, B) == naive_matmul(A, B, NCPoly.zero(N), naive_mul)

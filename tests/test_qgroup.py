@@ -393,6 +393,34 @@ def test_sign_key_is_key_up_to_sign(j, contracted):
     assert len({canon(p) for p in rels}) == size
 
 
+@pytest.mark.parametrize("j", [JSignature.parse(raw) for raw in ("1,1,1", "iota,1,iota")], ids=str)
+def test_relation_set_refuses_negations_and_accepts_new_words(j, monkeypatch):
+    """At N=4: -p is refused, p plus a generator is accepted, and a
+    candidate on a word set that no relation has builds no -p."""
+    source = QuantumCKGroup(j).relations()
+    rels = RelationSet(source.n)
+    for p, src in source.tagged():
+        assert rels.add(p, src)
+    g = NCPoly.gen(j.n, t_symbols(j)[0])
+    negations = []
+    neg = NCPoly.__neg__
+    monkeypatch.setattr(NCPoly, "__neg__", lambda p: negations.append(p) or neg(p))
+    word_sets = {frozenset(p.terms) for p in source}
+    fresh_seen = 0
+    for p in list(source):
+        assert not rels.add(-p, "flipped")
+        q = p + g
+        fresh = frozenset(q.terms) not in word_sets
+        negations.clear()
+        assert rels.add(q, "shifted")
+        if fresh:
+            fresh_seen += 1
+            assert negations == []
+        word_sets.add(frozenset(q.terms))
+        assert q in rels and -q in rels
+    assert fresh_seen and len(rels) == 2 * len(source)
+
+
 def test_contraction_commutes_compares_relations_up_to_sign():
     G = QuantumCKGroup(JSignature.parse("iota,1"))
     rels = G.relations()
