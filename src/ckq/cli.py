@@ -134,7 +134,7 @@ def cmd_rmatrix(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     G = qgroup.QuantumCKGroup(j)
     R, C = G.R, G.C
-    rp, rm = rmatrix.r_plus_minus(R)
+    rp, rm = rmatrix.r_plus_minus(R, j)
     if ns.format == "json":
         doc = {"config": _config(ns, j),
                "r": render.tensor_json(R),
@@ -194,10 +194,11 @@ def cmd_classical(ns) -> int:
 def cmd_dual(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     G = qgroup.QuantumCKGroup(j)
-    ctx = qdual.DualPairing(G)
     pattern = qdual.formal_l_pattern(j)
-    tables = {family: sorted(ctx.degree_one(family).items())
-              for family in ("upper", "lower")}
+    # the degree-one value tables are the two halves of the braiding
+    rp, rm = rmatrix.r_plus_minus(G.R, j)
+    tables = {"upper": sorted(rp.data.items()),
+              "lower": sorted(rm.data.items())}
     if ns.format == "json":
         doc = {"config": _config(ns, j),
                "pattern": render.pattern_json(pattern),
@@ -451,10 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(N^(2*degree) at most %d; pairing walks "
                         "(N(N+1))^degree words, about a minute at N=3 "
                         "degree 4 and N=5 degree 3)" % MAX_WORDS_PER_PAIR)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("CKQ_JOBS", "1")),
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; suites are dealt out to them "
-                        "in turn (env CKQ_JOBS)")
+                        "in turn")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(fn=cmd_verify)

@@ -378,18 +378,6 @@ class ScalarExpr:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "ScalarExpr":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ScalarExpr.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def inverse(self) -> "ScalarExpr":
         """Invert a unit: a single term with zero v-exponent."""
         if len(self.terms) != 1:
@@ -685,14 +673,6 @@ class DualElement:
         if len(terms) == 1 and terms.get(0) is _S_ONE:
             return _D_ONES[n]
         return DualElement._raw(n, terms)
-
-    def __pow__(self, k: int) -> "DualElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = DualElement.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def inverse(self) -> "DualElement":
         """Inverse via the finite geometric series over the nilpotent part."""

@@ -26,7 +26,7 @@ weight stays in the coefficient ring, where it is well defined.
 
 from itertools import product
 
-from .ckclassical import weight_pattern_symplectic
+from .ckclassical import CKMatrix, weight_pattern_symplectic
 from .coeffring import DualElement, JSignature
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
@@ -122,7 +122,7 @@ class DualPairing:
         self.group = G
         self.N = G.N
         self.n = G.n
-        self.r_plus, self.r_minus = r_plus_minus(G.R)
+        self.r_plus, self.r_minus = r_plus_minus(G.R, G.j)
         self._pattern = weight_pattern_symplectic(G.j)
         self._hops = {}
         for fam in FUNCTIONAL_FAMILIES:
@@ -258,22 +258,6 @@ class DualPairing:
                 total = total + lc * val
         return total
 
-    def degree_one(self, family) -> dict:
-        """Values on assembled entries, keyed like the paired tensor."""
-        T = self.group.T
-        rng = range(1, self.N + 1)
-        fams = (family,)
-        out = {}
-        for i in rng:
-            memo: dict = {}
-            for k in rng:
-                for l in rng:
-                    terms = _terms(self.n, T.entry(k, l), _check_matrix)
-                    for (jj,), val in self._poly_row(fams, (i,), terms,
-                                                     memo).items():
-                        out[(i, k, jj, l)] = val
-        return out
-
 
 def _fold_word(ctx: DualPairing, fams: tuple, word: tuple,
                memos: dict) -> dict:
@@ -336,15 +320,14 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
     """Metric and diagonal laws for the functional rows, as functionals.
 
     Checks, against every product of assembled entries up to the degree:
-    each family is orthogonal for the transposed metric and its inverse
-    (one factor of the sandwich transposed, in either position, exactly
-    as the generating matrix is); opposite diagonal generators are
-    mutually inverse; the full upper diagonal multiplies to the unit
-    functional.
+    each family is orthogonal for the transposed metric (one factor of the
+    sandwich transposed, in either position, exactly as the generating
+    matrix is), which is its own inverse, so this is also the law for the
+    inverse metric; opposite diagonal generators are mutually inverse; the
+    full upper diagonal multiplies to the unit functional.
     """
     N, n = ctx.N, ctx.n
     ct = ctx.group.C.transpose()
-    cti = ct.inverse()
     failures = []
     identities = 0
     words = tuple(entry_words(N, degree))
@@ -354,29 +337,28 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
         for word in words:
             A = _fold_word(ctx, fams, word, memos)
             eps = _position_counit(n, word)
-            for label, M in (("metric", ct), ("inverse-metric", cti)):
-                right: dict = {}
-                left: dict = {}
-                for ((x1, x2), (y1, y2)), av in A.items():
-                    c = M.entry(y1, y2)
-                    if c:
-                        _add_to(right, (x1, x2), c * av)
-                    c = M.entry(x1, x2)
-                    if c:
-                        _add_to(left, (y1, y2), c * av)
-                expect: dict = {}
-                if eps:
-                    for i in range(1, N + 1):
-                        for k in range(1, N + 1):
-                            e = M.entry(i, k)
-                            if e:
-                                expect[(i, k)] = e * eps
-                for law, vals in (("sandwich-right", right),
-                                  ("sandwich-left", left)):
-                    identities += 1
-                    if vals != expect:
-                        failures.append({"family": fam, "metric": label,
-                                         "law": law, "word": word})
+            right: dict = {}
+            left: dict = {}
+            for ((x1, x2), (y1, y2)), av in A.items():
+                c = ct.entry(y1, y2)
+                if c:
+                    _add_to(right, (x1, x2), c * av)
+                c = ct.entry(x1, x2)
+                if c:
+                    _add_to(left, (y1, y2), c * av)
+            expect: dict = {}
+            if eps:
+                for i in range(1, N + 1):
+                    for k in range(1, N + 1):
+                        e = ct.entry(i, k)
+                        if e:
+                            expect[(i, k)] = e * eps
+            for law, vals in (("sandwich-right", right),
+                              ("sandwich-left", left)):
+                identities += 1
+                if vals != expect:
+                    failures.append({"family": fam, "law": law,
+                                     "word": word})
     zero = DualElement.zero(n)
     for k in range(1, N + 1):
         for fams in (("upper", "lower"), ("lower", "upper")):
@@ -431,42 +413,31 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
 def verify_antipode_duality(ctx: DualPairing) -> dict:
     """Degree-one mirror law: pairing the twisted-transpose functional
     against an entry equals pairing the functional against the antipode
-    entry."""
-    N = ctx.N
+    entry.
+
+    For each family's table R, and with the involutive metric C, this is
+    (C^t X^kl C^t)[i,j] = (C Y^ij C)[k,l] for X^kl[a,b] = R(b,k,a,l) and
+    Y^ij[c,d] = R(i,d,j,c), compared entry by entry.
+    """
+    N, n = ctx.N, ctx.n
     C = ctx.group.C
-    ci = C.inverse()
     ct = C.transpose()
-    cti = ct.inverse()
+    rng = range(1, N + 1)
     mismatches = 0
     checked = 0
-    rng = range(1, N + 1)
     for fam in FUNCTIONAL_FAMILIES:
         R = ctx.tensor(fam)
+        lhs = {(k, l): ct @ CKMatrix.build(
+                   N, n, lambda a, b: R.get(b, k, a, l)) @ ct
+               for k in rng for l in rng}
         for i in rng:
             for jj in rng:
-                for k in rng:
-                    for l in rng:
-                        lhs = DualElement.zero(ctx.n)
-                        for a in rng:
-                            u = ct.entry(i, a)
-                            if not u:
-                                continue
-                            for b in rng:
-                                v = cti.entry(b, jj)
-                                if v:
-                                    lhs = lhs + u * v * R.get(b, k, a, l)
-                        rhs = DualElement.zero(ctx.n)
-                        for c in rng:
-                            u = C.entry(k, c)
-                            if not u:
-                                continue
-                            for d in rng:
-                                v = ci.entry(d, l)
-                                if v:
-                                    rhs = rhs + u * v * R.get(i, d, jj, c)
-                        checked += 1
-                        if lhs != rhs:
-                            mismatches += 1
+                rhs = C @ CKMatrix.build(
+                    N, n, lambda c, d: R.get(i, d, jj, c)) @ C
+                for (k, l), sandwich in lhs.items():
+                    checked += 1
+                    if sandwich.entry(i, jj) != rhs.entry(k, l):
+                        mismatches += 1
     return {"ok": mismatches == 0, "checked": checked,
             "mismatches": mismatches}
 

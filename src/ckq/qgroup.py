@@ -9,9 +9,10 @@ The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
 entry is the D-valued combination sum_W iota_W * t[i,k;W].  The defining
 ideal collects the braid-exchange components R T1 T2 - T2 T1 R and the
-quantum orthogonality T C T^t = T^t C T = C (plus the same with C^(-1),
-which the antipode axiom consumes).  T and every matrix built from it are
-``CKMatrix`` instances with ``NCPoly`` entries.
+quantum orthogonality T C T^t = T^t C T = C.  The metric is an involution,
+C^(-1) = C, checked when the group builds it, so the same family serves
+the antipode axiom.  T and every matrix built from it are ``CKMatrix``
+instances with ``NCPoly`` entries.
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
 expansion; the compatibility of the coproduct with the exchange relations
@@ -73,9 +74,20 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
 
 
 def expand_atomic(p: NCPoly, j: JSignature) -> NCPoly:
-    """The splitting homomorphism: t[i,k] -> sum_W iota_W * t[i,k;W]."""
+    """The splitting homomorphism: t[i,k] -> sum_W iota_W * t[i,k;W].
+
+    Each distinct symbol's split entry is built once per call.
+    """
     pat = weight_pattern_symplectic(j)
-    return p.substitute(lambda g: _split_entry(j.n, pat, g.i, g.k, g.copy))
+    split: dict = {}
+
+    def fn(g):
+        e = split.get(g)
+        if e is None:
+            e = split[g] = _split_entry(j.n, pat, g.i, g.k, g.copy)
+        return e
+
+    return p.substitute(fn)
 
 
 # ------------------------------------------------------------- relation sets
@@ -190,15 +202,14 @@ def orthogonality_components(T: CKMatrix, M: CKMatrix) -> list:
 
 
 def orthogonality_relations(T: CKMatrix, C: CKMatrix) -> RelationSet:
-    """Quantum orthogonality for the metric and for its inverse.
+    """Quantum orthogonality T C T^t = T^t C T = C.
 
-    The inverse-metric family is consumed by the antipode axiom; for this
-    metric C^(-1) = C, so deduplication collapses the two families.
+    The antipode axiom consumes the same family for C^(-1), which is C
+    itself: ``QuantumCKGroup.C`` checks that the metric is an involution.
     """
     rels = RelationSet(T.n)
-    for M in (C, C.inverse()):
-        for p in orthogonality_components(T, M):
-            rels.add(p, "orth")
+    for p in orthogonality_components(T, C):
+        rels.add(p, "orth")
     return rels
 
 
@@ -262,8 +273,10 @@ def counit_leg(p: NCPoly, leg: int = 0) -> NCPoly:
 
 
 def antipode(T: CKMatrix, C: CKMatrix) -> CKMatrix:
-    """S(T) = C T^t C^(-1), entrywise scalar times a mirrored entry."""
-    return _scalars(C) @ T.transpose() @ _scalars(C.inverse())
+    """S(T) = C T^t C^(-1) = C T^t C for the involutive metric, entrywise
+    scalar times a mirrored entry."""
+    Cp = _scalars(C)
+    return Cp @ T.transpose() @ Cp
 
 
 # ------------------------------------------------------------- verification
@@ -299,8 +312,13 @@ class QuantumCKGroup:
 
     @cached_property
     def C(self) -> CKMatrix:
+        """The metric, checked to be an involution: C^(-1) reads C."""
         C = frt_c(self.N, self.n)
-        return contract(C, self.j) if self.contracted else C
+        if self.contracted:
+            C = contract(C, self.j)
+        if not (C @ C).is_identity():
+            raise ArithmeticError("the metric is not an involution")
+        return C
 
     @cached_property
     def T(self) -> CKMatrix:
@@ -420,6 +438,9 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
 
         S(T) T - I = C L,        T S(T) - I = M C^(-1).
 
+    The metric is an involution (``QuantumCKGroup.C`` checks it), so
+    C^(-1) reads C throughout.
+
     Both identities are replayed by exact expansion; a mismatch raises
     ArithmeticError.  The certificate holds when every nonzero entry of L
     and M is (up to sign) a generator of the relation set; the entries
@@ -434,14 +455,13 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     T = G.T
     N, n = G.N, G.n
     Cp = _scalars(G.C)
-    Ci = _scalars(G.C.inverse())
     I = _scalars(CKMatrix.identity(N, n))
     S = antipode(T, G.C)
-    L = T.transpose() @ Ci @ T - Ci
+    L = T.transpose() @ Cp @ T - Cp
     M = T @ Cp @ T.transpose() - Cp
     if (S @ T) - I != Cp @ L:
         raise ArithmeticError("certificate mismatch in S(T)T - I = C L")
-    if (T @ S) - I != M @ Ci:
+    if (T @ S) - I != M @ Cp:
         raise ArithmeticError("certificate mismatch in TS(T) - I = M C^-1")
     S2 = antipode(S, G.C)
     r2 = rho2(N)

@@ -233,56 +233,31 @@ def contract(x, j: JSignature):
 # ------------------------------------------------------------- inversion
 
 
-def _pair_rank(N: int, i: int, j: int) -> int:
-    return (i - 1) * N + (j - 1)
+def _q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
+    """q^e in the ring R lives in: symbolic, or contracted alongside R."""
+    out = DualElement.scalar(n, ScalarExpr.q_power(e))
+    return out if j is None else out.specialize(j)
 
 
-def inverse_triangular(R: QTensor) -> QTensor:
-    """Invert an operator that is lower triangular in row-major pair order.
+def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
+    """(flip R flip, R^(-1)), checked to be genuine one-sided inverses.
 
-    Forward substitution column by column; diagonal entries must be units.
+    The inverse comes from the cubic of ``verify_cubic``: with e1, e2, e3
+    the elementary symmetric functions of its roots q, -1/q and q^(1-N),
+    Rhat^(-1) = (Rhat^2 - e1 Rhat + e2) / e3 and R^(-1) = Rhat^(-1) flip.
+    Pass the signature used to contract R so the scalars are taken in the
+    same ring.  A tensor off the cubic fails the inverse check.
     """
     N, n = R.N, R.n
-    rows: dict = {}
-    diag_inv: dict = {}
-    for (i, j, k, l), val in R.data.items():
-        if (i, j) == (k, l):
-            diag_inv[(i, j)] = val.inverse()
-        else:
-            if _pair_rank(N, i, j) <= _pair_rank(N, k, l):
-                raise ValueError("operator is not lower triangular")
-            rows.setdefault((i, j), []).append(((k, l), val))
-    pairs = sorted(
-        ((i, j) for i in range(1, N + 1) for j in range(1, N + 1)),
-        key=lambda p: _pair_rank(N, *p),
-    )
-    data: dict = {}
-    for col in pairs:
-        col_rank = _pair_rank(N, *col)
-        x: dict = {col: diag_inv[col]}
-        for row in pairs:
-            if _pair_rank(N, *row) <= col_rank or row not in rows:
-                continue
-            acc = None
-            for below, val in rows[row]:
-                w = x.get(below)
-                if w is None:
-                    continue
-                p = val * w
-                acc = p if acc is None else acc + p
-            if acc is not None and acc:
-                x[row] = -(diag_inv[row] * acc)
-        for row, val in x.items():
-            data[row + col] = val
-    return QTensor(N, n, data)
-
-
-def r_plus_minus(R: QTensor) -> tuple:
-    """(flip R flip, R^(-1)), checked to be genuine one-sided inverses."""
-    P = QTensor.flip(R.N, R.n)
+    P = QTensor.flip(N, n)
     r_plus = P * R * P
-    r_minus = inverse_triangular(R)
-    I = QTensor.identity(R.N, R.n)
+    M = r_hat(R)
+    I = QTensor.identity(N, n)
+    e1 = _q_scalar(n, 1, j) - _q_scalar(n, -1, j) + _q_scalar(n, 1 - N, j)
+    e2 = _q_scalar(n, 2 - N, j) - _q_scalar(n, -N, j) - DualElement.one(n)
+    # 1/e3 = -q^(N-1)
+    r_minus = ((M * M - M.scale(e1) + I.scale(e2)) * P).scale(
+        -_q_scalar(n, N - 1, j))
     if r_minus * R != I or R * r_minus != I:
         raise ArithmeticError("inverse check failed")
     return r_plus, r_minus
@@ -315,12 +290,6 @@ def verify_ybe(R: QTensor) -> bool:
 
 
 # -------------------------------------------------------------- checks
-
-
-def _q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
-    """q^e in the ring R lives in: symbolic, or contracted alongside R."""
-    out = DualElement.scalar(n, ScalarExpr.q_power(e))
-    return out if j is None else out.specialize(j)
 
 
 def verify_cubic(R: QTensor, j: JSignature | None = None) -> bool:
@@ -357,9 +326,10 @@ def metric_vec(C: CKMatrix) -> dict:
 def projector_check(R: QTensor, C: CKMatrix, j: JSignature | None = None) -> bool:
     """Rhat K = q^(1-N) K for the rank-one K = vec(C) vec(C^(-1))^t.
 
-    Since vec(C^(-1)) is nonzero this is exactly the eigenvector identity
-    Rhat vec(C) = q^(1-N) vec(C), which is what gets expanded.  Pass the
-    signature used to contract R so the eigenvalue lives in the same ring.
+    The metric is an involution, so vec(C^(-1)) = vec(C) is nonzero and
+    this is exactly the eigenvector identity Rhat vec(C) = q^(1-N) vec(C),
+    which is what gets expanded.  Pass the signature used to contract R so
+    the eigenvalue lives in the same ring.
     """
     N, n = R.N, R.n
     M = r_hat(R)

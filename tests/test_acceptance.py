@@ -251,7 +251,7 @@ def test_10_flat_limit_degenerates_to_classical_layer():
             failures.append("orthogonality flat %s" % j)
         ctx = DualPairing(G)
         for family in ("upper", "lower"):
-            for (i, k, jj, l), val in ctx.degree_one(family).items():
+            for (i, k, jj, l), val in ctx.tensor(family).data.items():
                 want_one = i == jj and k == l
                 vf = _flat(val)
                 if vf != (vf.one(vf.n) if want_one else vf.zero(vf.n)):

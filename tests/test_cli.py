@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ckq import cli, qdual, qgroup
+from ckq import cli, qdual, qgroup, rmatrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,26 +48,39 @@ def test_rmatrix_json_matches_golden(tmp_path):
 # the sha256 of every document the emit-n5 benchmark workload writes
 N5_DIGESTS = json.loads((GOLDEN / "emit_n5_sha256.json").read_text())
 N5_SIGNATURES = ["1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota"]
+# the sha256 of relations json, rmatrix json/text and dual json/text at
+# every N=3 and N=4 signature
+N34_DIGESTS = json.loads((GOLDEN / "emit_n34_sha256.json").read_text())
+N34_SIGNATURES = sorted({(int(key.split()[2]), key.split()[4])
+                         for key in N34_DIGESTS})
 
 
-def _assert_n5_digests(tmp_path, sig, emits):
+def _assert_digests(tmp_path, digests, N, sig, emits):
     for command, fmt in emits:
-        argv = [command, "--n", "5", "--j", sig, "--format", fmt]
+        argv = [command, "--n", str(N), "--j", sig, "--format", fmt]
         out = tmp_path / (command + "." + fmt)
         assert cli.main(argv + ["--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == N5_DIGESTS[" ".join(argv)], " ".join(argv)
+        assert digest == digests[" ".join(argv)], " ".join(argv)
 
 
 @pytest.mark.parametrize("sig", N5_SIGNATURES)
 def test_relations_n5_match_golden_digests(tmp_path, sig):
-    _assert_n5_digests(tmp_path, sig, [("relations", fmt)
-                                       for fmt in ("json", "text", "latex")])
+    _assert_digests(tmp_path, N5_DIGESTS, 5, sig,
+                    [("relations", fmt) for fmt in ("json", "text", "latex")])
 
 
 @pytest.mark.parametrize("sig", N5_SIGNATURES)
 def test_rmatrix_and_dual_n5_match_golden_digests(tmp_path, sig):
-    _assert_n5_digests(tmp_path, sig, [("rmatrix", "json"), ("dual", "json")])
+    _assert_digests(tmp_path, N5_DIGESTS, 5, sig,
+                    [("rmatrix", "json"), ("dual", "json")])
+
+
+@pytest.mark.parametrize("N,sig", N34_SIGNATURES)
+def test_emit_n3_n4_match_golden_digests(tmp_path, N, sig):
+    _assert_digests(tmp_path, N34_DIGESTS, N, sig,
+                    [("relations", "json"), ("rmatrix", "json"),
+                     ("rmatrix", "text"), ("dual", "json"), ("dual", "text")])
 
 
 def test_output_bytes_stable_across_hash_seeds():
@@ -121,6 +134,12 @@ def test_unknown_suite_exits_2():
     assert "unknown suite" in r.stderr
 
 
+
+
+def test_jobs_environment_variable_is_not_read():
+    # --jobs is the one setting for the worker count
+    r = run_cli(["relations", "--n", "3"], CKQ_JOBS="abc")
+    assert r.returncode == 0, r.stderr
 
 
 def test_verify_fast_suites_pass_exit_0():
@@ -284,6 +303,20 @@ def test_antipode_certificate_mismatch_reports_error(monkeypatch, capsys):
     [result] = json.loads(capsys.readouterr().out)["results"]
     assert result["status"] == "ERROR"
     assert result["detail"].startswith("ArithmeticError: certificate mismatch")
+
+
+def test_metric_not_an_involution_reports_error(monkeypatch, capsys):
+    # C^(-1) is read as C, so a metric that does not square to I must stop
+    # the suite instead of passing on the wrong inverse
+    monkeypatch.setattr(qgroup, "frt_c", lambda N, n=None: rmatrix.frt_c(
+        N, n).map_entries(lambda e: e + e))
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
+                   "antipode", "--jobs", "1", "--format", "json"])
+    assert rc == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["status"] == "ERROR"
+    assert result["detail"] == ("ArithmeticError: the metric is not an "
+                                "involution")
 
 
 def test_wrong_s_squared_shift_reports_fail_exit_1(monkeypatch, capsys):

@@ -301,8 +301,9 @@ def test_antipode_axiom_symbolic(N):
 
 
 def test_metric_is_its_own_inverse():
-    # C^(-1) = C is why the inverse-metric orthogonality family adds no
-    # relation to the emitted ideal: it deduplicates onto the metric family
+    # C^(-1) = C is why one orthogonality family serves the antipode axiom
+    # and why C T^t C is the antipode; QuantumCKGroup.C checks it as C C = I,
+    # and this pins that check against the Gauss-Jordan inverse
     for N in (3, 4, 5):
         for j in all_signatures(N):
             for contracted in (True, False):

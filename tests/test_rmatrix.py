@@ -9,7 +9,6 @@ from ckq.rmatrix import (
     contract,
     frt_c,
     frt_r,
-    inverse_triangular,
     metric_vec,
     mirror,
     projector_check,
@@ -137,10 +136,10 @@ def test_contracted_r_is_identity_mod_nilpotents():
     assert Rc.map_entries(lambda e: e.at_v_zero()) == QTensor.identity(3, 2)
 
 
-def test_inverse_triangular():
+def test_cubic_inverse_symbolic():
     for N in (3, 4):
         R = frt_r(N)
-        Rm = inverse_triangular(R)
+        _, Rm = r_plus_minus(R)
         I = QTensor.identity(N, N - 1)
         assert Rm * R == I
         assert R * Rm == I
@@ -149,10 +148,9 @@ def test_inverse_triangular():
 def test_inverse_commutes_with_contraction():
     N = 3
     R = frt_r(N)
+    _, Rm = r_plus_minus(R)
     for j in all_signatures(N):
-        lhs = contract(inverse_triangular(R), j)
-        rhs = inverse_triangular(contract(R, j))
-        assert lhs == rhs
+        assert contract(Rm, j) == r_plus_minus(contract(R, j), j)[1]
 
 
 def test_fully_contracted_inverse_is_reflection():
@@ -160,14 +158,13 @@ def test_fully_contracted_inverse_is_reflection():
     j = JSignature.parse("iota,iota")
     Rc = contract(frt_r(3), j)
     I = QTensor.identity(3, 2)
-    assert inverse_triangular(Rc) == I.scale(2) - Rc
+    assert r_plus_minus(Rc, j)[1] == I.scale(2) - Rc
 
 
-def test_inverse_rejects_upper_entries():
-    N = 2
-    P = QTensor.flip(N, 1)
-    with pytest.raises(ValueError):
-        inverse_triangular(P)
+def test_inverse_rejects_tensor_off_the_cubic():
+    # the flip has Rhat = I, which is not a root of the cubic
+    with pytest.raises(ArithmeticError):
+        r_plus_minus(QTensor.flip(3, 2))
 
 
 def test_r_plus_minus():
