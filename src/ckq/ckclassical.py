@@ -38,7 +38,7 @@ class CKMatrix:
 
     Entries are D_n elements or noncommutative polynomials (``NCPoly``);
     products, sums, transposes and entry maps work for both, while
-    ``identity``, ``build``, ``is_identity`` and ``inverse`` are for D_n
+    ``identity``, ``build``, ``is_identity`` and ``solve`` are for D_n
     entries only.
     """
 
@@ -117,12 +117,16 @@ class CKMatrix:
                     return False
         return True
 
-    def inverse(self) -> "CKMatrix":
-        """Gauss-Jordan over D_n (D_n entries only); pivots must be units
-        of the local ring."""
+    def solve(self, B: "CKMatrix") -> "CKMatrix":
+        """The X with self @ X = B, by one Gauss-Jordan on [self | B] over
+        D_n (D_n entries only); pivots must be units of the local ring.
+
+        A row update a - f*b skips the zero entries b of the pivot row and
+        forms each other entry as one ``DualElement.dot``.
+        """
         N, n = self.N, self.n
-        work = [list(r) + [DualElement.one(n) if i == k else DualElement.zero(n) for k in range(N)]
-                for i, r in enumerate(self.rows)]
+        one = DualElement.one(n)
+        work = [list(a) + list(b) for a, b in zip(self.rows, B.rows)]
         for col in range(N):
             pivot_row = pivot_inv = None
             for r in range(col, N):
@@ -135,12 +139,14 @@ class CKMatrix:
             if pivot_row is None:
                 raise SingularMatrixError("no invertible pivot in column %d" % (col + 1))
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            work[col] = [e * pivot_inv for e in work[col]]
+            pivot = work[col] = [e * pivot_inv for e in work[col]]
             for r in range(N):
-                if r == col or not work[r][col]:
-                    continue
                 f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+                if r == col or not f:
+                    continue
+                f = -f
+                work[r] = [DualElement.dot(n, ((a, one), (f, b))) if b else a
+                           for a, b in zip(work[r], pivot)]
         return CKMatrix([r[N:] for r in work])
 
     def __str__(self) -> str:
@@ -154,9 +160,20 @@ class CKMatrix:
 
 
 def is_j_orthogonal(A: CKMatrix) -> bool:
-    """Exact test of A A^t = A^t A = I."""
-    At = A.transpose()
-    return (A @ At).is_identity() and (At @ A).is_identity()
+    """Exact test of A A^t = A^t A = I.
+
+    D_n is commutative, so both products are symmetric: entry (k,i) equals
+    entry (i,k), and only the N(N+1)/2 entries with i <= k of each are
+    formed, as dot products of two rows of A (of A^t for A^t A).
+    """
+    n, one = A.n, DualElement.one(A.n)
+    for rows in (A.rows, tuple(zip(*A.rows))):
+        for i, ri in enumerate(rows):
+            for k in range(i, A.N):
+                e = DualElement.dot(n, [(a, b) for a, b in zip(ri, rows[k]) if a and b])
+                if (e != one) if i == k else e:
+                    return False
+    return True
 
 
 def _generator_mix(j: JSignature, theta: dict) -> CKMatrix:
@@ -180,9 +197,13 @@ def lie_generator(k: int, p: int, j: JSignature) -> CKMatrix:
 
 
 def cayley(X: CKMatrix) -> CKMatrix:
-    """The exact Cayley transform (I + X)(I - X)^(-1)."""
+    """The exact Cayley transform (I + X)(I - X)^(-1).
+
+    I + X and (I - X)^(-1) commute, so this is the solution A of
+    (I - X) A = I + X, found by one Gauss-Jordan with no matrix product.
+    """
     I = CKMatrix.identity(X.N, X.n)
-    return (I + X) @ (I - X).inverse()
+    return (I - X).solve(I + X)
 
 
 def random_cayley(j: JSignature, rng, span: int = 3) -> CKMatrix:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeffring import DimensionError, DualElement, JSignature
+from .coeffring import DimensionError, DualElement
 
 #: ordering rank of the symbol families: quantum-matrix coordinates first,
 #: then the upper and lower triangular functionals of the dual algebra.
@@ -221,23 +221,26 @@ class NCPoly:
     def map_coeffs(self, fn) -> "NCPoly":
         return NCPoly(self.n, {w: fn(c) for w, c in self.terms.items()})
 
-    def specialize(self, j: JSignature) -> "NCPoly":
-        return self.map_coeffs(lambda c: c.specialize(j))
-
     def at_v_zero(self) -> "NCPoly":
         return self.map_coeffs(lambda c: c.at_v_zero())
 
     # -- symbol maps ----------------------------------------------------
 
     def substitute(self, fn) -> "NCPoly":
-        """Algebra map: replace each symbol g by the polynomial fn(g)."""
-        out = NCPoly.zero(self.n)
+        """Algebra map: replace each symbol g by the polynomial fn(g).
+
+        The image of a term c*g1*...*gk is the product of c*fn(g1)*...
+        with fn(gk); the last factors and the sum over the terms are one
+        ``NCPoly.dot``, so no partial sum is built per term.
+        """
+        n = self.n
+        pairs = []
         for w, c in self.terms.items():
-            acc = NCPoly.scalar(self.n, c)
-            for g in w:
+            acc = NCPoly(n, {(): c}, normalized=True)
+            for g in w[:-1]:
                 acc = acc * fn(g)
-            out = out + acc
-        return out
+            pairs.append((acc, fn(w[-1]) if w else NCPoly.one(n)))
+        return NCPoly.dot(n, pairs)
 
     def evaluate(self, fn) -> DualElement:
         """Evaluate in a commutative target: symbols g -> fn(g) in D_n."""

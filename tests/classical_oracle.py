@@ -4,14 +4,15 @@ The package samples group elements by the Cayley transform and reads the
 symplectic weight pattern off the frame change.  These helpers build the
 same objects from the definition instead: a parameter matrix weighted
 slot by slot, the weighted Cartesian point, the two invariant forms, the
-Lie algebra generators, and a Cayley sample as the transform of a sum of
-scaled generators.
+Lie algebra generators, a Cayley sample as the transform of a sum of
+scaled generators, and the Cayley transform itself as a product with a
+Gauss-Jordan inverse.
 """
 
 from fractions import Fraction
 
-from ckq.ckclassical import CKMatrix, cayley
-from ckq.coeffring import DimensionError, DualElement, ScalarExpr
+from ckq.ckclassical import CKMatrix, SingularMatrixError, cayley
+from ckq.coeffring import DimensionError, DualElement, NotInvertibleError, ScalarExpr
 
 
 def make_special(a, j) -> CKMatrix:
@@ -113,10 +114,9 @@ def generator_by_definition(k: int, p: int, j) -> CKMatrix:
     return CKMatrix.build(j.N, j.n, fn)
 
 
-def random_cayley_by_generators(j, rng, span: int = 3) -> CKMatrix:
-    """``ckclassical.random_cayley`` from its definition: the Cayley
-    transform of the sum of theta * J(k,p) (e_kp - e_pk), drawing theta
-    for each k < p in row-major order."""
+def generator_mix_by_definition(j, rng, span: int = 3) -> CKMatrix:
+    """The sum of theta * J(k,p) (e_kp - e_pk) that ``random_cayley``
+    transforms, drawing theta for each k < p in row-major order."""
     N = j.N
     X = CKMatrix.identity(N, j.n).map_entries(lambda e: e * 0)
     for k in range(1, N + 1):
@@ -124,4 +124,49 @@ def random_cayley_by_generators(j, rng, span: int = 3) -> CKMatrix:
             theta = Fraction(rng.randint(-span, span), rng.randint(1, 3))
             if theta:
                 X = X + generator_by_definition(k, p, j).map_entries(lambda e: e * theta)
-    return cayley(X)
+    return X
+
+
+def random_cayley_by_generators(j, rng, span: int = 3) -> CKMatrix:
+    """``ckclassical.random_cayley`` from its definition: the Cayley
+    transform of ``generator_mix_by_definition``."""
+    return cayley(generator_mix_by_definition(j, rng, span))
+
+
+def gauss_jordan_inverse(M: CKMatrix) -> CKMatrix:
+    """M^(-1) by Gauss-Jordan on [M | I], each row update a - f*b formed
+    entry by entry; pivots must be units of D_n."""
+    N, n = M.N, M.n
+    work = [list(r) + [DualElement.one(n) if i == k else DualElement.zero(n) for k in range(N)]
+            for i, r in enumerate(M.rows)]
+    for col in range(N):
+        pivot_row = pivot_inv = None
+        for r in range(col, N):
+            try:
+                pivot_inv = work[r][col].inverse()
+            except NotInvertibleError:
+                continue
+            pivot_row = r
+            break
+        if pivot_row is None:
+            raise SingularMatrixError("no invertible pivot in column %d" % (col + 1))
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        work[col] = [e * pivot_inv for e in work[col]]
+        for r in range(N):
+            if r == col or not work[r][col]:
+                continue
+            f = work[r][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return CKMatrix([r[N:] for r in work])
+
+
+def is_orthogonal_by_products(A: CKMatrix) -> bool:
+    """A A^t = A^t A = I, with both products formed in full."""
+    At = A.transpose()
+    return (A @ At).is_identity() and (At @ A).is_identity()
+
+
+def cayley_by_inverse(X: CKMatrix) -> CKMatrix:
+    """(I + X)(I - X)^(-1), the inverse taken first and then multiplied."""
+    I = CKMatrix.identity(X.N, X.n)
+    return (I + X) @ gauss_jordan_inverse(I - X)

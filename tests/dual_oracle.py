@@ -11,7 +11,7 @@ here rather than by the package.  It shares no evaluation code with
 form, as the metric twist of its transpose.
 """
 
-from ckq.ckclassical import weight_pattern_symplectic
+from ckq.ckclassical import CKMatrix, weight_pattern_symplectic
 from ckq.coeffring import DualElement
 from ckq.freealg import GenSymbol, NCPoly
 
@@ -105,7 +105,7 @@ def dual_antipode(ctx, sym):
     """
     N = ctx.N
     ct = ctx.group.C.transpose()
-    cti = ct.inverse()
+    cti = ct.solve(CKMatrix.identity(N, ct.n))
     im = N + 1 - sym.i
     km = N + 1 - sym.k
     coeff = ct.entry(sym.i, im) * cti.entry(km, sym.k)

@@ -29,13 +29,17 @@ from classical_oracle import (
     apply_matrix,
     carries_weight,
     cartesian_vector,
+    cayley_by_inverse,
+    gauss_jordan_inverse,
     generator_by_definition,
+    generator_mix_by_definition,
     in_generator_span,
+    is_orthogonal_by_products,
     make_special,
     quadratic_form,
     random_cayley_by_generators,
 )
-from conftest import all_signatures, seeded
+from conftest import all_signatures, rand_dual, seeded
 
 
 # ------------------------------------------------------- basis change D
@@ -68,7 +72,7 @@ def test_d_inverse_roundtrip():
 def test_gauss_jordan_agrees_with_closed_form_inverse():
     for N in (2, 3, 4):
         D = symplectic_d(N)
-        assert D.inverse() == symplectic_d_inverse(N)
+        assert D.solve(CKMatrix.identity(N, N - 1)) == symplectic_d_inverse(N)
 
 
 # ------------------------------------------------------- group sampling
@@ -111,6 +115,41 @@ def test_cayley_elements_are_orthogonal():
                 assert is_j_orthogonal(random_cayley(j, rng))
 
 
+def test_orthogonality_refutes_a_perturbed_entry():
+    # the test forms only the entries with i <= k of the two symmetric
+    # products.  One entry off by one breaks a diagonal entry; one entry
+    # with its sign flipped keeps every diagonal entry and can only show
+    # off the diagonal, so there the full products decide
+    rng = seeded("cayley-perturbed")
+    for N in (3, 4, 5):
+        for j in all_signatures(N):
+            A = random_cayley(j, rng)
+            flips_refuted = 0
+            for i in range(N):
+                for k in range(N):
+                    rows = [list(r) for r in A.rows]
+                    rows[i][k] = rows[i][k] + 1
+                    assert not is_j_orthogonal(CKMatrix(rows)), (j, i, k)
+                    rows[i][k] = -A.rows[i][k]
+                    flipped = CKMatrix(rows)
+                    assert is_j_orthogonal(flipped) == is_orthogonal_by_products(flipped)
+                    flips_refuted += not is_orthogonal_by_products(flipped)
+            assert flips_refuted, j
+
+
+def test_cayley_matches_inverse_then_multiply():
+    # one solve of (I - X) A = I + X gives (I + X)(I - X)^(-1) formed the
+    # old way, on single generators and on the random samples
+    for N in range(2, 6):
+        for j in all_signatures(N):
+            for k in range(1, N):
+                X = lie_generator(k, N, j).map_entries(lambda e: e * Fraction(k, 3))
+                assert cayley(X) == cayley_by_inverse(X)
+            rng, ref = seeded("cayley-oracle" + str(j)), seeded("cayley-oracle" + str(j))
+            for _ in range(2):
+                assert random_cayley(j, rng) == cayley_by_inverse(generator_mix_by_definition(j, ref))
+
+
 def test_lie_generator_is_the_weighted_antisymmetric_unit():
     for N in (2, 3, 4):
         for j in all_signatures(N)[::3]:
@@ -150,7 +189,7 @@ def test_group_closure_and_inverse():
             P = A @ B
             assert is_j_orthogonal(P)
             # Gauss-Jordan inverse must coincide with the transpose
-            assert A.inverse() == A.transpose()
+            assert A.solve(CKMatrix.identity(N, j.n)) == A.transpose()
 
 
 def test_quadratic_form_invariance():
@@ -166,7 +205,9 @@ def test_singular_matrix_raises():
     i1 = DualElement.iota(1, 1)
     M = CKMatrix([[i1, DualElement.zero(1)], [DualElement.zero(1), DualElement.one(1)]])
     with pytest.raises(SingularMatrixError):
-        M.inverse()
+        M.solve(CKMatrix.identity(2, 1))
+    with pytest.raises(SingularMatrixError):
+        gauss_jordan_inverse(M)
 
 
 def test_gauss_jordan_unipotent_plus_units():
@@ -187,8 +228,12 @@ def test_gauss_jordan_unipotent_plus_units():
                 row.append(e)
             rows.append(row)
         M = CKMatrix(rows)
-        assert (M @ M.inverse()).is_identity()
-        assert (M.inverse() @ M).is_identity()
+        Mi = M.solve(CKMatrix.identity(N, n))
+        assert (M @ Mi).is_identity()
+        assert (Mi @ M).is_identity()
+        assert Mi == gauss_jordan_inverse(M)
+        B = CKMatrix([[rand_dual(rng, n) for _ in range(N)] for _ in range(N)])
+        assert M.solve(B) == gauss_jordan_inverse(M) @ B
 
 
 # -------------------------------------------------------- Lie structure

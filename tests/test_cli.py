@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ckq import cli, qdual, qgroup, rmatrix
+from ckq import ckclassical, cli, qdual, qgroup, rmatrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +53,10 @@ N5_SIGNATURES = ["1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota"]
 N34_DIGESTS = json.loads((GOLDEN / "emit_n34_sha256.json").read_text())
 N34_SIGNATURES = sorted({(int(key.split()[2]), key.split()[4])
                          for key in N34_DIGESTS})
+# the sha256 of verify --suite classical,coproduct,contraction --format json
+# at every N=3 and N=4 signature; the detail counts are part of the bytes
+VERIFY_N34_DIGESTS = json.loads(
+    (GOLDEN / "verify_n34_sha256.json").read_text())
 
 
 def _assert_digests(tmp_path, digests, N, sig, emits):
@@ -81,6 +85,13 @@ def test_emit_n3_n4_match_golden_digests(tmp_path, N, sig):
     _assert_digests(tmp_path, N34_DIGESTS, N, sig,
                     [("relations", "json"), ("rmatrix", "json"),
                      ("rmatrix", "text"), ("dual", "json"), ("dual", "text")])
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_N34_DIGESTS))
+def test_verify_n3_n4_match_golden_digests(tmp_path, argv):
+    out = tmp_path / "verify.json"
+    assert cli.main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_N34_DIGESTS[argv]
 
 
 def test_output_bytes_stable_across_hash_seeds():
@@ -365,3 +376,37 @@ def test_verify_all_builds_each_object_once(monkeypatch, capsys):
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == len(cli.SUITES)
     assert built == {"relations": 2, "pairings": 1}
+
+
+def test_non_orthogonal_samples_report_fail_exit_1(monkeypatch, capsys):
+    # I + X is not orthogonal for X != 0, so every sample and every
+    # product must be refuted
+    monkeypatch.setattr(ckclassical, "cayley",
+                        lambda X: ckclassical.CKMatrix.identity(X.N, X.n) + X)
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
+                   "classical", "--samples", "6", "--jobs", "1",
+                   "--format", "json"])
+    assert rc == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["status"] == "FAIL"
+    assert result["detail"] == "0/6 orthogonal, 0/3 products closed"
+
+
+def test_corrupt_copy_one_exchange_component_reports_error(monkeypatch, capsys):
+    # one copy-1 exchange component off by a word breaks the certificates
+    # that cite it
+    real = qgroup.rtt_components
+
+    def corrupt(T, R):
+        comps = real(T, R)
+        if next(iter(T.entry(1, 1).terms))[0].copy == 1:
+            comps[(1, 2, 2, 1)] = comps[(1, 2, 2, 1)] + T.entry(1, 1) * T.entry(2, 2)
+        return comps
+
+    monkeypatch.setattr(qgroup, "rtt_components", corrupt)
+    rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
+                   "coproduct", "--jobs", "1", "--format", "json"])
+    assert rc == 1
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert result["status"] == "ERROR"
+    assert result["detail"].startswith("ArithmeticError: certificate mismatch")

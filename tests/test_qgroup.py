@@ -1,5 +1,6 @@
 import pytest
 
+from ckq import qgroup
 from ckq.coeffring import DualElement, JSignature, ScalarExpr
 from ckq.ckclassical import (
     CKMatrix,
@@ -20,11 +21,11 @@ from ckq.qgroup import (
     counit,
     counit_annihilates,
     counit_leg,
-    expand_atomic,
     full_relation_set,
     orthogonality_relations,
     rtt_components,
     rtt_relations,
+    splitting_map,
     t_symbols,
     verify_antipode,
     verify_coassociativity,
@@ -256,7 +257,7 @@ def test_antipode_entries_mirror_with_metric_scalars():
     j = JSignature.parse("iota,iota")
     G = QuantumCKGroup(j, contracted=False)
     S = antipode(G.T, G.C)
-    Ci = G.C.inverse()
+    Ci = G.C.solve(CKMatrix.identity(3, 2))
     for i in range(1, 4):
         for k in range(1, 4):
             scalar = G.C.entry(i, 4 - i) * Ci.entry(4 - k, k)
@@ -308,7 +309,7 @@ def test_metric_is_its_own_inverse():
         for j in all_signatures(N):
             for contracted in (True, False):
                 C = QuantumCKGroup(j, contracted=contracted).C
-                assert C.inverse() == C, (j, contracted)
+                assert C.solve(CKMatrix.identity(N, N - 1)) == C, (j, contracted)
 
 
 # ---------------------------------------------------- coproduct compatibility
@@ -329,6 +330,86 @@ def test_delta_compat_certificates_n4_sample():
     assert rep["split_components"] == 0  # atomic + bridge only at N=4
 
 
+def _corrupt_copy_one_component(monkeypatch):
+    real = qgroup.rtt_components
+
+    def corrupt(T, R):
+        comps = real(T, R)
+        if next(iter(T.entry(1, 1).terms))[0].copy == 1:
+            comps[(2, 1, 1, 3)] = comps[(2, 1, 1, 3)] + T.entry(3, 3)
+        return comps
+
+    monkeypatch.setattr(qgroup, "rtt_components", corrupt)
+
+
+@pytest.mark.parametrize("spec", ["1,1", "iota,1,iota"])
+def test_delta_compat_refutes_a_corrupt_copy_one_component(monkeypatch, spec):
+    _corrupt_copy_one_component(monkeypatch)
+    with pytest.raises(ArithmeticError, match="certificate mismatch"):
+        verify_delta_compat(QuantumCKGroup(JSignature.parse(spec)))
+
+
+@pytest.mark.parametrize("spec", ["iota,1", "iota,1,iota"])
+def test_delta_compat_refutes_a_corrupt_splitting_map(monkeypatch, spec):
+    # t[1,2] split into its pattern plus a stray t[2,1]: the bridge from
+    # atomic to split components must fail
+    real = qgroup.splitting_map
+
+    def corrupt(j):
+        split = real(j)
+
+        def fn(g):
+            e = split(g)
+            if (g.i, g.k) == (1, 2):
+                e = e + NCPoly.gen(j.n, mat_symbol(2, 1, 0, g.copy))
+            return e
+
+        return fn
+
+    G = QuantumCKGroup(JSignature.parse(spec))
+    assert verify_delta_compat(G)["ok"]
+    monkeypatch.setattr(qgroup, "splitting_map", corrupt)
+    assert verify_delta_compat(G)["ok"] is False
+
+
+def test_delta_compat_builds_each_split_entry_once(monkeypatch):
+    # the split T and the splitting map each build the N^2 copy-0 entries
+    # once per call; one map per relation component made 2,377 at N=5
+    calls = []
+    real = qgroup._split_entry
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qgroup, "_split_entry", counted)
+    rep = verify_delta_compat(QuantumCKGroup(JSignature.parse("iota,1,iota")))
+    assert rep["ok"]
+    assert len(calls) <= 2 * 4 ** 2
+
+
+def test_relation_specialize_once_per_distinct_coefficient(monkeypatch):
+    j = JSignature.parse("iota,1,iota")
+    rels = QuantumCKGroup(j, contracted=False).relations()
+    distinct = {c for p in rels for c in p.terms.values()}
+    direct = [p.map_coeffs(lambda c: c.specialize(j)) for p in rels]
+    calls = []
+    real = DualElement.specialize
+
+    def counted(self, jj):
+        calls.append(self)
+        return real(self, jj)
+
+    monkeypatch.setattr(DualElement, "specialize", counted)
+    out = rels.specialize(j)
+    assert len(calls) == len(distinct) < sum(len(p.terms) for p in rels)
+    monkeypatch.undo()
+    expected = RelationSet(rels.n)
+    for p, src in zip(direct, rels.sources):
+        expected.add(p, src)
+    assert out.polys == expected.polys and out.sources == expected.sources
+
+
 def test_delta_compat_commutative_shadow():
     # at v=0 the contracted R is the identity and both sides of the
     # exchange collapse; every certificate target is then zero outright
@@ -341,15 +422,16 @@ def test_delta_compat_commutative_shadow():
         assert q.evaluate(lambda g: DualElement.one(2)).is_zero()
 
 
-def test_expand_atomic_is_algebra_map():
+def test_splitting_is_algebra_map():
     j = JSignature.parse("iota,iota")
     rng = seeded("expand-atomic")
     n = j.n
+    split = splitting_map(j)
     for _ in range(20):
         syms = [mat_symbol(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(2)]
         p = NCPoly.gen(n, syms[0])
         q = NCPoly.gen(n, syms[1])
-        assert expand_atomic(p * q, j) == expand_atomic(p, j) * expand_atomic(q, j)
+        assert (p * q).substitute(split) == p.substitute(split) * q.substitute(split)
 
 
 # ------------------------------------------------------------------- guards
