@@ -30,7 +30,6 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import ckclassical, qdual, qgroup, render, rmatrix
 from .coeffring import JSignature
@@ -380,6 +379,8 @@ def cmd_verify(ns) -> int:
     chunks = min(ns.jobs, len(names))
     work = [(names[k::chunks], j, ns) for k in range(chunks)]
     if chunks > 1:
+        # imported here: the pool costs every serial run its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=chunks) as pool:
             parts = list(pool.map(_run_chunk, work))
     else:
@@ -450,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2,
                    help="word length bound for dual-side suites "
                         "(N^(2*degree) at most %d; pairing walks "
-                        "(N(N+1))^degree words, about a minute at N=3 "
-                        "degree 4 and N=5 degree 3)" % MAX_WORDS_PER_PAIR)
+                        "(N(N+1))^degree words, about 25 s at N=3 "
+                        "degree 4 and 45 s at N=5 degree 3)"
+                        % MAX_WORDS_PER_PAIR)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; suites are dealt out to them "
                         "in turn")

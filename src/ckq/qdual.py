@@ -14,8 +14,10 @@ letter, and the pairing is entry (avec, bvec) of the product of the rows.
 
 There is one word evaluator, `DualPairing._rows`: it folds a word from the
 left, one transition row per letter, and keeps the rows of its prefixes
-in a memo the caller owns.  A polynomial's row is the coefficient sum of
-its words' rows, so one row of a relation answers every end row at once.
+in a memo the caller owns.  A polynomial is evaluated word by word
+(`DualPairing._word_rows`): each distinct word is folded once per start
+row, a word whose prefix row is empty is not folded at all, and the value
+at an end row is one coefficient dot over the words' nonempty rows.
 
 Weight-tagged generators never force an inverse nilpotent into a
 coefficient.  The row of a split generator takes each column value whole
@@ -98,6 +100,32 @@ def _add_to(out: dict, key, val):
         out[key] = t
     elif acc is not None:
         del out[key]
+
+
+def _prefix_index(words) -> dict:
+    """Distinct words grouped by prefix, the word minus its last letter;
+    the empty word is its own prefix."""
+    out: dict = {}
+    for w in words:
+        out.setdefault(w[:-1], []).append(w)
+    return out
+
+
+def _dot_at(n: int, terms: list, rows: dict, ends) -> dict:
+    """End row -> nonzero value of sum c * rows[w][end] over the (c, w)
+    terms of one polynomial, for the end rows in `ends`; a word missing
+    from `rows` has an empty row."""
+    pairs: dict = {}
+    for c, w in terms:
+        for cvec, val in rows.get(w, {}).items():
+            if cvec in ends:
+                pairs.setdefault(cvec, []).append((c, val))
+    out = {}
+    for cvec, cv in pairs.items():
+        val = DualElement.dot(n, cv)
+        if val:
+            out[cvec] = val
+    return out
 
 
 def _position_counit(n: int, positions) -> DualElement:
@@ -208,16 +236,14 @@ class DualPairing:
 
         The word is a product of split generators or of assembled entries
         (k, l); it is folded from the left, one transition row per letter.
-        `memo` maps proper prefixes to their rows for this one (fams,
-        avec); the caller owns it, so each prefix is folded once per
-        caller while whole words, rarely met twice, are not kept.
+        `memo` maps words to their rows for this one (fams, avec); the
+        caller owns it.  The fold keeps the rows of proper prefixes there,
+        so each prefix is folded once per caller, and leaves the word's
+        own row to the caller.
         """
         if not word:
             return {avec: DualElement.one(self.n)}
-        pre = word[:-1]
-        head = memo.get(pre)
-        if head is None:
-            head = memo[pre] = self._rows(fams, avec, pre, memo)
+        head = self._memo_row(fams, avec, word[:-1], memo)
         g = word[-1]
         got: dict = {}
         for cur, acc in head.items():
@@ -229,14 +255,31 @@ class DualPairing:
                 _add_to(got, cvec, acc * val)
         return got
 
-    def _poly_row(self, fams: tuple, avec: tuple, terms: list,
+    def _memo_row(self, fams: tuple, avec: tuple, word: tuple,
                   memo: dict) -> dict:
-        """Row avec of sum c * rho(word) over the (c, word) terms."""
-        out: dict = {}
-        for c, w in terms:
-            for cvec, val in self._rows(fams, avec, w, memo).items():
-                _add_to(out, cvec, c * val)
-        return out
+        got = memo.get(word)
+        if got is None:
+            got = memo[word] = self._rows(fams, avec, word, memo)
+        return got
+
+    def _word_rows(self, fams: tuple, avec: tuple, by_prefix: dict,
+                   memo: dict) -> dict:
+        """Nonempty rows avec of the words of `by_prefix`, keyed by word.
+
+        `by_prefix` is a `_prefix_index`.  Each prefix row is folded once;
+        when it is empty, every word extending it has an empty row and is
+        skipped unfolded.  Otherwise each word is folded once, and kept
+        when its row is not empty.
+        """
+        rows = {}
+        for pre, words in by_prefix.items():
+            if not self._memo_row(fams, avec, pre, memo):
+                continue
+            for w in words:
+                row = self._memo_row(fams, avec, w, memo)
+                if row:
+                    rows[w] = row
+        return rows
 
     # -- public evaluation -------------------------------------------
 
@@ -249,11 +292,12 @@ class DualPairing:
         """
         total = DualElement.zero(self.n)
         terms = _terms(self.n, element, _check_matrix)
+        by_prefix = _prefix_index(w for _, w in terms)
         for lc, lw in _terms(self.n, functional, _check_functional):
-            fams = tuple(g.family for g in lw)
-            avec = tuple(g.i for g in lw)
-            val = self._poly_row(fams, avec, terms, {}).get(
-                tuple(g.k for g in lw))
+            rows = self._word_rows(tuple(g.family for g in lw),
+                                   tuple(g.i for g in lw), by_prefix, {})
+            bvec = tuple(g.k for g in lw)
+            val = _dot_at(self.n, terms, rows, (bvec,)).get(bvec)
             if val is not None:
                 total = total + lc * val
         return total
@@ -387,23 +431,32 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
 
     This is the statement that the degree-one tables extend to
     functionals on the quotient algebra, not merely on the free one.
-    Words sharing their families and start row avec share one row of
-    each relation, rho(rel)[avec], which is read at every end row bvec.
+    Functional words sharing their families and start row avec share the
+    rows avec of the relation words, and each distinct relation word is
+    folded once per such group (`DualPairing._word_rows`: none whose
+    prefix row is empty).  Only the relations that use a word with a
+    nonempty row can be nonzero there; each of them is summed, one at a
+    time, at every end row bvec of the group by one coefficient dot.
     """
     rels = [(_terms(ctx.n, r, _check_matrix), source)
             for r, source in ctx.group.relations().tagged()]
+    uses: dict = {}
+    for r, (terms, _) in enumerate(rels):
+        for _, w in terms:
+            uses.setdefault(w, []).append(r)
+    by_prefix = _prefix_index(uses)
     syms = dual_symbols(ctx.N)
     words = [w for d in range(max_len + 1) for w in product(syms, repeat=d)]
     groups: dict = {}
     for idx, w in enumerate(words):
         key = (tuple(g.family for g in w), tuple(g.i for g in w))
-        groups.setdefault(key, []).append((idx, tuple(g.k for g in w)))
+        groups.setdefault(key, {})[tuple(g.k for g in w)] = idx
     hits = []
     for (fams, avec), members in groups.items():
-        memo: dict = {}
-        for r, (terms, _) in enumerate(rels):
-            row = ctx._poly_row(fams, avec, terms, memo)
-            hits.extend((r, idx) for idx, bvec in members if bvec in row)
+        rows = ctx._word_rows(fams, avec, by_prefix, {})
+        for r in {r for w in rows for r in uses[w]}:
+            hits.extend((r, members[bvec])
+                        for bvec in _dot_at(ctx.n, rels[r][0], rows, members))
     hits.sort()
     failures = [{"source": rels[r][1], "word": words[idx]} for r, idx in hits]
     return {"ok": not failures, "checked": len(rels) * len(words),

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, formats, byte determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -53,10 +54,12 @@ N5_SIGNATURES = ["1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota"]
 N34_DIGESTS = json.loads((GOLDEN / "emit_n34_sha256.json").read_text())
 N34_SIGNATURES = sorted({(int(key.split()[2]), key.split()[4])
                          for key in N34_DIGESTS})
-# the sha256 of verify --suite classical,coproduct,contraction --format json
-# at every N=3 and N=4 signature; the detail counts are part of the bytes
-VERIFY_N34_DIGESTS = json.loads(
-    (GOLDEN / "verify_n34_sha256.json").read_text())
+# the sha256 of verify --format json at every N=3 and N=4 signature, for
+# --suite classical,coproduct,contraction and --suite pairing,exchange,metric;
+# the detail counts are part of the bytes
+VERIFY_N34_DIGESTS = {
+    **json.loads((GOLDEN / "verify_n34_sha256.json").read_text()),
+    **json.loads((GOLDEN / "verify_dual_n34_sha256.json").read_text())}
 
 
 def _assert_digests(tmp_path, digests, N, sig, emits):
@@ -236,7 +239,7 @@ def _no_work(*args, **kwargs):
     ["verify", "--n", "3", "--suite", "pairing", "--degree", "5"],
 ])
 def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_work)
     monkeypatch.setattr(cli, "_run_chunk", _no_work)
     monkeypatch.setattr(cli, "_classical_report", _no_work)
     # --n 3 unless the case names its own size

@@ -2,7 +2,7 @@ import pytest
 
 from ckq.coeffring import DualElement, JSignature
 from ckq.ckclassical import CKMatrix, weight_pattern_symplectic
-from ckq.freealg import GenSymbol, NCPoly, mat_symbol
+from ckq.freealg import GenSymbol, NCPoly, mat_symbol, word_key
 from ckq.qgroup import QuantumCKGroup, antipode, build_t, t_symbols
 from ckq.qdual import (
     DualPairing,
@@ -346,6 +346,96 @@ def test_relations_pair_to_zero_refutes_non_relations():
         assert report["checked"] == len(rels) * len(words) == 14287 + 2 * 157
         assert {f["source"] for f in expect} == caught[j]
         assert report["failures"] == expect
+
+
+def _inject_n4_non_relations(G):
+    """Four non-relations added to G's relation set, after the real ones."""
+    T = G.T
+    rels = G.relations()
+    # a real relation with its first coefficient doubled: its word rows
+    # no longer cancel, so it pairs as that one term alone
+    real = next(p for p in rels if len(p.terms) > 1)
+    w0 = min(real.terms, key=word_key)
+    doubled = NCPoly(G.n, {w: c + c if w == w0 else c
+                           for w, c in real.terms.items()})
+    for p, source in ((T.entry(1, 2) * T.entry(2, 1), "fake-product"),
+                      (T.entry(1, 1) + T.entry(4, 4), "fake-trace"),
+                      (doubled, "doubled-coefficient"),
+                      (T.entry(2, 1) * T.entry(1, 1), "fake-lower-prefix")):
+        assert rels.add(p, source)
+    return rels
+
+
+@pytest.mark.parametrize("sig,caught", [
+    ("1,1,1", {"fake-product", "fake-trace", "doubled-coefficient",
+               "fake-lower-prefix"}),
+    # as at N=3 iota,1, no functional word of length <= 2 separates the
+    # product from zero, and the oracle agrees
+    ("iota,1,iota", {"fake-trace", "doubled-coefficient",
+                     "fake-lower-prefix"}),
+])
+def test_relations_pair_to_zero_refutes_non_relations_n4(sig, caught):
+    """Injected non-relations at N=4 are caught, word by word, exactly where
+    the right-folded oracle pairs them to nonzero."""
+    G = QuantumCKGroup(JSignature.parse(sig))
+    real = len(G.relations())
+    rels = _inject_n4_non_relations(G)
+    ctx = DualPairing(G)
+    report = relations_pair_to_zero(ctx, max_len=2)
+
+    syms = dual_symbols(4)
+    words = [()] + [(s,) for s in syms]
+    words += [(s, t) for s in syms for t in syms]
+    # the real relations pair to zero (the suite passes at every N=4
+    # signature), so the oracle is asked about the injected ones only
+    oracle = RightFold(ctx)
+    expect = [{"source": src, "word": w}
+              for r, src in list(rels.tagged())[real:] for w in words
+              if oracle.pair(w, r)]
+    assert not report["ok"]
+    assert report["checked"] == len(rels) * len(words) == (real + 4) * 421
+    assert {f["source"] for f in expect} == caught
+    assert report["failures"] == expect
+
+    # the lower-prefix fake is caught although each of its prefixes has
+    # an empty row in some (families, start row) group, where its words
+    # are skipped unfolded
+    fake = rels.polys[-1]
+    groups = {(tuple(g.family for g in w), tuple(g.i for g in w))
+              for w in words}
+    for pre in {w[:-1] for w in fake.terms}:
+        assert any(not ctx._rows(fams, avec, pre, {})
+                   for fams, avec in groups)
+
+
+def test_relations_pair_to_zero_folds_each_word_once(monkeypatch):
+    """One call folds each relation word at most once per (families, start
+    row), and never a word whose prefix row is empty."""
+    ctx = pairing(JSignature.parse("iota,1,iota"))
+    rel_words = {w for p in ctx.group.relations() for w in p.terms}
+    folded = {}
+    twice = []
+    rows = DualPairing._rows
+
+    def counted(self, fams, avec, word, memo):
+        row = rows(self, fams, avec, word, memo)
+        key = (fams, avec, word)
+        if key in folded:
+            twice.append(key)
+        folded[key] = row
+        return row
+
+    monkeypatch.setattr(DualPairing, "_rows", counted)
+    assert relations_pair_to_zero(ctx, max_len=2)["ok"]
+    assert not twice
+    # a word is folded after its prefix, whose row must not be empty
+    assert all(folded[(fams, avec, w[:-1])]
+               for fams, avec, w in folded if w)
+    groups = {(fams, avec) for fams, avec, _ in folded}
+    assert {w for _, _, w in folded} <= rel_words | {
+        w[:-1] for w in rel_words}
+    # the skip is not vacuous: some relation word goes unfolded somewhere
+    assert len(folded) < len(groups) * len(rel_words)
 
 
 def test_relation_values_vanish_term_by_term_sample():
