@@ -19,6 +19,13 @@ in a memo the caller owns.  A polynomial is evaluated word by word
 row, a word whose prefix row is empty is not folded at all, and the value
 at an end row is one coefficient dot over the words' nonempty rows.
 
+The tables of a family pair against one entry word form a two-leg
+``QTensor`` (`_fold_word`), so the functional laws are tensor identities:
+the exchange law is R+ A == flip(B) R+ for the tables A and B of a family
+pair and of its reverse, and the metric laws are ``apply_vec`` of vec(C^t)
+on A and on its transpose.  A column hops through the braiding tensor's
+``by_output`` index, the one ``QTensor.dot`` composes with.
+
 Weight-tagged generators never force an inverse nilpotent into a
 coefficient.  The row of a split generator takes each column value whole
 from the paired tensor and splits it over the entry's weight pattern:
@@ -32,7 +39,7 @@ from .ckclassical import CKMatrix, weight_pattern_symplectic
 from .coeffring import DualElement, JSignature
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
-from .rmatrix import r_plus_minus
+from .rmatrix import QTensor, metric_vec, r_plus_minus
 
 FUNCTIONAL_FAMILIES = ("upper", "lower")
 
@@ -142,7 +149,7 @@ class DualPairing:
     """Evaluation context of one contracted group: tensors and caches."""
 
     __slots__ = ("group", "N", "n", "r_plus", "r_minus", "_pattern",
-                 "_hops", "_columns", "_vcolumns")
+                 "_columns", "_vcolumns")
 
     def __init__(self, G: QuantumCKGroup):
         if not G.contracted:
@@ -152,12 +159,6 @@ class DualPairing:
         self.n = G.n
         self.r_plus, self.r_minus = r_plus_minus(G.R, G.j)
         self._pattern = weight_pattern_symplectic(G.j)
-        self._hops = {}
-        for fam in FUNCTIONAL_FAMILIES:
-            hop: dict = {}
-            for (o1, o2, i1, i2), val in self.tensor(fam).data.items():
-                hop.setdefault((o1, o2), []).append((i1, i2, val))
-            self._hops[fam] = hop
         self._columns = {}
         self._vcolumns = {}
 
@@ -179,11 +180,11 @@ class DualPairing:
             return got
         states = {((), k): DualElement.one(self.n)}
         for r, fam in enumerate(fams):
-            hop = self._hops[fam]
+            hop = self.tensor(fam).by_output()
             a = avec[r]
             new: dict = {}
             for (pre, y), acc in states.items():
-                for x2, y2, val in hop.get((a, y), ()):
+                for (x2, y2), val in hop.get((a, y), ()):
                     _add_to(new, (pre + (x2,), y2), acc * val)
             states = new
         got = {pre: acc for (pre, y), acc in states.items() if y == l}
@@ -198,7 +199,9 @@ class DualPairing:
 
         Each term of the column value is charged to the first pattern
         weight it contains; the leftover nilpotent factor stays in the
-        coefficient, so no inverse weight is ever formed.
+        coefficient, so no inverse weight is ever formed.  The terms
+        charged to ``mask`` all contain it, so their leftovers are
+        distinct.
         """
         masks = self._pattern[(k, l)]
         out: dict = {}
@@ -211,9 +214,8 @@ class DualPairing:
             if target is None:
                 raise ArithmeticError(
                     "column value carries a weight outside the entry pattern")
-            if target != mask:
-                continue
-            _add_to(out, m ^ target, c)
+            if target == mask:
+                out[m ^ mask] = c
         return DualElement(self.n, out)
 
     def _column_at(self, fams: tuple, avec: tuple, sym: GenSymbol) -> dict:
@@ -304,9 +306,9 @@ class DualPairing:
 
 
 def _fold_word(ctx: DualPairing, fams: tuple, word: tuple,
-               memos: dict) -> dict:
+               memos: dict) -> QTensor:
     """Pairing values of every functional word over the families against
-    one entry word, keyed (avec, cvec).
+    one entry word, as a tensor keyed avec + cvec.
 
     `memos` maps each start row avec to its prefix memo; share it across
     the words of one family tuple only.
@@ -315,8 +317,8 @@ def _fold_word(ctx: DualPairing, fams: tuple, word: tuple,
     for avec in product(range(1, ctx.N + 1), repeat=len(fams)):
         memo = memos.setdefault(avec, {})
         for cvec, val in ctx._rows(fams, avec, word, memo).items():
-            out[(avec, cvec)] = val
-    return out
+            out[avec + cvec] = val
+    return QTensor(ctx.N, ctx.n, out)
 
 
 # ------------------------------------------------------------ verification
@@ -326,14 +328,12 @@ def verify_ll(ctx: DualPairing, degree: int = 2) -> dict:
     """Exchange law between two functional rows, checked as functionals.
 
     For every family pair and every product of assembled entries up to
-    the degree, both sides of the braid exchange are paired against the
-    word and compared exactly.
+    the degree, both sides of the braid exchange R+ L1 L2 = L2 L1 R+ are
+    paired against the word and compared exactly: with A and B the
+    tables of the family pair and of its reverse, R+ A == flip(B) R+.
     """
     N = ctx.N
     rp = ctx.r_plus
-    rp_rows: dict = {}
-    for (a, b, k, l), val in rp.data.items():
-        rp_rows.setdefault((a, b), []).append(((k, l), val))
     failures = []
     identities = 0
     for fams in (("upper", "upper"), ("lower", "lower"), ("upper", "lower")):
@@ -342,19 +342,8 @@ def verify_ll(ctx: DualPairing, degree: int = 2) -> dict:
         for word in entry_words(N, degree):
             A = _fold_word(ctx, fams, word, memos[fams])
             B = A if rev == fams else _fold_word(ctx, rev, word, memos[rev])
-            a_rows: dict = {}
-            for (row, col), val in A.items():
-                a_rows.setdefault(row, []).append((col, val))
-            lhs: dict = {}
-            for (i, jj, a, b), val in rp.data.items():
-                for col, av in a_rows.get((a, b), ()):
-                    _add_to(lhs, ((i, jj), col), val * av)
-            rhs: dict = {}
-            for ((jj, i), (b, a)), bv in B.items():
-                for col, val in rp_rows.get((a, b), ()):
-                    _add_to(rhs, ((i, jj), col), bv * val)
             identities += 1
-            if lhs != rhs:
+            if rp * A != B.flipped() * rp:
                 failures.append({"families": fams, "word": word})
     return {"ok": not failures, "identities": identities,
             "failures": failures}
@@ -371,7 +360,7 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
     full upper diagonal multiplies to the unit functional.
     """
     N, n = ctx.N, ctx.n
-    ct = ctx.group.C.transpose()
+    ct = metric_vec(ctx.group.C.transpose())
     failures = []
     identities = 0
     words = tuple(entry_words(N, degree))
@@ -380,25 +369,9 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
         memos: dict = {}
         for word in words:
             A = _fold_word(ctx, fams, word, memos)
-            eps = _position_counit(n, word)
-            right: dict = {}
-            left: dict = {}
-            for ((x1, x2), (y1, y2)), av in A.items():
-                c = ct.entry(y1, y2)
-                if c:
-                    _add_to(right, (x1, x2), c * av)
-                c = ct.entry(x1, x2)
-                if c:
-                    _add_to(left, (y1, y2), c * av)
-            expect: dict = {}
-            if eps:
-                for i in range(1, N + 1):
-                    for k in range(1, N + 1):
-                        e = ct.entry(i, k)
-                        if e:
-                            expect[(i, k)] = e * eps
-            for law, vals in (("sandwich-right", right),
-                              ("sandwich-left", left)):
+            expect = ct if _position_counit(n, word) else {}
+            for law, vals in (("sandwich-right", A.apply_vec(ct)),
+                              ("sandwich-left", A.transpose().apply_vec(ct))):
                 identities += 1
                 if vals != expect:
                     failures.append({"family": fam, "law": law,

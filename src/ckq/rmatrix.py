@@ -5,6 +5,10 @@ i' = N+1-i.  Everything is stored sparsely with exact coefficients, so the
 braid relation, the minimal cubic, and the metric eigenvector property are
 verified by direct expansion, both before and after the slot contraction
 q^a -> 1 + a*J*v.
+
+``QTensor.dot`` is the one place where tensors are composed, by ``*``,
+``apply_vec``, ``qgroup`` and ``qdual``; it sums the entry pairs that land
+on each output key once, in the entry type's own ``dot``.
 """
 
 from __future__ import annotations
@@ -21,21 +25,22 @@ from .ckclassical import CKMatrix
 class QTensor:
     """A sparse operator on V (x) V; keys are (out1, out2, in1, in2).
 
-    Products also compose operators on more tensor legs, such as the
-    three-slot embeddings of ``verify_ybe``: the first half of a key holds
-    the output indices and the second half the input indices.
+    Entries are in D_n, or are ``NCPoly`` polynomials over D_n as in the
+    exchange components of ``qgroup``.  Products also compose operators on
+    more tensor legs, such as the three-slot embeddings of ``verify_ybe``:
+    the first half of a key holds the output indices and the second half
+    the input indices.  ``by_output`` indexes a tensor on first use and
+    keeps the index, so a tensor is not changed after its first product:
+    change a copy of ``data`` and build a new tensor from it.
     """
 
-    __slots__ = ("N", "n", "data")
+    __slots__ = ("N", "n", "data", "_by_output")
 
     def __init__(self, N: int, n: int, data: dict | None = None):
         self.N = N
         self.n = n
-        self.data = {}
-        if data:
-            for key, val in data.items():
-                if val:
-                    self.data[key] = val
+        self.data = {k: v for k, v in data.items() if v} if data else {}
+        self._by_output = None
 
     @classmethod
     def identity(cls, N: int, n: int) -> "QTensor":
@@ -49,7 +54,15 @@ class QTensor:
         return cls(N, n, {(j, i, i, j): one
                           for i in range(1, N + 1) for j in range(1, N + 1)})
 
+    @classmethod
+    def pair(cls, A: CKMatrix) -> "QTensor":
+        """A1 A2 = A (x) A: entry (x, y, u, v) is A[x,u] * A[y,v]."""
+        entries = metric_vec(A).items()
+        return cls(A.N, A.n, {(x, y, u, v): a * b
+                              for (x, u), a in entries for (y, v), b in entries})
+
     def get(self, i: int, j: int, k: int, l: int) -> DualElement:
+        """Entry of a D_n tensor; read ``data`` for polynomial entries."""
         return self.data.get((i, j, k, l), DualElement.zero(self.n))
 
     def nnz(self) -> int:
@@ -67,12 +80,7 @@ class QTensor:
         self._check(other)
         out = dict(self.data)
         for key, val in other.data.items():
-            acc = out.get(key)
-            t = val if acc is None else acc + val
-            if t:
-                out[key] = t
-            elif acc is not None:
-                del out[key]
+            out[key] = out[key] + val if key in out else val
         return QTensor(self.N, self.n, out)
 
     def __sub__(self, other: "QTensor") -> "QTensor":
@@ -81,26 +89,51 @@ class QTensor:
     def scale(self, c) -> "QTensor":
         return QTensor(self.N, self.n, {k: v * c for k, v in self.data.items()})
 
+    def flipped(self) -> "QTensor":
+        """P X P for the flip P: entry (i, j, k, l) is X[j, i, l, k]."""
+        return QTensor(self.N, self.n,
+                       {(j, i, l, k): v for (i, j, k, l), v in self.data.items()})
+
+    def transpose(self) -> "QTensor":
+        """Output and input halves of every key exchanged."""
+        h = len(next(iter(self.data), ())) // 2
+        return QTensor(self.N, self.n, {k[h:] + k[:h]: v for k, v in self.data.items()})
+
+    def row(self, out: tuple) -> "QTensor":
+        """The entries whose output half is ``out``."""
+        row = {out + ins: v for ins, v in self.by_output().get(out, ())}
+        return QTensor(self.N, self.n, row)
+
+    def by_output(self) -> dict:
+        """Output half -> [(input half, entry), ...], built on first use."""
+        index = self._by_output
+        if index is None:
+            index = self._by_output = {}
+            for key, val in self.data.items():
+                h = len(key) // 2
+                index.setdefault(key[:h], []).append((key[h:], val))
+        return index
+
+    @classmethod
+    def dot(cls, pairs) -> "QTensor":
+        """The sum of the compositions X * Y over the (X, Y) pairs.
+
+        All the tensors share one shape, and their entries one type, D_n
+        or ``NCPoly``.  The entry pairs that land on each output key are
+        collected and summed once by that type's ``dot`` (a key reached by
+        one pair takes the plain product), as in ``CKMatrix.__matmul__``,
+        so no product tensor or partial sum is built per pair.
+        """
+        first = pairs[0][0]
+        for X, Y in pairs:
+            first._check(X)
+            first._check(Y)
+        return cls(first.N, first.n,
+                   _compose(first.n, [(X.data, Y.by_output()) for X, Y in pairs]))
+
     def __mul__(self, other: "QTensor") -> "QTensor":
         """Operator composition."""
-        self._check(other)
-        by_out: dict = {}
-        for key, val in other.data.items():
-            h = len(key) // 2
-            by_out.setdefault(key[:h], []).append((key[h:], val))
-        out: dict = {}
-        for key, u in self.data.items():
-            h = len(key) // 2
-            for ins, w in by_out.get(key[h:], ()):
-                kk = key[:h] + ins
-                p = u * w
-                acc = out.get(kk)
-                t = p if acc is None else acc + p
-                if t:
-                    out[kk] = t
-                elif acc is not None:
-                    del out[kk]
-        return QTensor(self.N, self.n, out)
+        return QTensor.dot([(self, other)])
 
     def map_entries(self, fn) -> "QTensor":
         return QTensor(self.N, self.n, {k: fn(v) for k, v in self.data.items()})
@@ -109,24 +142,37 @@ class QTensor:
         return not self.data
 
     def apply_vec(self, vec: dict) -> dict:
-        """Apply to a vector {(k,l): coeff} on V (x) V."""
-        out: dict = {}
-        for (i, j, k, l), u in self.data.items():
-            w = vec.get((k, l))
-            if w is None:
-                continue
-            key = (i, j)
-            p = u * w
-            acc = out.get(key)
-            t = p if acc is None else acc + p
-            if t:
-                out[key] = t
-            elif acc is not None:
-                del out[key]
-        return out
+        """Apply to a vector {(k,l): coeff}, a right factor with empty input halves."""
+        return _compose(self.n, [(self.data, {kl: [((), w)] for kl, w in vec.items()})])
 
     def __repr__(self) -> str:
         return "QTensor(N=%d, n=%d, nnz=%d)" % (self.N, self.n, self.nnz())
+
+
+def _compose(n: int, pairs) -> dict:
+    """Key -> nonzero sum of X[out, mid] * Y[mid, in] over the pairs of X's
+    entries and Y's ``by_output`` index, for the key out + in."""
+    by_key: dict = {}
+    for data, index in pairs:
+        for key, u in data.items():
+            h = len(key) // 2
+            out = key[:h]
+            for ins, w in index.get(key[h:], ()):
+                uw = by_key.get(out + ins)
+                if uw is None:
+                    by_key[out + ins] = [(u, w)]
+                else:
+                    uw.append((u, w))
+    out = {}
+    for key, uw in by_key.items():
+        if len(uw) == 1:
+            (u, w), = uw
+            c = u * w
+        else:
+            c = type(uw[0][0]).dot(n, uw)
+        if c:
+            out[key] = c
+    return out
 
 
 # ----------------------------------------------------------- construction
@@ -159,16 +205,8 @@ def frt_r(N: int, n: int | None = None) -> QTensor:
         n = N - 1
     r2 = rho2(N)
     lam = DualElement.scalar(n, ScalarExpr.lam())
+    zero = DualElement.zero(n)
     data: dict = {}
-
-    def put(key, val):
-        acc = data.get(key)
-        t = val if acc is None else acc + val
-        if t:
-            data[key] = t
-        elif acc is not None:
-            del data[key]
-
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i == j and i != mirror(N, i):
@@ -177,14 +215,15 @@ def frt_r(N: int, n: int | None = None) -> QTensor:
                 d = ScalarExpr.q_power(-1)
             else:
                 d = ScalarExpr.one()
-            put((i, j, i, j), DualElement.scalar(n, d))
+            data[(i, j, i, j)] = DualElement.scalar(n, d)
     for i in range(1, N + 1):
         for j in range(1, i):
-            put((i, j, j, i), lam)
+            data[(i, j, j, i)] = lam
+            # the compensating shear meets the lambda entry when j = i'
             ip, jp = mirror(N, i), mirror(N, j)
             shift = DualElement.scalar(
                 n, ScalarExpr.s_power(r2[i - 1] - r2[j - 1]))
-            put((i, ip, j, jp), -(lam * shift))
+            data[(i, ip, j, jp)] = data.get((i, ip, j, jp), zero) - lam * shift
     return QTensor(N, n, data)
 
 
@@ -233,7 +272,7 @@ def contract(x, j: JSignature):
 # ------------------------------------------------------------- inversion
 
 
-def _q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
+def q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
     """q^e in the ring R lives in: symbolic, or contracted alongside R."""
     out = DualElement.scalar(n, ScalarExpr.q_power(e))
     return out if j is None else out.specialize(j)
@@ -250,14 +289,14 @@ def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
     """
     N, n = R.N, R.n
     P = QTensor.flip(N, n)
-    r_plus = P * R * P
+    r_plus = R.flipped()
     M = r_hat(R)
     I = QTensor.identity(N, n)
-    e1 = _q_scalar(n, 1, j) - _q_scalar(n, -1, j) + _q_scalar(n, 1 - N, j)
-    e2 = _q_scalar(n, 2 - N, j) - _q_scalar(n, -N, j) - DualElement.one(n)
+    e1 = q_scalar(n, 1, j) - q_scalar(n, -1, j) + q_scalar(n, 1 - N, j)
+    e2 = q_scalar(n, 2 - N, j) - q_scalar(n, -N, j) - DualElement.one(n)
     # 1/e3 = -q^(N-1)
     r_minus = ((M * M - M.scale(e1) + I.scale(e2)) * P).scale(
-        -_q_scalar(n, N - 1, j))
+        -q_scalar(n, N - 1, j))
     if r_minus * R != I or R * r_minus != I:
         raise ArithmeticError("inverse check failed")
     return r_plus, r_minus
@@ -302,9 +341,9 @@ def verify_cubic(R: QTensor, j: JSignature | None = None) -> bool:
     M = r_hat(R)
     I = QTensor.identity(N, n)
     factors = (
-        M - I.scale(_q_scalar(n, 1, j)),
-        M + I.scale(_q_scalar(n, -1, j)),
-        M - I.scale(_q_scalar(n, 1 - N, j)),
+        M - I.scale(q_scalar(n, 1, j)),
+        M + I.scale(q_scalar(n, -1, j)),
+        M - I.scale(q_scalar(n, 1 - N, j)),
     )
     acc = factors[0]
     for f in factors[1:]:
@@ -333,7 +372,7 @@ def projector_check(R: QTensor, C: CKMatrix, j: JSignature | None = None) -> boo
     """
     N, n = R.N, R.n
     M = r_hat(R)
-    ev = _q_scalar(n, 1 - N, j)
+    ev = q_scalar(n, 1 - N, j)
     v = metric_vec(C)
     got = M.apply_vec(v)
     want = {k: ev * val for k, val in v.items()}

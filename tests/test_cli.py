@@ -403,7 +403,9 @@ def test_corrupt_copy_one_exchange_component_reports_error(monkeypatch, capsys):
     def corrupt(T, R):
         comps = real(T, R)
         if next(iter(T.entry(1, 1).terms))[0].copy == 1:
-            comps[(1, 2, 2, 1)] = comps[(1, 2, 2, 1)] + T.entry(1, 1) * T.entry(2, 2)
+            data = dict(comps.data)
+            data[(1, 2, 2, 1)] = data[(1, 2, 2, 1)] + T.entry(1, 1) * T.entry(2, 2)
+            comps = rmatrix.QTensor(comps.N, comps.n, data)
         return comps
 
     monkeypatch.setattr(qgroup, "rtt_components", corrupt)

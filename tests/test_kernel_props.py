@@ -1,10 +1,11 @@
 """Property tests of the fused sum-of-products kernels against the naive
 left fold of ``*`` and ``+``.
 
-``DualElement.dot``, ``NCPoly.dot`` and ``CKMatrix.__matmul__`` accumulate
-each output coefficient once, and ``*`` is their one-pair case; the
-references here build every term product and every partial sum from the
-definitions, without ``*`` of D_n or of polynomials.  Derandomized, so every run draws the same
+``DualElement.dot``, ``NCPoly.dot``, ``CKMatrix.__matmul__`` and
+``QTensor.dot`` accumulate each output coefficient once, and ``*`` is
+their one-pair case; the references here build every term product and
+every partial sum from the definitions, without ``*`` of D_n or of
+polynomials.  Derandomized, so every run draws the same
 examples.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ckq.ckclassical import CKMatrix  # noqa: E402
 from ckq.coeffring import _V_CAP, Cyclo8, DegreeCapError, DualElement, ScalarExpr  # noqa: E402
 from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
+from ckq.rmatrix import QTensor, _embed3  # noqa: E402
 
 PROPS = settings(derandomize=True, max_examples=100, deadline=None)
 FEW = settings(PROPS, max_examples=30)
@@ -202,3 +204,85 @@ def test_matmul_over_dn_is_the_fold(A, B):
 @given(matrices(polys, 2), matrices(polys, 2))
 def test_matmul_over_polynomials_is_the_fold(A, B):
     assert kernel(A.__matmul__, B) == naive_matmul(A, B, NCPoly.zero(N), naive_mul)
+
+
+# tensors over a two-dimensional space; n = N, so entries are in D_3
+def tensors(entries):
+    keys = st.tuples(*[st.integers(1, 2)] * 4)
+    return st.dictionaries(keys, entries, max_size=6).map(lambda d: QTensor(2, N, d))
+
+
+def naive_compose(pairs, mul):
+    """The sum of the compositions X * Y by definition: every matching pair
+    of entries, X[out, m] and Y[m, in], is multiplied and added to the
+    partial sum at out + in."""
+    acc = {}
+    try:
+        for X, Y in pairs:
+            for xkey, u in X.data.items():
+                h = len(xkey) // 2
+                for ykey, w in Y.data.items():
+                    if ykey[:h] == xkey[h:]:
+                        key = xkey[:h] + ykey[h:]
+                        acc[key] = acc[key] + mul(u, w) if key in acc else mul(u, w)
+    except DegreeCapError:
+        return DegreeCapError
+    return {k: v for k, v in acc.items() if v}
+
+
+def tensor_dot(pairs):
+    got = kernel(QTensor.dot, pairs)
+    return got if got is DegreeCapError else got.data
+
+
+@st.composite
+def tensor_pairs(draw, entries, legs=2):
+    """Tensor pairs, one of them repeated after its negation so that an
+    output entry cancels partway; with three legs each tensor is a random
+    two-leg one embedded on two of the three slots."""
+    pairs = draw(st.lists(st.tuples(tensors(entries), tensors(entries)),
+                          min_size=1, max_size=3))
+    if legs == 3:
+        embeddings = st.sampled_from([(1, 2), (1, 3), (2, 3)])
+        pairs = [(_embed3(X, draw(embeddings)), _embed3(Y, draw(embeddings)))
+                 for X, Y in pairs]
+    k = draw(st.integers(0, len(pairs) - 1))
+    X, Y = pairs[k]
+    pairs[k + 1:k + 1] = [(X.scale(-1), Y), (X, Y)]
+    return pairs
+
+
+@FEW
+@given(tensor_pairs(duals))
+def test_tensor_dot_over_dn_is_the_fold_of_compositions(pairs):
+    assert tensor_dot(pairs) == naive_compose(pairs, naive_dual_mul)
+
+
+@FEW
+@given(tensor_pairs(polys))
+def test_tensor_dot_over_polynomials_is_the_fold_of_compositions(pairs):
+    assert tensor_dot(pairs) == naive_compose(pairs, naive_mul)
+
+
+@FEW
+@given(tensor_pairs(low_duals, legs=3))
+def test_tensor_dot_on_three_legs_is_the_fold_of_compositions(pairs):
+    assert tensor_dot(pairs) == naive_compose(pairs, naive_dual_mul)
+
+
+@FEW
+@given(tensors(duals), tensors(duals), tensors(polys), tensors(polys))
+def test_tensor_product_is_the_one_pair_dot(X, Y, U, W):
+    for A, B, mul in ((X, Y, naive_dual_mul), (U, W, naive_mul)):
+        got = kernel(A.__mul__, B)
+        assert (got if got is DegreeCapError else got.data) == naive_compose([(A, B)], mul)
+
+
+@FEW
+@given(tensors(duals), tensors(polys))
+def test_flipped_is_p_x_p(X, U):
+    P = QTensor.flip(2, N)
+    assert X.flipped() == P * X * P
+    for (i, j, k, l), v in U.flipped().data.items():
+        assert U.data[(j, i, l, k)] == v
+    assert U.flipped().nnz() == U.nnz()

@@ -277,7 +277,7 @@ def test_batched_exchange_values_match_pointwise_pairing():
             for _ in range(6):
                 a, b, c, d = (rng.randint(1, 3) for _ in range(4))
                 fw = (GenSymbol(fams[0], a, c), GenSymbol(fams[1], b, d))
-                expect = table.get(((a, b), (c, d)), zero(J33.n))
+                expect = table.get(a, b, c, d)
                 assert ctx.pair(fw, elem) == expect
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ckq import qgroup
@@ -34,6 +36,7 @@ from ckq.qgroup import (
     verify_delta_compat,
 )
 
+import exchange_oracle
 from conftest import all_signatures, seeded
 
 
@@ -111,11 +114,11 @@ def test_rtt_component_qcommutator_frozen():
     # same-column pair: t21 t11 = q^{-1} t11 t21, and the cross component
     # t21 t12 - t12 t21 with no deformation term
     G = QuantumCKGroup(JSignature.trivial(2))
-    comps = rtt_components(G.T, G.R)
+    comps = rtt_components(G.T, G.R).data
     t = lambda i, k: NCPoly.gen(2, mat_symbol(i, k))
     assert comps[(2, 1, 1, 1)] == t(2, 1) * t(1, 1) - (t(1, 1) * t(2, 1)) * ScalarExpr.q_power(-1)
     assert comps[(2, 1, 1, 2)] == t(2, 1) * t(1, 2) - t(1, 2) * t(2, 1)
-    assert comps[(1, 1, 1, 1)].is_zero()
+    assert (1, 1, 1, 1) not in comps  # zero components are not stored
 
 
 def test_relation_sources_tagged():
@@ -129,11 +132,12 @@ def test_relation_sources_tagged():
 def test_identity_r_gives_plain_commutators():
     j = JSignature.trivial(2)
     T = build_t(j)
-    comps = rtt_components(T, QTensor.identity(3, 2))
-    for (i, jj, k, l), p in comps.items():
+    comps = rtt_components(T, QTensor.identity(3, 2)).data
+    rng = range(1, 4)
+    for i, jj, k, l in product(rng, repeat=4):
         expected = (T.entry(i, k) * T.entry(jj, l)
                     - T.entry(jj, l) * T.entry(i, k))
-        assert p == expected
+        assert comps.get((i, jj, k, l), NCPoly.zero(2)) == expected
 
 
 @pytest.mark.parametrize("spec", ["iota,1", "1,iota", "iota,iota"])
@@ -330,13 +334,44 @@ def test_delta_compat_certificates_n4_sample():
     assert rep["split_components"] == 0  # atomic + bridge only at N=4
 
 
+@pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "split"])
+@pytest.mark.parametrize("spec", [str(j) for j in all_signatures(3)]
+                         + ["1,1,1", "iota,1,iota"])
+def test_exchange_tensors_match_the_per_component_oracle(spec, atomic):
+    # the tensor forms of R T1 T2 - T2 T1 R, of the coproduct certificate
+    # and of its target (the components of A B) agree with the
+    # component-by-component sums, zero components dropped; the
+    # certificate is compared once more with one copy-1 component perturbed
+    j = JSignature.parse(spec)
+    G = QuantumCKGroup(j)
+    A, B = build_t(j, 0, atomic), build_t(j, 1, atomic)
+    relA, relB = rtt_components(A, G.R), rtt_components(B, G.R)
+    nonzero = lambda comps: {k: p for k, p in comps.items() if p}
+    assert relA.data == nonzero(exchange_oracle.rtt_components(A, G.R))
+    assert relB.data == nonzero(exchange_oracle.rtt_components(B, G.R))
+    sums = exchange_oracle.certificate_sums(A, B, relA.data, relB.data, G.R)
+    cert = QTensor.dot(qgroup._certificate_pairs(A, B, relA, relB))
+    target = rtt_components(A @ B, G.R)
+    assert cert.data == nonzero({k: c for k, (c, _) in sums.items()})
+    assert target.data == nonzero({k: t for k, (_, t) in sums.items()})
+    assert cert == target
+    data = dict(relB.data)
+    data[(2, 1, 1, 2)] = data.get((2, 1, 1, 2), NCPoly.zero(j.n)) + B.entry(2, 2)
+    sums = exchange_oracle.certificate_sums(A, B, relA.data, data, G.R)
+    cert = QTensor.dot(qgroup._certificate_pairs(A, B, relA, QTensor(B.N, j.n, data)))
+    assert cert.data == nonzero({k: c for k, (c, _) in sums.items()})
+    assert cert != target
+
+
 def _corrupt_copy_one_component(monkeypatch):
     real = qgroup.rtt_components
 
     def corrupt(T, R):
         comps = real(T, R)
         if next(iter(T.entry(1, 1).terms))[0].copy == 1:
-            comps[(2, 1, 1, 3)] = comps[(2, 1, 1, 3)] + T.entry(3, 3)
+            data = dict(comps.data)
+            data[(2, 1, 1, 3)] = data[(2, 1, 1, 3)] + T.entry(3, 3)
+            comps = QTensor(comps.N, comps.n, data)
         return comps
 
     monkeypatch.setattr(qgroup, "rtt_components", corrupt)
@@ -416,7 +451,7 @@ def test_delta_compat_commutative_shadow():
     j = JSignature.parse("iota,iota")
     G = QuantumCKGroup(j)
     comps = rtt_components(G.T, G.R)
-    for p in comps.values():
+    for p in comps.data.values():
         q = p.at_v_zero()
         # commutator structure: vanishes under any commutative evaluation
         assert q.evaluate(lambda g: DualElement.one(2)).is_zero()

@@ -91,8 +91,9 @@ def test_ybe_symbolic():
 
 def test_ybe_rejects_perturbation():
     R = frt_r(3)
-    bad = QTensor(R.N, R.n, dict(R.data))
-    bad.data[(2, 1, 1, 2)] = bad.data[(2, 1, 1, 2)] + DualElement.one(2)
+    data = dict(R.data)
+    data[(2, 1, 1, 2)] = data[(2, 1, 1, 2)] + DualElement.one(2)
+    bad = QTensor(R.N, R.n, data)
     assert not verify_ybe(bad)
 
 
