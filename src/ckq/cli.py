@@ -451,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2,
                    help="word length bound for dual-side suites "
                         "(N^(2*degree) at most %d; pairing walks "
-                        "(N(N+1))^degree words, about 25 s at N=3 "
-                        "degree 4 and 45 s at N=5 degree 3)"
+                        "(N(N+1))^degree words, about 5 s at N=3 "
+                        "degree 4 and 12 s at N=5 degree 3)"
                         % MAX_WORDS_PER_PAIR)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; suites are dealt out to them "

@@ -23,6 +23,16 @@ operations build their results through private ``_raw`` constructors,
 which trust it.  Multiplying by the interned one (``ScalarExpr.one()``,
 ``DualElement.one(n)``) returns the other operand.  A constant hashes
 like the number it equals.
+
+``DualElement.dot`` takes an optional table that memoizes each sum by the
+tuple of its (a, b) pairs, compared by value, and interns each value it
+returns (``interned``), so equal values become one shared object and
+later keys match by identity first.  The owner of a table is one
+``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat: the
+coproduct certificate and the dual-side checks of ``qdual`` read it.  The
+``CKMatrix`` kernels and the ``classical`` suite take none, since random
+Cayley samples hardly repeat (18,472 distinct tuples among 24,590 sums at
+N=5) and a table there only costs time and memory.
 """
 
 from __future__ import annotations
@@ -635,7 +645,7 @@ class DualElement:
     __rmul__ = __mul__
 
     @classmethod
-    def dot(cls, n: int, pairs) -> "DualElement":
+    def dot(cls, n: int, pairs, table: dict | None = None) -> "DualElement":
         """The sum of a * b over the (a, b) pairs of elements of D_n.
 
         The scalar pairs that land on each subset are collected and summed
@@ -643,36 +653,18 @@ class DualElement:
         plain product), so no product or partial sum is formed per pair.
         ``*`` is the one-pair case: a squared nilpotent dies, and a
         v-degree above ``_V_CAP`` raises ``DegreeCapError``.
+
+        ``table`` memoizes the sum by the tuple of its pairs, compared by
+        value, and interns the result; a raised error is not stored.  The
+        owner of the table keeps it to one D_n.
         """
-        by_subset: dict = {}
-        for a, b in pairs:
-            if a.n != n or b.n != n:
-                raise DimensionError("operand outside D_%d" % n)
-            for m1, s1 in a.terms.items():
-                for m2, s2 in b.terms.items():
-                    if m1 & m2:
-                        continue  # a squared nilpotent dies
-                    scalars = by_subset.get(m1 | m2)
-                    if scalars is None:
-                        by_subset[m1 | m2] = [(s1, s2)]
-                    else:
-                        scalars.append((s1, s2))
-        terms: dict = {}
-        for m, scalars in by_subset.items():
-            if len(scalars) == 1:
-                (s1, s2), = scalars
-                s = s1 * s2  # ScalarExpr has no zero divisors
-            else:
-                out = _scalar_dot(scalars)
-                if not out:
-                    continue
-                s = ScalarExpr._raw(out)
-            # a coefficient equal to one is stored as the interned one,
-            # which later products short-cut and every such one shares
-            terms[m] = _S_ONE if s.terms == _S_ONE.terms else s
-        if len(terms) == 1 and terms.get(0) is _S_ONE:
-            return _D_ONES[n]
-        return DualElement._raw(n, terms)
+        if table is None:
+            return _dual_dot(n, pairs)
+        key = tuple(pairs)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = interned(table, _dual_dot(n, key))
+        return got
 
     def inverse(self) -> "DualElement":
         """Inverse via the finite geometric series over the nilpotent part."""
@@ -740,6 +732,50 @@ def _generator_count(n: int) -> int:
 
 _D_ZEROS = tuple(DualElement._raw(n, {}) for n in range(_MAX_GENERATORS + 1))
 _D_ONES = tuple(DualElement._raw(n, {0: _S_ONE}) for n in range(_MAX_GENERATORS + 1))
+
+
+def interned(table: dict, x):
+    """The value equal to x that ``table`` holds, which is x itself the
+    first time: a table holds each value it has seen under itself too, so
+    that equal values are one object."""
+    return table.setdefault(x, x)
+
+
+def _dual_dot(n: int, pairs) -> DualElement:
+    """The body of ``DualElement.dot``: the sum itself, formed afresh."""
+    by_subset: dict = {}
+    for a, b in pairs:
+        if a.n != n or b.n != n:
+            raise DimensionError("operand outside D_%d" % n)
+        for m1, s1 in a.terms.items():
+            for m2, s2 in b.terms.items():
+                if m1 & m2:
+                    continue  # a squared nilpotent dies
+                scalars = by_subset.get(m1 | m2)
+                if scalars is None:
+                    by_subset[m1 | m2] = [(s1, s2)]
+                else:
+                    scalars.append((s1, s2))
+    terms: dict = {}
+    for m, scalars in by_subset.items():
+        if len(scalars) == 1:
+            (s1, s2), = scalars
+            s = s1 * s2  # ScalarExpr has no zero divisors
+        else:
+            out = _scalar_dot(scalars)
+            if not out:
+                continue
+            s = ScalarExpr._raw(out)
+        # a coefficient equal to one is stored as the interned one,
+        # which later products short-cut and every such one shares
+        terms[m] = _S_ONE if s.terms == _S_ONE.terms else s
+    # zero and one are the interned ones, so table keys holding them
+    # match by identity
+    if not terms:
+        return _D_ZEROS[n]
+    if len(terms) == 1 and terms.get(0) is _S_ONE:
+        return _D_ONES[n]
+    return DualElement._raw(n, terms)
 
 
 class JSignature:

@@ -8,7 +8,9 @@ copies commute — words are kept normalized with copies in ascending order
 ``NCPoly.dot`` is the one place where word products are formed: ``*``,
 matrix-product entries and the exchange components and certificates of
 ``qgroup`` all go through it, and it sums the coefficients that land on
-each output word once, in ``DualElement.dot``.
+each output word once, in ``DualElement.dot``.  A caller that owns a dot
+table (a ``qgroup.QuantumCKGroup``, for the coproduct certificate) hands
+it down, and then every output coefficient is looked up there.
 
 There is no normal form modulo a relation ideal here: ideal membership is
 shown by explicit certificates, built and replayed by exact expansion
@@ -180,13 +182,14 @@ class NCPoly:
         return self * other
 
     @classmethod
-    def dot(cls, n: int, pairs) -> "NCPoly":
+    def dot(cls, n: int, pairs, table: dict | None = None) -> "NCPoly":
         """The sum of p * q over the (p, q) pairs of polynomials over D_n.
 
         The coefficient pairs that land on each output word are collected
         and summed once by ``DualElement.dot`` (a word reached by one pair
         takes the plain product), so no product polynomial or partial sum
-        is built per pair.
+        is built per pair.  With a ``table`` every output coefficient,
+        one pair or many, is that table's ``DualElement.dot``.
         """
         by_word: dict = {}
         for p, q in pairs:
@@ -207,7 +210,9 @@ class NCPoly:
                         coeffs.append((c1, c2))
         out = {}
         for w, coeffs in by_word.items():
-            if len(coeffs) == 1:
+            if table is not None:
+                c = DualElement.dot(n, coeffs, table)
+            elif len(coeffs) == 1:
                 (c1, c2), = coeffs
                 c = c1 * c2
             else:

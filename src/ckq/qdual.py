@@ -19,6 +19,14 @@ in a memo the caller owns.  A polynomial is evaluated word by word
 row, a word whose prefix row is empty is not folded at all, and the value
 at an end row is one coefficient dot over the words' nonempty rows.
 
+Every coefficient sum here, in a column, a row, a relation value or a
+tensor law, is one ``DualElement.dot`` through the group's dot table
+(``QuantumCKGroup.dot_table``): the values are products of a few
+contracted R entries, so the same tuple of pairs recurs thousands of
+times.  The tables' entries, the relation coefficients and the split
+column values are interned in it too, so a recurring tuple matches its
+key by identity.
+
 The tables of a family pair against one entry word form a two-leg
 ``QTensor`` (`_fold_word`), so the functional laws are tensor identities:
 the exchange law is R+ A == flip(B) R+ for the tables A and B of a family
@@ -36,7 +44,7 @@ weight stays in the coefficient ring, where it is well defined.
 from itertools import product
 
 from .ckclassical import CKMatrix, weight_pattern_symplectic
-from .coeffring import DualElement, JSignature
+from .coeffring import DualElement, JSignature, interned
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
 from .rmatrix import QTensor, metric_vec, r_plus_minus
@@ -83,9 +91,10 @@ def _check_matrix(sym: GenSymbol):
         raise ValueError("not a matrix generator: %s" % (sym,))
 
 
-def _terms(n: int, x, check) -> list:
+def _terms(n: int, x, check, table: dict) -> list:
     """(coefficient, word) terms of a symbol, word or polynomial, in word
-    order, after `check` has accepted every symbol."""
+    order, after `check` has accepted every symbol; each coefficient is
+    the `interned` one of `table`."""
     if isinstance(x, GenSymbol):
         x = (x,)
     if isinstance(x, tuple):
@@ -96,17 +105,8 @@ def _terms(n: int, x, check) -> list:
     for w in sorted(x.terms, key=word_key):
         for g in w:
             check(g)
-        out.append((x.terms[w], w))
+        out.append((interned(table, x.terms[w]), w))
     return out
-
-
-def _add_to(out: dict, key, val):
-    acc = out.get(key)
-    t = val if acc is None else acc + val
-    if t:
-        out[key] = t
-    elif acc is not None:
-        del out[key]
 
 
 def _prefix_index(words) -> dict:
@@ -118,7 +118,17 @@ def _prefix_index(words) -> dict:
     return out
 
 
-def _dot_at(n: int, terms: list, rows: dict, ends) -> dict:
+def _dots(n: int, pairs: dict, table: dict) -> dict:
+    """Key -> nonzero tabled ``DualElement.dot`` of the key's pairs."""
+    out = {}
+    for key, ab in pairs.items():
+        val = DualElement.dot(n, ab, table)
+        if val:
+            out[key] = val
+    return out
+
+
+def _dot_at(n: int, terms: list, rows: dict, ends, table: dict) -> dict:
     """End row -> nonzero value of sum c * rows[w][end] over the (c, w)
     terms of one polynomial, for the end rows in `ends`; a word missing
     from `rows` has an empty row."""
@@ -127,12 +137,7 @@ def _dot_at(n: int, terms: list, rows: dict, ends) -> dict:
         for cvec, val in rows.get(w, {}).items():
             if cvec in ends:
                 pairs.setdefault(cvec, []).append((c, val))
-    out = {}
-    for cvec, cv in pairs.items():
-        val = DualElement.dot(n, cv)
-        if val:
-            out[cvec] = val
-    return out
+    return _dots(n, pairs, table)
 
 
 def _position_counit(n: int, positions) -> DualElement:
@@ -148,8 +153,8 @@ def _position_counit(n: int, positions) -> DualElement:
 class DualPairing:
     """Evaluation context of one contracted group: tensors and caches."""
 
-    __slots__ = ("group", "N", "n", "r_plus", "r_minus", "_pattern",
-                 "_columns", "_vcolumns")
+    __slots__ = ("group", "N", "n", "r_plus", "r_minus", "table",
+                 "_pattern", "_columns", "_vcolumns")
 
     def __init__(self, G: QuantumCKGroup):
         if not G.contracted:
@@ -157,7 +162,12 @@ class DualPairing:
         self.group = G
         self.N = G.N
         self.n = G.n
-        self.r_plus, self.r_minus = r_plus_minus(G.R, G.j)
+        self.table = table = G.dot_table
+        # the tables' entries are interned, so sums of their products
+        # match table keys by identity
+        self.r_plus, self.r_minus = (
+            X.map_entries(lambda e: interned(table, e))
+            for X in r_plus_minus(G.R, G.j))
         self._pattern = weight_pattern_symplectic(G.j)
         self._columns = {}
         self._vcolumns = {}
@@ -182,11 +192,11 @@ class DualPairing:
         for r, fam in enumerate(fams):
             hop = self.tensor(fam).by_output()
             a = avec[r]
-            new: dict = {}
+            pairs: dict = {}
             for (pre, y), acc in states.items():
                 for (x2, y2), val in hop.get((a, y), ()):
-                    _add_to(new, (pre + (x2,), y2), acc * val)
-            states = new
+                    pairs.setdefault((pre + (x2,), y2), []).append((acc, val))
+            states = _dots(self.n, pairs, self.table)
         got = {pre: acc for (pre, y), acc in states.items() if y == l}
         self._columns[key] = got
         return got
@@ -226,7 +236,7 @@ class DualPairing:
             for cvec, col in self._column(fams, avec, sym.i, sym.k).items():
                 v = self._valuate(col, sym.i, sym.k, sym.mask)
                 if v:
-                    got[cvec] = v
+                    got[cvec] = interned(self.table, v)
             self._vcolumns[key] = got
         return got
 
@@ -247,15 +257,15 @@ class DualPairing:
             return {avec: DualElement.one(self.n)}
         head = self._memo_row(fams, avec, word[:-1], memo)
         g = word[-1]
-        got: dict = {}
+        pairs: dict = {}
         for cur, acc in head.items():
             if isinstance(g, GenSymbol):
                 step = self._column_at(fams, cur, g)
             else:
                 step = self._column(fams, cur, *g)
             for cvec, val in step.items():
-                _add_to(got, cvec, acc * val)
-        return got
+                pairs.setdefault(cvec, []).append((acc, val))
+        return _dots(self.n, pairs, self.table)
 
     def _memo_row(self, fams: tuple, avec: tuple, word: tuple,
                   memo: dict) -> dict:
@@ -293,13 +303,14 @@ class DualPairing:
         (split generators, assembled entries, relation polynomials).
         """
         total = DualElement.zero(self.n)
-        terms = _terms(self.n, element, _check_matrix)
+        terms = _terms(self.n, element, _check_matrix, self.table)
         by_prefix = _prefix_index(w for _, w in terms)
-        for lc, lw in _terms(self.n, functional, _check_functional):
+        for lc, lw in _terms(self.n, functional, _check_functional,
+                             self.table):
             rows = self._word_rows(tuple(g.family for g in lw),
                                    tuple(g.i for g in lw), by_prefix, {})
             bvec = tuple(g.k for g in lw)
-            val = _dot_at(self.n, terms, rows, (bvec,)).get(bvec)
+            val = _dot_at(self.n, terms, rows, (bvec,), self.table).get(bvec)
             if val is not None:
                 total = total + lc * val
         return total
@@ -332,7 +343,7 @@ def verify_ll(ctx: DualPairing, degree: int = 2) -> dict:
     paired against the word and compared exactly: with A and B the
     tables of the family pair and of its reverse, R+ A == flip(B) R+.
     """
-    N = ctx.N
+    N, table = ctx.N, ctx.table
     rp = ctx.r_plus
     failures = []
     identities = 0
@@ -343,7 +354,8 @@ def verify_ll(ctx: DualPairing, degree: int = 2) -> dict:
             A = _fold_word(ctx, fams, word, memos[fams])
             B = A if rev == fams else _fold_word(ctx, rev, word, memos[rev])
             identities += 1
-            if rp * A != B.flipped() * rp:
+            if (QTensor.dot([(rp, A)], table)
+                    != QTensor.dot([(B.flipped(), rp)], table)):
                 failures.append({"families": fams, "word": word})
     return {"ok": not failures, "identities": identities,
             "failures": failures}
@@ -370,8 +382,9 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
         for word in words:
             A = _fold_word(ctx, fams, word, memos)
             expect = ct if _position_counit(n, word) else {}
-            for law, vals in (("sandwich-right", A.apply_vec(ct)),
-                              ("sandwich-left", A.transpose().apply_vec(ct))):
+            for law, vals in (("sandwich-right", A.apply_vec(ct, ctx.table)),
+                              ("sandwich-left",
+                               A.transpose().apply_vec(ct, ctx.table))):
                 identities += 1
                 if vals != expect:
                     failures.append({"family": fam, "law": law,
@@ -411,7 +424,7 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
     nonempty row can be nonzero there; each of them is summed, one at a
     time, at every end row bvec of the group by one coefficient dot.
     """
-    rels = [(_terms(ctx.n, r, _check_matrix), source)
+    rels = [(_terms(ctx.n, r, _check_matrix, ctx.table), source)
             for r, source in ctx.group.relations().tagged()]
     uses: dict = {}
     for r, (terms, _) in enumerate(rels):
@@ -429,7 +442,8 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
         rows = ctx._word_rows(fams, avec, by_prefix, {})
         for r in {r for w in rows for r in uses[w]}:
             hits.extend((r, members[bvec])
-                        for bvec in _dot_at(ctx.n, rels[r][0], rows, members))
+                        for bvec in _dot_at(ctx.n, rels[r][0], rows, members,
+                                            ctx.table))
     hits.sort()
     failures = [{"source": rels[r][1], "word": words[idx]} for r, idx in hits]
     return {"ok": not failures, "checked": len(rels) * len(words),

@@ -3,7 +3,9 @@
 ``QuantumCKGroup(j)`` is the one object per signature: it builds the
 braiding tensor R, the metric C, the generating matrix T and the relation
 ideal once each, on first use, and every check here and in ``qdual`` and
-``cli`` reads them from it.
+``cli`` reads them from it.  It also owns the ``DualElement.dot`` table
+(``dot_table``) through which the coproduct certificate and the
+``qdual`` checks sum their coefficients.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
@@ -30,15 +32,17 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 
-from .coeffring import DualElement, JSignature
+from .coeffring import DualElement, JSignature, interned
 from .ckclassical import CKMatrix, weight_pattern_symplectic
 from .rmatrix import QTensor, contract, frt_c, frt_r, q_scalar, rho2
 from .freealg import GenSymbol, NCPoly, mat_symbol
 
 
-def _scalars(M):
-    """The scalar matrix or tensor M, entries lifted to constant polynomials."""
-    return M.map_entries(lambda e: NCPoly.scalar(M.n, e))
+def _scalars(M, table: dict | None = None):
+    """The scalar matrix or tensor M, entries lifted to constant polynomials;
+    with a ``table``, each entry is first replaced by its ``interned`` value."""
+    return M.map_entries(lambda e: NCPoly.scalar(
+        M.n, e if table is None else interned(table, e)))
 
 
 # --------------------------------------------------------- generating matrix
@@ -170,17 +174,18 @@ def _holds(held, p: NCPoly) -> bool:
     return bool(held) and (p in held or -p in held)
 
 
-def _exchange_pairs(T: CKMatrix, R: QTensor) -> list:
-    """R T1 T2 - T2 T1 R as the pairs of one ``QTensor.dot``, with R's
-    entries lifted to constant polynomials."""
-    Rp = _scalars(R)
+def _exchange_pairs(T: CKMatrix, R: QTensor, table: dict | None = None) -> list:
+    """R T1 T2 - T2 T1 R as the pairs of one ``QTensor.dot``, with the
+    entries of R and -R lifted to constant polynomials."""
     TT = QTensor.pair(T)
-    return [(Rp, TT), (TT.flipped(), Rp.scale(-1))]
+    return [(_scalars(R, table), TT),
+            (TT.flipped(), _scalars(R.scale(-1), table))]
 
 
-def rtt_components(T: CKMatrix, R: QTensor) -> QTensor:
-    """The braid-exchange components R T1 T2 - T2 T1 R, as a tensor."""
-    return QTensor.dot(_exchange_pairs(T, R))
+def rtt_components(T: CKMatrix, R: QTensor, table: dict | None = None) -> QTensor:
+    """The braid-exchange components R T1 T2 - T2 T1 R, as a tensor;
+    ``table`` as in ``QTensor.dot``."""
+    return QTensor.dot(_exchange_pairs(T, R, table), table)
 
 
 def rtt_relations(T: CKMatrix, R: QTensor) -> RelationSet:
@@ -329,6 +334,13 @@ class QuantumCKGroup:
     def T(self) -> CKMatrix:
         return build_t(self.j)
 
+    @cached_property
+    def dot_table(self) -> dict:
+        """The group's ``DualElement.dot`` table: the coproduct certificate
+        and the ``qdual`` checks sum products of the same few R-derived
+        coefficients over and over.  It holds only D_n values of this group."""
+        return {}
+
     def relations(self) -> RelationSet:
         if self._relations is None:
             self._relations = full_relation_set(self.T, self.R, self.C)
@@ -395,20 +407,22 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     certificate over the copy-0 and copy-1 exchange relations.  Both are
     expanded exactly and compared one output row (i, j) at a time, so
     neither is held whole; the first differing component is reported.
+    Both sides, and the exchange components they are built from, sum
+    their coefficients through the group's ``dot_table``.
 
     This runs in the entry-level algebra; the splitting homomorphism
     (built once per call and verified on every relation component here)
     transports each certificate to the split symbols.  At N = 3 the
     certificates are also replayed after splitting.
     """
-    j, N, R = G.j, G.N, G.R
+    j, N, R, table = G.j, G.N, G.R, G.dot_table
 
     def check(A: CKMatrix, B: CKMatrix, relA: QTensor) -> int:
-        """relA is rtt_components(A, R)."""
-        sides = (_certificate_pairs(A, B, relA, rtt_components(B, R)),
-                 _exchange_pairs(A @ B, R))
+        """relA is rtt_components(A, R, table)."""
+        sides = (_certificate_pairs(A, B, relA, rtt_components(B, R, table)),
+                 _exchange_pairs(A @ B, R, table))
         for o in product(range(1, N + 1), repeat=2):
-            cert, target = (QTensor.dot([(X.row(o), Y) for X, Y in pairs])
+            cert, target = (QTensor.dot([(X.row(o), Y) for X, Y in pairs], table)
                             for pairs in sides)
             if cert != target:
                 raise ArithmeticError("certificate mismatch at %s"
@@ -417,13 +431,13 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
 
     A0 = build_t(j, copy=0, atomic=True)
     B0 = build_t(j, copy=1, atomic=True)
-    relA_atomic = rtt_components(A0, R)
+    relA_atomic = rtt_components(A0, R, table)
     checked = check(A0, B0, relA_atomic)
 
     # the splitting homomorphism carries each certificate to split symbols:
     # verify it maps the atomic relation components onto the split ones
     split = splitting_map(j)
-    relA_split = rtt_components(G.T, R)
+    relA_split = rtt_components(G.T, R, table)
     ok = relA_atomic.map_entries(lambda p: p.substitute(split)) == relA_split
     split_checked = (check(G.T, build_t(j, copy=1), relA_split)
                      if N <= 3 else 0)

@@ -8,7 +8,10 @@ q^a -> 1 + a*J*v.
 
 ``QTensor.dot`` is the one place where tensors are composed, by ``*``,
 ``apply_vec``, ``qgroup`` and ``qdual``; it sums the entry pairs that land
-on each output key once, in the entry type's own ``dot``.
+on each output key once, in the entry type's own ``dot``.  ``dot`` and
+``apply_vec`` take the group's dot table (``QuantumCKGroup.dot_table``)
+from the checks that own one and pass it to that ``dot``; the R-matrix
+checks here, and ``CKMatrix``, sum without one.
 """
 
 from __future__ import annotations
@@ -115,21 +118,23 @@ class QTensor:
         return index
 
     @classmethod
-    def dot(cls, pairs) -> "QTensor":
+    def dot(cls, pairs, table: dict | None = None) -> "QTensor":
         """The sum of the compositions X * Y over the (X, Y) pairs.
 
         All the tensors share one shape, and their entries one type, D_n
         or ``NCPoly``.  The entry pairs that land on each output key are
         collected and summed once by that type's ``dot`` (a key reached by
         one pair takes the plain product), as in ``CKMatrix.__matmul__``,
-        so no product tensor or partial sum is built per pair.
+        so no product tensor or partial sum is built per pair.  A
+        ``table`` is handed to that ``dot`` for every output key.
         """
         first = pairs[0][0]
         for X, Y in pairs:
             first._check(X)
             first._check(Y)
         return cls(first.N, first.n,
-                   _compose(first.n, [(X.data, Y.by_output()) for X, Y in pairs]))
+                   _compose(first.n, [(X.data, Y.by_output()) for X, Y in pairs],
+                            table))
 
     def __mul__(self, other: "QTensor") -> "QTensor":
         """Operator composition."""
@@ -141,17 +146,21 @@ class QTensor:
     def is_zero(self) -> bool:
         return not self.data
 
-    def apply_vec(self, vec: dict) -> dict:
-        """Apply to a vector {(k,l): coeff}, a right factor with empty input halves."""
-        return _compose(self.n, [(self.data, {kl: [((), w)] for kl, w in vec.items()})])
+    def apply_vec(self, vec: dict, table: dict | None = None) -> dict:
+        """Apply to a vector {(k,l): coeff}, a right factor with empty input
+        halves; ``table`` as in ``dot``."""
+        return _compose(self.n, [(self.data, {kl: [((), w)] for kl, w in vec.items()})],
+                        table)
 
     def __repr__(self) -> str:
         return "QTensor(N=%d, n=%d, nnz=%d)" % (self.N, self.n, self.nnz())
 
 
-def _compose(n: int, pairs) -> dict:
+def _compose(n: int, pairs, table: dict | None = None) -> dict:
     """Key -> nonzero sum of X[out, mid] * Y[mid, in] over the pairs of X's
-    entries and Y's ``by_output`` index, for the key out + in."""
+    entries and Y's ``by_output`` index, for the key out + in.  With a
+    ``table`` every key's sum, one pair or many, is the entry type's
+    tabled ``dot``."""
     by_key: dict = {}
     for data, index in pairs:
         for key, u in data.items():
@@ -165,7 +174,9 @@ def _compose(n: int, pairs) -> dict:
                     uw.append((u, w))
     out = {}
     for key, uw in by_key.items():
-        if len(uw) == 1:
+        if table is not None:
+            c = type(uw[0][0]).dot(n, uw, table)
+        elif len(uw) == 1:
             (u, w), = uw
             c = u * w
         else:

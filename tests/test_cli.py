@@ -104,6 +104,9 @@ def test_output_bytes_stable_across_hash_seeds():
         ["relations", "--n", "4", "--j", "iota,1,iota", "--format", "text"],
         ["verify", "--n", "4", "--j", "iota,1,iota",
          "--suite", "contraction,antipode", "--format", "json"],
+        # the dot table is keyed by hash
+        ["verify", "--n", "4", "--j", "1,1,1",
+         "--suite", "pairing,exchange,metric,coproduct", "--format", "json"],
     ):
         a = run_cli(argv, PYTHONHASHSEED="1")
         b = run_cli(argv, PYTHONHASHSEED="4242")
@@ -400,8 +403,8 @@ def test_corrupt_copy_one_exchange_component_reports_error(monkeypatch, capsys):
     # that cite it
     real = qgroup.rtt_components
 
-    def corrupt(T, R):
-        comps = real(T, R)
+    def corrupt(T, R, table=None):
+        comps = real(T, R, table)
         if next(iter(T.entry(1, 1).terms))[0].copy == 1:
             data = dict(comps.data)
             data[(1, 2, 2, 1)] = data[(1, 2, 2, 1)] + T.entry(1, 1) * T.entry(2, 2)

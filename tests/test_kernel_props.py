@@ -5,7 +5,8 @@ left fold of ``*`` and ``+``.
 ``QTensor.dot`` accumulate each output coefficient once, and ``*`` is
 their one-pair case; the references here build every term product and
 every partial sum from the definitions, without ``*`` of D_n or of
-polynomials.  Derandomized, so every run draws the same
+polynomials.  With a dot table each kernel must give what it gives
+without one.  Derandomized, so every run draws the same
 examples.
 """
 
@@ -230,8 +231,8 @@ def naive_compose(pairs, mul):
     return {k: v for k, v in acc.items() if v}
 
 
-def tensor_dot(pairs):
-    got = kernel(QTensor.dot, pairs)
+def tensor_dot(pairs, table=None):
+    got = kernel(QTensor.dot, pairs, table)
     return got if got is DegreeCapError else got.data
 
 
@@ -286,3 +287,96 @@ def test_flipped_is_p_x_p(X, U):
     for (i, j, k, l), v in U.flipped().data.items():
         assert U.data[(j, i, l, k)] == v
     assert U.flipped().nnz() == U.nnz()
+
+
+# ------------------------------------------------------------ dot tables
+
+
+def twin(x):
+    """An element equal to x but not x itself."""
+    return DualElement(N, dict(x.terms))
+
+
+def check_table(table):
+    """Every sum a table holds is the plain dot of its pairs, and every
+    value it interns is held under itself."""
+    for key, val in table.items():
+        if isinstance(key, tuple):
+            assert val == DualElement.dot(N, key)
+            assert table[val] is val
+        else:
+            assert val is key
+
+
+@PROPS
+@given(dual_pairs())
+def test_tabled_dot_is_the_plain_dot(pairs):
+    want = kernel(DualElement.dot, N, pairs)
+    table = {}
+    first = kernel(DualElement.dot, N, pairs, table)
+    assert first == want
+    twins = [(twin(a), twin(b)) for a, b in pairs]
+    again = kernel(DualElement.dot, N, twins, table)
+    assert again == want
+    if want is DegreeCapError:
+        assert table == {}
+    else:
+        assert again is first  # matched by value, the stored object returned
+    check_table(table)
+
+
+def test_tabled_dot_edge_cases():
+    table = {}
+    a, b = DualElement.iota(N, 1) + 2, DualElement.iota(N, 2)
+    assert DualElement.dot(N, [], table) is DualElement.zero(N)
+    ab = DualElement.dot(N, [(a, b)], table)
+    assert ab == a * b
+    assert DualElement.dot(N, [(twin(a), twin(b))], table) is ab
+    # equal sums of different pairs are one object
+    assert DualElement.dot(N, [(b, a)], table) is ab
+    # a pair and its negation cancel to the interned zero, with or without
+    # a table
+    assert DualElement.dot(N, [(a, b), (-a, b)], table) is DualElement.zero(N)
+    assert DualElement.dot(N, [(a, b), (a, -b)]) is DualElement.zero(N)
+    check_table(table)
+
+
+def test_tabled_dot_stores_no_error():
+    hi = DualElement.scalar(N, ScalarExpr.v_power(_V_CAP - 1))
+    v2 = DualElement.scalar(N, ScalarExpr.v_power(2))
+    table = {}
+    for _ in range(2):
+        with pytest.raises(DegreeCapError):
+            DualElement.dot(N, [(hi, v2)], table)
+    assert table == {}
+
+
+@PROPS
+@given(poly_pairs())
+def test_tabled_poly_dot_is_the_plain_dot(pairs):
+    want = kernel(NCPoly.dot, N, pairs)
+    table = {}
+    for _ in range(2):
+        assert kernel(NCPoly.dot, N, pairs, table) == want
+    check_table(table)
+
+
+@FEW
+@given(tensor_pairs(duals), tensor_pairs(polys))
+def test_tabled_tensor_dot_is_the_plain_dot(dual_pairs, poly_pairs):
+    for pairs in (dual_pairs, poly_pairs):
+        want = tensor_dot(pairs)
+        table = {}
+        for _ in range(2):
+            assert tensor_dot(pairs, table) == want
+        check_table(table)
+
+
+@FEW
+@given(tensors(duals), st.dictionaries(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                                       duals, max_size=4))
+def test_tabled_apply_vec_is_the_plain_apply_vec(X, vec):
+    want = kernel(X.apply_vec, vec)
+    table = {}
+    assert kernel(X.apply_vec, vec, table) == want
+    check_table(table)

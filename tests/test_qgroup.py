@@ -366,8 +366,8 @@ def test_exchange_tensors_match_the_per_component_oracle(spec, atomic):
 def _corrupt_copy_one_component(monkeypatch):
     real = qgroup.rtt_components
 
-    def corrupt(T, R):
-        comps = real(T, R)
+    def corrupt(T, R, table=None):
+        comps = real(T, R, table)
         if next(iter(T.entry(1, 1).terms))[0].copy == 1:
             data = dict(comps.data)
             data[(2, 1, 1, 3)] = data[(2, 1, 1, 3)] + T.entry(3, 3)
