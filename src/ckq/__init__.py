@@ -22,7 +22,6 @@ from .coeffring import (
 from .freealg import GenSymbol, NCPoly, mat_symbol
 from .qdual import (
     DualPairing,
-    formal_l_pattern,
     relations_pair_to_zero,
     verify_antipode_duality,
     verify_l_additional,

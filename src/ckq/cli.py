@@ -44,7 +44,8 @@ SUITES = ("ybe", "cubic", "projector", "classical", "coassoc", "counit",
           "pairing")
 DUAL_SUITES = ("exchange", "metric", "pairing")  # take a qdual.DualPairing
 
-FORMATS = ("text", "json", "latex")
+FORMATS = ("text", "json")
+LATEX_FORMATS = FORMATS + ("latex",)  # relations and rmatrix also write LaTeX
 
 
 class UsageError(Exception):
@@ -193,7 +194,8 @@ def cmd_classical(ns) -> int:
 def cmd_dual(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     G = qgroup.QuantumCKGroup(j)
-    pattern = qdual.formal_l_pattern(j)
+    # the functional weight pattern is the entry weight pattern
+    pattern = ckclassical.weight_pattern_symplectic(j)
     # the degree-one value tables are the two halves of the braiding
     rp, rm = rmatrix.r_plus_minus(G.R, j)
     tables = {"upper": sorted(rp.data.items()),
@@ -408,13 +410,12 @@ def cmd_verify(ns) -> int:
 # ----------------------------------------------------------------- main
 
 
-def _add_common(sub, with_format=True):
+def _add_common(sub, formats=FORMATS):
     sub.add_argument("--n", type=int, choices=(3, 4, 5), default=3,
                      help="matrix size (3-5)")
     sub.add_argument("--j", type=str, default=None,
                      help="contraction signature, e.g. iota,1 (default all 1)")
-    if with_format:
-        sub.add_argument("--format", choices=FORMATS, default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", type=str, default=None,
                      help="write output to this file instead of stdout")
 
@@ -427,11 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("relations", help="emit the defining relations")
-    _add_common(p)
+    _add_common(p, LATEX_FORMATS)
     p.set_defaults(fn=cmd_relations)
 
     p = subs.add_parser("rmatrix", help="emit braiding tensor and metric")
-    _add_common(p)
+    _add_common(p, LATEX_FORMATS)
     p.set_defaults(fn=cmd_rmatrix)
 
     p = subs.add_parser("classical", help="commutative-limit group suite")

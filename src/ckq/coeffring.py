@@ -870,17 +870,8 @@ def specialize_q(x: ScalarExpr, j: JSignature) -> DualElement:
     n = j.n
     if not j.has_iota():
         return DualElement.scalar(n, x)
-    mask = j.iota_mask
-    body: dict = {}
     top: dict = {}
     for (se, ve), coef in x.terms.items():
-        e0 = (0, ve)
-        acc = body.get(e0)
-        s = coef if acc is None else acc + coef
-        if s:
-            body[e0] = s
-        elif acc is not None:
-            del body[e0]
         if se:
             e1 = (0, ve + 1)
             add = coef * Fraction(se, 2)
@@ -890,4 +881,4 @@ def specialize_q(x: ScalarExpr, j: JSignature) -> DualElement:
                 top[e1] = s
             elif acc is not None:
                 del top[e1]
-    return DualElement(n, {0: ScalarExpr(body), mask: ScalarExpr(top)})
+    return DualElement(n, {0: x.at_q_one(), j.iota_mask: ScalarExpr(top)})

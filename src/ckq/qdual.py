@@ -44,7 +44,7 @@ weight stays in the coefficient ring, where it is well defined.
 from itertools import product
 
 from .ckclassical import CKMatrix, weight_pattern_symplectic
-from .coeffring import DualElement, JSignature, interned
+from .coeffring import DualElement, interned
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
 from .rmatrix import QTensor, metric_vec, r_plus_minus
@@ -481,23 +481,3 @@ def verify_antipode_duality(ctx: DualPairing) -> dict:
     return {"ok": mismatches == 0, "checked": checked,
             "mismatches": mismatches}
 
-
-def formal_l_pattern(j: JSignature) -> dict:
-    """Documentation-only inverse-weight shape of the functional matrices.
-
-    Mirrors the weight pattern of the generating matrix: each entry
-    lists one term per weight, tagged with the slot indices whose
-    weights would appear inverted.  Terms with a nilpotent weight are
-    marked pairing-defined: their functionals only exist through the
-    pairing, never as coefficient-ring elements.
-    """
-    pat = weight_pattern_symplectic(j)
-    out = {}
-    for (i, k) in sorted(pat):
-        terms = []
-        for mask in pat[(i, k)]:
-            slots = tuple(b + 1 for b in range(j.n) if (mask >> b) & 1)
-            terms.append({"mask": mask, "slots": slots,
-                          "pairing_defined": mask != 0})
-        out[(i, k)] = tuple(terms)
-    return out

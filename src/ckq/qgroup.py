@@ -11,13 +11,16 @@ The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
 entry is the D-valued combination sum_W iota_W * t[i,k;W].  The defining
 ideal collects the braid-exchange components R T1 T2 - T2 T1 R and the
-quantum orthogonality T C T^t = T^t C T = C.  The metric is an involution,
-C^(-1) = C, checked when the group builds it, so the same family serves
-the antipode axiom.  T and every matrix built from it are ``CKMatrix``
-instances with ``NCPoly`` entries.  The exchange components, and both
-sides of their coproduct certificates, are ``QTensor`` sums of products
-as the paper writes them: T1 T2 is ``QTensor.pair(T)``, T2 T1 its
-``flipped()``, and each sum is one ``QTensor.dot``.
+quantum orthogonality T C T^t = T^t C T = C, whose relations are the
+entries of the cofactors M = T C T^t - C and L = T^t C T - C
+(``orthogonality_cofactors``).  The metric is an involution, C^(-1) = C,
+checked when the group builds it, so the same two cofactors factor the
+antipode defects S(T) T - I = C L and T S(T) - I = M C.  T and every
+matrix built from it are ``CKMatrix`` instances with ``NCPoly`` entries.
+The exchange components, and both sides of their coproduct certificates,
+are ``QTensor`` sums of products as the paper writes them: T1 T2 is
+``QTensor.pair(T)``, T2 T1 its ``flipped()``, and each sum is one
+``QTensor.dot``.
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
 expansion; the compatibility of the coproduct with the exchange relations
@@ -197,29 +200,28 @@ def rtt_relations(T: CKMatrix, R: QTensor) -> RelationSet:
     return rels
 
 
-def orthogonality_components(T: CKMatrix, M: CKMatrix) -> list:
-    """Components of T M T^t - M and T^t M T - M, in scan order."""
-    N, n = T.N, T.n
-    Mp = _scalars(M)
-    left = T @ Mp @ T.transpose()
-    right = T.transpose() @ Mp @ T
-    out = []
-    for src in (left, right):
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                out.append(src.entry(i, k) - NCPoly.scalar(n, M.entry(i, k)))
-    return out
+def orthogonality_cofactors(T: CKMatrix, C: CKMatrix) -> tuple:
+    """The orthogonality cofactors (M, L) = (T C T^t - C, T^t C T - C).
+
+    Their entries generate the orthogonality relations, and they factor
+    the antipode defects (``verify_antipode``).
+    """
+    Cp = _scalars(C)
+    return (T @ Cp @ T.transpose() - Cp, T.transpose() @ Cp @ T - Cp)
 
 
 def orthogonality_relations(T: CKMatrix, C: CKMatrix) -> RelationSet:
-    """Quantum orthogonality T C T^t = T^t C T = C.
+    """Quantum orthogonality T C T^t = T^t C T = C: the entries of M, then
+    of L, row by row.
 
     The antipode axiom consumes the same family for C^(-1), which is C
     itself: ``QuantumCKGroup.C`` checks that the metric is an involution.
     """
     rels = RelationSet(T.n)
-    for p in orthogonality_components(T, C):
-        rels.add(p, "orth")
+    for F in orthogonality_cofactors(T, C):
+        for row in F.rows:
+            for p in row:
+                rels.add(p, "orth")
     return rels
 
 
@@ -448,8 +450,9 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
 def verify_antipode(G: QuantumCKGroup) -> dict:
     """Certify S(T) T = T S(T) = I modulo the emitted ideal, and check S^2.
 
-    With S(T) = C T^t C^(-1) both defects factor through the orthogonality
-    cofactors L = T^t C^(-1) T - C^(-1) and M = T C T^t - C:
+    With S(T) = C T^t C^(-1) both defects factor through the cofactors
+    M = T C T^t - C and L = T^t C^(-1) T - C^(-1) whose entries are the
+    orthogonality relations (``orthogonality_cofactors``):
 
         S(T) T - I = C L,        T S(T) - I = M C^(-1).
 
@@ -472,8 +475,7 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     Cp = _scalars(G.C)
     I = _scalars(CKMatrix.identity(N, n))
     S = antipode(T, G.C)
-    L = T.transpose() @ Cp @ T - Cp
-    M = T @ Cp @ T.transpose() - Cp
+    M, L = orthogonality_cofactors(T, G.C)
     if (S @ T) - I != Cp @ L:
         raise ArithmeticError("certificate mismatch in S(T)T - I = C L")
     if (T @ S) - I != M @ Cp:

@@ -324,23 +324,28 @@ def tensor_text(T) -> str:
 
 
 def pattern_json(pattern: dict) -> list:
+    """The functional weight pattern, read off the entry weight pattern
+    (``weight_pattern_symplectic``): a term with a nilpotent weight is
+    defined only through the pairing."""
     out = []
     for (i, k) in sorted(pattern):
         out.append({"entry": [i, k],
-                    "terms": [{"iota": mask_slots(t["mask"]),
-                               "pairing_defined": t["pairing_defined"]}
-                              for t in pattern[(i, k)]]})
+                    "terms": [{"iota": mask_slots(mask),
+                               "pairing_defined": mask != 0}
+                              for mask in pattern[(i, k)]]})
     return out
 
 
 def pattern_text(pattern: dict) -> str:
+    """``pattern_json`` as text: the inverted slot weights of each term,
+    and * on the pairing-defined ones."""
     lines = []
     for (i, k) in sorted(pattern):
         terms = []
-        for pos, t in enumerate(pattern[(i, k)]):
+        for pos, mask in enumerate(pattern[(i, k)]):
             letter = "l" if pos == 0 else ("l~" if pos == 1 else "l(%d)" % pos)
-            weight = "".join("j%d^-1" % s for s in t["slots"]) or ""
-            mark = "*" if t["pairing_defined"] else ""
+            weight = "".join("j%d^-1" % s for s in mask_slots(mask))
+            mark = "*" if mask else ""
             terms.append("%s%s[%d,%d]%s" % (weight and weight + " ",
                                             letter, i, k, mark))
         lines.append("L[%d,%d] = %s" % (i, k, " + ".join(terms)))

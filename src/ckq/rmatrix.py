@@ -267,13 +267,10 @@ def r_hat(R: QTensor) -> QTensor:
 
 def contract(x, j: JSignature):
     """Apply the slot contraction to a tensor, matrix, or element."""
-    if isinstance(x, QTensor):
+    if isinstance(x, (QTensor, CKMatrix)):
         if x.n != j.n:
-            raise DimensionError("signature D_%d vs tensor D_%d" % (j.n, x.n))
-        return x.map_entries(lambda e: e.specialize(j))
-    if isinstance(x, CKMatrix):
-        if x.n != j.n:
-            raise DimensionError("signature D_%d vs matrix D_%d" % (j.n, x.n))
+            raise DimensionError("signature D_%d vs %s D_%d"
+                                 % (j.n, type(x).__name__, x.n))
         return x.map_entries(lambda e: e.specialize(j))
     if isinstance(x, DualElement):
         return x.specialize(j)
@@ -289,28 +286,37 @@ def q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
     return out if j is None else out.specialize(j)
 
 
-def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
-    """(flip R flip, R^(-1)), checked to be genuine one-sided inverses.
+def _rhat_inverse(R: QTensor, j: JSignature | None) -> QTensor | None:
+    """Rhat^(-1) from the cubic, or None when R is off the cubic.
 
-    The inverse comes from the cubic of ``verify_cubic``: with e1, e2, e3
-    the elementary symmetric functions of its roots q, -1/q and q^(1-N),
-    Rhat^(-1) = (Rhat^2 - e1 Rhat + e2) / e3 and R^(-1) = Rhat^(-1) flip.
-    Pass the signature used to contract R so the scalars are taken in the
-    same ring.  A tensor off the cubic fails the inverse check.
+    With e1, e2, e3 the elementary symmetric functions of the cubic's
+    roots q, -1/q and q^(1-N), X = (Rhat^2 - e1 Rhat + e2) / e3 satisfies
+    Rhat X - I = (Rhat - q)(Rhat + 1/q)(Rhat - q^(1-N)) / e3, so the one
+    check Rhat X = I is the cubic, and X, a polynomial in Rhat, is then
+    its two-sided inverse.  The scalars are taken in the ring of ``j``.
     """
     N, n = R.N, R.n
-    P = QTensor.flip(N, n)
-    r_plus = R.flipped()
     M = r_hat(R)
     I = QTensor.identity(N, n)
     e1 = q_scalar(n, 1, j) - q_scalar(n, -1, j) + q_scalar(n, 1 - N, j)
     e2 = q_scalar(n, 2 - N, j) - q_scalar(n, -N, j) - DualElement.one(n)
     # 1/e3 = -q^(N-1)
-    r_minus = ((M * M - M.scale(e1) + I.scale(e2)) * P).scale(
-        -q_scalar(n, N - 1, j))
-    if r_minus * R != I or R * r_minus != I:
+    X = (M * M - M.scale(e1) + I.scale(e2)).scale(-q_scalar(n, N - 1, j))
+    return X if M * X == I else None
+
+
+def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
+    """(flip R flip, R^(-1)), with R^(-1) = Rhat^(-1) flip.
+
+    Rhat^(-1) is read off the cubic of ``verify_cubic`` by the one check
+    Rhat X = I (``_rhat_inverse``), so a tensor off the cubic raises
+    ArithmeticError.  Pass the signature used to contract R so the scalars
+    are taken in the same ring.
+    """
+    X = _rhat_inverse(R, j)
+    if X is None:
         raise ArithmeticError("inverse check failed")
-    return r_plus, r_minus
+    return R.flipped(), X * QTensor.flip(R.N, R.n)
 
 
 # ----------------------------------------------------------- three slots
@@ -343,23 +349,13 @@ def verify_ybe(R: QTensor) -> bool:
 
 
 def verify_cubic(R: QTensor, j: JSignature | None = None) -> bool:
-    """(Rhat - q)(Rhat + 1/q)(Rhat - q^(1-N)) == 0.
+    """(Rhat - q)(Rhat + 1/q)(Rhat - q^(1-N)) == 0, which holds exactly
+    when Rhat^(-1) can be read off the cubic (``_rhat_inverse``).
 
     Pass the signature used to contract R so the reference scalars are
     taken in the same ring.
     """
-    N, n = R.N, R.n
-    M = r_hat(R)
-    I = QTensor.identity(N, n)
-    factors = (
-        M - I.scale(q_scalar(n, 1, j)),
-        M + I.scale(q_scalar(n, -1, j)),
-        M - I.scale(q_scalar(n, 1 - N, j)),
-    )
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc * f
-    return acc.is_zero()
+    return _rhat_inverse(R, j) is not None
 
 
 def metric_vec(C: CKMatrix) -> dict:

@@ -13,12 +13,11 @@ import time
 from conftest import all_signatures, record_acceptance
 
 from ckq import ckclassical as ck
-from ckq import qgroup
+from ckq import qgroup, render
 from ckq.coeffring import JSignature
 from ckq.freealg import NCPoly
 from ckq.qdual import (
     DualPairing,
-    formal_l_pattern,
     relations_pair_to_zero,
     verify_antipode_duality,
     verify_l_additional,
@@ -188,12 +187,14 @@ def test_08_two_term_entry_functional_correspondence():
     failures = []
     for raw in ("iota,1", "iota,iota"):
         j = JSignature.parse(raw)
-        t_pat = ck.weight_pattern_symplectic(j)[(1, 2)]
-        l_pat = formal_l_pattern(j)[(1, 2)]
+        pattern = ck.weight_pattern_symplectic(j)
+        t_pat = pattern[(1, 2)]
+        l_pat = {tuple(e["entry"]): e["terms"]
+                 for e in render.pattern_json(pattern)}[(1, 2)]
         if len(t_pat) != 2 or len(l_pat) != 2:
             failures.append("%s: not two terms" % raw)
             continue
-        if tuple(t["mask"] for t in l_pat) != t_pat:
+        if [t["iota"] for t in l_pat] != [render.mask_slots(m) for m in t_pat]:
             failures.append("%s: masks differ" % raw)
         if not l_pat[-1]["pairing_defined"]:
             failures.append("%s: inverted weight not pairing-defined" % raw)
@@ -244,10 +245,11 @@ def test_10_flat_limit_degenerates_to_classical_layer():
                 if not _abelianized(flat).is_zero():
                     failures.append("rtt flat %s" % j)
                     break
-        quantum = qgroup.orthogonality_components(G.T, G.C)
-        classical = qgroup.orthogonality_components(
+        quantum = qgroup.orthogonality_cofactors(G.T, G.C)
+        classical = qgroup.orthogonality_cofactors(
             G.T, G.C.map_entries(_flat))
-        if [p.map_coeffs(_flat) for p in quantum] != classical:
+        if [F.map_entries(lambda p: p.map_coeffs(_flat))
+                for F in quantum] != list(classical):
             failures.append("orthogonality flat %s" % j)
         ctx = DualPairing(G)
         for family in ("upper", "lower"):

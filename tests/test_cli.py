@@ -55,11 +55,13 @@ N34_DIGESTS = json.loads((GOLDEN / "emit_n34_sha256.json").read_text())
 N34_SIGNATURES = sorted({(int(key.split()[2]), key.split()[4])
                          for key in N34_DIGESTS})
 # the sha256 of verify --format json at every N=3 and N=4 signature, for
-# --suite classical,coproduct,contraction and --suite pairing,exchange,metric;
-# the detail counts are part of the bytes
+# --suite classical,coproduct,contraction, --suite pairing,exchange,metric
+# and --suite ybe,cubic,projector,coassoc,counit,antipode; the detail
+# counts are part of the bytes
 VERIFY_N34_DIGESTS = {
     **json.loads((GOLDEN / "verify_n34_sha256.json").read_text()),
-    **json.loads((GOLDEN / "verify_dual_n34_sha256.json").read_text())}
+    **json.loads((GOLDEN / "verify_dual_n34_sha256.json").read_text()),
+    **json.loads((GOLDEN / "verify_group_n34_sha256.json").read_text())}
 
 
 def _assert_digests(tmp_path, digests, N, sig, emits):
@@ -248,6 +250,23 @@ def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
     # --n 3 unless the case names its own size
     assert cli.main(argv[:1] + ["--n", "3"] + argv[1:]) == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+def test_rmatrix_latex_matches_golden_digest(tmp_path):
+    out = tmp_path / "rm.tex"
+    assert cli.main(["rmatrix", "--n", "3", "--j", "iota,1",
+                     "--format", "latex", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "41ade498d1c45539283139000c1ec8f21065f78bdb44a9880c042b30652db46d")
+
+
+@pytest.mark.parametrize("command", ["dual", "classical", "verify"])
+def test_latex_is_a_usage_error_where_not_written(capsys, command):
+    # only relations and rmatrix write LaTeX
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n", "3", "--format", "latex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["missing/x.json", "."])

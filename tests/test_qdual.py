@@ -9,7 +9,6 @@ from ckq.qdual import (
     DualPairing,
     dual_symbols,
     entry_words,
-    formal_l_pattern,
     _fold_word,
     lower_symbol,
     relations_pair_to_zero,
@@ -494,35 +493,6 @@ def test_dual_antipode_is_single_mirrored_generator():
                     lhs = coeff * ctx.pair(m, T.entry(k, l))
                     rhs = ctx.pair(g, S.entry(k, l))
                     assert lhs == rhs
-
-
-# ------------------------------------------------------- formal pattern
-
-
-def test_formal_pattern_trivial_signature_is_plain():
-    rep = formal_l_pattern(J30)
-    assert set(rep) == {(i, k) for i in range(1, 4) for k in range(1, 4)}
-    for terms in rep.values():
-        assert terms == ({"mask": 0, "slots": (), "pairing_defined": False},)
-
-
-def test_formal_pattern_mirrors_entry_weights():
-    for j in all_signatures(3) + [JSignature.parse("iota,iota,iota")]:
-        rep = formal_l_pattern(j)
-        pat = weight_pattern_symplectic(j)
-        for key, terms in rep.items():
-            assert tuple(t["mask"] for t in terms) == pat[key]
-
-
-def test_formal_pattern_two_term_corner():
-    rep = formal_l_pattern(J33)
-    terms = rep[(1, 2)]
-    assert len(terms) == 2
-    assert terms[0]["slots"] == (1,) and terms[1]["slots"] == (2,)
-    assert all(t["pairing_defined"] for t in terms)
-    half = formal_l_pattern(J31)[(1, 2)]
-    assert [t["pairing_defined"] for t in half] == [False, True]
-    assert half[1]["slots"] == (1,)
 
 
 # ------------------------------------------------------- trivial limits

@@ -26,6 +26,20 @@ def lam():
     return DualElement.scalar(2, ScalarExpr.lam())
 
 
+def _lam_doubled(N: int) -> QTensor:
+    """frt_r(N) with every entry equal to lambda doubled."""
+    R = frt_r(N)
+    lam_n = DualElement.scalar(N - 1, ScalarExpr.lam())
+    return QTensor(N, N - 1, {k: v + v if v == lam_n else v
+                              for k, v in R.data.items()})
+
+
+def _perturbed() -> QTensor:
+    data = dict(frt_r(3).data)
+    data[(3, 1, 1, 3)] = DualElement.one(2)
+    return QTensor(3, 2, data)
+
+
 def test_rho2_frozen():
     assert rho2(2) == (0, 0)
     assert rho2(3) == (1, 0, -1)
@@ -103,10 +117,7 @@ def test_cubic_symbolic():
 
 
 def test_cubic_rejects_perturbation():
-    R = frt_r(3)
-    bad = QTensor(R.N, R.n, dict(R.data))
-    bad.data[(3, 1, 1, 3)] = DualElement.one(2)
-    assert not verify_cubic(bad)
+    assert not verify_cubic(_perturbed())
 
 
 def test_projector_symbolic():
@@ -162,10 +173,27 @@ def test_fully_contracted_inverse_is_reflection():
     assert r_plus_minus(Rc, j)[1] == I.scale(2) - Rc
 
 
-def test_inverse_rejects_tensor_off_the_cubic():
+@pytest.mark.parametrize("make,raw,on_cubic", [
+    pytest.param(lambda: frt_r(3), None, True, id="frt_r(3)"),
+    pytest.param(lambda: frt_r(4), None, True, id="frt_r(4)"),
+    pytest.param(lambda: frt_r(3), "iota,1", True, id="frt_r(3)-iota,1"),
+    pytest.param(lambda: frt_r(4), "iota,1,iota", True, id="frt_r(4)-iota,1,iota"),
+    # fails the braid relation at 1,1 but passes it at iota,1
+    pytest.param(lambda: _lam_doubled(3), "1,1", False, id="lam-doubled-1,1"),
+    pytest.param(lambda: _lam_doubled(3), "iota,1", False, id="lam-doubled-iota,1"),
+    pytest.param(_perturbed, None, False, id="perturbed"),
     # the flip has Rhat = I, which is not a root of the cubic
-    with pytest.raises(ArithmeticError):
-        r_plus_minus(QTensor.flip(3, 2))
+    pytest.param(lambda: QTensor.flip(3, 2), None, False, id="flip"),
+])
+def test_cubic_holds_exactly_when_the_inverse_exists(make, raw, on_cubic):
+    j = None if raw is None else JSignature.parse(raw)
+    R = make() if j is None else contract(make(), j)
+    assert verify_cubic(R, j) is on_cubic
+    if on_cubic:
+        r_plus_minus(R, j)
+    else:
+        with pytest.raises(ArithmeticError, match="inverse check failed"):
+            r_plus_minus(R, j)
 
 
 def test_r_plus_minus():
