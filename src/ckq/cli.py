@@ -23,7 +23,7 @@ suite takes one of these two objects.
 
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.  JSON documents
-are written by ``render.json_text``.
+are written by ``render.write_json``, straight to --out or standard output.
 """
 
 import argparse
@@ -95,20 +95,31 @@ def _check_out(path: str) -> None:
         raise UsageError("cannot write --out %s: it is a directory" % path)
 
 
-def _write(ns, payload: str) -> None:
+def _write(ns, payload) -> None:
+    """Write payload to --out, or else to the standard output of the moment:
+    a str as it is, a JSON document (a dict) through ``render.write_json``
+    and then a newline."""
+    def put(out):
+        if isinstance(payload, str):
+            out.write(payload)
+        else:
+            render.write_json(payload, out)
+            out.write("\n")
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                put(fh)
         except OSError as exc:
             raise UsageError("cannot write --out %s: %s"
                              % (ns.out, exc.strerror or exc))
     else:
-        sys.stdout.write(payload)
-
-
-def _json_doc(doc: dict) -> str:
-    return render.json_text(doc) + "\n"
+        try:
+            put(sys.stdout)
+        except BrokenPipeError:
+            # the reader stopped early (say `| head`): the rest, and the
+            # final flush at exit, go to the null device, and the exit code
+            # is still the command's
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _config(ns, j: JSignature) -> dict:
@@ -122,7 +133,7 @@ def cmd_relations(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     rels = qgroup.QuantumCKGroup(j).relations()
     if ns.format == "json":
-        _write(ns, _json_doc(render.relations_json(j, rels)))
+        _write(ns, render.relations_json(j, rels))
     elif ns.format == "latex":
         _write(ns, render.relations_tex(j, rels))
     else:
@@ -141,7 +152,7 @@ def cmd_rmatrix(ns) -> int:
                "r_plus": render.tensor_json(rp),
                "r_minus": render.tensor_json(rm),
                "metric": render.matrix_json(C)}
-        _write(ns, _json_doc(doc))
+        _write(ns, doc)
     elif ns.format == "latex":
         lines = [r"\begin{align*}"]
         for key in sorted(R.data):
@@ -184,7 +195,7 @@ def cmd_classical(ns) -> int:
     report = _classical_report(j, ns.samples, ns.seed)
     doc = {"config": _config(ns, j), "report": report}
     if ns.format == "json":
-        _write(ns, _json_doc(doc))
+        _write(ns, doc)
     else:
         lines = ["%s: %s" % (k, report[k]) for k in sorted(report)]
         _write(ns, "\n".join(lines) + "\n")
@@ -207,7 +218,7 @@ def cmd_dual(ns) -> int:
                                     "value": render.dual_json(val)}
                                    for (i, k, jj, l), val in rows]
                           for family, rows in tables.items()}}
-        _write(ns, _json_doc(doc))
+        _write(ns, doc)
     else:
         parts = ["# formal functional weight pattern "
                  "(* marks inverted-weight terms defined only through the pairing)",
@@ -393,7 +404,7 @@ def cmd_verify(ns) -> int:
         doc = {"config": _config(ns, j),
                "results": [{"suite": nm, "status": st, "detail": dt}
                            for nm, st, dt in results]}
-        _write(ns, _json_doc(doc))
+        _write(ns, doc)
     else:
         width = max(len(nm) for nm, _, _ in results)
         lines = ["%-*s  %-12s  %s" % (width, nm, st, dt)
@@ -467,7 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error or --help
+        return exc.code
     try:
         if ns.out:
             _check_out(ns.out)

@@ -13,7 +13,8 @@ entry is the D-valued combination sum_W iota_W * t[i,k;W].  The defining
 ideal collects the braid-exchange components R T1 T2 - T2 T1 R and the
 quantum orthogonality T C T^t = T^t C T = C, whose relations are the
 entries of the cofactors M = T C T^t - C and L = T^t C T - C
-(``orthogonality_cofactors``).  The metric is an involution, C^(-1) = C,
+(``orthogonality_cofactors``, formed once per group as
+``QuantumCKGroup.cofactors``).  The metric is an involution, C^(-1) = C,
 checked when the group builds it, so the same two cofactors factor the
 antipode defects S(T) T - I = C L and T S(T) - I = M C.  T and every
 matrix built from it are ``CKMatrix`` instances with ``NCPoly`` entries.
@@ -210,24 +211,24 @@ def orthogonality_cofactors(T: CKMatrix, C: CKMatrix) -> tuple:
     return (T @ Cp @ T.transpose() - Cp, T.transpose() @ Cp @ T - Cp)
 
 
-def orthogonality_relations(T: CKMatrix, C: CKMatrix) -> RelationSet:
-    """Quantum orthogonality T C T^t = T^t C T = C: the entries of M, then
-    of L, row by row.
+def orthogonality_relations(cofactors: tuple) -> RelationSet:
+    """Quantum orthogonality T C T^t = T^t C T = C: the entries of the
+    cofactors (M, L) from ``orthogonality_cofactors``, M first, row by row.
 
     The antipode axiom consumes the same family for C^(-1), which is C
     itself: ``QuantumCKGroup.C`` checks that the metric is an involution.
     """
-    rels = RelationSet(T.n)
-    for F in orthogonality_cofactors(T, C):
+    rels = RelationSet(cofactors[0].n)
+    for F in cofactors:
         for row in F.rows:
             for p in row:
                 rels.add(p, "orth")
     return rels
 
 
-def full_relation_set(T: CKMatrix, R: QTensor, C: CKMatrix) -> RelationSet:
-    rels = rtt_relations(T, R)
-    rels.extend(orthogonality_relations(T, C))
+def full_relation_set(G: QuantumCKGroup) -> RelationSet:
+    rels = rtt_relations(G.T, G.R)
+    rels.extend(orthogonality_relations(G.cofactors))
     return rels
 
 
@@ -337,6 +338,13 @@ class QuantumCKGroup:
         return build_t(self.j)
 
     @cached_property
+    def cofactors(self) -> tuple:
+        """The orthogonality cofactors (M, L) of T and C: the relation set
+        takes its orthogonality family from them, and ``verify_antipode``
+        its certificate."""
+        return orthogonality_cofactors(self.T, self.C)
+
+    @cached_property
     def dot_table(self) -> dict:
         """The group's ``DualElement.dot`` table: the coproduct certificate
         and the ``qdual`` checks sum products of the same few R-derived
@@ -345,7 +353,7 @@ class QuantumCKGroup:
 
     def relations(self) -> RelationSet:
         if self._relations is None:
-            self._relations = full_relation_set(self.T, self.R, self.C)
+            self._relations = full_relation_set(self)
         return self._relations
 
 
@@ -452,7 +460,7 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
 
     With S(T) = C T^t C^(-1) both defects factor through the cofactors
     M = T C T^t - C and L = T^t C^(-1) T - C^(-1) whose entries are the
-    orthogonality relations (``orthogonality_cofactors``):
+    orthogonality relations (``QuantumCKGroup.cofactors``):
 
         S(T) T - I = C L,        T S(T) - I = M C^(-1).
 
@@ -475,7 +483,7 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     Cp = _scalars(G.C)
     I = _scalars(CKMatrix.identity(N, n))
     S = antipode(T, G.C)
-    M, L = orthogonality_cofactors(T, G.C)
+    M, L = G.cofactors
     if (S @ T) - I != Cp @ L:
         raise ArithmeticError("certificate mismatch in S(T)T - I = C L")
     if (T @ S) - I != M @ Cp:

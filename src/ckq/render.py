@@ -6,11 +6,12 @@ decimal strings "p/q"; nilpotent subsets are sorted slot-index arrays;
 the deformation exponent is stored doubled (the internal variable is the
 square root of the deformation parameter).
 
-``json_text`` is the one JSON writer: every ``--format json`` document
-goes through it.  A relation document holds thousands of coefficients but
-only a few dozen distinct values, so the relation emitters format each
-distinct coefficient and symbol once per document (``_memo``) and the JSON
-writer writes each shared fragment once.
+``write_json`` is the one JSON writer: every ``--format json`` document
+goes through it, straight to its output stream, one top-level member at a
+time.  A relation document holds thousands of coefficients but only a few
+dozen distinct values, so the relation emitters format each distinct
+coefficient and symbol once per document (``_memo``) and the JSON writer
+writes each shared fragment once.
 """
 
 from fractions import Fraction
@@ -265,7 +266,7 @@ def _memo(fn):
 
 def relations_json(j: JSignature, rels) -> dict:
     """Equal symbols and equal coefficients share one fragment object, so
-    ``json_text`` writes each of them once."""
+    ``write_json`` writes each of them once."""
     symbol = _memo(symbol_json)
     coeff = _memo(dual_json)
     return {
@@ -375,18 +376,31 @@ def _shared_containers(doc) -> set:
     return shared
 
 
-def json_text(doc) -> str:
-    """Exactly the text of the standard ``json`` module's
-    ``dumps(doc, sort_keys=True, indent=2)``.
+# The document and each container directly inside it are written member by
+# member; anything deeper is formed as one string.
+_STREAM_DEPTH = 2
 
-    The one JSON writer of ckq.  A container that occurs more than once in
-    doc is written once per depth and its text reused, for this call only;
-    the emitters share one fragment per distinct coefficient and symbol.
-    Keys must be str and numbers int: a float or a non-str key raises
-    TypeError instead of being written.
+
+def write_json(doc, out) -> None:
+    """Write exactly the text of the standard ``json`` module's
+    ``dumps(doc, sort_keys=True, indent=2)`` to the text stream ``out``.
+
+    The one JSON writer of ckq.  The top-level container goes out one
+    member at a time, and so does each container directly inside it, so
+    the whole text of a large document is never held at once.  A container
+    that occurs more than once in doc is never streamed: it is written once
+    per depth and its text reused, for this call only; the emitters share
+    one fragment per distinct coefficient and symbol.  Keys must be str and
+    numbers int: a float or a non-str key raises TypeError instead of being
+    written, and what was written before it stays written.
     """
     shared = _shared_containers(doc)
     memo = {}
+
+    def key(k):
+        if not isinstance(k, str):
+            raise TypeError("JSON keys must be str, not %s" % type(k).__name__)
+        return _json_str(k) + ": "
 
     def write(o, depth):
         if isinstance(o, str):
@@ -410,12 +424,7 @@ def json_text(doc) -> str:
                 return text
         sep = ",\n" + "  " * (depth + 1)
         if isinstance(o, dict):
-            parts = []
-            for k in sorted(o):
-                if not isinstance(k, str):
-                    raise TypeError("JSON keys must be str, not %s"
-                                    % type(k).__name__)
-                parts.append(_json_str(k) + ": " + write(o[k], depth + 1))
+            parts = [key(k) + write(o[k], depth + 1) for k in sorted(o)]
             text = "{" + sep[1:] + sep.join(parts) + "\n" + "  " * depth + "}"
         else:
             text = ("[" + sep[1:] + sep.join([write(v, depth + 1) for v in o])
@@ -424,4 +433,21 @@ def json_text(doc) -> str:
             memo[(id(o), depth)] = text
         return text
 
-    return write(doc, 0)
+    def stream(head, o, depth):
+        """Write head, then o at depth."""
+        if (depth >= _STREAM_DEPTH or not isinstance(o, (dict, list, tuple))
+                or not o or id(o) in shared):
+            out.write(head + write(o, depth))
+            return
+        if isinstance(o, dict):
+            members, brackets = [(key(k), o[k]) for k in sorted(o)], "{}"
+        else:
+            members, brackets = [("", v) for v in o], "[]"
+        sep = ",\n" + "  " * (depth + 1)
+        head += brackets[0] + sep[1:]
+        for name, v in members:
+            stream(head + name, v, depth + 1)
+            head = sep
+        out.write("\n" + "  " * depth + brackets[1])
+
+    stream("", doc, 0)

@@ -263,10 +263,34 @@ def test_rmatrix_latex_matches_golden_digest(tmp_path):
 @pytest.mark.parametrize("command", ["dual", "classical", "verify"])
 def test_latex_is_a_usage_error_where_not_written(capsys, command):
     # only relations and rmatrix write LaTeX
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--n", "3", "--format", "latex"])
-    assert exc.value.code == 2
+    assert cli.main([command, "--n", "3", "--format", "latex"]) == 2
     assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    ([], 2),                            # no subcommand
+    (["relations", "--n", "6"], 2),     # outside the --n choices
+    (["verify", "--help"], 0),
+])
+def test_argparse_exits_are_returned(capsys, argv, code):
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert "usage: ckq" in (captured.err if code else captured.out)
+
+
+def test_reader_closing_the_pipe_ends_the_output_quietly():
+    # 647 kB of JSON, far more than a pipe holds, so the writer meets the
+    # closed pipe while it streams the document
+    proc = subprocess.Popen([sys.executable, "-m", "ckq.cli", "relations",
+                             "--n", "4", "--j", "iota,1,iota", "--format",
+                             "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("where", ["missing/x.json", "."])
@@ -380,27 +404,35 @@ def test_pairing_detail_states_the_word_length_checked(capsys):
 
 
 def test_verify_all_builds_each_object_once(monkeypatch, capsys):
-    # one contracted relation set, one symbolic one (for contraction) and
-    # one pairing context serve every suite of the run
-    built = {"relations": 0, "pairings": 0}
+    # one contracted relation set, one symbolic one (for contraction), the
+    # orthogonality cofactors of each and one pairing context serve every
+    # suite of the run
+    built = {"relations": 0, "cofactors": 0, "pairings": 0}
     real_relations = qgroup.full_relation_set
+    real_cofactors = qgroup.orthogonality_cofactors
     real_init = qdual.DualPairing.__init__
 
     def relations(*args):
         built["relations"] += 1
         return real_relations(*args)
 
+    def cofactors(*args):
+        built["cofactors"] += 1
+        return real_cofactors(*args)
+
     def init(self, *args):
         built["pairings"] += 1
         real_init(self, *args)
 
     monkeypatch.setattr(qgroup, "full_relation_set", relations)
+    monkeypatch.setattr(qgroup, "orthogonality_cofactors", cofactors)
     monkeypatch.setattr(qdual.DualPairing, "__init__", init)
     rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite", "all",
                    "--jobs", "1"])
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == len(cli.SUITES)
-    assert built == {"relations": 2, "pairings": 1}
+    # antipode reads the contracted group's cofactors; no suite forms them again
+    assert built == {"relations": 2, "cofactors": 2, "pairings": 1}
 
 
 def test_non_orthogonal_samples_report_fail_exit_1(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from ckq.qgroup import (
     counit_annihilates,
     counit_leg,
     full_relation_set,
+    orthogonality_cofactors,
     orthogonality_relations,
     rtt_components,
     rtt_relations,
@@ -99,7 +100,7 @@ def test_symbol_count_n4():
 def test_relation_counts_n3(spec, n_rtt, n_full):
     G = QuantumCKGroup(JSignature.parse(spec))
     assert len(rtt_relations(G.T, G.R)) == n_rtt
-    assert len(orthogonality_relations(G.T, G.C)) == 18
+    assert len(orthogonality_relations(G.cofactors)) == 18
     assert len(G.relations()) == n_full
 
 
@@ -154,9 +155,10 @@ def test_contracted_orth_at_v0_is_classical(spec):
     j = JSignature.parse(spec)
     G = QuantumCKGroup(j)
     at_v0 = {canon(q) for q in
-             (p.at_v_zero() for p in orthogonality_relations(G.T, G.C)) if q}
+             (p.at_v_zero() for p in orthogonality_relations(G.cofactors)) if q}
     classical = {canon(p) for p in
-                 orthogonality_relations(G.T, antidiagonal_c0(3, 2))}
+                 orthogonality_relations(
+                     orthogonality_cofactors(G.T, antidiagonal_c0(3, 2)))}
     assert at_v0 == classical
 
 
@@ -485,7 +487,7 @@ def test_polymatrix_shape_guard():
 def test_full_relation_set_matches_class_method():
     j = JSignature.parse("iota,1")
     G = QuantumCKGroup(j)
-    direct = full_relation_set(G.T, G.R, G.C)
+    direct = full_relation_set(QuantumCKGroup(j))
     assert direct.polys == G.relations().polys
     assert direct.sources == G.relations().sources
 

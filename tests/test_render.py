@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -100,14 +101,16 @@ JSON_COMMANDS = [["relations"], ["rmatrix"], ["dual"],
 @pytest.mark.parametrize("N", [3, 4])
 def test_json_text_is_stdlib_dumps_on_every_document(monkeypatch, tmp_path, N):
     written = []
-    json_text = render.json_text
+    write_json = render.write_json
 
-    def checked(doc):
-        text = json_text(doc)
+    def checked(doc, out):
+        buf = io.StringIO()
+        write_json(doc, buf)
+        text = buf.getvalue()
         assert text == json.dumps(doc, sort_keys=True, indent=2)
         written.append(len(text))
-        return text
-    monkeypatch.setattr(render, "json_text", checked)
+        out.write(text)
+    monkeypatch.setattr(render, "write_json", checked)
     for j in all_signatures(N):
         sig = ",".join(render.signature_json(j))
         for command in JSON_COMMANDS:
@@ -115,6 +118,30 @@ def test_json_text_is_stdlib_dumps_on_every_document(monkeypatch, tmp_path, N):
                                   "json", "--out", str(tmp_path / "doc.json")]
             assert cli.main(argv + command[1:]) == 0, argv
     assert len(written) == len(JSON_COMMANDS) * len(all_signatures(N))
+
+
+class _Writes:
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_relation_document_is_written_one_relation_at_a_time():
+    j = JSignature.parse("iota,1,iota")
+    doc = render.relations_json(j, QuantumCKGroup(j).relations())
+    out = _Writes()
+    render.write_json(doc, out)
+    assert "".join(out.writes) == json.dumps(doc, sort_keys=True, indent=2)
+    # a relation is an element of a member of the document, at depth 2,
+    # and goes out with the separator before it (",\n" and its indent)
+    longest = max(len(json.dumps(r, sort_keys=True, indent=2)
+                      .replace("\n", "\n    ")) for r in doc["relations"])
+    assert max(len(w) for w in out.writes) <= longest + len(",\n    ")
+    assert len(out.writes) > len(doc["relations"])
 
 
 def test_relation_documents_share_one_fragment_per_value():
