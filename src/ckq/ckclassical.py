@@ -18,7 +18,6 @@ module provides
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .coeffring import (
     Cyclo8,
@@ -223,22 +222,6 @@ def antidiagonal_c0(N: int, n: int) -> CKMatrix:
     return CKMatrix.build(N, n, lambda i, k: 1 if i + k == N + 1 else 0)
 
 
-@lru_cache(maxsize=None)
-def _symplectic_rows(N: int, n: int):
-    half = Fraction(1, 2)
-    rows = [[DualElement.zero(n) for _ in range(N)] for _ in range(N)]
-    for k in range(1, N // 2 + 1):
-        kp = N + 1 - k
-        rows[k - 1][k - 1] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
-        rows[k - 1][kp - 1] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
-        rows[kp - 1][k - 1] = DualElement.scalar(n, Cyclo8(0, 0, 0, half))
-        rows[kp - 1][kp - 1] = DualElement.scalar(n, Cyclo8(0, 0, 0, -half))
-    if N % 2:
-        m = (N + 1) // 2
-        rows[m - 1][m - 1] = DualElement.one(n)
-    return tuple(tuple(r) for r in rows)
-
-
 def symplectic_d(N: int, n: int | None = None) -> CKMatrix:
     """The change of basis D with D C0 D^t = I.
 
@@ -250,7 +233,18 @@ def symplectic_d(N: int, n: int | None = None) -> CKMatrix:
         raise ValueError("need N >= 2")
     if n is None:
         n = N - 1
-    return CKMatrix(_symplectic_rows(N, n))
+    half = Fraction(1, 2)
+    rows = [[DualElement.zero(n) for _ in range(N)] for _ in range(N)]
+    for k in range(1, N // 2 + 1):
+        kp = N + 1 - k
+        rows[k - 1][k - 1] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
+        rows[k - 1][kp - 1] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
+        rows[kp - 1][k - 1] = DualElement.scalar(n, Cyclo8(0, 0, 0, half))
+        rows[kp - 1][kp - 1] = DualElement.scalar(n, Cyclo8(0, 0, 0, -half))
+    if N % 2:
+        m = (N + 1) // 2
+        rows[m - 1][m - 1] = DualElement.one(n)
+    return CKMatrix(rows)
 
 
 def symplectic_d_inverse(N: int, n: int | None = None) -> CKMatrix:
@@ -267,30 +261,21 @@ def to_symplectic(A: CKMatrix) -> CKMatrix:
     return symplectic_d_inverse(A.N, A.n) @ A @ Dm
 
 
-@lru_cache(maxsize=None)
 def weight_pattern_symplectic(j: JSignature) -> dict:
     """Which subset monomials a generic group element shows per entry.
 
-    Expands D^(-1) A D over formal parameters: the (m,l) parameter of A
-    contributes the weight of slot (m,l) whenever the surrounding D
-    coefficients are nonzero, and distinct parameters cannot cancel.
-    Returns {(i,k): sorted tuple of bitmasks}.
+    Entry (i,k) of D^(-1) A D sums the (m,l) parameters of A, each with
+    the weight of slot (m,l), over the m and l where D^(-1)[i,m] and
+    D[l,k] are nonzero: both D and D^(-1) are nonzero exactly at (a, a)
+    and (a, a'), so m runs over {i, i'} and l over {k, k'}.  Distinct
+    parameters cannot cancel.  Returns {(i,k): sorted tuple of bitmasks}.
     """
-    N, n = j.N, j.n
-    D = symplectic_d(N, n)
-    Dinv = symplectic_d_inverse(N, n)
+    N = j.N
+    rng = range(1, N + 1)
     pattern = {}
-    for i in range(1, N + 1):
-        for k in range(1, N + 1):
-            masks = set()
-            for m in range(1, N + 1):
-                if not Dinv.entry(i, m):
-                    continue
-                for l in range(1, N + 1):
-                    if not D.entry(l, k):
-                        continue
-                    w = j.weight(m, l)
-                    for mask in w.terms:
-                        masks.add(mask)
+    for i in rng:
+        for k in rng:
+            masks = {mask for m in (i, N + 1 - i) for l in (k, N + 1 - k)
+                     for mask in j.weight(m, l).terms}
             pattern[(i, k)] = tuple(sorted(masks))
     return pattern

@@ -16,13 +16,19 @@ Values live in a commutative tower built from the rationals:
 produces the subset-monomial group weights.  ``specialize_q`` implements
 the substitution q^a -> 1 + a*J*v used to contract the deformed data.
 
+``ScalarExpr``, ``DualElement`` and ``freealg.NCPoly`` are finite sums: a
+zero-free map ``terms`` from keys ((s, v) exponents, generator subsets,
+words) to coefficients of the type below.  Their sum, negation and
+difference are defined once, on the private base ``_Combination``, and
+``_collect`` sums (key, coefficient) items for every such loop.
+
 Everything is immutable and exact.  Rendering (``__str__``) is canonical:
 terms are emitted in a fixed sorted order, so equal values always print
 identically.  The public constructors validate their input; the ring
-operations build their results through private ``_raw`` constructors,
-which trust it.  Multiplying by the interned one (``ScalarExpr.one()``,
-``DualElement.one(n)``) returns the other operand.  A constant hashes
-like the number it equals.
+operations build their results through the private ``_raw`` constructor
+of each of the four types, which trusts it.  Multiplying by the interned
+one (``ScalarExpr.one()``, ``DualElement.one(n)``) returns the other
+operand.  A constant hashes like the number it equals.
 
 ``DualElement.dot`` takes an optional table that memoizes each sum by the
 tuple of its (a, b) pairs, compared by value, and interns each value it
@@ -247,7 +253,68 @@ _C_ZERO = Cyclo8()
 _C_ONE = Cyclo8(1)
 
 
-class ScalarExpr:
+def _collect(items, out: dict | None = None) -> dict:
+    """Sum the (key, coefficient) items into ``out`` (a new dict if None)
+    and drop the keys whose sum cancels.  Each coefficient is nonzero."""
+    if out is None:
+        out = {}
+    for k, c in items:
+        acc = out.get(k)
+        if acc is None:
+            out[k] = c
+            continue
+        s = acc + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+class _Combination:
+    """A finite sum: a zero-free map ``terms`` from keys to coefficients.
+    A type lifts an operand into itself with ``_lift`` (NotImplemented for
+    a type it does not take) and adopts a term map with ``_like``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # in each type's own namespace, where the per-class profile reads them
+        for name in ("__bool__", "is_zero", "__add__", "__radd__", "__neg__",
+                     "__sub__", "__rsub__"):
+            setattr(cls, name, vars(_Combination)[name])
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._like(_collect(other.terms.items(), dict(self.terms)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+
+class ScalarExpr(_Combination):
     """Sparse Laurent polynomial in s (s^2 = q) and polynomial in v."""
 
     __slots__ = ("terms", "_hash")
@@ -319,11 +386,15 @@ class ScalarExpr:
 
     # -- ring operations ----------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _lift(self, other) -> "ScalarExpr":
+        if type(other) is ScalarExpr:
+            return other
+        if not isinstance(other, (int, Fraction, Cyclo8)):
+            return NotImplemented
+        return ScalarExpr.from_value(other)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "ScalarExpr":
+        return ScalarExpr._raw(terms)
 
     def __eq__(self, other) -> bool:
         if type(other) is not ScalarExpr:
@@ -339,41 +410,6 @@ class ScalarExpr:
             else:
                 self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def __add__(self, other) -> "ScalarExpr":
-        if type(other) is not ScalarExpr:
-            if not isinstance(other, (int, Fraction, Cyclo8)):
-                return NotImplemented
-            other = ScalarExpr.from_value(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-                continue
-            s = acc + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return ScalarExpr._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr._raw({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ScalarExpr":
-        if type(other) is not ScalarExpr:
-            if not isinstance(other, (int, Fraction, Cyclo8)):
-                return NotImplemented
-            other = ScalarExpr.from_value(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ScalarExpr":
-        if not isinstance(other, (int, Fraction, Cyclo8)):
-            return NotImplemented
-        return ScalarExpr.from_value(other) - self
 
     def __mul__(self, other) -> "ScalarExpr":
         if type(other) is not ScalarExpr:
@@ -401,16 +437,7 @@ class ScalarExpr:
 
     def at_q_one(self) -> "ScalarExpr":
         """Set s = 1 (hence q = 1)."""
-        out: dict = {}
-        for (se, ve), c in self.terms.items():
-            e = (0, ve)
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s:
-                out[e] = s
-            elif acc is not None:
-                del out[e]
-        return ScalarExpr(out)
+        return ScalarExpr._raw(_collect(((0, ve), c) for (_, ve), c in self.terms.items()))
 
     def at_v_zero(self) -> "ScalarExpr":
         return ScalarExpr({e: c for e, c in self.terms.items() if e[1] == 0})
@@ -489,15 +516,7 @@ def _scalar_dot(pairs) -> dict:
     return out
 
 
-def _coerce_scalar(x) -> ScalarExpr:
-    if isinstance(x, ScalarExpr):
-        return x
-    if isinstance(x, (int, Fraction, Cyclo8)):
-        return ScalarExpr.from_value(x)
-    raise TypeError("cannot coerce %r into a scalar" % (x,))
-
-
-class DualElement:
+class DualElement(_Combination):
     """Element of D_n: a map from generator subsets (bitmasks) to scalars."""
 
     __slots__ = ("n", "terms", "_hash")
@@ -509,7 +528,7 @@ class DualElement:
             for mask, sc in terms.items():
                 if mask >> n:
                     raise ValueError("subset %#x outside D_%d" % (mask, n))
-                sc = _coerce_scalar(sc)
+                sc = ScalarExpr.from_value(sc)
                 if sc:
                     clean[mask] = sc
         self.terms = clean
@@ -537,7 +556,7 @@ class DualElement:
 
     @classmethod
     def scalar(cls, n: int, x) -> "DualElement":
-        sc = _coerce_scalar(x)
+        sc = ScalarExpr.from_value(x)
         if sc is _S_ONE:
             return cls.one(n)
         return cls(n, {0: sc})
@@ -552,15 +571,9 @@ class DualElement:
     def monomial(cls, n: int, mask: int, x=1) -> "DualElement":
         if not mask:
             return cls.scalar(n, x)
-        return cls(n, {mask: _coerce_scalar(x)})
+        return cls(n, {mask: ScalarExpr.from_value(x)})
 
     # -- structure ----------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def body(self) -> ScalarExpr:
         """The coefficient of the empty subset."""
@@ -584,42 +597,19 @@ class DualElement:
             other = DualElement.scalar(self.n, other)
         return self.n == other.n and self.terms == other.terms
 
-    def _check(self, other) -> "DualElement":
+    def _lift(self, other) -> "DualElement":
         if type(other) is not DualElement:
             if not isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
-                raise TypeError("cannot combine DualElement with %r" % (other,))
+                return NotImplemented
             return DualElement.scalar(self.n, other)
         if other.n != self.n:
             raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
         return other
 
+    def _like(self, terms: dict) -> "DualElement":
+        return DualElement._raw(self.n, terms)
+
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "DualElement":
-        other = self._check(other)
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = s
-                continue
-            t = acc + s
-            if t:
-                out[m] = t
-            else:
-                del out[m]
-        return DualElement._raw(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DualElement":
-        return DualElement._raw(self.n, {m: -s for m, s in self.terms.items()})
-
-    def __sub__(self, other) -> "DualElement":
-        return self + (-self._check(other))
-
-    def __rsub__(self, other) -> "DualElement":
-        return self._check(other) - self
 
     def __mul__(self, other) -> "DualElement":
         # ScalarExpr has no zero divisors, so only sums can cancel.
@@ -627,7 +617,7 @@ class DualElement:
         if type(other) is not DualElement:
             if not isinstance(other, (int, Fraction, Cyclo8, ScalarExpr)):
                 return NotImplemented
-            sc = _coerce_scalar(other)
+            sc = ScalarExpr.from_value(other)
             if sc is _S_ONE:
                 return self
             if not sc:
@@ -870,15 +860,6 @@ def specialize_q(x: ScalarExpr, j: JSignature) -> DualElement:
     n = j.n
     if not j.has_iota():
         return DualElement.scalar(n, x)
-    top: dict = {}
-    for (se, ve), coef in x.terms.items():
-        if se:
-            e1 = (0, ve + 1)
-            add = coef * Fraction(se, 2)
-            acc = top.get(e1)
-            s = add if acc is None else acc + add
-            if s:
-                top[e1] = s
-            elif acc is not None:
-                del top[e1]
+    top = _collect(((0, ve + 1), coef * Fraction(se, 2))
+                   for (se, ve), coef in x.terms.items() if se)
     return DualElement(n, {0: x.at_q_one(), j.iota_mask: ScalarExpr(top)})

@@ -3,7 +3,10 @@
 Words are sequences of generator symbols; coefficients live in D_n and are
 central.  Symbols carry a tensor-copy label, and symbols with distinct
 copies commute — words are kept normalized with copies in ascending order
-(stable, so the order inside each copy is untouched).
+(stable, so the order inside each copy is untouched).  ``NCPoly`` is one
+of the finite sums of ``coeffring``: it takes its sum, negation and
+difference from the shared base, and ring results adopt their terms
+through ``NCPoly._raw``.
 
 ``NCPoly.dot`` is the one place where word products are formed: ``*``,
 matrix-product entries and the exchange components and certificates of
@@ -19,9 +22,10 @@ where a claim needs one (see ``qgroup``).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from .coeffring import DimensionError, DualElement
+from .coeffring import Cyclo8, DimensionError, DualElement, ScalarExpr, _Combination, _collect
 
 #: ordering rank of the symbol families: quantum-matrix coordinates first,
 #: then the upper and lower triangular functionals of the dual algebra.
@@ -73,32 +77,24 @@ def _coerce(n: int, x) -> DualElement:
     return DualElement.scalar(n, x)
 
 
-class NCPoly:
+class NCPoly(_Combination):
     """Finite map word -> DualElement coefficient, zero-free, normalized."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict | None = None, normalized: bool = False):
-        """``normalized=True`` adopts ``terms`` as is: canonical words to
-        nonzero coefficients in D_n."""
+    def __init__(self, n: int, terms: dict | None = None):
         self.n = n
-        out: dict = {}
-        if terms:
-            if normalized:
-                out = terms
-            else:
-                for w, c in terms.items():
-                    c = _coerce(n, c)
-                    if not c:
-                        continue
-                    w = canonical_word(tuple(w))
-                    acc = out.get(w)
-                    t = c if acc is None else acc + c
-                    if t:
-                        out[w] = t
-                    elif acc is not None:
-                        del out[w]
-        self.terms = out
+        coeffs = ((w, _coerce(n, c)) for w, c in (terms or {}).items())
+        self.terms = _collect((canonical_word(tuple(w)), c) for w, c in coeffs if c)
+
+    @classmethod
+    def _raw(cls, n: int, terms: dict) -> "NCPoly":
+        """Adopt ``terms`` as is: canonical words to nonzero coefficients
+        in D_n."""
+        obj = object.__new__(cls)
+        obj.n = n
+        obj.terms = terms
+        return obj
 
     # -- constructors -------------------------------------------------
 
@@ -108,7 +104,7 @@ class NCPoly:
 
     @classmethod
     def one(cls, n: int) -> "NCPoly":
-        return cls(n, {(): DualElement.one(n)}, normalized=True)
+        return cls._raw(n, {(): DualElement.one(n)})
 
     @classmethod
     def scalar(cls, n: int, c) -> "NCPoly":
@@ -120,12 +116,6 @@ class NCPoly:
 
     # -- structure ----------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if isinstance(other, NCPoly):
             return self.n == other.n and self.terms == other.terms
@@ -136,45 +126,23 @@ class NCPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _other(self, x) -> "NCPoly":
-        if isinstance(x, NCPoly):
-            if x.n != self.n:
-                raise DimensionError("mixing D_%d with D_%d" % (self.n, x.n))
-            return x
-        return NCPoly.scalar(self.n, x)
+    def _lift(self, other) -> "NCPoly":
+        if type(other) is not NCPoly:
+            if not isinstance(other, (int, Fraction, Cyclo8, ScalarExpr, DualElement)):
+                return NotImplemented
+            return NCPoly.scalar(self.n, other)
+        if other.n != self.n:
+            raise DimensionError("mixing D_%d with D_%d" % (self.n, other.n))
+        return other
 
-    def __add__(self, other) -> "NCPoly":
-        other = self._other(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            if acc is None:
-                out[w] = c
-                continue
-            t = acc + c
-            if t:
-                out[w] = t
-            else:
-                del out[w]
-        return NCPoly(self.n, out, normalized=True)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.n, {w: -c for w, c in self.terms.items()}, normalized=True)
-
-    def __sub__(self, other) -> "NCPoly":
-        return self + (-self._other(other))
-
-    def __rsub__(self, other) -> "NCPoly":
-        return self._other(other) - self
+    def _like(self, terms: dict) -> "NCPoly":
+        return NCPoly._raw(self.n, terms)
 
     def __mul__(self, other) -> "NCPoly":
         if not isinstance(other, NCPoly):
             c = _coerce(self.n, other)
             # a nilpotent c can kill a term
-            return NCPoly(self.n, {w: t for w, u in self.terms.items() if (t := u * c)},
-                          normalized=True)
+            return NCPoly._raw(self.n, {w: t for w, u in self.terms.items() if (t := u * c)})
         return NCPoly.dot(self.n, ((self, other),))
 
     def __rmul__(self, other) -> "NCPoly":
@@ -219,7 +187,7 @@ class NCPoly:
                 c = DualElement.dot(n, coeffs)
             if c:
                 out[w] = c
-        return cls(n, out, normalized=True)
+        return cls._raw(n, out)
 
     # -- coefficient maps ----------------------------------------------
 
@@ -241,7 +209,7 @@ class NCPoly:
         n = self.n
         pairs = []
         for w, c in self.terms.items():
-            acc = NCPoly(n, {(): c}, normalized=True)
+            acc = NCPoly._raw(n, {(): c})
             for g in w[:-1]:
                 acc = acc * fn(g)
             pairs.append((acc, fn(w[-1]) if w else NCPoly.one(n)))

@@ -62,8 +62,8 @@ def t_symbols(j: JSignature, copy: int = 0) -> tuple:
 
 def _split_entry(n: int, pat: dict, i: int, k: int, copy: int) -> NCPoly:
     """sum_W iota_W * t[i,k;W] over the weight pattern of entry (i,k)."""
-    return NCPoly(n, {(mat_symbol(i, k, mask, copy),): DualElement.monomial(n, mask)
-                      for mask in pat[(i, k)]}, normalized=True)
+    return NCPoly._raw(n, {(mat_symbol(i, k, mask, copy),): DualElement.monomial(n, mask)
+                           for mask in pat[(i, k)]})
 
 
 def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
@@ -302,7 +302,7 @@ class QuantumCKGroup:
     ``DualPairing`` reads; nothing else builds R, C or T.  Each of them,
     and the relation ideal from ``relations()``, is built on first use and
     then kept, so a check builds only what it reads.  The weight pattern
-    is the cached ``weight_pattern_symplectic(j)``.
+    is ``weight_pattern_symplectic(j)``, read off in closed form.
 
     contracted=True (default) works over R_v(j), C(j); contracted=False
     keeps q symbolic while using the same signature-dependent symbols,

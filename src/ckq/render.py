@@ -201,23 +201,18 @@ class EntryNaming:
     """
 
     def __init__(self, pattern: dict):
-        self._rank = {}
-        for (i, k), masks in pattern.items():
-            for pos, mask in enumerate(masks):
-                self._rank[(i, k, mask)] = pos
+        self._rank = {(i, k, mask): pos for (i, k), masks in pattern.items()
+                      for pos, mask in enumerate(masks)}
 
     def symbol_tex(self, g: GenSymbol) -> str:
+        """The LaTeX name of a symbol of T; one outside the pattern raises
+        KeyError."""
         letter = _FAMILY_TEX[g.family]
-        pos = self._rank.get((g.i, g.k, g.mask))
-        if pos is None:
-            pos = 0 if not g.mask else None
+        pos = self._rank[(g.i, g.k, g.mask)]
         if pos == 1:
             letter = r"\tilde{%s}" % letter
-        elif pos is not None and pos > 1:
+        elif pos > 1:
             letter = "%s^{(%d)}" % (letter, pos)
-        elif pos is None:
-            letter = "%s^{\\{%s\\}}" % (letter, ",".join(
-                str(s) for s in mask_slots(g.mask)))
         prime = "'" * g.copy
         return "%s_{%d%d}%s" % (letter, g.i, g.k, prime)
 

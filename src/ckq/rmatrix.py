@@ -21,6 +21,7 @@ from .coeffring import (
     DualElement,
     JSignature,
     ScalarExpr,
+    _collect,
 )
 from .ckclassical import CKMatrix
 
@@ -81,10 +82,7 @@ class QTensor:
 
     def __add__(self, other: "QTensor") -> "QTensor":
         self._check(other)
-        out = dict(self.data)
-        for key, val in other.data.items():
-            out[key] = out[key] + val if key in out else val
-        return QTensor(self.N, self.n, out)
+        return QTensor(self.N, self.n, _collect(other.data.items(), dict(self.data)))
 
     def __sub__(self, other: "QTensor") -> "QTensor":
         return self + other.scale(-1)

@@ -4,7 +4,9 @@ A public module-level function in ``src/ckq`` must be used somewhere else
 in the package or be re-exported by ``ckq/__init__.py``.  Helpers that only
 tests need live in ``tests/`` as oracles.  A public method must be named by
 some attribute reference in the package or the tests, other than in its
-own body.
+own body.  Nor does the package keep process-wide state: no
+``functools.lru_cache`` or ``functools.cache`` decorator and no ``global``
+statement.
 """
 
 import ast
@@ -105,3 +107,38 @@ def test_guard_catches_an_unreferenced_method():
         "def determinant(self):\n    return self.determinant()\n").body[0])
     assert unreferenced_public_methods(trees, _test_trees()) == [
         ("ckclassical.py", "CKMatrix", "determinant")]
+
+
+def global_state(trees: dict) -> list:
+    """(module, name) of every function or class under a process-wide cache
+    decorator, and (module, "global x") of every ``global`` statement."""
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                out.append((module, "global " + ", ".join(node.names)))
+                continue
+            for dec in getattr(node, "decorator_list", ()):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    out.append((module, node.name))
+    return out
+
+
+def test_no_process_wide_state():
+    assert global_state(_trees()) == []
+
+
+def test_guard_catches_caches_and_globals():
+    trees = _trees()
+    trees["ckclassical.py"].body.extend(ast.parse(
+        "@lru_cache(maxsize=None)\n"
+        "def pattern(j):\n    return j\n"
+        "@functools.cache\n"
+        "def rows(N):\n    return N\n"
+        "def set_cap(v):\n    global _CAP\n    _CAP = v\n").body)
+    assert global_state(trees) == [("ckclassical.py", "pattern"),
+                                   ("ckclassical.py", "rows"),
+                                   ("ckclassical.py", "global _CAP")]

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ckq import cli, render
+from ckq.ckclassical import weight_pattern_symplectic
 from ckq.coeffring import Cyclo8, JSignature, ScalarExpr
-from ckq.qgroup import QuantumCKGroup
+from ckq.freealg import mat_symbol
+from ckq.qgroup import QuantumCKGroup, t_symbols
 
 from conftest import all_signatures, rand_cyclo, rand_scalar
 from division_oracle import exact_div
@@ -80,6 +82,18 @@ def test_scalar_tex_matches_division_on_near_misses():
     for _ in range(300):
         for sc in _near_misses(rng):
             assert render.scalar_tex(sc) == division_scalar_tex(sc), str(sc)
+
+
+def test_entry_naming_names_exactly_the_symbols_of_t():
+    for N in (3, 4):
+        for j in all_signatures(N):
+            naming = render.EntryNaming(weight_pattern_symplectic(j))
+            symbols = t_symbols(j) + t_symbols(j, copy=1)
+            assert len({naming.symbol_tex(g) for g in symbols}) == len(symbols)
+    naming = render.EntryNaming(weight_pattern_symplectic(JSignature.parse("iota,iota")))
+    assert naming.symbol_tex(mat_symbol(1, 2, 2)) == r"\tilde{t}_{12}"
+    with pytest.raises(KeyError):
+        naming.symbol_tex(mat_symbol(2, 2, 1))  # entry (2,2) has weight 0 only
 
 
 def test_scalar_tex_gap_forms():
