@@ -75,6 +75,20 @@ def _frac(x) -> Fraction:
     raise TypeError("expected an int or Fraction, got %r" % (x,))
 
 
+def _signed_sum(parts, plus: str, minus: str) -> str:
+    """Rendered terms joined into one sum: ``minus`` before a term that
+    carries its own sign, ``plus`` before any other; "0" for no terms."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join((minus if p.startswith("-") else plus) + p
+                              for p in parts[1:])
+
+
+def _compound(text: str) -> bool:
+    """Whether a rendered coefficient is a sum, so a factor brackets it."""
+    return "+" in text[1:] or "-" in text[1:]
+
+
 class Cyclo8:
     """An element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
 
@@ -216,12 +230,7 @@ class Cyclo8:
             else:
                 body = str(val) + ("*" + tag if tag else "")
             parts.append(body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += "+" + p if not p.startswith("-") else p
-        return out
+        return _signed_sum(parts, "+", "")
 
     def __repr__(self) -> str:
         return "Cyclo8(%s)" % self
@@ -452,8 +461,6 @@ class ScalarExpr(_Combination):
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for (se, ve) in sorted(self.terms):
             coef = self.terms[(se, ve)]
@@ -470,14 +477,11 @@ class ScalarExpr(_Combination):
             elif factors and cs == "-1":
                 body = "-" + "*".join(factors)
             else:
-                if ("+" in cs[1:]) or ("-" in cs[1:]):
+                if _compound(cs):
                     cs = "(" + cs + ")"
                 body = "*".join([cs] + factors)
             parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += "+" + p if not p.startswith("-") else p
-        return out
+        return _signed_sum(parts, "+", "")
 
     def __repr__(self) -> str:
         return "ScalarExpr[%s]" % self
@@ -689,8 +693,6 @@ class DualElement(_Combination):
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for m in sorted(self.terms, key=lambda mm: (bin(mm).count("1"), mm)):
             sc = str(self.terms[m])
@@ -702,13 +704,10 @@ class DualElement(_Combination):
             elif sc == "-1":
                 parts.append("-" + gens)
             else:
-                if ("+" in sc[1:]) or ("-" in sc[1:]):
+                if _compound(sc):
                     sc = "(" + sc + ")"
                 parts.append(sc + "*" + gens)
-        out = parts[0]
-        for p in parts[1:]:
-            out += "+" + p if not p.startswith("-") else p
-        return out
+        return _signed_sum(parts, "+", "")
 
     def __repr__(self) -> str:
         return "DualElement[%s | D_%d]" % (self, self.n)

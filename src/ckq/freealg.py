@@ -25,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coeffring import Cyclo8, DimensionError, DualElement, ScalarExpr, _Combination, _collect
+from .coeffring import (Cyclo8, DimensionError, DualElement, ScalarExpr, _Combination,
+                        _collect, _compound)
 
 #: ordering rank of the symbol families: quantum-matrix coordinates first,
 #: then the upper and lower triangular functionals of the dual algebra.
@@ -237,7 +238,7 @@ class NCPoly(_Combination):
         for w in sorted(self.terms, key=word_key, reverse=True):
             c = coeff_text(self.terms[w])
             ws = "*".join(symbol_text(g) for g in w) if w else "1"
-            if ("+" in c[1:]) or ("-" in c[1:]):
+            if _compound(c):
                 c = "(" + c + ")"
             parts.append(ws if c == "1" else c + ("*" + ws if w else ""))
         return " + ".join(parts)

@@ -12,12 +12,12 @@ element through its representation matrix: for one letter of the element,
 the transition row avec -> cvec is the chained tensor column of that
 letter, and the pairing is entry (avec, bvec) of the product of the rows.
 
-There is one word evaluator, `DualPairing._rows`: it folds a word from the
-left, one transition row per letter, and keeps the rows of its prefixes
-in a memo the caller owns.  A polynomial is evaluated word by word
-(`DualPairing._word_rows`): each distinct word is folded once per start
-row, a word whose prefix row is empty is not folded at all, and the value
-at an end row is one coefficient dot over the words' nonempty rows.
+There is one letter step, `DualPairing._step`, and one word fold,
+`DualPairing._row`: a word is folded from the left, one transition row per
+letter, and the rows of the word and its prefixes are kept in a memo the
+caller owns.  A polynomial is evaluated word by word, each distinct word
+once per start row, and the value at an end row is one coefficient dot
+over the words' rows.
 
 Every coefficient sum here, in a column, a row, a relation value or a
 tensor law, is one ``DualElement.dot`` through the group's dot table
@@ -109,15 +109,6 @@ def _terms(n: int, x, check, table: dict) -> list:
     return out
 
 
-def _prefix_index(words) -> dict:
-    """Distinct words grouped by prefix, the word minus its last letter;
-    the empty word is its own prefix."""
-    out: dict = {}
-    for w in words:
-        out.setdefault(w[:-1], []).append(w)
-    return out
-
-
 def _dots(n: int, pairs: dict, table: dict) -> dict:
     """Key -> nonzero tabled ``DualElement.dot`` of the key's pairs."""
     out = {}
@@ -154,7 +145,7 @@ class DualPairing:
     """Evaluation context of one contracted group: tensors and caches."""
 
     __slots__ = ("group", "N", "n", "r_plus", "r_minus", "table",
-                 "_pattern", "_columns", "_vcolumns")
+                 "_pattern", "_steps")
 
     def __init__(self, G: QuantumCKGroup):
         if not G.contracted:
@@ -169,8 +160,7 @@ class DualPairing:
             X.map_entries(lambda e: interned(table, e))
             for X in r_plus_minus(G.R, G.j))
         self._pattern = weight_pattern_symplectic(G.j)
-        self._columns = {}
-        self._vcolumns = {}
+        self._steps = {}
 
     def tensor(self, family):
         """The degree-one value table of one family, as a two-leg tensor."""
@@ -180,28 +170,7 @@ class DualPairing:
             return self.r_minus
         raise ValueError("unknown functional family %r" % (family,))
 
-    # -- one matrix column through a stack of functional rows ----------
-
-    def _column(self, fams: tuple, avec: tuple, k: int, l: int) -> dict:
-        """Transitions avec -> cvec across one assembled entry (k, l)."""
-        key = (fams, avec, k, l)
-        got = self._columns.get(key)
-        if got is not None:
-            return got
-        states = {((), k): DualElement.one(self.n)}
-        for r, fam in enumerate(fams):
-            hop = self.tensor(fam).by_output()
-            a = avec[r]
-            pairs: dict = {}
-            for (pre, y), acc in states.items():
-                for (x2, y2), val in hop.get((a, y), ()):
-                    pairs.setdefault((pre + (x2,), y2), []).append((acc, val))
-            states = _dots(self.n, pairs, self.table)
-        got = {pre: acc for (pre, y), acc in states.items() if y == l}
-        self._columns[key] = got
-        return got
-
-    # -- weight bookkeeping --------------------------------------------
+    # -- one letter and one word ----------------------------------------
 
     def _valuate(self, value: DualElement, k: int, l: int,
                  mask: int) -> DualElement:
@@ -228,70 +197,61 @@ class DualPairing:
                 out[m ^ mask] = c
         return DualElement(self.n, out)
 
-    def _column_at(self, fams: tuple, avec: tuple, sym: GenSymbol) -> dict:
-        key = (fams, avec, sym)
-        got = self._vcolumns.get(key)
-        if got is None:
+    def _step(self, fams: tuple, avec: tuple, letter) -> dict:
+        """Transitions avec -> cvec across one letter: an assembled entry
+        (k, l) chains column k through the family tensors to row l, and a
+        split generator takes the `_valuate`d share of its entry's step."""
+        key = (fams, avec, letter)
+        got = self._steps.get(key)
+        if got is not None:
+            return got
+        if isinstance(letter, GenSymbol):
             got = {}
-            for cvec, col in self._column(fams, avec, sym.i, sym.k).items():
-                v = self._valuate(col, sym.i, sym.k, sym.mask)
+            whole = self._step(fams, avec, (letter.i, letter.k))
+            for cvec, col in whole.items():
+                v = self._valuate(col, letter.i, letter.k, letter.mask)
                 if v:
                     got[cvec] = interned(self.table, v)
-            self._vcolumns[key] = got
+        else:
+            k, l = letter
+            states = {((), k): DualElement.one(self.n)}
+            for r, fam in enumerate(fams):
+                hop = self.tensor(fam).by_output()
+                pairs: dict = {}
+                for (pre, y), acc in states.items():
+                    for (x2, y2), val in hop.get((avec[r], y), ()):
+                        pairs.setdefault((pre + (x2,), y2), []).append(
+                            (acc, val))
+                states = _dots(self.n, pairs, self.table)
+            got = {pre: acc for (pre, y), acc in states.items() if y == l}
+        self._steps[key] = got
         return got
 
-    # -- the word evaluator --------------------------------------------
-
-    def _rows(self, fams: tuple, avec: tuple, word: tuple,
-              memo: dict) -> dict:
+    def _row(self, fams: tuple, avec: tuple, word: tuple, memo: dict) -> dict:
         """Row avec of the word's representation matrix: cvec -> value.
 
         The word is a product of split generators or of assembled entries
-        (k, l); it is folded from the left, one transition row per letter.
-        `memo` maps words to their rows for this one (fams, avec); the
-        caller owns it.  The fold keeps the rows of proper prefixes there,
-        so each prefix is folded once per caller, and leaves the word's
-        own row to the caller.
+        (k, l).  `memo` maps words to their rows for this one (fams, avec);
+        the caller owns it, and each word and prefix is folded once per
+        memo.  A word whose prefix row is empty has an empty row, returned
+        without being stored.
         """
-        if not word:
-            return {avec: DualElement.one(self.n)}
-        head = self._memo_row(fams, avec, word[:-1], memo)
-        g = word[-1]
-        pairs: dict = {}
-        for cur, acc in head.items():
-            if isinstance(g, GenSymbol):
-                step = self._column_at(fams, cur, g)
-            else:
-                step = self._column(fams, cur, *g)
-            for cvec, val in step.items():
-                pairs.setdefault(cvec, []).append((acc, val))
-        return _dots(self.n, pairs, self.table)
-
-    def _memo_row(self, fams: tuple, avec: tuple, word: tuple,
-                  memo: dict) -> dict:
         got = memo.get(word)
-        if got is None:
-            got = memo[word] = self._rows(fams, avec, word, memo)
+        if got is not None:
+            return got
+        if not word:
+            got = {avec: DualElement.one(self.n)}
+        else:
+            head = self._row(fams, avec, word[:-1], memo)
+            if not head:
+                return {}
+            pairs: dict = {}
+            for cur, acc in head.items():
+                for cvec, val in self._step(fams, cur, word[-1]).items():
+                    pairs.setdefault(cvec, []).append((acc, val))
+            got = _dots(self.n, pairs, self.table)
+        memo[word] = got
         return got
-
-    def _word_rows(self, fams: tuple, avec: tuple, by_prefix: dict,
-                   memo: dict) -> dict:
-        """Nonempty rows avec of the words of `by_prefix`, keyed by word.
-
-        `by_prefix` is a `_prefix_index`.  Each prefix row is folded once;
-        when it is empty, every word extending it has an empty row and is
-        skipped unfolded.  Otherwise each word is folded once, and kept
-        when its row is not empty.
-        """
-        rows = {}
-        for pre, words in by_prefix.items():
-            if not self._memo_row(fams, avec, pre, memo):
-                continue
-            for w in words:
-                row = self._memo_row(fams, avec, w, memo)
-                if row:
-                    rows[w] = row
-        return rows
 
     # -- public evaluation -------------------------------------------
 
@@ -304,11 +264,11 @@ class DualPairing:
         """
         total = DualElement.zero(self.n)
         terms = _terms(self.n, element, _check_matrix, self.table)
-        by_prefix = _prefix_index(w for _, w in terms)
         for lc, lw in _terms(self.n, functional, _check_functional,
                              self.table):
-            rows = self._word_rows(tuple(g.family for g in lw),
-                                   tuple(g.i for g in lw), by_prefix, {})
+            fams, avec = tuple(g.family for g in lw), tuple(g.i for g in lw)
+            memo: dict = {}
+            rows = {w: self._row(fams, avec, w, memo) for _, w in terms}
             bvec = tuple(g.k for g in lw)
             val = _dot_at(self.n, terms, rows, (bvec,), self.table).get(bvec)
             if val is not None:
@@ -327,7 +287,7 @@ def _fold_word(ctx: DualPairing, fams: tuple, word: tuple,
     out = {}
     for avec in product(range(1, ctx.N + 1), repeat=len(fams)):
         memo = memos.setdefault(avec, {})
-        for cvec, val in ctx._rows(fams, avec, word, memo).items():
+        for cvec, val in ctx._row(fams, avec, word, memo).items():
             out[avec + cvec] = val
     return QTensor(ctx.N, ctx.n, out)
 
@@ -394,7 +354,7 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
         for fams in (("upper", "lower"), ("lower", "upper")):
             memo: dict = {}
             for word in words:
-                val = ctx._rows(fams, (k, k), word, memo).get((k, k), zero)
+                val = ctx._row(fams, (k, k), word, memo).get((k, k), zero)
                 identities += 1
                 if val != _position_counit(n, word):
                     failures.append({"law": "diagonal-inverse", "slot": k,
@@ -403,7 +363,7 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
     fams = ("upper",) * N
     memo = {}
     for word in words:
-        val = ctx._rows(fams, diag, word, memo).get(diag, zero)
+        val = ctx._row(fams, diag, word, memo).get(diag, zero)
         identities += 1
         if val != _position_counit(n, word):
             failures.append({"law": "diagonal-product", "word": word})
@@ -418,10 +378,11 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
     This is the statement that the degree-one tables extend to
     functionals on the quotient algebra, not merely on the free one.
     Functional words sharing their families and start row avec share the
-    rows avec of the relation words, and each distinct relation word is
-    folded once per such group (`DualPairing._word_rows`: none whose
-    prefix row is empty).  Only the relations that use a word with a
-    nonempty row can be nonzero there; each of them is summed, one at a
+    rows avec of the relation words, so each distinct relation word is
+    folded once per such group.  The words are grouped by prefix, the word
+    minus its last letter: a word whose prefix row is empty has an empty
+    row and is not folded at all.  Only the relations that use a word with
+    a nonempty row can be nonzero there; each of them is summed, one at a
     time, at every end row bvec of the group by one coefficient dot.
     """
     rels = [(_terms(ctx.n, r, _check_matrix, ctx.table), source)
@@ -430,7 +391,9 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
     for r, (terms, _) in enumerate(rels):
         for _, w in terms:
             uses.setdefault(w, []).append(r)
-    by_prefix = _prefix_index(uses)
+    by_prefix: dict = {}
+    for w in uses:
+        by_prefix.setdefault(w[:-1], []).append(w)
     syms = dual_symbols(ctx.N)
     words = [w for d in range(max_len + 1) for w in product(syms, repeat=d)]
     groups: dict = {}
@@ -439,8 +402,13 @@ def relations_pair_to_zero(ctx: DualPairing, max_len: int = 2) -> dict:
         groups.setdefault(key, {})[tuple(g.k for g in w)] = idx
     hits = []
     for (fams, avec), members in groups.items():
-        rows = ctx._word_rows(fams, avec, by_prefix, {})
-        for r in {r for w in rows for r in uses[w]}:
+        rows: dict = {}  # the fold's memo; a word not in it has no row
+        for pre, ws in by_prefix.items():
+            if ctx._row(fams, avec, pre, rows):
+                for w in ws:
+                    ctx._row(fams, avec, w, rows)
+        for r in {r for w, row in rows.items() if row
+                  for r in uses.get(w, ())}:
             hits.extend((r, members[bvec])
                         for bvec in _dot_at(ctx.n, rels[r][0], rows, members,
                                             ctx.table))

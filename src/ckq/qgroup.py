@@ -320,13 +320,13 @@ class QuantumCKGroup:
 
     @cached_property
     def R(self) -> QTensor:
-        R = frt_r(self.N, self.n)
+        R = frt_r(self.N)
         return contract(R, self.j) if self.contracted else R
 
     @cached_property
     def C(self) -> CKMatrix:
         """The metric, checked to be an involution: C^(-1) reads C."""
-        C = frt_c(self.N, self.n)
+        C = frt_c(self.N)
         if self.contracted:
             C = contract(C, self.j)
         if not (C @ C).is_identity():

@@ -18,7 +18,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .ckclassical import weight_pattern_symplectic
-from .coeffring import DualElement, JSignature, ScalarExpr
+from .coeffring import (DualElement, JSignature, ScalarExpr, _compound,
+                        _signed_sum)
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import t_symbols
 
@@ -149,8 +150,6 @@ def scalar_tex(sc: ScalarExpr) -> str:
     to the standard commutator gap q - q^-1 is pulled out when the scalar
     is that gap times a single monomial (decided from its two terms, with
     no division)."""
-    if sc.is_zero():
-        return "0"
     gap_monomial = _lam_monomial(sc)
     if gap_monomial is not None:
         inner = _monomial_tex(*gap_monomial)
@@ -161,17 +160,11 @@ def scalar_tex(sc: ScalarExpr) -> str:
         if inner.startswith("-"):
             return "-" + r"\lambda " + inner[1:]
         return r"\lambda " + inner
-    parts = [_monomial_tex(se, ve, sc.terms[(se, ve)])
-             for (se, ve) in sorted(sc.terms)]
-    text = parts[0]
-    for p in parts[1:]:
-        text += (" " + p) if p.startswith("-") else (" + " + p)
-    return text
+    return _signed_sum([_monomial_tex(se, ve, sc.terms[(se, ve)])
+                        for (se, ve) in sorted(sc.terms)], " + ", " ")
 
 
 def dual_tex(d: DualElement) -> str:
-    if d.is_zero():
-        return "0"
     parts = []
     for mask in sorted(d.terms):
         iotas = "".join(r"\iota_{%d}" % s for s in mask_slots(mask))
@@ -182,14 +175,11 @@ def dual_tex(d: DualElement) -> str:
             parts.append(iotas)
         elif inner == "-1":
             parts.append("-" + iotas)
-        elif "+" in inner or (inner.count("-") - inner.startswith("-")) > 0:
+        elif _compound(inner):
             parts.append(r"\left(" + inner + r"\right) " + iotas)
         else:
             parts.append(inner + " " + iotas)
-    text = parts[0]
-    for p in parts[1:]:
-        text += (" " + p) if p.startswith("-") else (" + " + p)
-    return text
+    return _signed_sum(parts, " + ", " ")
 
 
 class EntryNaming:
@@ -221,8 +211,6 @@ def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
     """LaTeX of p with symbols written by ``symbol_tex`` (such as
     ``EntryNaming.symbol_tex``) and coefficients by ``coeff_tex`` (such
     as ``dual_tex``)."""
-    if p.is_zero():
-        return "0"
     parts = []
     for w in sorted(p.terms, key=word_key):
         coeff = coeff_tex(p.terms[w])
@@ -233,14 +221,11 @@ def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
             parts.append(word)
         elif coeff == "-1":
             parts.append("-" + word)
+        elif _compound(coeff):
+            parts.append(r"\left(" + coeff + r"\right) \, " + word)
         else:
-            wrapped = coeff if ("+" not in coeff and coeff.count("-") <= (
-                1 if coeff.startswith("-") else 0)) else r"\left(" + coeff + r"\right)"
-            parts.append(wrapped + r" \, " + word)
-    text = parts[0]
-    for piece in parts[1:]:
-        text += (" " + piece) if piece.startswith("-") else (" + " + piece)
-    return text
+            parts.append(coeff + r" \, " + word)
+    return _signed_sum(parts, " + ", " ")
 
 
 # ------------------------------------------------------------ documents

@@ -200,7 +200,7 @@ def rho2(N: int) -> tuple:
     return tuple(out)
 
 
-def frt_r(N: int, n: int | None = None) -> QTensor:
+def frt_r(N: int) -> QTensor:
     """The orthogonal-series solution of the braid relation.
 
     Diagonal part q / q^(-1) / 1 by mirror coincidences, a lower shear of
@@ -210,8 +210,7 @@ def frt_r(N: int, n: int | None = None) -> QTensor:
     """
     if N < 3:
         raise ValueError("need N >= 3")
-    if n is None:
-        n = N - 1
+    n = N - 1
     r2 = rho2(N)
     lam = DualElement.scalar(n, ScalarExpr.lam())
     zero = DualElement.zero(n)
@@ -236,15 +235,14 @@ def frt_r(N: int, n: int | None = None) -> QTensor:
     return QTensor(N, n, data)
 
 
-def frt_c(N: int, n: int | None = None) -> CKMatrix:
+def frt_c(N: int) -> CKMatrix:
     """The quantum metric: antidiagonal of s^(-2 rho) powers; squares to I.
 
     The sign of the twist is pinned by projector_check against frt_r.
     """
     if N < 3:
         raise ValueError("need N >= 3")
-    if n is None:
-        n = N - 1
+    n = N - 1
     r2 = rho2(N)
 
     def fn(i, k):

@@ -368,8 +368,8 @@ def test_antipode_certificate_mismatch_reports_error(monkeypatch, capsys):
 def test_metric_not_an_involution_reports_error(monkeypatch, capsys):
     # C^(-1) is read as C, so a metric that does not square to I must stop
     # the suite instead of passing on the wrong inverse
-    monkeypatch.setattr(qgroup, "frt_c", lambda N, n=None: rmatrix.frt_c(
-        N, n).map_entries(lambda e: e + e))
+    monkeypatch.setattr(qgroup, "frt_c", lambda N: rmatrix.frt_c(
+        N).map_entries(lambda e: e + e))
     rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
                    "antipode", "--jobs", "1", "--format", "json"])
     assert rc == 1

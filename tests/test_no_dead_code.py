@@ -4,7 +4,9 @@ A public module-level function in ``src/ckq`` must be used somewhere else
 in the package or be re-exported by ``ckq/__init__.py``.  Helpers that only
 tests need live in ``tests/`` as oracles.  A public method must be named by
 some attribute reference in the package or the tests, other than in its
-own body.  Nor does the package keep process-wide state: no
+own body, and a private one, module-level or a method, must be named
+somewhere in the package outside its own body.  Nor does the package keep
+process-wide state: no
 ``functools.lru_cache`` or ``functools.cache`` decorator and no ``global``
 statement.
 """
@@ -107,6 +109,48 @@ def test_guard_catches_an_unreferenced_method():
         "def determinant(self):\n    return self.determinant()\n").body[0])
     assert unreferenced_public_methods(trees, _test_trees()) == [
         ("ckclassical.py", "CKMatrix", "determinant")]
+
+
+def unreferenced_private_helpers(trees: dict) -> list:
+    """(module, name) of every private module-level function or method,
+    dunders aside, that no name or attribute in the package refers to
+    outside its own body."""
+    refs = Counter()
+    for tree in trees.values():
+        refs += _name_counts(tree)
+    out = []
+    for module, tree in trees.items():
+        defs = list(tree.body) + [fn for cls in tree.body
+                                  if isinstance(cls, ast.ClassDef)
+                                  for fn in cls.body]
+        for fn in defs:
+            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.endswith("__")
+                    and refs[fn.name] == _name_counts(fn)[fn.name]):
+                out.append((module, fn.name))
+    return out
+
+
+def _name_counts(node) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_is_referenced():
+    assert unreferenced_private_helpers(_trees()) == []
+
+
+def test_guard_catches_a_leftover_private_helper():
+    trees = _trees()
+    trees["ckclassical.py"].body.append(ast.parse(
+        "def _quadratic_form(x):\n    return _quadratic_form(x[1:])\n").body[0])
+    matrix = next(node for node in trees["ckclassical.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "CKMatrix")
+    matrix.body.append(ast.parse(
+        "def _determinant(self):\n    return self._determinant()\n").body[0])
+    assert unreferenced_private_helpers(trees) == [
+        ("ckclassical.py", "_quadratic_form"), ("ckclassical.py", "_determinant")]
 
 
 def global_state(trees: dict) -> list:

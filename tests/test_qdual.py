@@ -404,7 +404,7 @@ def test_relations_pair_to_zero_refutes_non_relations_n4(sig, caught):
     groups = {(tuple(g.family for g in w), tuple(g.i for g in w))
               for w in words}
     for pre in {w[:-1] for w in fake.terms}:
-        assert any(not ctx._rows(fams, avec, pre, {})
+        assert any(not ctx._row(fams, avec, pre, {})
                    for fams, avec in groups)
 
 
@@ -415,17 +415,19 @@ def test_relations_pair_to_zero_folds_each_word_once(monkeypatch):
     rel_words = {w for p in ctx.group.relations() for w in p.terms}
     folded = {}
     twice = []
-    rows = DualPairing._rows
+    row = DualPairing._row
 
     def counted(self, fams, avec, word, memo):
-        row = rows(self, fams, avec, word, memo)
+        # a word is folded when its row is not yet in the memo
+        if word in memo:
+            return row(self, fams, avec, word, memo)
         key = (fams, avec, word)
         if key in folded:
             twice.append(key)
-        folded[key] = row
-        return row
+        folded[key] = got = row(self, fams, avec, word, memo)
+        return got
 
-    monkeypatch.setattr(DualPairing, "_rows", counted)
+    monkeypatch.setattr(DualPairing, "_row", counted)
     assert relations_pair_to_zero(ctx, max_len=2)["ok"]
     assert not twice
     # a word is folded after its prefix, whose row must not be empty
