@@ -1,7 +1,6 @@
 """Exact quantum orthogonal Cayley-Klein groups and their dual algebras."""
 
 from .ckclassical import (
-    CKMatrix,
     cayley,
     is_j_orthogonal,
     lie_generator,

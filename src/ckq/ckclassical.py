@@ -2,12 +2,10 @@
 
 A group element in the Cartesian basis is a "special" matrix: entry (k,p)
 carries the weight J(k,p) above the diagonal and J(p,k) below it, times a
-free parameter.  Such matrices preserve the weighted quadratic form.  The
-module provides
+free parameter.  Such matrices preserve the weighted quadratic form.  A
+matrix is a two-leg ``rmatrix.QTensor`` keyed (i, k).  The module provides
 
-* the one square matrix type, over D_n here and over the noncommutative
-  polynomials of ``freealg`` in ``qgroup``, and the exact orthogonality
-  test,
+* the exact orthogonality test and ``solve``, one Gauss-Jordan over D_n,
 * the weighted antisymmetric generators and the exact Cayley transform,
   which samples group elements without any transcendental functions,
 * the fixed change of basis D with D C0 D^t = I (C0 the antidiagonal),
@@ -21,144 +19,56 @@ from fractions import Fraction
 
 from .coeffring import (
     Cyclo8,
-    DimensionError,
     DualElement,
     JSignature,
     NotInvertibleError,
 )
+from .rmatrix import QTensor
 
 
 class SingularMatrixError(ArithmeticError):
     """Gauss-Jordan found no invertible pivot."""
 
 
-class CKMatrix:
-    """A square matrix.
+def solve(A: QTensor, B: QTensor) -> QTensor:
+    """The X with A @ X = B, by one Gauss-Jordan on [A | B] over D_n
+    (D_n entries only); pivots must be units of the local ring.
 
-    Entries are D_n elements or noncommutative polynomials (``NCPoly``);
-    products, sums, transposes and entry maps work for both, while
-    ``identity``, ``build``, ``is_identity`` and ``solve`` are for D_n
-    entries only.
+    A row update a - f*b skips the zero entries b of the pivot row and
+    forms each other entry as one ``DualElement.dot``.
     """
-
-    __slots__ = ("N", "rows")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.N = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.N:
-                raise DimensionError("matrix is not square")
-
-    @classmethod
-    def identity(cls, N: int, n: int) -> "CKMatrix":
-        one = DualElement.one(n)
-        zero = DualElement.zero(n)
-        return cls([[one if i == k else zero for k in range(N)] for i in range(N)])
-
-    @classmethod
-    def build(cls, N: int, n: int, fn) -> "CKMatrix":
-        """Entries from fn(i, k) with 1-based indices; scalars are coerced."""
-        rows = []
-        for i in range(1, N + 1):
-            row = []
-            for k in range(1, N + 1):
-                e = fn(i, k)
-                if not isinstance(e, DualElement):
-                    e = DualElement.scalar(n, e)
-                row.append(e)
-            rows.append(row)
-        return cls(rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows[0][0].n if self.N else 0
-
-    def entry(self, i: int, k: int) -> DualElement:
-        return self.rows[i - 1][k - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CKMatrix) and self.rows == other.rows
-
-    def __matmul__(self, other: "CKMatrix") -> "CKMatrix":
-        if self.N != other.N:
-            raise DimensionError("size mismatch in matrix product")
-        if not self.N:
-            return self
-        n, dot = self.n, type(self.rows[0][0]).dot
-        cols = tuple(zip(*other.rows))
-        return CKMatrix([[dot(n, [(a, b) for a, b in zip(row, col) if a and b])
-                          for col in cols] for row in self.rows])
-
-    def __add__(self, other: "CKMatrix") -> "CKMatrix":
-        return CKMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "CKMatrix") -> "CKMatrix":
-        return CKMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "CKMatrix":
-        return CKMatrix([[-a for a in r] for r in self.rows])
-
-    def transpose(self) -> "CKMatrix":
-        return CKMatrix(list(zip(*self.rows)))
-
-    def map_entries(self, fn) -> "CKMatrix":
-        return CKMatrix([[fn(a) for a in r] for r in self.rows])
-
-    def is_identity(self) -> bool:
-        """Exact test against the identity; D_n entries only."""
-        one = DualElement.one(self.n)
-        for i, row in enumerate(self.rows):
-            for k, e in enumerate(row):
-                if e != (one if i == k else 0):
-                    return False
-        return True
-
-    def solve(self, B: "CKMatrix") -> "CKMatrix":
-        """The X with self @ X = B, by one Gauss-Jordan on [self | B] over
-        D_n (D_n entries only); pivots must be units of the local ring.
-
-        A row update a - f*b skips the zero entries b of the pivot row and
-        forms each other entry as one ``DualElement.dot``.
-        """
-        N, n = self.N, self.n
-        one = DualElement.one(n)
-        work = [list(a) + list(b) for a, b in zip(self.rows, B.rows)]
-        for col in range(N):
-            pivot_row = pivot_inv = None
-            for r in range(col, N):
-                try:
-                    pivot_inv = work[r][col].inverse()
-                except NotInvertibleError:
-                    continue
-                pivot_row = r
-                break
-            if pivot_row is None:
-                raise SingularMatrixError("no invertible pivot in column %d" % (col + 1))
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col] = [e * pivot_inv for e in work[col]]
-            for r in range(N):
-                f = work[r][col]
-                if r == col or not f:
-                    continue
-                f = -f
-                work[r] = [DualElement.dot(n, ((a, one), (f, b))) if b else a
-                           for a, b in zip(work[r], pivot)]
-        return CKMatrix([r[N:] for r in work])
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
-
-    def __repr__(self) -> str:
-        return "CKMatrix(%dx%d over D_%d)" % (self.N, self.N, self.n)
+    N, n = A.N, A.n
+    one = DualElement.one(n)
+    rng = range(1, N + 1)
+    work = [[A.get(i, k) for k in rng] + [B.get(i, k) for k in rng] for i in rng]
+    for col in range(N):
+        pivot_row = pivot_inv = None
+        for r in range(col, N):
+            try:
+                pivot_inv = work[r][col].inverse()
+            except NotInvertibleError:
+                continue
+            pivot_row = r
+            break
+        if pivot_row is None:
+            raise SingularMatrixError("no invertible pivot in column %d" % (col + 1))
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col] = [e * pivot_inv for e in work[col]]
+        for r in range(N):
+            f = work[r][col]
+            if r == col or not f:
+                continue
+            f = -f
+            work[r] = [DualElement.dot(n, ((a, one), (f, b))) if b else a
+                       for a, b in zip(work[r], pivot)]
+    return QTensor(N, n, {(i + 1, k + 1): e for i, r in enumerate(work)
+                          for k, e in enumerate(r[N:])})
 
 
 # ------------------------------------------------------------ construction
 
 
-def is_j_orthogonal(A: CKMatrix) -> bool:
+def is_j_orthogonal(A: QTensor) -> bool:
     """Exact test of A A^t = A^t A = I.
 
     D_n is commutative, so both products are symmetric: entry (k,i) equals
@@ -166,7 +76,9 @@ def is_j_orthogonal(A: CKMatrix) -> bool:
     formed, as dot products of two rows of A (of A^t for A^t A).
     """
     n, one = A.n, DualElement.one(A.n)
-    for rows in (A.rows, tuple(zip(*A.rows))):
+    rng = range(1, A.N + 1)
+    dense = [[A.get(i, k) for k in rng] for i in rng]
+    for rows in (dense, list(zip(*dense))):
         for i, ri in enumerate(rows):
             for k in range(i, A.N):
                 e = DualElement.dot(n, [(a, b) for a, b in zip(ri, rows[k]) if a and b])
@@ -175,7 +87,7 @@ def is_j_orthogonal(A: CKMatrix) -> bool:
     return True
 
 
-def _generator_mix(j: JSignature, theta: dict) -> CKMatrix:
+def _generator_mix(j: JSignature, theta: dict) -> QTensor:
     """sum theta[k,p] J(k,p) (e_kp - e_pk) over the keys k < p of theta."""
 
     def fn(i, m):
@@ -185,27 +97,27 @@ def _generator_mix(j: JSignature, theta: dict) -> CKMatrix:
             return j.J(m, i) * -theta[(m, i)]
         return 0
 
-    return CKMatrix.build(j.N, j.n, fn)
+    return QTensor.build(j.N, j.n, fn)
 
 
-def lie_generator(k: int, p: int, j: JSignature) -> CKMatrix:
+def lie_generator(k: int, p: int, j: JSignature) -> QTensor:
     """The weighted antisymmetric generator J(k,p) (e_kp - e_pk), k < p."""
     if not (1 <= k < p <= j.N):
         raise ValueError("need 1 <= k < p <= N")
     return _generator_mix(j, {(k, p): 1})
 
 
-def cayley(X: CKMatrix) -> CKMatrix:
+def cayley(X: QTensor) -> QTensor:
     """The exact Cayley transform (I + X)(I - X)^(-1).
 
     I + X and (I - X)^(-1) commute, so this is the solution A of
     (I - X) A = I + X, found by one Gauss-Jordan with no matrix product.
     """
-    I = CKMatrix.identity(X.N, X.n)
-    return (I - X).solve(I + X)
+    I = QTensor.identity(X.N, X.n)
+    return solve(I - X, I + X)
 
 
-def random_cayley(j: JSignature, rng, span: int = 3) -> CKMatrix:
+def random_cayley(j: JSignature, rng, span: int = 3) -> QTensor:
     """A random group element: Cayley transform of a random generator mix."""
     N = j.N
     # one angle per generator J(k,p) (e_kp - e_pk), k < p, in row-major order
@@ -217,12 +129,12 @@ def random_cayley(j: JSignature, rng, span: int = 3) -> CKMatrix:
 # ------------------------------------------------------- symplectic frame
 
 
-def antidiagonal_c0(N: int, n: int) -> CKMatrix:
+def antidiagonal_c0(N: int, n: int) -> QTensor:
     """C0 with ones on the antidiagonal."""
-    return CKMatrix.build(N, n, lambda i, k: 1 if i + k == N + 1 else 0)
+    return QTensor.build(N, n, lambda i, k: 1 if i + k == N + 1 else 0)
 
 
-def symplectic_d(N: int, n: int | None = None) -> CKMatrix:
+def symplectic_d(N: int, n: int | None = None) -> QTensor:
     """The change of basis D with D C0 D^t = I.
 
     Paired rows mix a coordinate with its mirror through 1/sqrt2 and
@@ -234,20 +146,19 @@ def symplectic_d(N: int, n: int | None = None) -> CKMatrix:
     if n is None:
         n = N - 1
     half = Fraction(1, 2)
-    rows = [[DualElement.zero(n) for _ in range(N)] for _ in range(N)]
+    data = {}
     for k in range(1, N // 2 + 1):
         kp = N + 1 - k
-        rows[k - 1][k - 1] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
-        rows[k - 1][kp - 1] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
-        rows[kp - 1][k - 1] = DualElement.scalar(n, Cyclo8(0, 0, 0, half))
-        rows[kp - 1][kp - 1] = DualElement.scalar(n, Cyclo8(0, 0, 0, -half))
+        data[(k, k)] = data[(k, kp)] = DualElement.scalar(n, Cyclo8(0, 0, half, 0))
+        data[(kp, k)] = DualElement.scalar(n, Cyclo8(0, 0, 0, half))
+        data[(kp, kp)] = DualElement.scalar(n, Cyclo8(0, 0, 0, -half))
     if N % 2:
         m = (N + 1) // 2
-        rows[m - 1][m - 1] = DualElement.one(n)
-    return CKMatrix(rows)
+        data[(m, m)] = DualElement.one(n)
+    return QTensor(N, n, data)
 
 
-def symplectic_d_inverse(N: int, n: int | None = None) -> CKMatrix:
+def symplectic_d_inverse(N: int, n: int | None = None) -> QTensor:
     """D^(-1) = C0 D^t, read off from D C0 D^t = I."""
     if n is None:
         n = N - 1
@@ -255,7 +166,7 @@ def symplectic_d_inverse(N: int, n: int | None = None) -> CKMatrix:
     return antidiagonal_c0(N, n) @ D.transpose()
 
 
-def to_symplectic(A: CKMatrix) -> CKMatrix:
+def to_symplectic(A: QTensor) -> QTensor:
     """Conjugate a Cartesian group element into the symplectic frame."""
     Dm = symplectic_d(A.N, A.n)
     return symplectic_d_inverse(A.N, A.n) @ A @ Dm

@@ -39,9 +39,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-SUITES = ("ybe", "cubic", "projector", "classical", "coassoc", "counit",
-          "coproduct", "antipode", "contraction", "exchange", "metric",
-          "pairing")
 DUAL_SUITES = ("exchange", "metric", "pairing")  # take a qdual.DualPairing
 
 FORMATS = ("text", "json")
@@ -151,7 +148,7 @@ def cmd_rmatrix(ns) -> int:
                "r": render.tensor_json(R),
                "r_plus": render.tensor_json(rp),
                "r_minus": render.tensor_json(rm),
-               "metric": render.matrix_json(C)}
+               "metric": render.tensor_json(C)}
         _write(ns, doc)
     elif ns.format == "latex":
         lines = [r"\begin{align*}"]
@@ -164,11 +161,8 @@ def cmd_rmatrix(ns) -> int:
     else:
         parts = ["# braiding tensor", render.tensor_text(R),
                  "# metric"]
-        for i in range(1, ns.n + 1):
-            for k in range(1, ns.n + 1):
-                e = C.entry(i, k)
-                if e:
-                    parts.append("C[%d,%d] = %s" % (i, k, e))
+        for i, k in sorted(C.data):
+            parts.append("C[%d,%d] = %s" % (i, k, C.data[(i, k)]))
         _write(ns, "\n".join(parts) + "\n")
     return EXIT_PASS
 
@@ -339,6 +333,7 @@ _SUITE_FN = {
     "metric": _suite_metric,
     "pairing": _suite_pairing,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 def _parse_suites(raw: str) -> list:

@@ -36,9 +36,10 @@ returns (``interned``), so equal values become one shared object and
 later keys match by identity first.  The owner of a table is one
 ``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat: the
 coproduct certificate and the dual-side checks of ``qdual`` read it.  The
-``CKMatrix`` kernels and the ``classical`` suite take none, since random
-Cayley samples hardly repeat (18,472 distinct tuples among 24,590 sums at
-N=5) and a table there only costs time and memory.
+matrix products and Gauss-Jordan of ``ckclassical`` and the ``classical``
+suite take none, since random Cayley samples hardly repeat (18,472
+distinct tuples among 24,590 sums at N=5) and a table there only costs
+time and memory.
 """
 
 from __future__ import annotations

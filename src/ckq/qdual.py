@@ -43,11 +43,11 @@ weight stays in the coefficient ring, where it is well defined.
 
 from itertools import product
 
-from .ckclassical import CKMatrix, weight_pattern_symplectic
+from .ckclassical import weight_pattern_symplectic
 from .coeffring import DualElement, interned
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
-from .rmatrix import QTensor, metric_vec, r_plus_minus
+from .rmatrix import QTensor, r_plus_minus
 
 FUNCTIONAL_FAMILIES = ("upper", "lower")
 
@@ -332,7 +332,7 @@ def verify_l_additional(ctx: DualPairing, degree: int = 2) -> dict:
     full upper diagonal multiplies to the unit functional.
     """
     N, n = ctx.N, ctx.n
-    ct = metric_vec(ctx.group.C.transpose())
+    ct = ctx.group.C.transpose().data
     failures = []
     identities = 0
     words = tuple(entry_words(N, degree))
@@ -435,16 +435,16 @@ def verify_antipode_duality(ctx: DualPairing) -> dict:
     checked = 0
     for fam in FUNCTIONAL_FAMILIES:
         R = ctx.tensor(fam)
-        lhs = {(k, l): ct @ CKMatrix.build(
+        lhs = {(k, l): ct @ QTensor.build(
                    N, n, lambda a, b: R.get(b, k, a, l)) @ ct
                for k in rng for l in rng}
         for i in rng:
             for jj in rng:
-                rhs = C @ CKMatrix.build(
+                rhs = C @ QTensor.build(
                     N, n, lambda c, d: R.get(i, d, jj, c)) @ C
                 for (k, l), sandwich in lhs.items():
                     checked += 1
-                    if sandwich.entry(i, jj) != rhs.entry(k, l):
+                    if sandwich.get(i, jj) != rhs.get(k, l):
                         mismatches += 1
     return {"ok": mismatches == 0, "checked": checked,
             "mismatches": mismatches}

@@ -17,11 +17,11 @@ entries of the cofactors M = T C T^t - C and L = T^t C T - C
 ``QuantumCKGroup.cofactors``).  The metric is an involution, C^(-1) = C,
 checked when the group builds it, so the same two cofactors factor the
 antipode defects S(T) T - I = C L and T S(T) - I = M C.  T and every
-matrix built from it are ``CKMatrix`` instances with ``NCPoly`` entries.
-The exchange components, and both sides of their coproduct certificates,
-are ``QTensor`` sums of products as the paper writes them: T1 T2 is
-``QTensor.pair(T)``, T2 T1 its ``flipped()``, and each sum is one
-``QTensor.dot``.
+matrix built from it are two-leg ``QTensor`` instances with ``NCPoly``
+entries.  The exchange components, and both sides of their coproduct
+certificates, are four-leg ``QTensor`` sums of products as the paper
+writes them: T1 T2 is ``QTensor.pair(T)``, T2 T1 its ``flipped()``, and
+each sum is one ``QTensor.dot``.
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
 expansion; the compatibility of the coproduct with the exchange relations
@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import product
 
 from .coeffring import DualElement, JSignature, interned
-from .ckclassical import CKMatrix, weight_pattern_symplectic
+from .ckclassical import weight_pattern_symplectic
 from .rmatrix import QTensor, contract, frt_c, frt_r, q_scalar, rho2
 from .freealg import GenSymbol, NCPoly, mat_symbol
 
@@ -66,7 +66,7 @@ def _split_entry(n: int, pat: dict, i: int, k: int, copy: int) -> NCPoly:
                            for mask in pat[(i, k)]})
 
 
-def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
+def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> QTensor:
     """The generating matrix.
 
     Split form (default): entry (i,k) = sum_W iota_W * t[i,k;W] over the
@@ -82,7 +82,7 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> CKMatrix:
         return _split_entry(j.n, pat, i, k, copy)
 
     rng = range(1, j.N + 1)
-    return CKMatrix([[fn(i, k) for k in rng] for i in rng])
+    return QTensor(j.N, j.n, {(i, k): fn(i, k) for i in rng for k in rng})
 
 
 def splitting_map(j: JSignature):
@@ -178,7 +178,7 @@ def _holds(held, p: NCPoly) -> bool:
     return bool(held) and (p in held or -p in held)
 
 
-def _exchange_pairs(T: CKMatrix, R: QTensor, table: dict | None = None) -> list:
+def _exchange_pairs(T: QTensor, R: QTensor, table: dict | None = None) -> list:
     """R T1 T2 - T2 T1 R as the pairs of one ``QTensor.dot``, with the
     entries of R and -R lifted to constant polynomials."""
     TT = QTensor.pair(T)
@@ -186,13 +186,13 @@ def _exchange_pairs(T: CKMatrix, R: QTensor, table: dict | None = None) -> list:
             (TT.flipped(), _scalars(R.scale(-1), table))]
 
 
-def rtt_components(T: CKMatrix, R: QTensor, table: dict | None = None) -> QTensor:
+def rtt_components(T: QTensor, R: QTensor, table: dict | None = None) -> QTensor:
     """The braid-exchange components R T1 T2 - T2 T1 R, as a tensor;
     ``table`` as in ``QTensor.dot``."""
     return QTensor.dot(_exchange_pairs(T, R, table), table)
 
 
-def rtt_relations(T: CKMatrix, R: QTensor) -> RelationSet:
+def rtt_relations(T: QTensor, R: QTensor) -> RelationSet:
     """Deduplicated braid-exchange relations R T1 T2 - T2 T1 R = 0."""
     rels = RelationSet(T.n)
     comps = rtt_components(T, R).data
@@ -201,7 +201,7 @@ def rtt_relations(T: CKMatrix, R: QTensor) -> RelationSet:
     return rels
 
 
-def orthogonality_cofactors(T: CKMatrix, C: CKMatrix) -> tuple:
+def orthogonality_cofactors(T: QTensor, C: QTensor) -> tuple:
     """The orthogonality cofactors (M, L) = (T C T^t - C, T^t C T - C).
 
     Their entries generate the orthogonality relations, and they factor
@@ -220,9 +220,8 @@ def orthogonality_relations(cofactors: tuple) -> RelationSet:
     """
     rels = RelationSet(cofactors[0].n)
     for F in cofactors:
-        for row in F.rows:
-            for p in row:
-                rels.add(p, "orth")
+        for key in sorted(F.data):
+            rels.add(F.data[key], "orth")
     return rels
 
 
@@ -285,7 +284,7 @@ def counit_leg(p: NCPoly, leg: int = 0) -> NCPoly:
     return p.substitute(fn)
 
 
-def antipode(T: CKMatrix, C: CKMatrix) -> CKMatrix:
+def antipode(T: QTensor, C: QTensor) -> QTensor:
     """S(T) = C T^t C^(-1) = C T^t C for the involutive metric, entrywise
     scalar times a mirrored entry."""
     Cp = _scalars(C)
@@ -324,17 +323,17 @@ class QuantumCKGroup:
         return contract(R, self.j) if self.contracted else R
 
     @cached_property
-    def C(self) -> CKMatrix:
+    def C(self) -> QTensor:
         """The metric, checked to be an involution: C^(-1) reads C."""
         C = frt_c(self.N)
         if self.contracted:
             C = contract(C, self.j)
-        if not (C @ C).is_identity():
+        if C @ C != QTensor.identity(self.N, self.n):
             raise ArithmeticError("the metric is not an involution")
         return C
 
     @cached_property
-    def T(self) -> CKMatrix:
+    def T(self) -> QTensor:
         return build_t(self.j)
 
     @cached_property
@@ -388,21 +387,19 @@ def verify_coproduct_assembly(G: QuantumCKGroup) -> bool:
     homomorphism intertwines Delta with entrywise matrix comultiplication.
     """
     j, n = G.j, G.n
-    prod = G.T @ build_t(j, copy=1)
     split = splitting_map(j)
-    for i in range(1, j.N + 1):
-        for k in range(1, j.N + 1):
-            d = coproduct(NCPoly.gen(n, mat_symbol(i, k)))
-            if d.substitute(split) != prod.entry(i, k):
-                return False
-    return True
+    rng = range(1, j.N + 1)
+    split_delta = QTensor(j.N, n, {
+        (i, k): coproduct(NCPoly.gen(n, mat_symbol(i, k))).substitute(split)
+        for i in rng for k in rng})
+    return split_delta == G.T @ build_t(j, copy=1)
 
 
 def counit_annihilates(rels: RelationSet) -> bool:
     return all(counit(p).is_zero() for p in rels)
 
 
-def _certificate_pairs(A: CKMatrix, B: CKMatrix, relA: QTensor,
+def _certificate_pairs(A: QTensor, B: QTensor, relA: QTensor,
                        relB: QTensor) -> list:
     """The certificate relA B1 B2 + A2 A1 relB over the exchange components
     of A and B, as the pairs of one ``QTensor.dot``."""
@@ -427,7 +424,7 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     """
     j, N, R, table = G.j, G.N, G.R, G.dot_table
 
-    def check(A: CKMatrix, B: CKMatrix, relA: QTensor) -> int:
+    def check(A: QTensor, B: QTensor, relA: QTensor) -> int:
         """relA is rtt_components(A, R, table)."""
         sides = (_certificate_pairs(A, B, relA, rtt_components(B, R, table)),
                  _exchange_pairs(A @ B, R, table))
@@ -481,7 +478,7 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     T = G.T
     N, n = G.N, G.n
     Cp = _scalars(G.C)
-    I = _scalars(CKMatrix.identity(N, n))
+    I = _scalars(QTensor.identity(N, n))
     S = antipode(T, G.C)
     M, L = G.cofactors
     if (S @ T) - I != Cp @ L:
@@ -495,20 +492,16 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     for i in range(1, N + 1):
         for k in range(1, N + 1):
             scale = q_scalar(n, r2[k - 1] - r2[i - 1], j)
-            if S2.entry(i, k) != T.entry(i, k) * scale:
+            if S2.get(i, k) != T.get(i, k) * scale:
                 refuted.append((i, k))
     rels = G.relations()
     uncertified = []
     entries = 0
     for tag, F in (("L", L), ("M", M)):
-        for i in range(1, N + 1):
-            for k in range(1, N + 1):
-                p = F.entry(i, k)
-                if not p:
-                    continue
-                entries += 1
-                if p not in rels:
-                    uncertified.append((tag, i, k))
+        for i, k in sorted(F.data):
+            entries += 1
+            if F.data[(i, k)] not in rels:
+                uncertified.append((tag, i, k))
     return {"ok": not uncertified and not refuted, "entries": entries,
             "uncertified": uncertified, "s_squared_refuted": refuted}
 

@@ -287,16 +287,6 @@ def tensor_json(T) -> list:
     return out
 
 
-def matrix_json(M) -> list:
-    out = []
-    for i in range(1, M.N + 1):
-        for k in range(1, M.N + 1):
-            e = M.entry(i, k)
-            if e:
-                out.append({"key": [i, k], "value": dual_json(e)})
-    return out
-
-
 def tensor_text(T) -> str:
     lines = ["# tensor N=%d nnz=%d" % (T.N, T.nnz())]
     for key in sorted(T.data):

@@ -6,12 +6,16 @@ braid relation, the minimal cubic, and the metric eigenvector property are
 verified by direct expansion, both before and after the slot contraction
 q^a -> 1 + a*J*v.
 
-``QTensor.dot`` is the one place where tensors are composed, by ``*``,
-``apply_vec``, ``qgroup`` and ``qdual``; it sums the entry pairs that land
-on each output key once, in the entry type's own ``dot``.  ``dot`` and
-``apply_vec`` take the group's dot table (``QuantumCKGroup.dot_table``)
-from the checks that own one and pass it to that ``dot``; the R-matrix
-checks here, and ``CKMatrix``, sum without one.
+``QTensor`` is the one operator type: a matrix, such as the metric C, a
+group element of ``ckclassical`` or the generating matrix T of
+``qgroup``, is a two-leg tensor keyed (i, k), and the braiding tensor R
+and the exchange components have four legs.  ``QTensor.dot`` is the one
+place where tensors are composed, by ``@``, ``apply_vec``, ``qgroup`` and
+``qdual``; it sums the entry pairs that land on each output key once, in
+the entry type's own ``dot``.  ``dot`` and ``apply_vec`` take the group's
+dot table (``QuantumCKGroup.dot_table``) from the checks that own one and
+pass it to that ``dot``; the R-matrix checks here, and the classical
+matrices, sum without one.
 """
 
 from __future__ import annotations
@@ -23,19 +27,20 @@ from .coeffring import (
     ScalarExpr,
     _collect,
 )
-from .ckclassical import CKMatrix
 
 
 class QTensor:
-    """A sparse operator on V (x) V; keys are (out1, out2, in1, in2).
+    """A sparse operator on tensor legs of an N-dimensional space: the
+    first half of a key holds the output indices and the second half the
+    input indices.
 
+    A matrix has keys (i, k), an operator on V (x) V keys (out1, out2,
+    in1, in2), and the three-slot embeddings of ``verify_ybe`` six legs.
     Entries are in D_n, or are ``NCPoly`` polynomials over D_n as in the
-    exchange components of ``qgroup``.  Products also compose operators on
-    more tensor legs, such as the three-slot embeddings of ``verify_ybe``:
-    the first half of a key holds the output indices and the second half
-    the input indices.  ``by_output`` indexes a tensor on first use and
-    keeps the index, so a tensor is not changed after its first product:
-    change a copy of ``data`` and build a new tensor from it.
+    generating matrix and the exchange components of ``qgroup``.
+    ``by_output`` indexes a tensor on first use and keeps the index, so a
+    tensor is not changed after its first product: change a copy of
+    ``data`` and build a new tensor from it.
     """
 
     __slots__ = ("N", "n", "data", "_by_output")
@@ -48,9 +53,19 @@ class QTensor:
 
     @classmethod
     def identity(cls, N: int, n: int) -> "QTensor":
+        """The identity matrix; ``pair`` of it is the identity on V (x) V."""
         one = DualElement.one(n)
-        return cls(N, n, {(i, j, i, j): one
-                          for i in range(1, N + 1) for j in range(1, N + 1)})
+        return cls(N, n, {(i, i): one for i in range(1, N + 1)})
+
+    @classmethod
+    def build(cls, N: int, n: int, fn) -> "QTensor":
+        """The matrix with entries fn(i, k), 1-based; scalars are coerced."""
+        data = {}
+        for i in range(1, N + 1):
+            for k in range(1, N + 1):
+                e = fn(i, k)
+                data[(i, k)] = e if isinstance(e, DualElement) else DualElement.scalar(n, e)
+        return cls(N, n, data)
 
     @classmethod
     def flip(cls, N: int, n: int) -> "QTensor":
@@ -59,15 +74,16 @@ class QTensor:
                           for i in range(1, N + 1) for j in range(1, N + 1)})
 
     @classmethod
-    def pair(cls, A: CKMatrix) -> "QTensor":
-        """A1 A2 = A (x) A: entry (x, y, u, v) is A[x,u] * A[y,v]."""
-        entries = metric_vec(A).items()
+    def pair(cls, A: "QTensor") -> "QTensor":
+        """A1 A2 = A (x) A for a matrix A: entry (x, y, u, v) is
+        A[x,u] * A[y,v]."""
+        entries = A.data.items()
         return cls(A.N, A.n, {(x, y, u, v): a * b
                               for (x, u), a in entries for (y, v), b in entries})
 
-    def get(self, i: int, j: int, k: int, l: int) -> DualElement:
-        """Entry of a D_n tensor; read ``data`` for polynomial entries."""
-        return self.data.get((i, j, k, l), DualElement.zero(self.n))
+    def get(self, *key) -> DualElement:
+        """The entry at ``key``, zero in D_n where there is none."""
+        return self.data.get(key, DualElement.zero(self.n))
 
     def nnz(self) -> int:
         return len(self.data)
@@ -117,13 +133,13 @@ class QTensor:
 
     @classmethod
     def dot(cls, pairs, table: dict | None = None) -> "QTensor":
-        """The sum of the compositions X * Y over the (X, Y) pairs.
+        """The sum of the compositions X @ Y over the (X, Y) pairs.
 
         All the tensors share one shape, and their entries one type, D_n
         or ``NCPoly``.  The entry pairs that land on each output key are
         collected and summed once by that type's ``dot`` (a key reached by
-        one pair takes the plain product), as in ``CKMatrix.__matmul__``,
-        so no product tensor or partial sum is built per pair.  A
+        one pair takes the plain product), so no product tensor or partial
+        sum is built per pair.  A
         ``table`` is handed to that ``dot`` for every output key.
         """
         first = pairs[0][0]
@@ -134,7 +150,7 @@ class QTensor:
                    _compose(first.n, [(X.data, Y.by_output()) for X, Y in pairs],
                             table))
 
-    def __mul__(self, other: "QTensor") -> "QTensor":
+    def __matmul__(self, other: "QTensor") -> "QTensor":
         """Operator composition."""
         return QTensor.dot([(self, other)])
 
@@ -235,7 +251,7 @@ def frt_r(N: int) -> QTensor:
     return QTensor(N, n, data)
 
 
-def frt_c(N: int) -> CKMatrix:
+def frt_c(N: int) -> QTensor:
     """The quantum metric: antidiagonal of s^(-2 rho) powers; squares to I.
 
     The sign of the twist is pinned by projector_check against frt_r.
@@ -250,27 +266,22 @@ def frt_c(N: int) -> CKMatrix:
             return DualElement.scalar(n, ScalarExpr.s_power(-r2[i - 1]))
         return DualElement.zero(n)
 
-    return CKMatrix.build(N, n, fn)
+    return QTensor.build(N, n, fn)
 
 
 def r_hat(R: QTensor) -> QTensor:
     """Flip composed with R (the braid form)."""
-    return QTensor.flip(R.N, R.n) * R
+    return QTensor.flip(R.N, R.n) @ R
 
 
 # ------------------------------------------------------------ contraction
 
 
-def contract(x, j: JSignature):
-    """Apply the slot contraction to a tensor, matrix, or element."""
-    if isinstance(x, (QTensor, CKMatrix)):
-        if x.n != j.n:
-            raise DimensionError("signature D_%d vs %s D_%d"
-                                 % (j.n, type(x).__name__, x.n))
-        return x.map_entries(lambda e: e.specialize(j))
-    if isinstance(x, DualElement):
-        return x.specialize(j)
-    raise TypeError("cannot contract %r" % (x,))
+def contract(x: QTensor, j: JSignature) -> QTensor:
+    """Apply the slot contraction to every entry of a tensor."""
+    if x.n != j.n:
+        raise DimensionError("signature D_%d vs tensor D_%d" % (j.n, x.n))
+    return x.map_entries(lambda e: e.specialize(j))
 
 
 # ------------------------------------------------------------- inversion
@@ -293,12 +304,12 @@ def _rhat_inverse(R: QTensor, j: JSignature | None) -> QTensor | None:
     """
     N, n = R.N, R.n
     M = r_hat(R)
-    I = QTensor.identity(N, n)
+    I = QTensor.pair(QTensor.identity(N, n))
     e1 = q_scalar(n, 1, j) - q_scalar(n, -1, j) + q_scalar(n, 1 - N, j)
     e2 = q_scalar(n, 2 - N, j) - q_scalar(n, -N, j) - DualElement.one(n)
     # 1/e3 = -q^(N-1)
-    X = (M * M - M.scale(e1) + I.scale(e2)).scale(-q_scalar(n, N - 1, j))
-    return X if M * X == I else None
+    X = (M @ M - M.scale(e1) + I.scale(e2)).scale(-q_scalar(n, N - 1, j))
+    return X if M @ X == I else None
 
 
 def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
@@ -312,7 +323,7 @@ def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
     X = _rhat_inverse(R, j)
     if X is None:
         raise ArithmeticError("inverse check failed")
-    return R.flipped(), X * QTensor.flip(R.N, R.n)
+    return R.flipped(), X @ QTensor.flip(R.N, R.n)
 
 
 # ----------------------------------------------------------- three slots
@@ -338,7 +349,7 @@ def verify_ybe(R: QTensor) -> bool:
     r12 = _embed3(R, (1, 2))
     r13 = _embed3(R, (1, 3))
     r23 = _embed3(R, (2, 3))
-    return r12 * r13 * r23 == r23 * r13 * r12
+    return r12 @ r13 @ r23 == r23 @ r13 @ r12
 
 
 # -------------------------------------------------------------- checks
@@ -354,18 +365,7 @@ def verify_cubic(R: QTensor, j: JSignature | None = None) -> bool:
     return _rhat_inverse(R, j) is not None
 
 
-def metric_vec(C: CKMatrix) -> dict:
-    """vec(C) as a sparse vector on V (x) V."""
-    out = {}
-    for i in range(1, C.N + 1):
-        for k in range(1, C.N + 1):
-            e = C.entry(i, k)
-            if e:
-                out[(i, k)] = e
-    return out
-
-
-def projector_check(R: QTensor, C: CKMatrix, j: JSignature | None = None) -> bool:
+def projector_check(R: QTensor, C: QTensor, j: JSignature | None = None) -> bool:
     """Rhat K = q^(1-N) K for the rank-one K = vec(C) vec(C^(-1))^t.
 
     The metric is an involution, so vec(C^(-1)) = vec(C) is nonzero and
@@ -376,7 +376,7 @@ def projector_check(R: QTensor, C: CKMatrix, j: JSignature | None = None) -> boo
     N, n = R.N, R.n
     M = r_hat(R)
     ev = q_scalar(n, 1 - N, j)
-    v = metric_vec(C)
+    v = C.data
     got = M.apply_vec(v)
     want = {k: ev * val for k, val in v.items()}
     return got == want

@@ -11,11 +11,12 @@ Gauss-Jordan inverse.
 
 from fractions import Fraction
 
-from ckq.ckclassical import CKMatrix, SingularMatrixError, cayley
+from ckq.ckclassical import SingularMatrixError, cayley
 from ckq.coeffring import DimensionError, DualElement, NotInvertibleError, ScalarExpr
+from ckq.rmatrix import QTensor
 
 
-def make_special(a, j) -> CKMatrix:
+def make_special(a, j) -> QTensor:
     """Weight a parameter matrix into a group-patterned one.
 
     Entry (k,p) becomes weight(k,p) * a[k][p]; parameters may be ints,
@@ -32,7 +33,7 @@ def make_special(a, j) -> CKMatrix:
             x = DualElement.scalar(j.n, x)
         return j.weight(i, k) * x
 
-    return CKMatrix.build(N, j.n, fn)
+    return QTensor.build(N, j.n, fn)
 
 
 def cartesian_vector(coords, j) -> tuple:
@@ -50,11 +51,11 @@ def cartesian_vector(coords, j) -> tuple:
     return tuple(out)
 
 
-def apply_matrix(A: CKMatrix, x: tuple) -> tuple:
+def apply_matrix(A: QTensor, x: tuple) -> tuple:
     if len(x) != A.N:
         raise DimensionError("vector length %d != matrix size %d" % (len(x), A.N))
     return tuple(
-        sum((A.entry(i, k) * x[k - 1] for k in range(2, A.N + 1)), A.entry(i, 1) * x[0])
+        sum((A.get(i, k) * x[k - 1] for k in range(2, A.N + 1)), A.get(i, 1) * x[0])
         for i in range(1, A.N + 1)
     )
 
@@ -87,20 +88,20 @@ def carries_weight(e: DualElement, w: DualElement) -> bool:
     return all(m & mask == mask for m in e.terms)
 
 
-def in_generator_span(M: CKMatrix, j) -> bool:
+def in_generator_span(M: QTensor, j) -> bool:
     """Whether M is a D_n-combination of the weighted generators
     J(k,p) (e_kp - e_pk): antisymmetric, and each entry above the diagonal
     divisible by its weight."""
     for k in range(1, M.N + 1):
         for p in range(k, M.N + 1):
-            if M.entry(p, k) != -M.entry(k, p):
+            if M.get(p, k) != -M.get(k, p):
                 return False
-            if not carries_weight(M.entry(k, p), j.weight(k, p)):
+            if not carries_weight(M.get(k, p), j.weight(k, p)):
                 return False
     return True
 
 
-def generator_by_definition(k: int, p: int, j) -> CKMatrix:
+def generator_by_definition(k: int, p: int, j) -> QTensor:
     """J(k,p) (e_kp - e_pk): the weight at (k,p), its negation at (p,k)."""
     w = j.J(k, p)
 
@@ -111,14 +112,14 @@ def generator_by_definition(k: int, p: int, j) -> CKMatrix:
             return -w
         return DualElement.zero(j.n)
 
-    return CKMatrix.build(j.N, j.n, fn)
+    return QTensor.build(j.N, j.n, fn)
 
 
-def generator_mix_by_definition(j, rng, span: int = 3) -> CKMatrix:
+def generator_mix_by_definition(j, rng, span: int = 3) -> QTensor:
     """The sum of theta * J(k,p) (e_kp - e_pk) that ``random_cayley``
     transforms, drawing theta for each k < p in row-major order."""
     N = j.N
-    X = CKMatrix.identity(N, j.n).map_entries(lambda e: e * 0)
+    X = QTensor(N, j.n)
     for k in range(1, N + 1):
         for p in range(k + 1, N + 1):
             theta = Fraction(rng.randint(-span, span), rng.randint(1, 3))
@@ -127,18 +128,19 @@ def generator_mix_by_definition(j, rng, span: int = 3) -> CKMatrix:
     return X
 
 
-def random_cayley_by_generators(j, rng, span: int = 3) -> CKMatrix:
+def random_cayley_by_generators(j, rng, span: int = 3) -> QTensor:
     """``ckclassical.random_cayley`` from its definition: the Cayley
     transform of ``generator_mix_by_definition``."""
     return cayley(generator_mix_by_definition(j, rng, span))
 
 
-def gauss_jordan_inverse(M: CKMatrix) -> CKMatrix:
+def gauss_jordan_inverse(M: QTensor) -> QTensor:
     """M^(-1) by Gauss-Jordan on [M | I], each row update a - f*b formed
     entry by entry; pivots must be units of D_n."""
     N, n = M.N, M.n
-    work = [list(r) + [DualElement.one(n) if i == k else DualElement.zero(n) for k in range(N)]
-            for i, r in enumerate(M.rows)]
+    work = [[M.get(i, k) for k in range(1, N + 1)]
+            + [DualElement.one(n) if i == k else DualElement.zero(n) for k in range(1, N + 1)]
+            for i in range(1, N + 1)]
     for col in range(N):
         pivot_row = pivot_inv = None
         for r in range(col, N):
@@ -157,16 +159,18 @@ def gauss_jordan_inverse(M: CKMatrix) -> CKMatrix:
                 continue
             f = work[r][col]
             work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return CKMatrix([r[N:] for r in work])
+    return QTensor(N, n, {(i + 1, k + 1): e for i, r in enumerate(work)
+                          for k, e in enumerate(r[N:])})
 
 
-def is_orthogonal_by_products(A: CKMatrix) -> bool:
+def is_orthogonal_by_products(A: QTensor) -> bool:
     """A A^t = A^t A = I, with both products formed in full."""
     At = A.transpose()
-    return (A @ At).is_identity() and (At @ A).is_identity()
+    I = QTensor.identity(A.N, A.n)
+    return A @ At == I and At @ A == I
 
 
-def cayley_by_inverse(X: CKMatrix) -> CKMatrix:
+def cayley_by_inverse(X: QTensor) -> QTensor:
     """(I + X)(I - X)^(-1), the inverse taken first and then multiplied."""
-    I = CKMatrix.identity(X.N, X.n)
+    I = QTensor.identity(X.N, X.n)
     return (I + X) @ gauss_jordan_inverse(I - X)

@@ -11,9 +11,10 @@ here rather than by the package.  It shares no evaluation code with
 form, as the metric twist of its transpose.
 """
 
-from ckq.ckclassical import CKMatrix, weight_pattern_symplectic
+from ckq.ckclassical import solve, weight_pattern_symplectic
 from ckq.coeffring import DualElement
 from ckq.freealg import GenSymbol, NCPoly
+from ckq.rmatrix import QTensor
 
 
 def _add_to(out, key, val):
@@ -105,8 +106,8 @@ def dual_antipode(ctx, sym):
     """
     N = ctx.N
     ct = ctx.group.C.transpose()
-    cti = ct.solve(CKMatrix.identity(N, ct.n))
+    cti = solve(ct, QTensor.identity(N, ct.n))
     im = N + 1 - sym.i
     km = N + 1 - sym.k
-    coeff = ct.entry(sym.i, im) * cti.entry(km, sym.k)
+    coeff = ct.get(sym.i, im) * cti.get(km, sym.k)
     return coeff, GenSymbol(sym.family, km, im)

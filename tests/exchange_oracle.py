@@ -24,7 +24,7 @@ def rtt_components(T, R) -> dict:
     """Component (i,j,k,l) of R T1 T2 - T2 T1 R for every key, zeros
     included: sum_ab R[i,j,a,b] T[a,k] T[b,l] - T[j,b] T[i,a] R[a,b,k,l]."""
     rows, cols = braid_index(R)
-    e = T.entry
+    e = T.get
     rng = range(1, T.N + 1)
     out = {}
     for i in rng:
@@ -44,7 +44,7 @@ def pair_products(M) -> dict:
     """M[x,u] M[y,v] for every two entries, keyed (x,u,y,v)."""
     rng = range(1, M.N + 1)
     slots = [(x, u) for x in rng for u in rng]
-    return {s + t: M.entry(*s) * M.entry(*t) for s in slots for t in slots}
+    return {s + t: M.get(*s) * M.get(*t) for s in slots for t in slots}
 
 
 def certificate_sums(A, B, relA: dict, relB: dict, R) -> dict:

@@ -11,18 +11,19 @@ from ckq.coeffring import (
     ScalarExpr,
 )
 from ckq.ckclassical import (
-    CKMatrix,
     SingularMatrixError,
     antidiagonal_c0,
     cayley,
     is_j_orthogonal,
     lie_generator,
     random_cayley,
+    solve,
     symplectic_d,
     symplectic_d_inverse,
     to_symplectic,
     weight_pattern_symplectic,
 )
+from ckq.rmatrix import QTensor
 
 from classical_oracle import (
     antidiagonal_form,
@@ -51,7 +52,7 @@ def test_d_c0_dt_is_identity():
         n = N - 1
         D = symplectic_d(N, n)
         C0 = antidiagonal_c0(N, n)
-        assert (D @ C0 @ D.transpose()).is_identity()
+        assert D @ C0 @ D.transpose() == QTensor.identity(N, n)
 
 
 def test_dt_d_is_antidiagonal():
@@ -65,14 +66,15 @@ def test_d_inverse_roundtrip():
     for N in range(2, 6):
         D = symplectic_d(N)
         Di = symplectic_d_inverse(N)
-        assert (D @ Di).is_identity()
-        assert (Di @ D).is_identity()
+        I = QTensor.identity(N, N - 1)
+        assert D @ Di == I
+        assert Di @ D == I
 
 
 def test_gauss_jordan_agrees_with_closed_form_inverse():
     for N in (2, 3, 4):
         D = symplectic_d(N)
-        assert D.solve(CKMatrix.identity(N, N - 1)) == symplectic_d_inverse(N)
+        assert solve(D, QTensor.identity(N, N - 1)) == symplectic_d_inverse(N)
 
 
 # ------------------------------------------------------- group sampling
@@ -83,28 +85,28 @@ def test_cayley_boost_frozen():
     X = lie_generator(1, 2, j)
     G = cayley(X)
     i1 = DualElement.iota(1, 1)
-    assert G.entry(1, 1) == DualElement.one(1)
-    assert G.entry(2, 2) == DualElement.one(1)
-    assert G.entry(1, 2) == i1 * 2
-    assert G.entry(2, 1) == -(i1 * 2)
+    assert G.get(1, 1) == DualElement.one(1)
+    assert G.get(2, 2) == DualElement.one(1)
+    assert G.get(1, 2) == i1 * 2
+    assert G.get(2, 1) == -(i1 * 2)
     # half-angle parameter
     H = cayley(X.map_entries(lambda e: e * Fraction(1, 2)))
-    assert H.entry(1, 2) == i1
-    assert H.entry(2, 1) == -i1
+    assert H.get(1, 2) == i1
+    assert H.get(2, 1) == -i1
 
 
 def test_cayley_rotation_frozen():
     # untouched slot: the usual rational rotation with t = 1
     j = JSignature.trivial(1)
     G = cayley(lie_generator(1, 2, j))
-    assert G.entry(1, 1) == DualElement.zero(1)
-    assert G.entry(1, 2) == DualElement.one(1)
-    assert G.entry(2, 1) == -DualElement.one(1)
-    assert G.entry(2, 2) == DualElement.zero(1)
+    assert G.get(1, 1) == DualElement.zero(1)
+    assert G.get(1, 2) == DualElement.one(1)
+    assert G.get(2, 1) == -DualElement.one(1)
+    assert G.get(2, 2) == DualElement.zero(1)
     # t = 1/2 gives the (3/5, 4/5) rotation
     H = cayley(lie_generator(1, 2, j).map_entries(lambda e: e * Fraction(1, 2)))
-    assert H.entry(1, 1) == DualElement.scalar(1, Fraction(3, 5))
-    assert H.entry(1, 2) == DualElement.scalar(1, Fraction(4, 5))
+    assert H.get(1, 1) == DualElement.scalar(1, Fraction(3, 5))
+    assert H.get(1, 2) == DualElement.scalar(1, Fraction(4, 5))
 
 
 def test_cayley_elements_are_orthogonal():
@@ -125,13 +127,13 @@ def test_orthogonality_refutes_a_perturbed_entry():
         for j in all_signatures(N):
             A = random_cayley(j, rng)
             flips_refuted = 0
-            for i in range(N):
-                for k in range(N):
-                    rows = [list(r) for r in A.rows]
-                    rows[i][k] = rows[i][k] + 1
-                    assert not is_j_orthogonal(CKMatrix(rows)), (j, i, k)
-                    rows[i][k] = -A.rows[i][k]
-                    flipped = CKMatrix(rows)
+            for i in range(1, N + 1):
+                for k in range(1, N + 1):
+                    data = dict(A.data)
+                    data[(i, k)] = A.get(i, k) + 1
+                    assert not is_j_orthogonal(QTensor(N, j.n, data)), (j, i, k)
+                    data[(i, k)] = -A.get(i, k)
+                    flipped = QTensor(N, j.n, data)
                     assert is_j_orthogonal(flipped) == is_orthogonal_by_products(flipped)
                     flips_refuted += not is_orthogonal_by_products(flipped)
             assert flips_refuted, j
@@ -177,7 +179,7 @@ def test_cayley_entries_carry_weights():
             G = random_cayley(j, rng)
             for k in range(1, N + 1):
                 for p in range(1, N + 1):
-                    assert carries_weight(G.entry(k, p), j.weight(k, p))
+                    assert carries_weight(G.get(k, p), j.weight(k, p))
 
 
 def test_group_closure_and_inverse():
@@ -189,7 +191,7 @@ def test_group_closure_and_inverse():
             P = A @ B
             assert is_j_orthogonal(P)
             # Gauss-Jordan inverse must coincide with the transpose
-            assert A.solve(CKMatrix.identity(N, j.n)) == A.transpose()
+            assert solve(A, QTensor.identity(N, j.n)) == A.transpose()
 
 
 def test_quadratic_form_invariance():
@@ -203,9 +205,9 @@ def test_quadratic_form_invariance():
 
 def test_singular_matrix_raises():
     i1 = DualElement.iota(1, 1)
-    M = CKMatrix([[i1, DualElement.zero(1)], [DualElement.zero(1), DualElement.one(1)]])
+    M = QTensor(2, 1, {(1, 1): i1, (2, 2): DualElement.one(1)})
     with pytest.raises(SingularMatrixError):
-        M.solve(CKMatrix.identity(2, 1))
+        solve(M, QTensor.identity(2, 1))
     with pytest.raises(SingularMatrixError):
         gauss_jordan_inverse(M)
 
@@ -215,25 +217,24 @@ def test_gauss_jordan_unipotent_plus_units():
     rng = seeded("gauss")
     for _ in range(25):
         n, N = 2, 3
-        rows = []
-        for i in range(N):
-            row = []
-            for k in range(N):
+        data = {}
+        for i in range(1, N + 1):
+            for k in range(1, N + 1):
                 e = DualElement.zero(n)
                 if i == k:
                     e = DualElement.scalar(n, ScalarExpr.s_power(rng.randint(-2, 2)))
                 if rng.random() < 0.6:
                     mask = rng.randint(1, (1 << n) - 1)
                     e = e + DualElement.monomial(n, mask, rng.randint(-3, 3))
-                row.append(e)
-            rows.append(row)
-        M = CKMatrix(rows)
-        Mi = M.solve(CKMatrix.identity(N, n))
-        assert (M @ Mi).is_identity()
-        assert (Mi @ M).is_identity()
+                data[(i, k)] = e
+        M = QTensor(N, n, data)
+        I = QTensor.identity(N, n)
+        Mi = solve(M, I)
+        assert M @ Mi == I
+        assert Mi @ M == I
         assert Mi == gauss_jordan_inverse(M)
-        B = CKMatrix([[rand_dual(rng, n) for _ in range(N)] for _ in range(N)])
-        assert M.solve(B) == gauss_jordan_inverse(M) @ B
+        B = QTensor.build(N, n, lambda i, k: rand_dual(rng, n))
+        assert solve(M, B) == gauss_jordan_inverse(M) @ B
 
 
 # -------------------------------------------------------- Lie structure
@@ -261,7 +262,7 @@ def test_commutator_closure_all_signatures():
 
 def test_generator_span_rejects_outside_elements():
     j = JSignature.trivial(2)
-    M = CKMatrix.identity(3, 2)
+    M = QTensor.identity(3, 2)
     assert not in_generator_span(M, j)  # symmetric part present
     # antisymmetric, but entry (1,2) lacks the weight J(1,2) = iota_1
     j = JSignature.parse("iota,1")
@@ -310,7 +311,7 @@ def _expansion_oracle(j):
     )
     B = to_symplectic(A)
     return {
-        (i, k): tuple(sorted(B.entry(i, k).terms))
+        (i, k): tuple(sorted(B.get(i, k).terms))
         for i in range(1, N + 1)
         for k in range(1, N + 1)
     }
@@ -332,7 +333,7 @@ def test_pattern_closed_under_products():
             P = B1 @ B2
             for i in range(1, N + 1):
                 for k in range(1, N + 1):
-                    assert set(P.entry(i, k).terms) <= set(pat[(i, k)])
+                    assert set(P.get(i, k).terms) <= set(pat[(i, k)])
 
 
 # -------------------------------------------------- symplectic invariance
@@ -373,7 +374,3 @@ def test_cartesian_vector_weights():
     assert x[1] == DualElement.iota(2, 1)
     assert x[2] == DualElement.iota(2, 1) * DualElement.iota(2, 2)
 
-
-def test_matrix_size_guard():
-    with pytest.raises(DimensionError):
-        CKMatrix([[DualElement.one(1), DualElement.one(1)]])

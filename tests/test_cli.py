@@ -439,7 +439,7 @@ def test_non_orthogonal_samples_report_fail_exit_1(monkeypatch, capsys):
     # I + X is not orthogonal for X != 0, so every sample and every
     # product must be refuted
     monkeypatch.setattr(ckclassical, "cayley",
-                        lambda X: ckclassical.CKMatrix.identity(X.N, X.n) + X)
+                        lambda X: rmatrix.QTensor.identity(X.N, X.n) + X)
     rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
                    "classical", "--samples", "6", "--jobs", "1",
                    "--format", "json"])
@@ -456,9 +456,9 @@ def test_corrupt_copy_one_exchange_component_reports_error(monkeypatch, capsys):
 
     def corrupt(T, R, table=None):
         comps = real(T, R, table)
-        if next(iter(T.entry(1, 1).terms))[0].copy == 1:
+        if next(iter(T.get(1, 1).terms))[0].copy == 1:
             data = dict(comps.data)
-            data[(1, 2, 2, 1)] = data[(1, 2, 2, 1)] + T.entry(1, 1) * T.entry(2, 2)
+            data[(1, 2, 2, 1)] = data[(1, 2, 2, 1)] + T.get(1, 1) * T.get(2, 2)
             comps = rmatrix.QTensor(comps.N, comps.n, data)
         return comps
 

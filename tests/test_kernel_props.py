@@ -1,8 +1,8 @@
 """Property tests of the fused sum-of-products kernels against the naive
 left fold of ``*`` and ``+``.
 
-``DualElement.dot``, ``NCPoly.dot``, ``CKMatrix.__matmul__`` and
-``QTensor.dot`` accumulate each output coefficient once, and ``*`` is
+``DualElement.dot``, ``NCPoly.dot`` and ``QTensor.dot`` accumulate each
+output coefficient once, and ``*`` (``@`` for tensors and matrices) is
 their one-pair case; the references here build every term product and
 every partial sum from the definitions, without ``*`` of D_n or of
 polynomials.  With a dot table each kernel must give what it gives
@@ -16,7 +16,6 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ckq.ckclassical import CKMatrix  # noqa: E402
 from ckq.coeffring import _V_CAP, Cyclo8, DegreeCapError, DualElement, ScalarExpr  # noqa: E402
 from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
 from ckq.rmatrix import QTensor, _embed3  # noqa: E402
@@ -178,21 +177,22 @@ def test_poly_dot_sorts_mixed_copies():
 
 
 def matrices(entries, size=3):
+    """Two-leg tensors from dense rows of entries."""
     return st.lists(st.lists(entries, min_size=size, max_size=size),
-                    min_size=size, max_size=size).map(CKMatrix)
+                    min_size=size, max_size=size).map(
+        lambda rows: QTensor(size, N, {(i + 1, k + 1): e for i, r in enumerate(rows)
+                                       for k, e in enumerate(r)}))
 
 
 def naive_matmul(A, B, zero, mul):
-    rows = []
-    for i in range(A.N):
-        row = []
-        for k in range(A.N):
-            row.append(fold(zero, [lambda a=A.rows[i][m], b=B.rows[m][k]: mul(a, b)
-                                   for m in range(A.N)]))
-        rows.append(row)
-    if any(e is DegreeCapError for r in rows for e in r):
+    rng = range(1, A.N + 1)
+    data = {(i, k): fold(zero, [lambda a=A.data.get((i, m), zero),
+                                b=B.data.get((m, k), zero): mul(a, b)
+                                for m in rng])
+            for i in rng for k in rng}
+    if any(e is DegreeCapError for e in data.values()):
         return DegreeCapError
-    return CKMatrix(rows)
+    return QTensor(A.N, N, data)
 
 
 @FEW
@@ -214,7 +214,7 @@ def tensors(entries):
 
 
 def naive_compose(pairs, mul):
-    """The sum of the compositions X * Y by definition: every matching pair
+    """The sum of the compositions X @ Y by definition: every matching pair
     of entries, X[out, m] and Y[m, in], is multiplied and added to the
     partial sum at out + in."""
     acc = {}
@@ -275,7 +275,7 @@ def test_tensor_dot_on_three_legs_is_the_fold_of_compositions(pairs):
 @given(tensors(duals), tensors(duals), tensors(polys), tensors(polys))
 def test_tensor_product_is_the_one_pair_dot(X, Y, U, W):
     for A, B, mul in ((X, Y, naive_dual_mul), (U, W, naive_mul)):
-        got = kernel(A.__mul__, B)
+        got = kernel(A.__matmul__, B)
         assert (got if got is DegreeCapError else got.data) == naive_compose([(A, B)], mul)
 
 
@@ -283,7 +283,7 @@ def test_tensor_product_is_the_one_pair_dot(X, Y, U, W):
 @given(tensors(duals), tensors(polys))
 def test_flipped_is_p_x_p(X, U):
     P = QTensor.flip(2, N)
-    assert X.flipped() == P * X * P
+    assert X.flipped() == P @ X @ P
     for (i, j, k, l), v in U.flipped().data.items():
         assert U.data[(j, i, l, k)] == v
     assert U.flipped().nnz() == U.nnz()

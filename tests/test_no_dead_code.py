@@ -103,12 +103,12 @@ def test_every_public_method_is_referenced():
 
 def test_guard_catches_an_unreferenced_method():
     trees = _trees()
-    matrix = next(node for node in trees["ckclassical.py"].body
-                  if isinstance(node, ast.ClassDef) and node.name == "CKMatrix")
-    matrix.body.append(ast.parse(
+    tensor = next(node for node in trees["rmatrix.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "QTensor")
+    tensor.body.append(ast.parse(
         "def determinant(self):\n    return self.determinant()\n").body[0])
     assert unreferenced_public_methods(trees, _test_trees()) == [
-        ("ckclassical.py", "CKMatrix", "determinant")]
+        ("rmatrix.py", "QTensor", "determinant")]
 
 
 def unreferenced_private_helpers(trees: dict) -> list:
@@ -143,14 +143,14 @@ def test_every_private_helper_is_referenced():
 
 def test_guard_catches_a_leftover_private_helper():
     trees = _trees()
-    trees["ckclassical.py"].body.append(ast.parse(
+    trees["rmatrix.py"].body.append(ast.parse(
         "def _quadratic_form(x):\n    return _quadratic_form(x[1:])\n").body[0])
-    matrix = next(node for node in trees["ckclassical.py"].body
-                  if isinstance(node, ast.ClassDef) and node.name == "CKMatrix")
-    matrix.body.append(ast.parse(
+    tensor = next(node for node in trees["rmatrix.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "QTensor")
+    tensor.body.append(ast.parse(
         "def _determinant(self):\n    return self._determinant()\n").body[0])
     assert unreferenced_private_helpers(trees) == [
-        ("ckclassical.py", "_quadratic_form"), ("ckclassical.py", "_determinant")]
+        ("rmatrix.py", "_quadratic_form"), ("rmatrix.py", "_determinant")]
 
 
 def global_state(trees: dict) -> list:

@@ -3,13 +3,12 @@
 import pytest
 
 from ckq.coeffring import DualElement, JSignature, ScalarExpr
-from ckq.ckclassical import antidiagonal_c0
+from ckq.ckclassical import antidiagonal_c0, random_cayley
 from ckq.rmatrix import (
     QTensor,
     contract,
     frt_c,
     frt_r,
-    metric_vec,
     mirror,
     projector_check,
     r_hat,
@@ -19,11 +18,16 @@ from ckq.rmatrix import (
     verify_ybe,
 )
 
-from conftest import all_signatures
+from conftest import all_signatures, seeded
 
 
 def lam():
     return DualElement.scalar(2, ScalarExpr.lam())
+
+
+def identity_vv(N: int, n: int) -> QTensor:
+    """The identity on V (x) V: A1 A2 for the identity matrix A."""
+    return QTensor.pair(QTensor.identity(N, n))
 
 
 def _lam_doubled(N: int) -> QTensor:
@@ -72,7 +76,7 @@ def test_frozen_entries_n3():
 def test_r_is_identity_at_q_one():
     for N in (3, 4, 5):
         R = frt_r(N)
-        assert R.map_entries(lambda e: e.at_q_one()) == QTensor.identity(N, N - 1)
+        assert R.map_entries(lambda e: e.at_q_one()) == identity_vv(N, N - 1)
 
 
 def test_degenerate_sizes_rejected():
@@ -85,16 +89,16 @@ def test_degenerate_sizes_rejected():
 def test_metric_frozen_n3():
     C = frt_c(3)
     s = DualElement.scalar(2, ScalarExpr.s_power(1))
-    assert C.entry(1, 3) == s.inverse()
-    assert C.entry(2, 2) == DualElement.one(2)
-    assert C.entry(3, 1) == s
-    assert C.entry(1, 1) == DualElement.zero(2)
+    assert C.get(1, 3) == s.inverse()
+    assert C.get(2, 2) == DualElement.one(2)
+    assert C.get(3, 1) == s
+    assert C.get(1, 1) == DualElement.zero(2)
 
 
 def test_metric_squares_to_identity():
     for N in (3, 4, 5):
         C = frt_c(N)
-        assert (C @ C).is_identity()
+        assert C @ C == QTensor.identity(N, N - 1)
         assert C.map_entries(lambda e: e.at_q_one()) == antidiagonal_c0(N, N - 1)
 
 
@@ -145,16 +149,16 @@ def test_contracted_checks_all_signatures_n3():
 def test_contracted_r_is_identity_mod_nilpotents():
     j = JSignature.parse("iota,iota")
     Rc = contract(frt_r(3), j)
-    assert Rc.map_entries(lambda e: e.at_v_zero()) == QTensor.identity(3, 2)
+    assert Rc.map_entries(lambda e: e.at_v_zero()) == identity_vv(3, 2)
 
 
 def test_cubic_inverse_symbolic():
     for N in (3, 4):
         R = frt_r(N)
         _, Rm = r_plus_minus(R)
-        I = QTensor.identity(N, N - 1)
-        assert Rm * R == I
-        assert R * Rm == I
+        I = identity_vv(N, N - 1)
+        assert Rm @ R == I
+        assert R @ Rm == I
 
 
 def test_inverse_commutes_with_contraction():
@@ -169,7 +173,7 @@ def test_fully_contracted_inverse_is_reflection():
     # R = I + (nilpotent part) with square zero, so R^(-1) = 2I - R
     j = JSignature.parse("iota,iota")
     Rc = contract(frt_r(3), j)
-    I = QTensor.identity(3, 2)
+    I = identity_vv(3, 2)
     assert r_plus_minus(Rc, j)[1] == I.scale(2) - Rc
 
 
@@ -202,16 +206,16 @@ def test_r_plus_minus():
     # plus form is the flip conjugate, entry by entry
     for (i, j, k, l), val in R.data.items():
         assert rp.get(j, i, l, k) == val
-    assert rm * R == QTensor.identity(3, 2)
+    assert rm @ R == identity_vv(3, 2)
 
 
 def test_flip_involution_and_identity():
     N = 3
     P = QTensor.flip(N, 2)
-    I = QTensor.identity(N, 2)
-    assert P * P == I
-    assert P * I == P
-    assert I * P == P
+    I = identity_vv(N, 2)
+    assert P @ P == I
+    assert P @ I == P
+    assert I @ P == P
 
 
 def test_r_hat_composition():
@@ -223,7 +227,7 @@ def test_r_hat_composition():
 
 def test_apply_vec_matches_dense_action():
     R = frt_r(3)
-    v = metric_vec(frt_c(3))
+    v = frt_c(3).data
     out = R.apply_vec(v)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -231,6 +235,22 @@ def test_apply_vec_matches_dense_action():
             for (a, b), w in v.items():
                 acc = acc + R.get(i, j, a, b) * w
             assert out.get((i, j), DualElement.zero(2)) == acc
+
+
+def test_pair_of_the_identity_is_the_identity_on_v_v():
+    for N in (3, 4):
+        one = DualElement.one(N - 1)
+        assert identity_vv(N, N - 1).data == {
+            (i, j, i, j): one for i in range(1, N + 1) for j in range(1, N + 1)}
+
+
+def test_pair_is_multiplicative_on_cayley_samples():
+    # (A B)1 (A B)2 = A1 A2 B1 B2, since A2 and B1 act on different legs
+    rng = seeded("pair-product")
+    for N in (3, 4):
+        for j in all_signatures(N):
+            A, B = random_cayley(j, rng), random_cayley(j, rng)
+            assert QTensor.pair(A @ B) == QTensor.pair(A) @ QTensor.pair(B), j
 
 
 def test_mirror_helper():
