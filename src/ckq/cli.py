@@ -126,15 +126,18 @@ def _config(ns, j: JSignature) -> dict:
 # ----------------------------------------------------------- subcommands
 
 
+_RELATION_EMITTERS = {"json": render.relations_json,
+                      "latex": render.relations_tex,
+                      "text": render.relations_text}
+
+
 def cmd_relations(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
-    rels = qgroup.QuantumCKGroup(j).relations()
-    if ns.format == "json":
-        _write(ns, render.relations_json(j, rels))
-    elif ns.format == "latex":
-        _write(ns, render.relations_tex(j, rels))
-    else:
-        _write(ns, render.relations_text(j, rels))
+    emit = _RELATION_EMITTERS[ns.format]
+    # no name holds the group: it, its dot table and the relation set are
+    # freed once the document is built, before it is written, so the
+    # command never holds both at its peak
+    _write(ns, emit(j, qgroup.QuantumCKGroup(j).relations()))
     return EXIT_PASS
 
 
@@ -168,15 +171,20 @@ def cmd_rmatrix(ns) -> int:
 
 
 def _classical_report(j: JSignature, samples: int, seed: int) -> dict:
+    """Draw the samples one at a time, check each, and multiply samples
+    2k and 2k+1, so at most two are held whatever ``samples`` is."""
     rng = random.Random(seed)
-    mats = [ckclassical.random_cayley(j, rng) for _ in range(samples)]
-    orthogonal = sum(1 for A in mats if ckclassical.is_j_orthogonal(A))
-    closed = 0
-    pairs = 0
-    for idx in range(0, len(mats) - 1, 2):
-        pairs += 1
-        if ckclassical.is_j_orthogonal(mats[idx] @ mats[idx + 1]):
-            closed += 1
+    orthogonal = closed = 0
+    prev = None
+    for _ in range(samples):
+        A = ckclassical.random_cayley(j, rng)
+        orthogonal += ckclassical.is_j_orthogonal(A)
+        if prev is None:
+            prev = A
+        else:
+            closed += ckclassical.is_j_orthogonal(prev @ A)
+            prev = None
+    pairs = samples // 2
     ok = orthogonal == samples and closed == pairs
     return {"ok": ok, "samples": samples, "orthogonal": orthogonal,
             "product_pairs": pairs, "products_orthogonal": closed,

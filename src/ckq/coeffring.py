@@ -34,12 +34,18 @@ operand.  A constant hashes like the number it equals.
 tuple of its (a, b) pairs, compared by value, and interns each value it
 returns (``interned``), so equal values become one shared object and
 later keys match by identity first.  The owner of a table is one
-``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat: the
-coproduct certificate and the dual-side checks of ``qdual`` read it.  The
-matrix products and Gauss-Jordan of ``ckclassical`` and the ``classical``
-suite take none, since random Cayley samples hardly repeat (18,472
-distinct tuples among 24,590 sums at N=5) and a table there only costs
-time and memory.
+``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat.  Relation
+generation, the cofactors, the coproduct certificate and its splitting
+bridge, and the dual-side checks of ``qdual`` sum through it, so the
+6,030 coefficients of the 557 relations at N=5 iota,1,iota,1 are 26
+objects, one per value.  Three kinds of sum take no table.  The R-matrix
+checks of ``rmatrix`` (braid relation, cubic, projector) run where no
+group exists, on the bare R.  The matrix products and Gauss-Jordan of
+``ckclassical`` and the ``classical`` suite also have no group, and
+their random Cayley samples hardly repeat (18,472 distinct tuples among
+24,590 sums at N=5), so a table there would only cost time and memory.
+The antipode certificate and the coproduct assembly check of ``qgroup``
+form their few products once per run and are not tabled yet.
 """
 
 from __future__ import annotations

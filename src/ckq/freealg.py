@@ -12,8 +12,10 @@ through ``NCPoly._raw``.
 matrix-product entries and the exchange components and certificates of
 ``qgroup`` all go through it, and it sums the coefficients that land on
 each output word once, in ``DualElement.dot``.  A caller that owns a dot
-table (a ``qgroup.QuantumCKGroup``, for the coproduct certificate) hands
-it down, and then every output coefficient is looked up there.
+table (a ``qgroup.QuantumCKGroup``, for relation generation, the
+coproduct certificate and its splitting bridge) hands it down to ``dot``,
+or to ``substitute``, which hands it to each of its products, and then
+every output coefficient is looked up there.
 
 There is no normal form modulo a relation ideal here: ideal membership is
 shown by explicit certificates, built and replayed by exact expansion
@@ -200,21 +202,23 @@ class NCPoly(_Combination):
 
     # -- symbol maps ----------------------------------------------------
 
-    def substitute(self, fn) -> "NCPoly":
+    def substitute(self, fn, table: dict | None = None) -> "NCPoly":
         """Algebra map: replace each symbol g by the polynomial fn(g).
 
         The image of a term c*g1*...*gk is the product of c*fn(g1)*...
         with fn(gk); the last factors and the sum over the terms are one
-        ``NCPoly.dot``, so no partial sum is built per term.
+        ``NCPoly.dot``, so no partial sum is built per term.  Every
+        product, the partial ones included, is a ``dot``, and ``table``
+        is handed to each as in ``dot``.
         """
         n = self.n
         pairs = []
         for w, c in self.terms.items():
             acc = NCPoly._raw(n, {(): c})
             for g in w[:-1]:
-                acc = acc * fn(g)
+                acc = NCPoly.dot(n, ((acc, fn(g)),), table)
             pairs.append((acc, fn(w[-1]) if w else NCPoly.one(n)))
-        return NCPoly.dot(n, pairs)
+        return NCPoly.dot(n, pairs, table)
 
     def evaluate(self, fn) -> DualElement:
         """Evaluate in a commutative target: symbols g -> fn(g) in D_n."""

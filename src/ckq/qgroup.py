@@ -4,8 +4,12 @@
 braiding tensor R, the metric C, the generating matrix T and the relation
 ideal once each, on first use, and every check here and in ``qdual`` and
 ``cli`` reads them from it.  It also owns the ``DualElement.dot`` table
-(``dot_table``) through which the coproduct certificate and the
-``qdual`` checks sum their coefficients.
+(``dot_table``) through which relation generation (the exchange
+components and the cofactors), the coproduct certificate and its
+splitting bridge, and the ``qdual`` checks sum their coefficients, so
+each distinct coefficient of the group is formed once and held as one
+object.  The antipode certificate and the coproduct assembly check still
+multiply without it.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
@@ -180,8 +184,9 @@ def _holds(held, p: NCPoly) -> bool:
 
 def _exchange_pairs(T: QTensor, R: QTensor, table: dict | None = None) -> list:
     """R T1 T2 - T2 T1 R as the pairs of one ``QTensor.dot``, with the
-    entries of R and -R lifted to constant polynomials."""
-    TT = QTensor.pair(T)
+    entries of R and -R lifted to constant polynomials; T1 T2 is formed
+    through ``table`` too."""
+    TT = QTensor.pair(T, table)
     return [(_scalars(R, table), TT),
             (TT.flipped(), _scalars(R.scale(-1), table))]
 
@@ -192,23 +197,29 @@ def rtt_components(T: QTensor, R: QTensor, table: dict | None = None) -> QTensor
     return QTensor.dot(_exchange_pairs(T, R, table), table)
 
 
-def rtt_relations(T: QTensor, R: QTensor) -> RelationSet:
-    """Deduplicated braid-exchange relations R T1 T2 - T2 T1 R = 0."""
+def rtt_relations(T: QTensor, R: QTensor, table: dict | None = None) -> RelationSet:
+    """Deduplicated braid-exchange relations R T1 T2 - T2 T1 R = 0;
+    ``table`` as in ``QTensor.dot``."""
     rels = RelationSet(T.n)
-    comps = rtt_components(T, R).data
+    comps = rtt_components(T, R, table).data
     for key in sorted(comps):
         rels.add(comps[key], "rtt")
     return rels
 
 
-def orthogonality_cofactors(T: QTensor, C: QTensor) -> tuple:
+def orthogonality_cofactors(T: QTensor, C: QTensor, table: dict | None = None) -> tuple:
     """The orthogonality cofactors (M, L) = (T C T^t - C, T^t C T - C).
 
     Their entries generate the orthogonality relations, and they factor
-    the antipode defects (``verify_antipode``).
+    the antipode defects (``verify_antipode``).  Each cofactor is one
+    ``QTensor.dot`` of the pairs (T C, T^t) and (-I, C), so -C is summed
+    with the products; ``table`` as in that ``dot``.
     """
-    Cp = _scalars(C)
-    return (T @ Cp @ T.transpose() - Cp, T.transpose() @ Cp @ T - Cp)
+    Cp = _scalars(C, table)
+    minus_i = _scalars(QTensor.identity(T.N, T.n).scale(-1), table)
+    Tt = T.transpose()
+    return tuple(QTensor.dot([(QTensor.dot([(X, Cp)], table), Y), (minus_i, Cp)], table)
+                 for X, Y in ((T, Tt), (Tt, T)))
 
 
 def orthogonality_relations(cofactors: tuple) -> RelationSet:
@@ -226,7 +237,9 @@ def orthogonality_relations(cofactors: tuple) -> RelationSet:
 
 
 def full_relation_set(G: QuantumCKGroup) -> RelationSet:
-    rels = rtt_relations(G.T, G.R)
+    """The exchange relations, then the orthogonality relations, every
+    coefficient summed through the group's ``dot_table``."""
+    rels = rtt_relations(G.T, G.R, G.dot_table)
     rels.extend(orthogonality_relations(G.cofactors))
     return rels
 
@@ -341,13 +354,17 @@ class QuantumCKGroup:
         """The orthogonality cofactors (M, L) of T and C: the relation set
         takes its orthogonality family from them, and ``verify_antipode``
         its certificate."""
-        return orthogonality_cofactors(self.T, self.C)
+        return orthogonality_cofactors(self.T, self.C, self.dot_table)
 
     @cached_property
     def dot_table(self) -> dict:
-        """The group's ``DualElement.dot`` table: the coproduct certificate
-        and the ``qdual`` checks sum products of the same few R-derived
-        coefficients over and over.  It holds only D_n values of this group."""
+        """The group's ``DualElement.dot`` table.  Relation generation
+        (``full_relation_set``, ``cofactors``), the coproduct certificate
+        and its splitting bridge (``verify_delta_compat``) and the
+        ``qdual`` checks sum products of the same few R-derived
+        coefficients over and over, and read it, so every relation
+        coefficient is one interned object per value.  It holds only D_n
+        values of this group."""
         return {}
 
     def relations(self) -> RelationSet:
@@ -445,7 +462,7 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     # verify it maps the atomic relation components onto the split ones
     split = splitting_map(j)
     relA_split = rtt_components(G.T, R, table)
-    ok = relA_atomic.map_entries(lambda p: p.substitute(split)) == relA_split
+    ok = relA_atomic.map_entries(lambda p: p.substitute(split, table)) == relA_split
     split_checked = (check(G.T, build_t(j, copy=1), relA_split)
                      if N <= 3 else 0)
     return {"ok": ok, "components": checked,

@@ -12,10 +12,11 @@ group element of ``ckclassical`` or the generating matrix T of
 and the exchange components have four legs.  ``QTensor.dot`` is the one
 place where tensors are composed, by ``@``, ``apply_vec``, ``qgroup`` and
 ``qdual``; it sums the entry pairs that land on each output key once, in
-the entry type's own ``dot``.  ``dot`` and ``apply_vec`` take the group's
-dot table (``QuantumCKGroup.dot_table``) from the checks that own one and
-pass it to that ``dot``; the R-matrix checks here, and the classical
-matrices, sum without one.
+the entry type's own ``dot``.  ``dot``, ``apply_vec`` and ``pair`` (the
+one-pair ``dot`` of each two entries) take the group's dot table
+(``QuantumCKGroup.dot_table``) from the checks that own one and pass it
+to that ``dot``; the R-matrix checks here, and the classical matrices,
+have no group and sum without one.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ class QTensor:
                           for i in range(1, N + 1) for j in range(1, N + 1)})
 
     @classmethod
-    def pair(cls, A: "QTensor") -> "QTensor":
+    def pair(cls, A: "QTensor", table: dict | None = None) -> "QTensor":
         """A1 A2 = A (x) A for a matrix A: entry (x, y, u, v) is
-        A[x,u] * A[y,v]."""
-        entries = A.data.items()
-        return cls(A.N, A.n, {(x, y, u, v): a * b
-                              for (x, u), a in entries for (y, v), b in entries})
+        A[x,u] * A[y,v], the one-pair ``dot`` of the entry type; ``table``
+        as in ``dot``."""
+        n, entries = A.n, A.data.items()
+        return cls(A.N, n, {(x, y, u, v): type(a).dot(n, ((a, b),), table)
+                            for (x, u), a in entries for (y, v), b in entries})
 
     def get(self, *key) -> DualElement:
         """The entry at ``key``, zero in D_n where there is none."""

@@ -5,12 +5,15 @@ symplectic weight pattern off the frame change.  These helpers build the
 same objects from the definition instead: a parameter matrix weighted
 slot by slot, the weighted Cartesian point, the two invariant forms, the
 Lie algebra generators, a Cayley sample as the transform of a sum of
-scaled generators, and the Cayley transform itself as a product with a
-Gauss-Jordan inverse.
+scaled generators, the Cayley transform itself as a product with a
+Gauss-Jordan inverse, and the ``classical`` suite's report from a list
+of all its samples.
 """
 
+import random
 from fractions import Fraction
 
+from ckq import ckclassical
 from ckq.ckclassical import SingularMatrixError, cayley
 from ckq.coeffring import DimensionError, DualElement, NotInvertibleError, ScalarExpr
 from ckq.rmatrix import QTensor
@@ -174,3 +177,18 @@ def cayley_by_inverse(X: QTensor) -> QTensor:
     """(I + X)(I - X)^(-1), the inverse taken first and then multiplied."""
     I = QTensor.identity(X.N, X.n)
     return (I + X) @ gauss_jordan_inverse(I - X)
+
+
+def classical_report(j, samples: int, seed: int) -> dict:
+    """The ``classical`` suite's report with every sample drawn into one
+    list first (by ``ckclassical.random_cayley``, so the draws match), each
+    checked by full products, and samples 2k and 2k+1 multiplied."""
+    rng = random.Random(seed)
+    mats = [ckclassical.random_cayley(j, rng) for _ in range(samples)]
+    orthogonal = sum(1 for A in mats if is_orthogonal_by_products(A))
+    closed = sum(1 for A, B in zip(mats[::2], mats[1::2])
+                 if is_orthogonal_by_products(A @ B))
+    pairs = len(mats) // 2
+    return {"ok": orthogonal == samples and closed == pairs, "samples": samples,
+            "orthogonal": orthogonal, "product_pairs": pairs,
+            "products_orthogonal": closed, "seed": seed}

@@ -6,11 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ckq import ckclassical, cli, qdual, qgroup, rmatrix
+from ckq.coeffring import JSignature
+
+import classical_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -210,6 +214,50 @@ def test_classical_seed_changes_nothing_about_verdict_but_is_recorded():
     assert a.returncode == b.returncode == 0
     assert json.loads(a.stdout)["report"]["seed"] == 1
     assert json.loads(b.stdout)["report"]["seed"] == 2
+
+
+def _every_third_sample_spoiled(monkeypatch):
+    """Make samples 2, 5, 8, ... I + X, which is not orthogonal, so the
+    counts depend on which samples are multiplied together."""
+    real = ckclassical.cayley
+    calls = []
+
+    def cayley(X):
+        calls.append(X)
+        if len(calls) % 3:
+            return real(X)
+        return rmatrix.QTensor.identity(X.N, X.n) + X
+
+    monkeypatch.setattr(ckclassical, "cayley", cayley)
+    return calls
+
+
+@pytest.mark.parametrize("spoiled", [False, True], ids=["cayley", "spoiled"])
+@pytest.mark.parametrize("spec,samples,seed", [
+    ("iota,1", 12, 1), ("1,1", 9, 2), ("1,iota,1", 8, 3)])
+def test_classical_report_is_the_list_oracle(monkeypatch, spec, samples, seed, spoiled):
+    j = JSignature.parse(spec)
+    calls = _every_third_sample_spoiled(monkeypatch) if spoiled else []
+    got = cli._classical_report(j, samples, seed)
+    calls.clear()  # restart the count, so the oracle spoils the same samples
+    want = classical_oracle.classical_report(j, samples, seed)
+    assert got == want
+    assert got["ok"] is not spoiled
+
+
+def test_classical_report_memory_does_not_grow_with_samples():
+    j = JSignature.parse("iota,1")
+    cli._classical_report(j, 2, 5)  # import and cache warm-up
+
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            cli._classical_report(j, samples, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(400) <= 2 * traced_peak(20)
 
 
 def test_relations_text_has_one_line_per_relation():

@@ -6,8 +6,9 @@ output coefficient once, and ``*`` (``@`` for tensors and matrices) is
 their one-pair case; the references here build every term product and
 every partial sum from the definitions, without ``*`` of D_n or of
 polynomials.  With a dot table each kernel must give what it gives
-without one.  Derandomized, so every run draws the same
-examples.
+without one, and so must ``NCPoly.substitute`` and ``QTensor.pair``,
+which hand their table to those kernels.  Derandomized, so every run
+draws the same examples.
 """
 
 import pytest
@@ -16,8 +17,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ckq.coeffring import _V_CAP, Cyclo8, DegreeCapError, DualElement, ScalarExpr  # noqa: E402
+from ckq.ckclassical import random_cayley  # noqa: E402
+from ckq.coeffring import (_V_CAP, Cyclo8, DegreeCapError, DualElement, JSignature,  # noqa: E402
+                           ScalarExpr)
 from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
+from ckq.qgroup import build_t  # noqa: E402
 from ckq.rmatrix import QTensor, _embed3  # noqa: E402
 
 PROPS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -379,4 +383,55 @@ def test_tabled_apply_vec_is_the_plain_apply_vec(X, vec):
     want = kernel(X.apply_vec, vec)
     table = {}
     assert kernel(X.apply_vec, vec, table) == want
+    check_table(table)
+
+
+def check_interned(table, coeffs):
+    """Every coefficient is the object the table holds for its value."""
+    for c in coeffs:
+        assert table[c] is c
+
+
+# each of the 12 symbols that ``polys`` draws has its own image
+images = st.lists(polys, min_size=12, max_size=12)
+
+
+@FEW
+@given(polys, images)
+def test_tabled_substitute_is_the_plain_substitute(p, imgs):
+    def fn(g):
+        return imgs[6 * (g.i - 1) + 3 * (g.k - 1) + g.copy]
+
+    want = kernel(p.substitute, fn)
+    table = {}
+    got = kernel(p.substitute, fn, table)
+    assert got == want
+    if got is not DegreeCapError:
+        check_interned(table, got.terms.values())
+    check_table(table)
+
+
+# D_3 is the coefficient ring at N = 4
+SIGNATURES_N4 = list(JSignature.all_signatures(4))
+
+
+@FEW
+@given(st.sampled_from(SIGNATURES_N4), st.randoms(use_true_random=False))
+def test_tabled_pair_of_a_cayley_sample_is_the_plain_pair(j, rng):
+    A = random_cayley(j, rng)
+    table = {}
+    got = QTensor.pair(A, table)
+    assert got == QTensor.pair(A)
+    check_interned(table, got.data.values())
+    check_table(table)
+
+
+@pytest.mark.parametrize("j", SIGNATURES_N4, ids=str)
+@pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "split"])
+def test_tabled_pair_of_t_is_the_plain_pair(j, atomic):
+    T = build_t(j, atomic=atomic)
+    table = {}
+    got = QTensor.pair(T, table)
+    assert got == QTensor.pair(T)
+    check_interned(table, [c for p in got.data.values() for c in p.terms.values()])
     check_table(table)

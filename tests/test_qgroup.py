@@ -487,8 +487,24 @@ def test_full_relation_set_matches_class_method():
     assert direct.sources == G.relations().sources
 
 
-_SIGN_KEY_CASES = ([(j, c) for N in (3, 4) for j in all_signatures(N)
-                    for c in (True, False)]
+_N34_CASES = [(j, c) for N in (3, 4) for j in all_signatures(N) for c in (True, False)]
+
+
+@pytest.mark.parametrize("j,contracted", _N34_CASES, ids=str)
+def test_tabled_relations_are_the_untabled_ones(j, contracted):
+    """The group sums its relation coefficients through its dot table: the
+    relations, in order and with their sources, are those built with no
+    table, and each distinct coefficient value is one object."""
+    G = QuantumCKGroup(j, contracted=contracted)
+    plain = rtt_relations(G.T, G.R)
+    plain.extend(orthogonality_relations(orthogonality_cofactors(G.T, G.C)))
+    rels = G.relations()
+    assert rels.polys == plain.polys and rels.sources == plain.sources
+    coeffs = [c for p in rels for c in p.terms.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+_SIGN_KEY_CASES = (_N34_CASES
                    + [(JSignature.parse(raw), True) for raw in
                       ("1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota")])
 
