@@ -26,26 +26,30 @@ Everything is immutable and exact.  Rendering (``__str__``) is canonical:
 terms are emitted in a fixed sorted order, so equal values always print
 identically.  The public constructors validate their input; the ring
 operations build their results through the private ``_raw`` constructor
-of each of the four types, which trusts it.  Multiplying by the interned
-one (``ScalarExpr.one()``, ``DualElement.one(n)``) returns the other
-operand.  A constant hashes like the number it equals.
+of each of the four types, which trusts it.  A constant hashes like the
+number it equals.
 
-``DualElement.dot`` takes an optional table that memoizes each sum by the
-tuple of its (a, b) pairs, compared by value, and interns each value it
-returns (``interned``), so equal values become one shared object and
-later keys match by identity first.  The owner of a table is one
-``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat.  Relation
-generation, the cofactors, the coproduct certificate and its splitting
-bridge, and the dual-side checks of ``qdual`` sum through it, so the
-6,030 coefficients of the 557 relations at N=5 iota,1,iota,1 are 26
-objects, one per value.  Three kinds of sum take no table.  The R-matrix
-checks of ``rmatrix`` (braid relation, cubic, projector) run where no
-group exists, on the bare R.  The matrix products and Gauss-Jordan of
-``ckclassical`` and the ``classical`` suite also have no group, and
-their random Cayley samples hardly repeat (18,472 distinct tuples among
-24,590 sums at N=5), so a table there would only cost time and memory.
-The antipode certificate and the coproduct assembly check of ``qgroup``
-form their few products once per run and are not tabled yet.
+Every sum of products over D_n is formed by one rule.  A kernel
+(``freealg.NCPoly.dot``, ``rmatrix.QTensor.dot``, the ``qdual`` rows)
+groups the (a, b) pairs of each output key and hands them to ``_dots``,
+which sums each key once with the entry type's own ``dot``.  Each sum of
+D_n pairs ends in ``DualElement.dot``, the one place that chooses how.
+With a table it is memoized by the tuple of its pairs, compared by value,
+and interned (``interned``), so equal values are one object and later
+keys match by identity first.  Without one, a single pair with the
+interned one or zero of D_n as a factor gives the other operand or that
+zero, as ``*`` does, and any other sum is formed afresh by ``_dual_dot``.
+``ScalarExpr`` products by ``ScalarExpr.one()`` return the other operand.
+
+A table belongs to one ``qgroup.QuantumCKGroup``, whose R-derived
+coefficients repeat: relation generation, the cofactors, the coproduct
+certificate, bridge and assembly check, and the ``qdual`` checks sum
+through it, so the 6,030 coefficients of the 557 relations at N=5
+iota,1,iota,1 are 26 objects.  Sums where no group exists take no table:
+the R-matrix checks of ``rmatrix`` on the bare R, and ``ckclassical``
+with the ``classical`` suite, whose random Cayley samples hardly repeat
+(18,472 distinct tuples among 24,590 sums at N=5).  The antipode
+certificate of ``qgroup`` is not tabled yet.
 """
 
 from __future__ import annotations
@@ -634,38 +638,33 @@ class DualElement(_Combination):
             if not sc:
                 return _D_ZEROS[n]
             return DualElement._raw(n, {m: s * sc for m, s in self.terms.items()})
-        if other.n != n:
-            raise DimensionError("mixing D_%d with D_%d" % (n, other.n))
-        one = _D_ONES[n]
-        if other is one:
-            return self
-        if self is one:
-            return other
         return DualElement.dot(n, ((self, other),))
 
     __rmul__ = __mul__
 
     @classmethod
     def dot(cls, n: int, pairs, table: dict | None = None) -> "DualElement":
-        """The sum of a * b over the (a, b) pairs of elements of D_n.
-
-        The scalar pairs that land on each subset are collected and summed
-        once by ``_scalar_dot`` (a subset reached by one pair takes the
-        plain product), so no product or partial sum is formed per pair.
-        ``*`` is the one-pair case: a squared nilpotent dies, and a
-        v-degree above ``_V_CAP`` raises ``DegreeCapError``.
-
-        ``table`` memoizes the sum by the tuple of its pairs, compared by
-        value, and interns the result; a raised error is not stored.  The
-        owner of the table keeps it to one D_n.
+        """The sum of a * b over the sequence of (a, b) pairs of elements
+        of D_n, formed by the summing rule of the module docstring.  A
+        squared nilpotent dies, and a v-degree above ``_V_CAP`` raises
+        ``DegreeCapError``, which ``table`` does not store; the owner of
+        the table keeps it to one D_n.
         """
-        if table is None:
-            return _dual_dot(n, pairs)
-        key = tuple(pairs)
-        got = table.get(key)
-        if got is None:
-            got = table[key] = interned(table, _dual_dot(n, key))
-        return got
+        if table is not None:
+            key = tuple(pairs)
+            got = table.get(key)
+            if got is None:
+                got = table[key] = interned(table, _dual_dot(n, key))
+            return got
+        if len(pairs) == 1:
+            (a, b), = pairs
+            if a.n == n == b.n:
+                one, zero = _D_ONES[n], _D_ZEROS[n]
+                if a is one or b is zero:
+                    return b
+                if b is one or a is zero:
+                    return a
+        return _dual_dot(n, pairs)
 
     def inverse(self) -> "DualElement":
         """Inverse via the finite geometric series over the nilpotent part."""
@@ -694,8 +693,10 @@ class DualElement(_Combination):
     def specialize(self, j: "JSignature") -> "DualElement":
         """Apply q^a -> 1 + a*J*v to every scalar coefficient."""
         n = self.n
-        return DualElement.dot(n, [(DualElement._raw(n, {m: _S_ONE}), specialize_q(s, j))
-                                   for m, s in self.terms.items()])
+        # formed afresh, with no one-pair short-cut that would return an
+        # operand as is: a coefficient equal to one is the interned one
+        return _dual_dot(n, [(DualElement._raw(n, {m: _S_ONE}), specialize_q(s, j))
+                             for m, s in self.terms.items()])
 
     # -- rendering ----------------------------------------------------
 
@@ -735,6 +736,17 @@ def interned(table: dict, x):
     first time: a table holds each value it has seen under itself too, so
     that equal values are one object."""
     return table.setdefault(x, x)
+
+
+def _dots(n: int, by_key: dict, table: dict | None = None) -> dict:
+    """Key -> nonzero sum of the key's (a, b) pairs, each key summed once
+    by the entry type's own ``dot`` with ``table``."""
+    out = {}
+    for key, pairs in by_key.items():
+        c = type(pairs[0][0]).dot(n, pairs, table)
+        if c:
+            out[key] = c
+    return out
 
 
 def _dual_dot(n: int, pairs) -> DualElement:

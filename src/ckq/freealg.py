@@ -10,12 +10,10 @@ through ``NCPoly._raw``.
 
 ``NCPoly.dot`` is the one place where word products are formed: ``*``,
 matrix-product entries and the exchange components and certificates of
-``qgroup`` all go through it, and it sums the coefficients that land on
-each output word once, in ``DualElement.dot``.  A caller that owns a dot
-table (a ``qgroup.QuantumCKGroup``, for relation generation, the
-coproduct certificate and its splitting bridge) hands it down to ``dot``,
-or to ``substitute``, which hands it to each of its products, and then
-every output coefficient is looked up there.
+``qgroup`` all go through it.  It sums the coefficients that land on each
+output word by the summing rule of ``coeffring``.  A caller that owns a
+dot table (a ``qgroup.QuantumCKGroup``) hands it down to ``dot``, or to
+``substitute``, which hands it to each of its products.
 
 There is no normal form modulo a relation ideal here: ideal membership is
 shown by explicit certificates, built and replayed by exact expansion
@@ -28,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coeffring import (Cyclo8, DimensionError, DualElement, ScalarExpr, _Combination,
-                        _collect, _compound)
+                        _collect, _compound, _dots)
 
 #: ordering rank of the symbol families: quantum-matrix coordinates first,
 #: then the upper and lower triangular functionals of the dual algebra.
@@ -157,10 +155,8 @@ class NCPoly(_Combination):
         """The sum of p * q over the (p, q) pairs of polynomials over D_n.
 
         The coefficient pairs that land on each output word are collected
-        and summed once by ``DualElement.dot`` (a word reached by one pair
-        takes the plain product), so no product polynomial or partial sum
-        is built per pair.  With a ``table`` every output coefficient,
-        one pair or many, is that table's ``DualElement.dot``.
+        and summed once by ``coeffring._dots`` with ``table``, so no
+        product polynomial or partial sum is built per pair.
         """
         by_word: dict = {}
         for p, q in pairs:
@@ -179,18 +175,7 @@ class NCPoly(_Combination):
                         by_word[w] = [(c1, c2)]
                     else:
                         coeffs.append((c1, c2))
-        out = {}
-        for w, coeffs in by_word.items():
-            if table is not None:
-                c = DualElement.dot(n, coeffs, table)
-            elif len(coeffs) == 1:
-                (c1, c2), = coeffs
-                c = c1 * c2
-            else:
-                c = DualElement.dot(n, coeffs)
-            if c:
-                out[w] = c
-        return cls._raw(n, out)
+        return cls._raw(n, _dots(n, by_word, table))
 
     # -- coefficient maps ----------------------------------------------
 

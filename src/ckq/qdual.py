@@ -20,12 +20,12 @@ once per start row, and the value at an end row is one coefficient dot
 over the words' rows.
 
 Every coefficient sum here, in a column, a row, a relation value or a
-tensor law, is one ``DualElement.dot`` through the group's dot table
-(``QuantumCKGroup.dot_table``): the values are products of a few
-contracted R entries, so the same tuple of pairs recurs thousands of
-times.  The tables' entries, the relation coefficients and the split
-column values are interned in it too, so a recurring tuple matches its
-key by identity.
+tensor law, is formed by the summing rule of ``coeffring`` through the
+group's dot table (``QuantumCKGroup.dot_table``): the values are products
+of a few contracted R entries, so the same tuple of pairs recurs
+thousands of times.  The tables' entries, the relation coefficients and
+the split column values are interned in it too, so a recurring tuple
+matches its key by identity.
 
 The tables of a family pair against one entry word form a two-leg
 ``QTensor`` (`_fold_word`), so the functional laws are tensor identities:
@@ -44,7 +44,7 @@ weight stays in the coefficient ring, where it is well defined.
 from itertools import product
 
 from .ckclassical import weight_pattern_symplectic
-from .coeffring import DualElement, interned
+from .coeffring import DualElement, _dots, interned
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
 from .rmatrix import QTensor, r_plus_minus
@@ -106,16 +106,6 @@ def _terms(n: int, x, check, table: dict) -> list:
         for g in w:
             check(g)
         out.append((interned(table, x.terms[w]), w))
-    return out
-
-
-def _dots(n: int, pairs: dict, table: dict) -> dict:
-    """Key -> nonzero tabled ``DualElement.dot`` of the key's pairs."""
-    out = {}
-    for key, ab in pairs.items():
-        val = DualElement.dot(n, ab, table)
-        if val:
-            out[key] = val
     return out
 
 

@@ -5,11 +5,11 @@ braiding tensor R, the metric C, the generating matrix T and the relation
 ideal once each, on first use, and every check here and in ``qdual`` and
 ``cli`` reads them from it.  It also owns the ``DualElement.dot`` table
 (``dot_table``) through which relation generation (the exchange
-components and the cofactors), the coproduct certificate and its
-splitting bridge, and the ``qdual`` checks sum their coefficients, so
-each distinct coefficient of the group is formed once and held as one
-object.  The antipode certificate and the coproduct assembly check still
-multiply without it.
+components and the cofactors), the coproduct certificate, its splitting
+bridge and its assembly check, and the ``qdual`` checks sum their
+coefficients by the summing rule of ``coeffring``, so each distinct
+coefficient of the group is formed once and held as one object.  The
+antipode certificate still multiplies without it.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
@@ -360,11 +360,11 @@ class QuantumCKGroup:
     def dot_table(self) -> dict:
         """The group's ``DualElement.dot`` table.  Relation generation
         (``full_relation_set``, ``cofactors``), the coproduct certificate
-        and its splitting bridge (``verify_delta_compat``) and the
-        ``qdual`` checks sum products of the same few R-derived
-        coefficients over and over, and read it, so every relation
-        coefficient is one interned object per value.  It holds only D_n
-        values of this group."""
+        and its splitting bridge (``verify_delta_compat``), the assembly
+        check (``verify_coproduct_assembly``) and the ``qdual`` checks sum
+        products of the same few R-derived coefficients over and over, and
+        read it, so every relation coefficient is one interned object per
+        value.  It holds only D_n values of this group."""
         return {}
 
     def relations(self) -> RelationSet:
@@ -402,14 +402,15 @@ def verify_coproduct_assembly(G: QuantumCKGroup) -> bool:
     The splitting homomorphism applied to Delta t[i,k] must equal entry
     (i,k) of T0 @ T1 over the split symbols, i.e. the splitting
     homomorphism intertwines Delta with entrywise matrix comultiplication.
+    Both sides sum through the group's ``dot_table``.
     """
-    j, n = G.j, G.n
+    j, n, table = G.j, G.n, G.dot_table
     split = splitting_map(j)
     rng = range(1, j.N + 1)
     split_delta = QTensor(j.N, n, {
-        (i, k): coproduct(NCPoly.gen(n, mat_symbol(i, k))).substitute(split)
+        (i, k): coproduct(NCPoly.gen(n, mat_symbol(i, k))).substitute(split, table)
         for i in rng for k in rng})
-    return split_delta == G.T @ build_t(j, copy=1)
+    return split_delta == QTensor.dot([(G.T, build_t(j, copy=1))], table)
 
 
 def counit_annihilates(rels: RelationSet) -> bool:

@@ -11,12 +11,12 @@ group element of ``ckclassical`` or the generating matrix T of
 ``qgroup``, is a two-leg tensor keyed (i, k), and the braiding tensor R
 and the exchange components have four legs.  ``QTensor.dot`` is the one
 place where tensors are composed, by ``@``, ``apply_vec``, ``qgroup`` and
-``qdual``; it sums the entry pairs that land on each output key once, in
-the entry type's own ``dot``.  ``dot``, ``apply_vec`` and ``pair`` (the
+``qdual``; it sums the entry pairs that land on each output key by the
+summing rule of ``coeffring``.  ``dot``, ``apply_vec`` and ``pair`` (the
 one-pair ``dot`` of each two entries) take the group's dot table
-(``QuantumCKGroup.dot_table``) from the checks that own one and pass it
-to that ``dot``; the R-matrix checks here, and the classical matrices,
-have no group and sum without one.
+(``QuantumCKGroup.dot_table``) from the checks that own one; the R-matrix
+checks here, and the classical matrices, have no group and sum without
+one.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .coeffring import (
     JSignature,
     ScalarExpr,
     _collect,
+    _dots,
 )
 
 
@@ -139,10 +140,8 @@ class QTensor:
 
         All the tensors share one shape, and their entries one type, D_n
         or ``NCPoly``.  The entry pairs that land on each output key are
-        collected and summed once by that type's ``dot`` (a key reached by
-        one pair takes the plain product), so no product tensor or partial
-        sum is built per pair.  A
-        ``table`` is handed to that ``dot`` for every output key.
+        collected and summed once by ``coeffring._dots`` with ``table``,
+        so no product tensor or partial sum is built per pair.
         """
         first = pairs[0][0]
         for X, Y in pairs:
@@ -174,9 +173,8 @@ class QTensor:
 
 def _compose(n: int, pairs, table: dict | None = None) -> dict:
     """Key -> nonzero sum of X[out, mid] * Y[mid, in] over the pairs of X's
-    entries and Y's ``by_output`` index, for the key out + in.  With a
-    ``table`` every key's sum, one pair or many, is the entry type's
-    tabled ``dot``."""
+    entries and Y's ``by_output`` index, for the key out + in, summed by
+    ``_dots`` with ``table``."""
     by_key: dict = {}
     for data, index in pairs:
         for key, u in data.items():
@@ -188,18 +186,7 @@ def _compose(n: int, pairs, table: dict | None = None) -> dict:
                     by_key[out + ins] = [(u, w)]
                 else:
                     uw.append((u, w))
-    out = {}
-    for key, uw in by_key.items():
-        if table is not None:
-            c = type(uw[0][0]).dot(n, uw, table)
-        elif len(uw) == 1:
-            (u, w), = uw
-            c = u * w
-        else:
-            c = type(uw[0][0]).dot(n, uw)
-        if c:
-            out[key] = c
-    return out
+    return _dots(n, by_key, table)
 
 
 # ----------------------------------------------------------- construction

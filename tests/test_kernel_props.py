@@ -1,9 +1,12 @@
 """Property tests of the fused sum-of-products kernels against the naive
 left fold of ``*`` and ``+``.
 
-``DualElement.dot``, ``NCPoly.dot`` and ``QTensor.dot`` accumulate each
-output coefficient once, and ``*`` (``@`` for tensors and matrices) is
-their one-pair case; the references here build every term product and
+``NCPoly.dot`` and ``QTensor.dot`` group the pairs that land on each
+output key and end in ``coeffring._dots``, which sums each key once with
+the entry type's own ``dot``; ``*`` of D_n is ``DualElement.dot`` of one
+pair, which returns an operand itself when the other factor is the
+interned one or the interned zero (``@`` for tensors is the one-pair
+``QTensor.dot``).  The references here build every term product and
 every partial sum from the definitions, without ``*`` of D_n or of
 polynomials.  With a dot table each kernel must give what it gives
 without one, and so must ``NCPoly.substitute`` and ``QTensor.pair``,
@@ -19,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ckq.ckclassical import random_cayley  # noqa: E402
 from ckq.coeffring import (_V_CAP, Cyclo8, DegreeCapError, DualElement, JSignature,  # noqa: E402
-                           ScalarExpr)
+                           ScalarExpr, _dots)
 from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
 from ckq.qgroup import build_t  # noqa: E402
 from ckq.rmatrix import QTensor, _embed3  # noqa: E402
@@ -141,6 +144,16 @@ def test_dot_kills_squared_nilpotents_and_caps_the_v_degree():
 @given(duals, duals)
 def test_dual_product_is_the_one_pair_dot(a, b):
     assert kernel(a.__mul__, b) == kernel(naive_dual_mul, a, b)
+
+
+@PROPS
+@given(duals)
+def test_product_with_the_interned_one_or_zero_is_an_operand(a):
+    one, zero = DualElement.one(N), DualElement.zero(N)
+    assert a * one is a
+    assert one * a is a
+    assert a * zero is zero
+    assert zero * a is zero
 
 
 @st.composite
@@ -291,6 +304,57 @@ def test_flipped_is_p_x_p(X, U):
     for (i, j, k, l), v in U.flipped().data.items():
         assert U.data[(j, i, l, k)] == v
     assert U.flipped().nnz() == U.nnz()
+
+
+# ------------------------------------------------------- per-key sums
+
+
+@st.composite
+def keyed_pairs(draw, elements):
+    """Pairs grouped by output key, as the kernels group them, with one
+    key whose pairs cancel inserted at a drawn position."""
+    pairs = st.lists(st.tuples(elements, elements), min_size=1, max_size=3)
+    items = list(draw(st.dictionaries(st.integers(0, 5), pairs, max_size=4)).items())
+    a, b = draw(elements), draw(elements)
+    items.insert(draw(st.integers(0, len(items))), ("cancels", [(a, b), (-a, b)]))
+    return dict(items)
+
+
+def naive_dots(by_key, zero, mul):
+    """Key -> nonzero fold of the key's products, in the keys' order."""
+    out = {}
+    for key, pairs in by_key.items():
+        s = fold(zero, [lambda a=a, b=b: mul(a, b) for a, b in pairs])
+        if s is DegreeCapError:
+            return DegreeCapError
+        if s:
+            out[key] = s
+    return out
+
+
+@FEW
+@given(keyed_pairs(duals), keyed_pairs(polys))
+def test_dots_is_the_per_key_fold(dual_keyed, poly_keyed):
+    for by_key, zero, mul in ((dual_keyed, DualElement.zero(N), naive_dual_mul),
+                              (poly_keyed, NCPoly.zero(N), naive_mul)):
+        want = naive_dots(by_key, zero, mul)
+        for table in (None, {}):
+            got = kernel(_dots, N, by_key, table)
+            assert got == want
+            if got is not DegreeCapError:
+                assert "cancels" not in got
+                assert list(got) == list(want)  # first-seen order
+            if table is not None:
+                check_table(table)
+
+
+def test_dots_drops_a_cancelled_key_and_keeps_first_seen_order():
+    a, b = DualElement.iota(N, 1) + 2, DualElement.iota(N, 2)
+    by_key = {"z": [(a, b)], "gone": [(a, b), (-a, b)], "a": [(b, b), (a, a)]}
+    for table in (None, {}):
+        got = _dots(N, by_key, table)
+        assert list(got) == ["z", "a"]
+        assert got["z"] == a * b and got["a"] == a * a  # iota_2^2 dies
 
 
 # ------------------------------------------------------------ dot tables
