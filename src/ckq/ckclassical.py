@@ -117,11 +117,11 @@ def cayley(X: QTensor) -> QTensor:
     return solve(I - X, I + X)
 
 
-def random_cayley(j: JSignature, rng, span: int = 3) -> QTensor:
+def random_cayley(j: JSignature, rng) -> QTensor:
     """A random group element: Cayley transform of a random generator mix."""
     N = j.N
     # one angle per generator J(k,p) (e_kp - e_pk), k < p, in row-major order
-    theta = {(k, p): Fraction(rng.randint(-span, span), rng.randint(1, 3))
+    theta = {(k, p): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
              for k in range(1, N + 1) for p in range(k + 1, N + 1)}
     return cayley(_generator_mix(j, theta))
 

@@ -145,8 +145,8 @@ def cmd_rmatrix(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     G = qgroup.QuantumCKGroup(j)
     R, C = G.R, G.C
-    rp, rm = rmatrix.r_plus_minus(R, j)
     if ns.format == "json":
+        rp, rm = rmatrix.r_plus_minus(R, j)
         doc = {"config": _config(ns, j),
                "r": render.tensor_json(R),
                "r_plus": render.tensor_json(rp),

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class DimensionError(ValueError):
@@ -131,14 +131,6 @@ class Cyclo8:
         if isinstance(x, int):
             return cls._raw((int(x), 0, 0, 0, 1))
         return cls._raw((x.numerator, 0, 0, 0, x.denominator))
-
-    @classmethod
-    def i(cls) -> "Cyclo8":
-        return cls(0, 1)
-
-    @classmethod
-    def sqrt2(cls) -> "Cyclo8":
-        return cls(0, 0, 1)
 
     a = property(lambda self: Fraction(self._t[0], self._t[4]))
     b = property(lambda self: Fraction(self._t[1], self._t[4]))
@@ -396,10 +388,6 @@ class ScalarExpr(_Combination):
         return cls.s_power(2 * e, coef)
 
     @classmethod
-    def v_power(cls, e: int, coef=1) -> "ScalarExpr":
-        return cls({(0, e): Cyclo8(coef) if not isinstance(coef, Cyclo8) else coef})
-
-    @classmethod
     def lam(cls) -> "ScalarExpr":
         """The standard deformation factor q - q^(-1), kept expanded."""
         return cls({(2, 0): _C_ONE, (-2, 0): Cyclo8(-1)})
@@ -577,12 +565,6 @@ class DualElement(_Combination):
         return cls(n, {0: sc})
 
     @classmethod
-    def iota(cls, n: int, k: int) -> "DualElement":
-        if not 1 <= k <= n:
-            raise ValueError("iota_%d does not exist in D_%d" % (k, n))
-        return cls(n, {1 << (k - 1): _S_ONE})
-
-    @classmethod
     def monomial(cls, n: int, mask: int, x=1) -> "DualElement":
         if not mask:
             return cls.scalar(n, x)
@@ -593,9 +575,6 @@ class DualElement(_Combination):
     def body(self) -> ScalarExpr:
         """The coefficient of the empty subset."""
         return self.terms.get(0, _S_ZERO)
-
-    def nil_part(self) -> "DualElement":
-        return DualElement._raw(self.n, {m: s for m, s in self.terms.items() if m})
 
     def __hash__(self):
         if self._hash is None:
@@ -808,17 +787,6 @@ class JSignature:
             else:
                 raise ValueError("bad signature token %r (want '1' or 'iota')" % tok)
         return cls(flags)
-
-    @classmethod
-    def trivial(cls, n: int) -> "JSignature":
-        return cls([False] * n)
-
-    @classmethod
-    def all_signatures(cls, N: int) -> Iterator["JSignature"]:
-        """All 2^(N-1) signatures for an N-dimensional space, in binary order."""
-        n = N - 1
-        for bits in range(1 << n):
-            yield cls([(bits >> k) & 1 == 1 for k in range(n)])
 
     @property
     def n(self) -> int:

@@ -19,11 +19,13 @@ caller owns.  A polynomial is evaluated word by word, each distinct word
 once per start row, and the value at an end row is one coefficient dot
 over the words' rows.
 
-Every coefficient sum here, in a column, a row, a relation value or a
-tensor law, is formed by the summing rule of ``coeffring`` through the
-group's dot table (``QuantumCKGroup.dot_table``): the values are products
-of a few contracted R entries, so the same tuple of pairs recurs
-thousands of times.  The tables' entries, the relation coefficients and
+Every coefficient sum in a column, a row, a relation value or a tensor
+law is formed by the summing rule of ``coeffring`` through the group's
+dot table (``QuantumCKGroup.dot_table``): the values are products of a
+few contracted R entries, so the same tuple of pairs recurs thousands of
+times.  Two sums skip the table: ``verify_antipode_duality`` composes its
+metric sandwiches with ``@``, and ``DualPairing.pair`` adds its per-word
+values with ``+``.  The tables' entries, the relation coefficients and
 the split column values are interned in it too, so a recurring tuple
 matches its key by identity.
 

@@ -9,7 +9,9 @@ components and the cofactors), the coproduct certificate, its splitting
 bridge and its assembly check, and the ``qdual`` checks sum their
 coefficients by the summing rule of ``coeffring``, so each distinct
 coefficient of the group is formed once and held as one object.  The
-antipode certificate still multiplies without it.
+antipode certificate, and the matrix and pair products inside the
+coproduct certificate (``verify_delta_compat``), still multiply without
+it.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
@@ -56,56 +58,38 @@ def _scalars(M, table: dict | None = None):
 # --------------------------------------------------------- generating matrix
 
 
-def t_symbols(j: JSignature, copy: int = 0) -> tuple:
-    """All generator symbols of T(j), in canonical (row-major, mask) order."""
-    pat = weight_pattern_symplectic(j)
-    rng = range(1, j.N + 1)
-    return tuple(mat_symbol(i, k, mask, copy)
-                 for i in rng for k in rng for mask in pat[(i, k)])
-
-
-def _split_entry(n: int, pat: dict, i: int, k: int, copy: int) -> NCPoly:
-    """sum_W iota_W * t[i,k;W] over the weight pattern of entry (i,k)."""
-    return NCPoly._raw(n, {(mat_symbol(i, k, mask, copy),): DualElement.monomial(n, mask)
-                           for mask in pat[(i, k)]})
-
-
 def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> QTensor:
-    """The generating matrix.
+    """The generating matrix, the one construction of T's symbols.
 
     Split form (default): entry (i,k) = sum_W iota_W * t[i,k;W] over the
     weight pattern.  Atomic form: entry (i,k) is the single opaque symbol
     t[i,k], used where only the entry-level algebra matters (certificates);
     the split form is its image under ``splitting_map``.
     """
-    pat = weight_pattern_symplectic(j)
+    n, rng = j.n, range(1, j.N + 1)
+    if atomic:
+        data = {(i, k): NCPoly.gen(n, mat_symbol(i, k, 0, copy))
+                for i in rng for k in rng}
+    else:
+        pat = weight_pattern_symplectic(j)
+        data = {(i, k): NCPoly._raw(n, {(mat_symbol(i, k, mask, copy),):
+                                        DualElement.monomial(n, mask)
+                                        for mask in pat[(i, k)]})
+                for i in rng for k in rng}
+    return QTensor(j.N, n, data)
 
-    def fn(i, k):
-        if atomic:
-            return NCPoly.gen(j.n, mat_symbol(i, k, 0, copy))
-        return _split_entry(j.n, pat, i, k, copy)
 
-    rng = range(1, j.N + 1)
-    return QTensor(j.N, j.n, {(i, k): fn(i, k) for i in rng for k in rng})
+def t_symbols(j: JSignature, copy: int = 0) -> tuple:
+    """All generator symbols of T(j), in canonical (row-major, mask) order:
+    the words of the entries of ``build_t(j, copy)``."""
+    return tuple(g for e in build_t(j, copy).data.values() for (g,) in e.terms)
 
 
-def splitting_map(j: JSignature):
-    """The splitting homomorphism on symbols, t[i,k] -> sum_W iota_W *
-    t[i,k;W], as a function for ``NCPoly.substitute``.
-
-    Each distinct symbol's split entry is built once, on first use, and
-    kept for as long as the returned function is.
-    """
-    pat = weight_pattern_symplectic(j)
-    split: dict = {}
-
-    def fn(g):
-        e = split.get(g)
-        if e is None:
-            e = split[g] = _split_entry(j.n, pat, g.i, g.k, g.copy)
-        return e
-
-    return fn
+def splitting_map(*copies: QTensor):
+    """The splitting homomorphism on symbols, t[i,k] of copy c -> entry
+    (i,k) of the split matrix ``copies[c]``, as a function for
+    ``NCPoly.substitute``."""
+    return lambda g: copies[g.copy].get(g.i, g.k)
 
 
 # ------------------------------------------------------------- relation sets
@@ -405,12 +389,13 @@ def verify_coproduct_assembly(G: QuantumCKGroup) -> bool:
     Both sides sum through the group's ``dot_table``.
     """
     j, n, table = G.j, G.n, G.dot_table
-    split = splitting_map(j)
+    T1 = build_t(j, copy=1)
+    split = splitting_map(G.T, T1)
     rng = range(1, j.N + 1)
     split_delta = QTensor(j.N, n, {
         (i, k): coproduct(NCPoly.gen(n, mat_symbol(i, k))).substitute(split, table)
         for i in rng for k in rng})
-    return split_delta == QTensor.dot([(G.T, build_t(j, copy=1))], table)
+    return split_delta == QTensor.dot([(G.T, T1)], table)
 
 
 def counit_annihilates(rels: RelationSet) -> bool:
@@ -432,12 +417,14 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     certificate over the copy-0 and copy-1 exchange relations.  Both are
     expanded exactly and compared one output row (i, j) at a time, so
     neither is held whole; the first differing component is reported.
-    Both sides, and the exchange components they are built from, sum
-    their coefficients through the group's ``dot_table``.
+    The row sums of both sides, the exchange components of A, B and A B,
+    and the splitting bridge sum their coefficients through the group's
+    ``dot_table``; the matrix product A B and the products A1 A2 and
+    B1 B2 of ``_certificate_pairs`` are formed without it.
 
     This runs in the entry-level algebra; the splitting homomorphism
-    (built once per call and verified on every relation component here)
-    transports each certificate to the split symbols.  At N = 3 the
+    (entry lookups in the group's T, verified on every relation component
+    here) transports each certificate to the split symbols.  At N = 3 the
     certificates are also replayed after splitting.
     """
     j, N, R, table = G.j, G.N, G.R, G.dot_table
@@ -461,7 +448,7 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
 
     # the splitting homomorphism carries each certificate to split symbols:
     # verify it maps the atomic relation components onto the split ones
-    split = splitting_map(j)
+    split = splitting_map(G.T)
     relA_split = rtt_components(G.T, R, table)
     ok = relA_atomic.map_entries(lambda p: p.substitute(split, table)) == relA_split
     split_checked = (check(G.T, build_t(j, copy=1), relA_split)

@@ -118,16 +118,12 @@ def _monomial_tex(se: int, ve: int, coef) -> str:
         body = body[1:]
     if body != "1" or (se == 0 and ve == 0):
         factors.append(body if ("+" not in body and "-" not in body)
-                       else "(" + (sign + body if sign else body) + ")")
-        if factors[-1].startswith("("):
-            sign = ""
+                       else "(" + body + ")")
     q = _power_tex("q", se, 2)
     if q:
         factors.append(q)
     if ve:
         factors.append(_power_tex("v", ve))
-    if factors and factors[0] == "1" and len(factors) > 1:
-        factors = factors[1:]
     return sign + " ".join(factors)
 
 

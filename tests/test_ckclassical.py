@@ -84,7 +84,7 @@ def test_cayley_boost_frozen():
     j = JSignature.parse("iota")
     X = lie_generator(1, 2, j)
     G = cayley(X)
-    i1 = DualElement.iota(1, 1)
+    i1 = DualElement.monomial(1, 1)
     assert G.get(1, 1) == DualElement.one(1)
     assert G.get(2, 2) == DualElement.one(1)
     assert G.get(1, 2) == i1 * 2
@@ -97,7 +97,7 @@ def test_cayley_boost_frozen():
 
 def test_cayley_rotation_frozen():
     # untouched slot: the usual rational rotation with t = 1
-    j = JSignature.trivial(1)
+    j = JSignature([False] * 1)
     G = cayley(lie_generator(1, 2, j))
     assert G.get(1, 1) == DualElement.zero(1)
     assert G.get(1, 2) == DualElement.one(1)
@@ -204,7 +204,7 @@ def test_quadratic_form_invariance():
 
 
 def test_singular_matrix_raises():
-    i1 = DualElement.iota(1, 1)
+    i1 = DualElement.monomial(1, 1)
     M = QTensor(2, 1, {(1, 1): i1, (2, 2): DualElement.one(1)})
     with pytest.raises(SingularMatrixError):
         solve(M, QTensor.identity(2, 1))
@@ -261,12 +261,12 @@ def test_commutator_closure_all_signatures():
 
 
 def test_generator_span_rejects_outside_elements():
-    j = JSignature.trivial(2)
+    j = JSignature([False] * 2)
     M = QTensor.identity(3, 2)
     assert not in_generator_span(M, j)  # symmetric part present
     # antisymmetric, but entry (1,2) lacks the weight J(1,2) = iota_1
     j = JSignature.parse("iota,1")
-    assert not in_generator_span(lie_generator(1, 2, JSignature.trivial(2)), j)
+    assert not in_generator_span(lie_generator(1, 2, JSignature([False] * 2)), j)
     assert in_generator_span(lie_generator(1, 2, j), j)
 
 
@@ -286,7 +286,7 @@ def test_weight_pattern_frozen_n3():
 
 def test_weight_pattern_trivial_signature():
     for N in (2, 3, 4, 5):
-        pat = weight_pattern_symplectic(JSignature.trivial(N - 1))
+        pat = weight_pattern_symplectic(JSignature([False] * (N - 1)))
         assert all(v == (0,) for v in pat.values())
 
 
@@ -362,7 +362,7 @@ def test_antidiagonal_form_invariance_on_vectors():
 
 
 def test_make_special_shape_guard():
-    j = JSignature.trivial(2)
+    j = JSignature([False] * 2)
     with pytest.raises(DimensionError):
         make_special([[1, 2], [3, 4]], j)
 
@@ -371,6 +371,6 @@ def test_cartesian_vector_weights():
     j = JSignature.parse("iota,iota")
     x = cartesian_vector([1, 1, 1], j)
     assert x[0] == DualElement.one(2)
-    assert x[1] == DualElement.iota(2, 1)
-    assert x[2] == DualElement.iota(2, 1) * DualElement.iota(2, 2)
+    assert x[1] == DualElement.monomial(2, 1)
+    assert x[2] == DualElement.monomial(2, 1) * DualElement.monomial(2, 2)
 

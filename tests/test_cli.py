@@ -300,12 +300,31 @@ def test_out_of_range_inputs_exit_2_before_any_work(monkeypatch, capsys, argv):
     assert argv[-2] in capsys.readouterr().err
 
 
+RMATRIX_N3_IOTA1_LATEX_SHA256 = (
+    "41ade498d1c45539283139000c1ec8f21065f78bdb44a9880c042b30652db46d")
+
+
 def test_rmatrix_latex_matches_golden_digest(tmp_path):
     out = tmp_path / "rm.tex"
     assert cli.main(["rmatrix", "--n", "3", "--j", "iota,1",
                      "--format", "latex", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "41ade498d1c45539283139000c1ec8f21065f78bdb44a9880c042b30652db46d")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RMATRIX_N3_IOTA1_LATEX_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_rmatrix_forms_r_plus_minus_only_for_json(tmp_path, monkeypatch, fmt):
+    # text and LaTeX print only R and C, so they neither pay for R+/R-
+    # nor fail over them
+    def refuse(R, j=None):
+        raise ArithmeticError("r_plus_minus formed")
+
+    monkeypatch.setattr(rmatrix, "r_plus_minus", refuse)
+    argv = ["rmatrix", "--n", "3", "--j", "iota,1", "--format", fmt]
+    out = tmp_path / ("rm." + fmt)
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == (N34_DIGESTS[" ".join(argv)] if fmt == "text"
+                      else RMATRIX_N3_IOTA1_LATEX_SHA256)
 
 
 @pytest.mark.parametrize("command", ["dual", "classical", "verify"])

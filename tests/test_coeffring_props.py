@@ -130,10 +130,10 @@ def test_raw_products_keep_the_v_degree_cap(v1, v2, c1, c2):
     assume(c1 and c2)
     # q - q^-1 times c v^k has v-degree k, and the product's top
     # v-degree is v1 + v2
-    x = ScalarExpr.lam() * ScalarExpr.v_power(v1, c1) + ScalarExpr.one()
-    y = ScalarExpr.v_power(v2, c2) + ScalarExpr.s_power(1)
-    dx = DualElement.scalar(N, x) + DualElement.iota(N, 1)
-    dy = DualElement.scalar(N, y) + DualElement.iota(N, 2)
+    x = ScalarExpr.lam() * ScalarExpr({(0, v1): c1}) + ScalarExpr.one()
+    y = ScalarExpr({(0, v2): c2}) + ScalarExpr.s_power(1)
+    dx = DualElement.scalar(N, x) + DualElement.monomial(N, 1)
+    dy = DualElement.scalar(N, y) + DualElement.monomial(N, 2)
     if v1 + v2 > _V_CAP:
         with pytest.raises(DegreeCapError):
             x * y

@@ -45,7 +45,7 @@ def test_cross_copy_mul_commutes():
 
 
 def test_nilpotent_coefficient_kills_product():
-    i1 = DualElement.iota(1, 1)
+    i1 = DualElement.monomial(1, 1)
     p = gen(t(1, 1), coeff=i1) * gen(t(1, 2), coeff=i1)
     assert p.is_zero()
 
@@ -87,7 +87,7 @@ def test_substitute_is_algebra_map():
 
 
 def test_evaluate_commutative():
-    vals = {t(1, 1): DualElement.scalar(1, 3), t(1, 2): DualElement.iota(1, 1)}
+    vals = {t(1, 1): DualElement.scalar(1, 3), t(1, 2): DualElement.monomial(1, 1)}
     p = gen(t(1, 1)) * gen(t(1, 2)) - gen(t(1, 2)) * gen(t(1, 1))
     assert p.evaluate(lambda g: vals[g]).is_zero()
     q = gen(t(1, 1)) * gen(t(1, 1))

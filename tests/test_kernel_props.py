@@ -21,11 +21,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ckq.ckclassical import random_cayley  # noqa: E402
-from ckq.coeffring import (_V_CAP, Cyclo8, DegreeCapError, DualElement, JSignature,  # noqa: E402
+from ckq.coeffring import (_V_CAP, Cyclo8, DegreeCapError, DualElement,  # noqa: E402
                            ScalarExpr, _dots)
 from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
 from ckq.qgroup import build_t  # noqa: E402
 from ckq.rmatrix import QTensor, _embed3  # noqa: E402
+from conftest import all_signatures  # noqa: E402
 
 PROPS = settings(derandomize=True, max_examples=100, deadline=None)
 FEW = settings(PROPS, max_examples=30)
@@ -130,11 +131,11 @@ def test_dot_is_the_fold_of_products(pairs):
 
 
 def test_dot_kills_squared_nilpotents_and_caps_the_v_degree():
-    i1, i2 = DualElement.iota(N, 1), DualElement.iota(N, 2)
+    i1, i2 = DualElement.monomial(N, 1), DualElement.monomial(N, 2)
     assert DualElement.dot(N, [(i1, i1 + i2), (i2, i1)]) == i1 * i2 * 2
     assert DualElement.dot(N, [(i1, i2), (-i2, i1)]) == DualElement.zero(N)
-    hi = DualElement.scalar(N, ScalarExpr.v_power(_V_CAP - 1))
-    v = DualElement.scalar(N, ScalarExpr.v_power(1))
+    hi = DualElement.scalar(N, ScalarExpr({(0, _V_CAP - 1): 1}))
+    v = DualElement.scalar(N, ScalarExpr({(0, 1): 1}))
     assert DualElement.dot(N, [(hi, v)]) == hi * v
     with pytest.raises(DegreeCapError):
         DualElement.dot(N, [(hi, v), (hi, v * v)])
@@ -349,7 +350,7 @@ def test_dots_is_the_per_key_fold(dual_keyed, poly_keyed):
 
 
 def test_dots_drops_a_cancelled_key_and_keeps_first_seen_order():
-    a, b = DualElement.iota(N, 1) + 2, DualElement.iota(N, 2)
+    a, b = DualElement.monomial(N, 1) + 2, DualElement.monomial(N, 2)
     by_key = {"z": [(a, b)], "gone": [(a, b), (-a, b)], "a": [(b, b), (a, a)]}
     for table in (None, {}):
         got = _dots(N, by_key, table)
@@ -395,7 +396,7 @@ def test_tabled_dot_is_the_plain_dot(pairs):
 
 def test_tabled_dot_edge_cases():
     table = {}
-    a, b = DualElement.iota(N, 1) + 2, DualElement.iota(N, 2)
+    a, b = DualElement.monomial(N, 1) + 2, DualElement.monomial(N, 2)
     assert DualElement.dot(N, [], table) is DualElement.zero(N)
     ab = DualElement.dot(N, [(a, b)], table)
     assert ab == a * b
@@ -410,8 +411,8 @@ def test_tabled_dot_edge_cases():
 
 
 def test_tabled_dot_stores_no_error():
-    hi = DualElement.scalar(N, ScalarExpr.v_power(_V_CAP - 1))
-    v2 = DualElement.scalar(N, ScalarExpr.v_power(2))
+    hi = DualElement.scalar(N, ScalarExpr({(0, _V_CAP - 1): 1}))
+    v2 = DualElement.scalar(N, ScalarExpr({(0, 2): 1}))
     table = {}
     for _ in range(2):
         with pytest.raises(DegreeCapError):
@@ -476,7 +477,7 @@ def test_tabled_substitute_is_the_plain_substitute(p, imgs):
 
 
 # D_3 is the coefficient ring at N = 4
-SIGNATURES_N4 = list(JSignature.all_signatures(4))
+SIGNATURES_N4 = all_signatures(4)
 
 
 @FEW

@@ -3,10 +3,10 @@
 A public module-level function in ``src/ckq`` must be used somewhere else
 in the package or be re-exported by ``ckq/__init__.py``.  Helpers that only
 tests need live in ``tests/`` as oracles.  A public method must be named by
-some attribute reference in the package or the tests, other than in its
-own body, and a private one, module-level or a method, must be named
-somewhere in the package outside its own body.  Nor does the package keep
-process-wide state: no
+some attribute reference in the package, other than in its own body: a
+method that only tests call is dead code too.  A private helper,
+module-level or a method, must likewise be named somewhere in the package
+outside its own body.  Nor does the package keep process-wide state: no
 ``functools.lru_cache`` or ``functools.cache`` decorator and no ``global``
 statement.
 """
@@ -18,17 +18,11 @@ from pathlib import Path
 import ckq
 
 PACKAGE = Path(ckq.__file__).parent
-TESTS = Path(__file__).parent
 
 
 def _trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(PACKAGE.glob("*.py"))}
-
-
-def _test_trees() -> list:
-    return [ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(TESTS.glob("*.py"))]
 
 
 def _attribute_counts(node) -> Counter:
@@ -79,11 +73,11 @@ def test_guard_catches_a_test_only_helper():
                                                "quadratic_form")]
 
 
-def unreferenced_public_methods(trees: dict, test_trees: list) -> list:
+def unreferenced_public_methods(trees: dict) -> list:
     """(module, class, name) of every public method that no attribute
-    reference outside its own body names, in the package or the tests."""
+    reference in the package names outside its own body."""
     refs = Counter()
-    for tree in list(trees.values()) + test_trees:
+    for tree in trees.values():
         refs += _attribute_counts(tree)
     out = []
     for module, tree in trees.items():
@@ -98,7 +92,7 @@ def unreferenced_public_methods(trees: dict, test_trees: list) -> list:
 
 
 def test_every_public_method_is_referenced():
-    assert unreferenced_public_methods(_trees(), _test_trees()) == []
+    assert unreferenced_public_methods(_trees()) == []
 
 
 def test_guard_catches_an_unreferenced_method():
@@ -107,7 +101,7 @@ def test_guard_catches_an_unreferenced_method():
                   if isinstance(node, ast.ClassDef) and node.name == "QTensor")
     tensor.body.append(ast.parse(
         "def determinant(self):\n    return self.determinant()\n").body[0])
-    assert unreferenced_public_methods(trees, _test_trees()) == [
+    assert unreferenced_public_methods(trees) == [
         ("rmatrix.py", "QTensor", "determinant")]
 
 
