@@ -137,7 +137,7 @@ def cmd_relations(ns) -> int:
     # no name holds the group: it, its dot table and the relation set are
     # freed once the document is built, before it is written, so the
     # command never holds both at its peak
-    _write(ns, emit(j, qgroup.QuantumCKGroup(j).relations()))
+    _write(ns, emit(qgroup.QuantumCKGroup(j)))
     return EXIT_PASS
 
 

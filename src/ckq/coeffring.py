@@ -43,13 +43,12 @@ zero, as ``*`` does, and any other sum is formed afresh by ``_dual_dot``.
 
 A table belongs to one ``qgroup.QuantumCKGroup``, whose R-derived
 coefficients repeat: relation generation, the cofactors, the coproduct
-certificate, bridge and assembly check, and the ``qdual`` checks sum
-through it, so the 6,030 coefficients of the 557 relations at N=5
-iota,1,iota,1 are 26 objects.  Sums where no group exists take no table:
-the R-matrix checks of ``rmatrix`` on the bare R, and ``ckclassical``
-with the ``classical`` suite, whose random Cayley samples hardly repeat
-(18,472 distinct tuples among 24,590 sums at N=5).  The antipode
-certificate of ``qgroup`` is not tabled yet.
+certificate, bridge and assembly check, the antipode certificate and
+the ``qdual`` checks sum through it, so the 6,030 coefficients of the
+557 relations at N=5 iota,1,iota,1 are 26 objects.  Sums where no group
+exists take no table: the R-matrix checks of ``rmatrix`` on the bare R,
+and ``ckclassical`` with the ``classical`` suite, whose random Cayley
+samples hardly repeat (18,472 distinct tuples among 24,590 sums at N=5).
 """
 
 from __future__ import annotations

@@ -5,13 +5,11 @@ braiding tensor R, the metric C, the generating matrix T and the relation
 ideal once each, on first use, and every check here and in ``qdual`` and
 ``cli`` reads them from it.  It also owns the ``DualElement.dot`` table
 (``dot_table``) through which relation generation (the exchange
-components and the cofactors), the coproduct certificate, its splitting
-bridge and its assembly check, and the ``qdual`` checks sum their
-coefficients by the summing rule of ``coeffring``, so each distinct
-coefficient of the group is formed once and held as one object.  The
-antipode certificate, and the matrix and pair products inside the
-coproduct certificate (``verify_delta_compat``), still multiply without
-it.
+components and the cofactors), the coproduct and antipode certificates,
+the coproduct's splitting bridge and assembly check, and the ``qdual``
+checks sum their coefficients by the summing rule of ``coeffring``, so
+each distinct coefficient of the group is formed once and held as one
+object.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the classical weight pattern allows there, so the
@@ -24,10 +22,9 @@ entries of the cofactors M = T C T^t - C and L = T^t C T - C
 checked when the group builds it, so the same two cofactors factor the
 antipode defects S(T) T - I = C L and T S(T) - I = M C.  T and every
 matrix built from it are two-leg ``QTensor`` instances with ``NCPoly``
-entries.  The exchange components, and both sides of their coproduct
-certificates, are four-leg ``QTensor`` sums of products as the paper
-writes them: T1 T2 is ``QTensor.pair(T)``, T2 T1 its ``flipped()``, and
-each sum is one ``QTensor.dot``.
+entries.  The exchange components are four-leg ``QTensor`` sums of
+products as the paper writes them: T1 T2 is ``QTensor.pair(T)``, T2 T1
+its ``flipped()``, and the sum is one ``QTensor.dot``.
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
 expansion; the compatibility of the coproduct with the exchange relations
@@ -40,11 +37,10 @@ matrices.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .coeffring import DualElement, JSignature, interned
 from .ckclassical import weight_pattern_symplectic
-from .rmatrix import QTensor, contract, frt_c, frt_r, q_scalar, rho2
+from .rmatrix import QTensor, _compose, contract, frt_c, frt_r, q_scalar, rho2
 from .freealg import GenSymbol, NCPoly, mat_symbol
 
 
@@ -79,10 +75,10 @@ def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> QTensor:
     return QTensor(j.N, n, data)
 
 
-def t_symbols(j: JSignature, copy: int = 0) -> tuple:
-    """All generator symbols of T(j), in canonical (row-major, mask) order:
-    the words of the entries of ``build_t(j, copy)``."""
-    return tuple(g for e in build_t(j, copy).data.values() for (g,) in e.terms)
+def t_symbols(T: QTensor) -> tuple:
+    """All generator symbols of a split T from ``build_t``, in canonical
+    (row-major, mask) order: the words of its entries."""
+    return tuple(g for e in T.data.values() for (g,) in e.terms)
 
 
 def splitting_map(*copies: QTensor):
@@ -166,19 +162,12 @@ def _holds(held, p: NCPoly) -> bool:
     return bool(held) and (p in held or -p in held)
 
 
-def _exchange_pairs(T: QTensor, R: QTensor, table: dict | None = None) -> list:
-    """R T1 T2 - T2 T1 R as the pairs of one ``QTensor.dot``, with the
-    entries of R and -R lifted to constant polynomials; T1 T2 is formed
-    through ``table`` too."""
-    TT = QTensor.pair(T, table)
-    return [(_scalars(R, table), TT),
-            (TT.flipped(), _scalars(R.scale(-1), table))]
-
-
 def rtt_components(T: QTensor, R: QTensor, table: dict | None = None) -> QTensor:
     """The braid-exchange components R T1 T2 - T2 T1 R, as a tensor;
     ``table`` as in ``QTensor.dot``."""
-    return QTensor.dot(_exchange_pairs(T, R, table), table)
+    TT = QTensor.pair(T, table)
+    return QTensor.dot([(_scalars(R, table), TT),
+                        (TT.flipped(), _scalars(R.scale(-1), table))], table)
 
 
 def rtt_relations(T: QTensor, R: QTensor, table: dict | None = None) -> RelationSet:
@@ -281,11 +270,11 @@ def counit_leg(p: NCPoly, leg: int = 0) -> NCPoly:
     return p.substitute(fn)
 
 
-def antipode(T: QTensor, C: QTensor) -> QTensor:
+def antipode(T: QTensor, C: QTensor, table: dict | None = None) -> QTensor:
     """S(T) = C T^t C^(-1) = C T^t C for the involutive metric, entrywise
-    scalar times a mirrored entry."""
-    Cp = _scalars(C)
-    return Cp @ T.transpose() @ Cp
+    scalar times a mirrored entry; ``table`` as in ``QTensor.dot``."""
+    Cp = _scalars(C, table)
+    return QTensor.dot([(QTensor.dot([(Cp, T.transpose())], table), Cp)], table)
 
 
 # ------------------------------------------------------------- verification
@@ -342,10 +331,8 @@ class QuantumCKGroup:
 
     @cached_property
     def dot_table(self) -> dict:
-        """The group's ``DualElement.dot`` table.  Relation generation
-        (``full_relation_set``, ``cofactors``), the coproduct certificate
-        and its splitting bridge (``verify_delta_compat``), the assembly
-        check (``verify_coproduct_assembly``) and the ``qdual`` checks sum
+        """The group's ``DualElement.dot`` table.  Relation generation,
+        the coproduct and antipode checks and the ``qdual`` checks sum
         products of the same few R-derived coefficients over and over, and
         read it, so every relation coefficient is one interned object per
         value.  It holds only D_n values of this group."""
@@ -402,11 +389,51 @@ def counit_annihilates(rels: RelationSet) -> bool:
     return all(counit(p).is_zero() for p in rels)
 
 
-def _certificate_pairs(A: QTensor, B: QTensor, relA: QTensor,
-                       relB: QTensor) -> list:
-    """The certificate relA B1 B2 + A2 A1 relB over the exchange components
-    of A and B, as the pairs of one ``QTensor.dot``."""
-    return [(relA, QTensor.pair(B)), (QTensor.pair(A).flipped(), relB)]
+def _row_order(N: int) -> list:
+    """The output rows (a, b) of a coproduct certificate: R's mirror rows
+    (a, a'), which read the pair rows (c, c'), then each row by its flip."""
+    rng = range(1, N + 1)
+    return [(a, N + 1 - a) for a in rng] + [
+        o for a in rng for b in rng if a <= b and a + b != N + 1
+        for o in dict.fromkeys(((a, b), (b, a)))]
+
+
+def _certificate_rows(A: QTensor, B: QTensor, relA: QTensor, relB: QTensor,
+                      table: dict | None):
+    """The rows of the certificate relA B1 B2 + A2 A1 relB over the
+    exchange components of A and B, as dicts in ``_row_order``."""
+    n = A.n
+    BB = QTensor.pair(B, table).by_output()
+    rA, rB, ix = relA.by_output(), relB.by_output(), A.by_output()
+    for o in _row_order(A.N):
+        a, b = o
+        AA = {o + (c, d): NCPoly.dot(n, ((y, x),), table)
+              for (d,), y in ix.get((b,), ()) for (c,), x in ix.get((a,), ())}
+        yield _compose(n, [({o + ins: u for ins, u in rA.get(o, ())}, BB),
+                           (AA, rB)], table)
+
+
+def _target_rows(AB: QTensor, R: QTensor, table: dict | None):
+    """The rows of R (AB)1 (AB)2 - (AB)2 (AB)1 R, as dicts in
+    ``_row_order``.  Row o reads the pair rows (p, q) -> {(r, s): AB[p,r]
+    AB[q,s]} that R's row o reaches, and pair row o reversed; each is
+    built at its first reader and dropped after its last."""
+    n, ix = AB.n, AB.by_output()
+    Rs, mRs = (_scalars(X, table).by_output() for X in (R, R.scale(-1)))
+    order = _row_order(AB.N)
+    reads = {o: {pq for pq, _ in Rs.get(o, ())} | {o[::-1]} for o in order}
+    last = {pq: o for o in order for pq in reads[o]}
+    held: dict = {}
+    for o in order:
+        for p, q in reads[o] - held.keys():
+            held[p, q] = [((r, s), NCPoly.dot(n, ((x, y),), table))
+                          for (r,), x in ix.get((p,), ()) for (s,), y in ix.get((q,), ())]
+        yield _compose(n, [({o + pq: r for pq, r in Rs.get(o, ())}, held),
+                           ({o + (s, r): v for (r, s), v in held[o[::-1]]}, mRs)],
+                       table)
+        for pq in reads[o]:
+            if last[pq] == o:
+                del held[pq]
 
 
 def verify_delta_compat(G: QuantumCKGroup) -> dict:
@@ -415,12 +442,10 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     The components of R (T T')1 (T T')2 - (T T')2 (T T')1 R, the exchange
     components of the product, must equal the two-term membership
     certificate over the copy-0 and copy-1 exchange relations.  Both are
-    expanded exactly and compared one output row (i, j) at a time, so
-    neither is held whole; the first differing component is reported.
-    The row sums of both sides, the exchange components of A, B and A B,
-    and the splitting bridge sum their coefficients through the group's
-    ``dot_table``; the matrix product A B and the products A1 A2 and
-    B1 B2 of ``_certificate_pairs`` are formed without it.
+    expanded exactly and compared one output row at a time
+    (``_certificate_rows``, ``_target_rows``), so neither is held whole;
+    the first differing row raises, naming its least differing component.
+    Every product and sum goes through the group's ``dot_table``.
 
     This runs in the entry-level algebra; the splitting homomorphism
     (entry lookups in the group's T, verified on every relation component
@@ -431,14 +456,13 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
 
     def check(A: QTensor, B: QTensor, relA: QTensor) -> int:
         """relA is rtt_components(A, R, table)."""
-        sides = (_certificate_pairs(A, B, relA, rtt_components(B, R, table)),
-                 _exchange_pairs(A @ B, R, table))
-        for o in product(range(1, N + 1), repeat=2):
-            cert, target = (QTensor.dot([(X.row(o), Y) for X, Y in pairs], table)
-                            for pairs in sides)
+        for cert, target in zip(
+                _certificate_rows(A, B, relA, rtt_components(B, R, table), table),
+                _target_rows(QTensor.dot([(A, B)], table), R, table)):
             if cert != target:
-                raise ArithmeticError("certificate mismatch at %s"
-                                      % (min((cert - target).data),))
+                raise ArithmeticError("certificate mismatch at %s" % (min(
+                    k for k in cert.keys() | target.keys()
+                    if cert.get(k) != target.get(k)),))
         return N ** 4
 
     A0 = build_t(j, copy=0, atomic=True)
@@ -469,28 +493,32 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     The metric is an involution (``QuantumCKGroup.C`` checks it), so
     C^(-1) reads C throughout.
 
-    Both identities are replayed by exact expansion; a mismatch raises
-    ArithmeticError.  The certificate holds when every nonzero entry of L
-    and M is (up to sign) a generator of the relation set; the entries
-    that are not are listed under "uncertified", which leaves the axiom
-    unrefuted but not proved.
+    Both identities are replayed by exact expansion through the group's
+    ``dot_table``; a mismatch raises ArithmeticError.  The certificate
+    holds when every nonzero entry of L and M is (up to sign) a generator
+    of the relation set; the entries that are not are listed under
+    "uncertified", which leaves the axiom unrefuted but not proved.
 
     S^2 is conjugation by q^(2 rho): entry (i,k) of S(S(T)) is t[i,k]
     times q^(2 rho_k - 2 rho_i), contracted with the signature when G is.
     This is an identity of polynomial matrices, so the entries where it
     fails are listed under "s_squared_refuted" and refute the antipode.
     """
-    T = G.T
+    T, table = G.T, G.dot_table
     N, n = G.N, G.n
-    Cp = _scalars(G.C)
+    Cp = _scalars(G.C, table)
     I = _scalars(QTensor.identity(N, n))
-    S = antipode(T, G.C)
+    S = antipode(T, G.C, table)
     M, L = G.cofactors
-    if (S @ T) - I != Cp @ L:
+
+    def mul(X, Y):
+        return QTensor.dot([(X, Y)], table)
+
+    if mul(S, T) - I != mul(Cp, L):
         raise ArithmeticError("certificate mismatch in S(T)T - I = C L")
-    if (T @ S) - I != M @ Cp:
+    if mul(T, S) - I != mul(M, Cp):
         raise ArithmeticError("certificate mismatch in TS(T) - I = M C^-1")
-    S2 = antipode(S, G.C)
+    S2 = antipode(S, G.C, table)
     r2 = rho2(N)
     j = G.j if G.contracted else None
     refuted = []

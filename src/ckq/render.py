@@ -21,7 +21,7 @@ from .ckclassical import weight_pattern_symplectic
 from .coeffring import (DualElement, JSignature, ScalarExpr, _compound,
                         _signed_sum)
 from .freealg import GenSymbol, NCPoly, word_key
-from .qgroup import t_symbols
+from .qgroup import QuantumCKGroup, t_symbols
 
 _FAMILY_TEX = {"mat": "t", "upper": "l^{+}", "lower": "l^{-}"}
 
@@ -240,21 +240,23 @@ def _memo(fn):
     return once
 
 
-def relations_json(j: JSignature, rels) -> dict:
+def relations_json(G: QuantumCKGroup) -> dict:
     """Equal symbols and equal coefficients share one fragment object, so
     ``write_json`` writes each of them once."""
+    j = G.j
     symbol = _memo(symbol_json)
     coeff = _memo(dual_json)
     return {
         "n": j.N,
         "j": signature_json(j),
-        "symbols": [symbol(g) for g in t_symbols(j)],
+        "symbols": [symbol(g) for g in t_symbols(G.T)],
         "relations": [{"terms": poly_json(p, symbol, coeff), "source": src}
-                      for p, src in rels.tagged()],
+                      for p, src in G.relations().tagged()],
     }
 
 
-def relations_text(j: JSignature, rels) -> str:
+def relations_text(G: QuantumCKGroup) -> str:
+    j, rels = G.j, G.relations()
     lines = ["# n=%d j=%s relations=%d" % (j.N, ",".join(signature_json(j)),
                                            len(rels.polys))]
     coeff = _memo(str)
@@ -264,7 +266,8 @@ def relations_text(j: JSignature, rels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def relations_tex(j: JSignature, rels) -> str:
+def relations_tex(G: QuantumCKGroup) -> str:
+    j, rels = G.j, G.relations()
     symbol = _memo(EntryNaming(weight_pattern_symplectic(j)).symbol_tex)
     coeff = _memo(dual_tex)
     lines = ["%% n=%d j=%s" % (j.N, ",".join(signature_json(j))),

@@ -9,10 +9,10 @@ q^a -> 1 + a*J*v.
 ``QTensor`` is the one operator type: a matrix, such as the metric C, a
 group element of ``ckclassical`` or the generating matrix T of
 ``qgroup``, is a two-leg tensor keyed (i, k), and the braiding tensor R
-and the exchange components have four legs.  ``QTensor.dot`` is the one
-place where tensors are composed, by ``@``, ``apply_vec``, ``qgroup`` and
-``qdual``; it sums the entry pairs that land on each output key by the
-summing rule of ``coeffring``.  ``dot``, ``apply_vec`` and ``pair`` (the
+and the exchange components have four legs.  ``QTensor.dot`` and its
+kernel ``_compose`` are the one place where tensors are composed, by
+``@``, ``apply_vec``, ``qgroup`` and ``qdual``; they sum the entry pairs
+that land on each output key by the summing rule of ``coeffring``.  ``dot``, ``apply_vec`` and ``pair`` (the
 one-pair ``dot`` of each two entries) take the group's dot table
 (``QuantumCKGroup.dot_table``) from the checks that own one; the R-matrix
 checks here, and the classical matrices, have no group and sum without
@@ -118,11 +118,6 @@ class QTensor:
         """Output and input halves of every key exchanged."""
         h = len(next(iter(self.data), ())) // 2
         return QTensor(self.N, self.n, {k[h:] + k[:h]: v for k, v in self.data.items()})
-
-    def row(self, out: tuple) -> "QTensor":
-        """The entries whose output half is ``out``."""
-        row = {out + ins: v for ins, v in self.by_output().get(out, ())}
-        return QTensor(self.N, self.n, row)
 
     def by_output(self) -> dict:
         """Output half -> [(input half, entry), ...], built on first use."""

@@ -34,6 +34,23 @@ def test_relations_json_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "relations_n3_trivial.json").read_bytes()
 
 
+def test_relations_json_builds_t_once(tmp_path, monkeypatch):
+    # the document's symbols are read off the T its relations were built from
+    calls = []
+    real = qgroup.build_t
+
+    def counted(j, copy=0, atomic=False):
+        calls.append((copy, atomic))
+        return real(j, copy, atomic)
+
+    monkeypatch.setattr(qgroup, "build_t", counted)
+    out = tmp_path / "rel.json"
+    assert cli.main(["relations", "--n", "3", "--j", "1,1",
+                     "--format", "json", "--out", str(out)]) == 0
+    assert calls == [(0, False)]
+    assert out.read_bytes() == (GOLDEN / "relations_n3_trivial.json").read_bytes()
+
+
 def test_relations_latex_matches_golden(tmp_path):
     out = tmp_path / "rel.tex"
     rc = cli.main(["relations", "--n", "3", "--j", "1,1",
@@ -423,7 +440,7 @@ def test_uncertified_antipode_reports_inconclusive_exit_3(monkeypatch, capsys):
 
 
 def test_antipode_certificate_mismatch_reports_error(monkeypatch, capsys):
-    monkeypatch.setattr(qgroup, "antipode", lambda T, C: T.transpose())
+    monkeypatch.setattr(qgroup, "antipode", lambda T, C, table=None: T.transpose())
     rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite",
                    "antipode", "--jobs", "1", "--format", "json"])
     assert rc == 1

@@ -103,8 +103,9 @@ def test_degree_one_tables_are_triangular():
 
 def test_off_triangle_functionals_vanish_beyond_degree_one():
     ctx = pairing(J33)
-    words = [(s,) for s in t_symbols(J33)]
-    words += [(s, t) for s in t_symbols(J33)[:5] for t in t_symbols(J33)[:5]]
+    syms = t_symbols(build_t(J33))
+    words = [(s,) for s in syms]
+    words += [(s, t) for s in syms[:5] for t in syms[:5]]
     for w in words:
         assert ctx.pair(upper_symbol(3, 1), w).is_zero()
         assert ctx.pair(lower_symbol(1, 3), w).is_zero()
@@ -129,7 +130,7 @@ def test_unit_functional_pairs_as_counit():
             for l in range(1, 4):
                 expect = one(j.n) if k == l else zero(j.n)
                 assert ctx.pair((), T.get(k, l)) == expect
-        for g in t_symbols(j):
+        for g in t_symbols(build_t(j)):
             expect = one(j.n) if (g.i == g.k and g.mask == 0) else zero(j.n)
             assert ctx.pair((), (g,)) == expect
 
@@ -167,7 +168,7 @@ def test_split_values_carry_leftover_weights():
 def test_pair_is_bilinear():
     rng = seeded("qdual-bilinear")
     ctx = pairing(J33)
-    syms = t_symbols(J33)
+    syms = t_symbols(build_t(J33))
     duals = dual_symbols(3)
     for _ in range(12):
         w1 = tuple(rng.choice(syms) for _ in range(2))
@@ -192,7 +193,7 @@ def test_multiplication_is_dual_to_coproduct():
     rng = seeded("qdual-convolution")
     for j in (J30, J33):
         ctx = pairing(j)
-        syms = t_symbols(j)
+        syms = t_symbols(build_t(j))
         for _ in range(10):
             x = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
             y = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
@@ -213,7 +214,7 @@ def test_left_and_right_folds_agree_on_split_words():
     for j in (J30, J33):
         ctx = pairing(j)
         oracle = RightFold(ctx)
-        syms = t_symbols(j)
+        syms = t_symbols(build_t(j))
         duals = dual_symbols(3)
         words = [(a, b) for a in syms for b in syms]
         words += [tuple(rng.choice(syms) for _ in range(3)) for _ in range(60)]

@@ -76,7 +76,7 @@ def test_build_t_split_entry_structure():
 ])
 def test_symbol_count_n3(spec, count):
     j = JSignature.parse(spec)
-    syms = t_symbols(j)
+    syms = t_symbols(build_t(j))
     assert len(syms) == count
     assert len(set(syms)) == count
     pat = weight_pattern_symplectic(j)
@@ -84,8 +84,8 @@ def test_symbol_count_n3(spec, count):
 
 
 def test_symbol_count_n4():
-    assert len(t_symbols(JSignature([False] * 3))) == 16
-    assert len(t_symbols(JSignature.parse("iota,iota,iota"))) == 48
+    assert len(t_symbols(build_t(JSignature([False] * 3)))) == 16
+    assert len(t_symbols(build_t(JSignature.parse("iota,iota,iota")))) == 48
 
 
 # ------------------------------------------------------------- relation sets
@@ -356,13 +356,18 @@ def test_delta_compat_certificates_n4_sample():
     assert rep["split_components"] == 0  # atomic + bridge only at N=4
 
 
+def _rows(rows) -> dict:
+    """The components of a certificate side, joined from its rows."""
+    return {k: v for row in rows for k, v in row.items()}
+
+
 @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "split"])
 @pytest.mark.parametrize("spec", [str(j) for j in all_signatures(3)]
                          + ["1,1,1", "iota,1,iota"])
 def test_exchange_tensors_match_the_per_component_oracle(spec, atomic):
-    # the tensor forms of R T1 T2 - T2 T1 R, of the coproduct certificate
-    # and of its target (the components of A B) agree with the
-    # component-by-component sums, zero components dropped; the
+    # the tensor form of R T1 T2 - T2 T1 R, and the rows of the coproduct
+    # certificate and of its target (the components of A B), agree with
+    # the component-by-component sums, zero components dropped; the
     # certificate is compared once more with one copy-1 component perturbed
     j = JSignature.parse(spec)
     G = QuantumCKGroup(j)
@@ -371,26 +376,31 @@ def test_exchange_tensors_match_the_per_component_oracle(spec, atomic):
     nonzero = lambda comps: {k: p for k, p in comps.items() if p}
     assert relA.data == nonzero(exchange_oracle.rtt_components(A, G.R))
     assert relB.data == nonzero(exchange_oracle.rtt_components(B, G.R))
+    rng = range(1, j.N + 1)
+    assert sorted(qgroup._row_order(j.N)) == list(product(rng, rng))
     sums = exchange_oracle.certificate_sums(A, B, relA.data, relB.data, G.R)
-    cert = QTensor.dot(qgroup._certificate_pairs(A, B, relA, relB))
-    target = rtt_components(A @ B, G.R)
-    assert cert.data == nonzero({k: c for k, (c, _) in sums.items()})
-    assert target.data == nonzero({k: t for k, (_, t) in sums.items()})
-    assert cert == target
+    cert = _rows(qgroup._certificate_rows(A, B, relA, relB, None))
+    target = _rows(qgroup._target_rows(A @ B, G.R, None))
+    assert cert == nonzero({k: c for k, (c, _) in sums.items()})
+    assert target == nonzero({k: t for k, (_, t) in sums.items()})
+    assert cert == target == rtt_components(A @ B, G.R).data
     data = dict(relB.data)
     data[(2, 1, 1, 2)] = data.get((2, 1, 1, 2), NCPoly.zero(j.n)) + B.get(2, 2)
     sums = exchange_oracle.certificate_sums(A, B, relA.data, data, G.R)
-    cert = QTensor.dot(qgroup._certificate_pairs(A, B, relA, QTensor(B.N, j.n, data)))
-    assert cert.data == nonzero({k: c for k, (c, _) in sums.items()})
+    cert = _rows(qgroup._certificate_rows(A, B, relA, QTensor(B.N, j.n, data), None))
+    assert cert == nonzero({k: c for k, (c, _) in sums.items()})
     assert cert != target
 
 
-def _corrupt_copy_one_component(monkeypatch):
+def _corrupt_component(monkeypatch, copy):
+    """Exchange component (2,1,1,3) of every copy-``copy`` T, atomic and
+    split alike, gains the entry T[3,3], so the splitting bridge still
+    holds and only the certificate can refute it."""
     real = qgroup.rtt_components
 
     def corrupt(T, R, table=None):
         comps = real(T, R, table)
-        if next(iter(T.get(1, 1).terms))[0].copy == 1:
+        if next(iter(T.get(1, 1).terms))[0].copy == copy:
             data = dict(comps.data)
             data[(2, 1, 1, 3)] = data[(2, 1, 1, 3)] + T.get(3, 3)
             comps = QTensor(comps.N, comps.n, data)
@@ -401,9 +411,50 @@ def _corrupt_copy_one_component(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["1,1", "iota,1,iota"])
 def test_delta_compat_refutes_a_corrupt_copy_one_component(monkeypatch, spec):
-    _corrupt_copy_one_component(monkeypatch)
+    _corrupt_component(monkeypatch, 1)
     with pytest.raises(ArithmeticError, match="certificate mismatch"):
         verify_delta_compat(QuantumCKGroup(JSignature.parse(spec)))
+
+
+@pytest.mark.parametrize("spec", ["1,1", "iota,1,iota"])
+def test_delta_compat_refutes_a_corrupt_copy_zero_component(monkeypatch, spec):
+    # relA's corrupt component reaches output row (2, 1) alone, wherever
+    # that row falls in the certificate's row order
+    _corrupt_component(monkeypatch, 0)
+    with pytest.raises(ArithmeticError,
+                       match=r"certificate mismatch at \(2, 1, \d, \d\)$"):
+        verify_delta_compat(QuantumCKGroup(JSignature.parse(spec)))
+
+
+def test_delta_compat_streams_the_certificate_rows(monkeypatch):
+    # no tensor of degree-4 words outgrows one output row (N^2 entries),
+    # and each pair row of (AB)1 (AB)2 is built once: every product of
+    # two entries of A B, whose words mix copies 0 and 1, is formed once
+    j = JSignature.parse("iota,1,iota")
+    G = QuantumCKGroup(j)
+    sizes, pairs = [], []
+    real_init, real_dot = QTensor.__init__, NCPoly.dot.__func__
+
+    def init(self, N, n, data=None):
+        real_init(self, N, n, data)
+        if any(len(w) == 4 for e in self.data.values()
+               if isinstance(e, NCPoly) for w in e.terms):
+            sizes.append(len(self.data))
+
+    def mixed(p):
+        return {g.copy for w in p.terms for g in w} == {0, 1}
+
+    def dot(cls, n, ps, table=None):
+        ps = list(ps)
+        if len(ps) == 1 and all(mixed(p) for p in ps[0]):
+            pairs.append(tuple(map(id, ps[0])))
+        return real_dot(cls, n, ps, table)
+
+    monkeypatch.setattr(QTensor, "__init__", init)
+    monkeypatch.setattr(NCPoly, "dot", classmethod(dot))
+    assert verify_delta_compat(G)["ok"]
+    assert max(sizes, default=0) <= j.N ** 2
+    assert len(pairs) == len(set(pairs)) == j.N ** 4
 
 
 @pytest.mark.parametrize("spec", ["iota,1", "iota,1,iota"])
@@ -536,7 +587,7 @@ def test_sign_key_is_key_up_to_sign(j, contracted):
     in it, adding -p changes nothing, and p plus a generator is not in."""
     rels = QuantumCKGroup(j, contracted=contracted).relations()
     size = len(rels)
-    g = NCPoly.gen(j.n, t_symbols(j)[0])
+    g = NCPoly.gen(j.n, t_symbols(build_t(j))[0])
     for p in list(rels):
         assert p in rels and -p in rels
         assert not rels.add(-p, "flipped")
@@ -553,7 +604,7 @@ def test_relation_set_refuses_negations_and_accepts_new_words(j, monkeypatch):
     rels = RelationSet(source.n)
     for p, src in source.tagged():
         assert rels.add(p, src)
-    g = NCPoly.gen(j.n, t_symbols(j)[0])
+    g = NCPoly.gen(j.n, t_symbols(build_t(j))[0])
     negations = []
     neg = NCPoly.__neg__
     monkeypatch.setattr(NCPoly, "__neg__", lambda p: negations.append(p) or neg(p))

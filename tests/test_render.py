@@ -9,7 +9,7 @@ from ckq import cli, render
 from ckq.ckclassical import weight_pattern_symplectic
 from ckq.coeffring import Cyclo8, JSignature, ScalarExpr
 from ckq.freealg import mat_symbol
-from ckq.qgroup import QuantumCKGroup, t_symbols
+from ckq.qgroup import QuantumCKGroup, build_t, t_symbols
 
 from conftest import all_signatures, rand_cyclo, rand_scalar
 from division_oracle import exact_div
@@ -88,7 +88,7 @@ def test_entry_naming_names_exactly_the_symbols_of_t():
     for N in (3, 4):
         for j in all_signatures(N):
             naming = render.EntryNaming(weight_pattern_symplectic(j))
-            symbols = t_symbols(j) + t_symbols(j, copy=1)
+            symbols = t_symbols(build_t(j)) + t_symbols(build_t(j, copy=1))
             assert len({naming.symbol_tex(g) for g in symbols}) == len(symbols)
     naming = render.EntryNaming(weight_pattern_symplectic(JSignature.parse("iota,iota")))
     assert naming.symbol_tex(mat_symbol(1, 2, 2)) == r"\tilde{t}_{12}"
@@ -145,8 +145,7 @@ class _Writes:
 
 
 def test_relation_document_is_written_one_relation_at_a_time():
-    j = JSignature.parse("iota,1,iota")
-    doc = render.relations_json(j, QuantumCKGroup(j).relations())
+    doc = render.relations_json(QuantumCKGroup(JSignature.parse("iota,1,iota")))
     out = _Writes()
     render.write_json(doc, out)
     assert "".join(out.writes) == json.dumps(doc, sort_keys=True, indent=2)
@@ -159,9 +158,9 @@ def test_relation_document_is_written_one_relation_at_a_time():
 
 
 def test_relation_documents_share_one_fragment_per_value():
-    j = JSignature.parse("iota,1,iota")
-    rels = QuantumCKGroup(j).relations()
-    doc = render.relations_json(j, rels)
+    G = QuantumCKGroup(JSignature.parse("iota,1,iota"))
+    rels = G.relations()
+    doc = render.relations_json(G)
     terms = [t for r in doc["relations"] for t in r["terms"]]
     coeffs = {id(t["coeff"]) for t in terms}
     symbols = {id(g) for t in terms for g in t["word"]}
