@@ -22,9 +22,13 @@ entries of the cofactors M = T C T^t - C and L = T^t C T - C
 checked when the group builds it, so the same two cofactors factor the
 antipode defects S(T) T - I = C L and T S(T) - I = M C.  T and every
 matrix built from it are two-leg ``QTensor`` instances with ``NCPoly``
-entries.  The exchange components are four-leg ``QTensor`` sums of
-products as the paper writes them: T1 T2 is ``QTensor.pair(T)``, T2 T1
-its ``flipped()``, and the sum is one ``QTensor.dot``.
+entries.  The exchange components come from one generator, ``rtt_rows``,
+one output row at a time; each row of T1 T2 that a row reads is built
+once and dropped after its last reader, so no four-leg product is held.
+The relation set adds each row as it arrives, the coproduct certificate
+streams its target and copy-0 relations from it, and the contraction
+check its symbolic components; only the certificate's copy-1 relations,
+which every row reads, are collected whole (``rtt_components``).
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
 expansion; the compatibility of the coproduct with the exchange relations
@@ -37,18 +41,23 @@ matrices.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, product
 
 from .coeffring import DualElement, JSignature, interned
 from .ckclassical import weight_pattern_symplectic
-from .rmatrix import QTensor, _compose, contract, frt_c, frt_r, q_scalar, rho2
+from .rmatrix import QTensor, _compose, contract, frt_c, frt_r, q_scalar, rho2, specializer
 from .freealg import GenSymbol, NCPoly, mat_symbol
 
 
 def _scalars(M, table: dict | None = None):
-    """The scalar matrix or tensor M, entries lifted to constant polynomials;
-    with a ``table``, each entry is first replaced by its ``interned`` value."""
-    return M.map_entries(lambda e: NCPoly.scalar(
-        M.n, e if table is None else interned(table, e)))
+    """The scalar matrix M, entries lifted by ``_lift``."""
+    return M.map_entries(lambda e: _lift(M.n, e, table))
+
+
+def _lift(n: int, e: DualElement, table: dict | None) -> NCPoly:
+    """e as a constant polynomial; with a ``table``, e is first replaced by
+    its ``interned`` value."""
+    return NCPoly.scalar(n, e if table is None else interned(table, e))
 
 
 # --------------------------------------------------------- generating matrix
@@ -110,22 +119,22 @@ class RelationSet:
         self._held: dict = {}
 
     def __contains__(self, p: NCPoly) -> bool:
-        return _holds(self._held.get(hash(frozenset(p.terms)), ()), p)
+        return self.find(p) is not None
+
+    def find(self, p: NCPoly) -> NCPoly | None:
+        """The held relation equal to p or to -p, or None."""
+        return _find(self._held.get(hash(frozenset(p.terms)), ()), p)
 
     def add(self, p: NCPoly, source: str) -> bool:
         if not p:
             return False
         held = self._held.setdefault(hash(frozenset(p.terms)), [])
-        if _holds(held, p):
+        if _find(held, p) is not None:
             return False
         held.append(p)
         self.polys.append(p)
         self.sources.append(source)
         return True
-
-    def extend(self, other: "RelationSet"):
-        for p, s in zip(other.polys, other.sources):
-            self.add(p, s)
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -136,47 +145,75 @@ class RelationSet:
     def tagged(self):
         return zip(self.polys, self.sources)
 
-    def specialize(self, j: JSignature) -> "RelationSet":
-        """The relations with q^a -> 1 + a*J*v applied to every coefficient.
 
-        Each distinct coefficient is specialized once per call; the
-        relations share few of them (152 distinct among 8,700 at N=5
-        iota,1,iota,1).
-        """
-        memo: dict = {}
-
-        def spec(c: DualElement) -> DualElement:
-            out = memo.get(c)
-            if out is None:
-                out = memo[c] = c.specialize(j)
-            return out
-
-        out = RelationSet(self.n)
-        for p, s in self.tagged():
-            out.add(p.map_coeffs(spec), s)
-        return out
+def _find(held, p: NCPoly) -> NCPoly | None:
+    """The relation of ``held``, relations on p's word set, equal to p or
+    to -p, or None; -p is built only when ``held`` is not empty."""
+    if held:
+        for q in held:
+            if q == p:
+                return q
+        neg = -p
+        for q in held:
+            if q == neg:
+                return q
+    return None
 
 
-def _holds(held, p: NCPoly) -> bool:
-    """Whether p or -p is in ``held``, relations on p's word set."""
-    return bool(held) and (p in held or -p in held)
+def _row_order(N: int) -> list:
+    """The output rows (a, b) in the order that holds the fewest pair rows
+    in ``rtt_rows``: R's mirror rows (a, a'), which read the pair rows
+    (c, c'), then each row by its flip."""
+    rng = range(1, N + 1)
+    return [(a, N + 1 - a) for a in rng] + [
+        o for a in rng for b in rng if a <= b and a + b != N + 1
+        for o in dict.fromkeys(((a, b), (b, a)))]
+
+
+def rtt_rows(X: QTensor, R: QTensor, table: dict | None, order: list):
+    """The braid-exchange components R X1 X2 - X2 X1 R of a matrix X, one
+    output row at a time: for each row o = (a, b) of ``order``, a dict
+    (a, b, k, l) -> nonzero component.
+
+    Row o reads the pair rows (p, q) -> {(r, s): X[p,r] X[q,s]} of X1 X2
+    that R's row o reaches, and pair row o reversed for X2 X1; each is
+    built at its first reader and dropped after its last, so no four-leg
+    tensor is formed and each pair row is built once.  Every product and
+    sum goes through ``table`` as in ``QTensor.dot``.
+    """
+    n, ix = X.n, X.by_output()
+    Rs, mRs = ({o: [(pq, _lift(n, e * sign, table)) for pq, e in row]
+                for o, row in R.by_output().items()} for sign in (1, -1))
+    reads = {o: {pq for pq, _ in Rs.get(o, ())} | {o[::-1]} for o in order}
+    last = {pq: o for o in order for pq in reads[o]}
+    held: dict = {}
+    for o in order:
+        for p, q in reads[o] - held.keys():
+            held[p, q] = [((r, s), NCPoly.dot(n, ((x, y),), table))
+                          for (r,), x in ix.get((p,), ()) for (s,), y in ix.get((q,), ())]
+        yield _compose(n, [({o + pq: r for pq, r in Rs.get(o, ())}, held),
+                           ({o + (s, r): v for (r, s), v in held[o[::-1]]}, mRs)],
+                       table)
+        for pq in reads[o]:
+            if last[pq] == o:
+                del held[pq]
 
 
 def rtt_components(T: QTensor, R: QTensor, table: dict | None = None) -> QTensor:
-    """The braid-exchange components R T1 T2 - T2 T1 R, as a tensor;
-    ``table`` as in ``QTensor.dot``."""
-    TT = QTensor.pair(T, table)
-    return QTensor.dot([(_scalars(R, table), TT),
-                        (TT.flipped(), _scalars(R.scale(-1), table))], table)
+    """The braid-exchange components R T1 T2 - T2 T1 R as one tensor, the
+    rows of ``rtt_rows`` collected; ``table`` as in ``QTensor.dot``."""
+    return QTensor(T.N, T.n, {key: p for row in rtt_rows(T, R, table, _row_order(T.N))
+                              for key, p in row.items()})
 
 
 def rtt_relations(T: QTensor, R: QTensor, table: dict | None = None) -> RelationSet:
-    """Deduplicated braid-exchange relations R T1 T2 - T2 T1 R = 0;
-    ``table`` as in ``QTensor.dot``."""
+    """Deduplicated braid-exchange relations R T1 T2 - T2 T1 R = 0, in key
+    order: ``rtt_rows`` in row order, each row's components added as it
+    arrives; ``table`` as in ``QTensor.dot``."""
     rels = RelationSet(T.n)
-    comps = rtt_components(T, R, table).data
-    for key in sorted(comps):
-        rels.add(comps[key], "rtt")
+    for row in rtt_rows(T, R, table, sorted(_row_order(T.N))):
+        for key in sorted(row):
+            rels.add(row[key], "rtt")
     return rels
 
 
@@ -195,14 +232,17 @@ def orthogonality_cofactors(T: QTensor, C: QTensor, table: dict | None = None) -
                  for X, Y in ((T, Tt), (Tt, T)))
 
 
-def orthogonality_relations(cofactors: tuple) -> RelationSet:
+def orthogonality_relations(cofactors: tuple,
+                            rels: RelationSet | None = None) -> RelationSet:
     """Quantum orthogonality T C T^t = T^t C T = C: the entries of the
-    cofactors (M, L) from ``orthogonality_cofactors``, M first, row by row.
+    cofactors (M, L) from ``orthogonality_cofactors``, M first, row by row,
+    added to ``rels`` (a new set by default).
 
     The antipode axiom consumes the same family for C^(-1), which is C
     itself: ``QuantumCKGroup.C`` checks that the metric is an involution.
     """
-    rels = RelationSet(cofactors[0].n)
+    if rels is None:
+        rels = RelationSet(cofactors[0].n)
     for F in cofactors:
         for key in sorted(F.data):
             rels.add(F.data[key], "orth")
@@ -211,10 +251,8 @@ def orthogonality_relations(cofactors: tuple) -> RelationSet:
 
 def full_relation_set(G: QuantumCKGroup) -> RelationSet:
     """The exchange relations, then the orthogonality relations, every
-    coefficient summed through the group's ``dot_table``."""
-    rels = rtt_relations(G.T, G.R, G.dot_table)
-    rels.extend(orthogonality_relations(G.cofactors))
-    return rels
+    coefficient summed through the group's ``dot_table``, in one set."""
+    return orthogonality_relations(G.cofactors, rtt_relations(G.T, G.R, G.dot_table))
 
 
 # ------------------------------------------------------------ Hopf structure
@@ -389,51 +427,31 @@ def counit_annihilates(rels: RelationSet) -> bool:
     return all(counit(p).is_zero() for p in rels)
 
 
-def _row_order(N: int) -> list:
-    """The output rows (a, b) of a coproduct certificate: R's mirror rows
-    (a, a'), which read the pair rows (c, c'), then each row by its flip."""
-    rng = range(1, N + 1)
-    return [(a, N + 1 - a) for a in rng] + [
-        o for a in rng for b in rng if a <= b and a + b != N + 1
-        for o in dict.fromkeys(((a, b), (b, a)))]
+def _certificate_rows(A: QTensor, B: QTensor, relA_rows, relB: QTensor,
+                      table: dict | None, order: list):
+    """The certificate relA B1 B2 + A2 A1 relB over the exchange components
+    of A and B, one output row of ``order`` at a time: each row is an
+    iterator of (key, component) over its N^2 keys in key order, and each
+    component is summed only when the iterator reaches it.
 
+    ``relA_rows`` are A's ``rtt_rows`` in ``order``, read one at a time;
+    every row reads all of relB and of B1 B2, which are held whole.
+    """
+    n, rng = A.n, range(1, A.N + 1)
+    BB, rB, ix = QTensor.pair(B, table).data, relB.data, A.by_output()
 
-def _certificate_rows(A: QTensor, B: QTensor, relA: QTensor, relB: QTensor,
-                      table: dict | None):
-    """The rows of the certificate relA B1 B2 + A2 A1 relB over the
-    exchange components of A and B, as dicts in ``_row_order``."""
-    n = A.n
-    BB = QTensor.pair(B, table).by_output()
-    rA, rB, ix = relA.by_output(), relB.by_output(), A.by_output()
-    for o in _row_order(A.N):
-        a, b = o
-        AA = {o + (c, d): NCPoly.dot(n, ((y, x),), table)
-              for (d,), y in ix.get((b,), ()) for (c,), x in ix.get((a,), ())}
-        yield _compose(n, [({o + ins: u for ins, u in rA.get(o, ())}, BB),
-                           (AA, rB)], table)
+    def components(o: tuple, left: list):
+        """Row o from its left factors (mid, u, right): u times entry
+        mid + (k, l) of the right factor, summed over mid."""
+        for kl in product(rng, rng):
+            yield o + kl, NCPoly.dot(n, [(u, w) for mid, u, right in left
+                                         if (w := right.get(mid + kl)) is not None],
+                                     table)
 
-
-def _target_rows(AB: QTensor, R: QTensor, table: dict | None):
-    """The rows of R (AB)1 (AB)2 - (AB)2 (AB)1 R, as dicts in
-    ``_row_order``.  Row o reads the pair rows (p, q) -> {(r, s): AB[p,r]
-    AB[q,s]} that R's row o reaches, and pair row o reversed; each is
-    built at its first reader and dropped after its last."""
-    n, ix = AB.n, AB.by_output()
-    Rs, mRs = (_scalars(X, table).by_output() for X in (R, R.scale(-1)))
-    order = _row_order(AB.N)
-    reads = {o: {pq for pq, _ in Rs.get(o, ())} | {o[::-1]} for o in order}
-    last = {pq: o for o in order for pq in reads[o]}
-    held: dict = {}
-    for o in order:
-        for p, q in reads[o] - held.keys():
-            held[p, q] = [((r, s), NCPoly.dot(n, ((x, y),), table))
-                          for (r,), x in ix.get((p,), ()) for (s,), y in ix.get((q,), ())]
-        yield _compose(n, [({o + pq: r for pq, r in Rs.get(o, ())}, held),
-                           ({o + (s, r): v for (r, s), v in held[o[::-1]]}, mRs)],
-                       table)
-        for pq in reads[o]:
-            if last[pq] == o:
-                del held[pq]
+    for (a, b), rA in zip(order, relA_rows):
+        yield components((a, b), [(key[2:], u, BB) for key, u in rA.items()] + [
+            ((c, d), NCPoly.dot(n, ((y, x),), table), rB)
+            for (d,), y in ix.get((b,), ()) for (c,), x in ix.get((a,), ())])
 
 
 def verify_delta_compat(G: QuantumCKGroup) -> dict:
@@ -442,42 +460,53 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     The components of R (T T')1 (T T')2 - (T T')2 (T T')1 R, the exchange
     components of the product, must equal the two-term membership
     certificate over the copy-0 and copy-1 exchange relations.  Both are
-    expanded exactly and compared one output row at a time
-    (``_certificate_rows``, ``_target_rows``), so neither is held whole;
-    the first differing row raises, naming its least differing component.
+    expanded exactly.  The target and the copy-0 relations stream from
+    ``rtt_rows`` one output row at a time, and the certificate
+    (``_certificate_rows``) is summed and compared with the target one
+    component at a time, in key order, so the first differing component
+    raises, named; only the copy-1 relations and B1 B2 are held whole.
     Every product and sum goes through the group's ``dot_table``.
 
     This runs in the entry-level algebra; the splitting homomorphism
     (entry lookups in the group's T, verified on every relation component
-    here) transports each certificate to the split symbols.  At N = 3 the
-    certificates are also replayed after splitting.
+    here, row by row as the certificate reads them) transports each
+    certificate to the split symbols.  At N = 3 the certificates are also
+    replayed after splitting.
     """
     j, N, R, table = G.j, G.N, G.R, G.dot_table
+    n, order = G.n, _row_order(N)
+    zero = NCPoly.zero(n)
 
-    def check(A: QTensor, B: QTensor, relA: QTensor) -> int:
-        """relA is rtt_components(A, R, table)."""
-        for cert, target in zip(
-                _certificate_rows(A, B, relA, rtt_components(B, R, table), table),
-                _target_rows(QTensor.dot([(A, B)], table), R, table)):
-            if cert != target:
-                raise ArithmeticError("certificate mismatch at %s" % (min(
-                    k for k in cert.keys() | target.keys()
-                    if cert.get(k) != target.get(k)),))
+    def check(A: QTensor, B: QTensor, relA_rows) -> int:
+        """relA_rows are A's ``rtt_rows`` in ``order``."""
+        rows = zip(_certificate_rows(A, B, relA_rows, rtt_components(B, R, table),
+                                     table, order),
+                   rtt_rows(QTensor.dot([(A, B)], table), R, table, order))
+        for cert, target in rows:
+            for key, c in cert:
+                if c != target.get(key, zero):
+                    raise ArithmeticError("certificate mismatch at %s" % (key,))
         return N ** 4
 
-    A0 = build_t(j, copy=0, atomic=True)
-    B0 = build_t(j, copy=1, atomic=True)
-    relA_atomic = rtt_components(A0, R, table)
-    checked = check(A0, B0, relA_atomic)
-
     # the splitting homomorphism carries each certificate to split symbols:
-    # verify it maps the atomic relation components onto the split ones
+    # verify it maps each atomic row of relation components, as the
+    # certificate reads it, onto the split row
     split = splitting_map(G.T)
-    relA_split = rtt_components(G.T, R, table)
-    ok = relA_atomic.map_entries(lambda p: p.substitute(split, table)) == relA_split
-    split_checked = (check(G.T, build_t(j, copy=1), relA_split)
+    unbridged = []
+
+    def bridged(rows):
+        for o, row, split_row in zip(order, rows, rtt_rows(G.T, R, table, order)):
+            if {k: q for k, p in row.items()
+                    if (q := p.substitute(split, table))} != split_row:
+                unbridged.append(o)
+            yield row
+
+    A0 = build_t(j, copy=0, atomic=True)
+    checked = check(A0, build_t(j, copy=1, atomic=True),
+                    bridged(rtt_rows(A0, R, table, order)))
+    split_checked = (check(G.T, build_t(j, copy=1), rtt_rows(G.T, R, table, order))
                      if N <= 3 else 0)
-    return {"ok": ok, "components": checked,
+    return {"ok": not unbridged, "components": checked,
             "split_components": split_checked}
 
 
@@ -521,11 +550,14 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
     S2 = antipode(S, G.C, table)
     r2 = rho2(N)
     j = G.j if G.contracted else None
+    scales: dict = {}
     refuted = []
     for i in range(1, N + 1):
         for k in range(1, N + 1):
-            scale = q_scalar(n, r2[k - 1] - r2[i - 1], j)
-            if S2.get(i, k) != T.get(i, k) * scale:
+            e = r2[k - 1] - r2[i - 1]
+            if e not in scales:
+                scales[e] = _lift(n, q_scalar(n, e, j), table)
+            if S2.get(i, k) != NCPoly.dot(n, ((T.get(i, k), scales[e]),), table):
                 refuted.append((i, k))
     rels = G.relations()
     uncertified = []
@@ -542,10 +574,27 @@ def verify_antipode(G: QuantumCKGroup) -> dict:
 def contraction_commutes(G: QuantumCKGroup) -> bool:
     """Generate symbolically then contract == generate contracted.
 
-    G is the contracted group; the symbolic one is built here.  Compared
-    as sets up to sign after dropping relations that contract to zero,
-    which is the only way dedup can differ between the two paths.
+    G is the contracted group; the symbolic one is built here.  Its
+    exchange components (streamed by ``rtt_rows``) and cofactor entries
+    are contracted one at a time, each distinct coefficient once, and
+    looked up up to sign in G's relation set, which is the only set held.
+    Relations that contract to zero are dropped, which is the only way
+    dedup can differ between the two paths.  The check passes when every
+    contracted relation is found and every relation of G is hit: the two
+    sets are equal up to sign.
     """
-    a = QuantumCKGroup(G.j, contracted=False).relations().specialize(G.j)
-    b = G.relations()
-    return len(a) == len(b) and all(p in b for p in a)
+    rels = G.relations()
+    H = QuantumCKGroup(G.j, contracted=False)
+    spec = specializer(G.j)
+    symbolic = chain((p for row in rtt_rows(H.T, H.R, H.dot_table, _row_order(G.N))
+                      for p in row.values()),
+                     (p for F in H.cofactors for p in F.data.values()))
+    hit = set()
+    for p in symbolic:
+        q = p.map_coeffs(spec)
+        if q:
+            found = rels.find(q)
+            if found is None:
+                return False
+            hit.add(id(found))
+    return len(hit) == len(rels)

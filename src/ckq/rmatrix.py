@@ -265,7 +265,23 @@ def contract(x: QTensor, j: JSignature) -> QTensor:
     """Apply the slot contraction to every entry of a tensor."""
     if x.n != j.n:
         raise DimensionError("signature D_%d vs tensor D_%d" % (j.n, x.n))
-    return x.map_entries(lambda e: e.specialize(j))
+    return x.map_entries(specializer(j))
+
+
+def specializer(j: JSignature):
+    """The slot contraction of ``j`` as a function on D_n that specializes
+    each distinct value once: R's many entries hold a few values, and the
+    symbolic relations share few coefficients (152 distinct among 8,700
+    at N=5 iota,1,iota,1)."""
+    memo: dict = {}
+
+    def spec(c: DualElement) -> DualElement:
+        out = memo.get(c)
+        if out is None:
+            out = memo[c] = c.specialize(j)
+        return out
+
+    return spec
 
 
 # ------------------------------------------------------------- inversion

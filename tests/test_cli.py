@@ -488,9 +488,10 @@ def test_pairing_detail_states_the_word_length_checked(capsys):
 
 
 def test_verify_all_builds_each_object_once(monkeypatch, capsys):
-    # one contracted relation set, one symbolic one (for contraction), the
-    # orthogonality cofactors of each and one pairing context serve every
-    # suite of the run
+    # one contracted relation set, the orthogonality cofactors of the
+    # contracted and of the symbolic group (contraction streams the
+    # symbolic relations, so it builds no second set) and one pairing
+    # context serve every suite of the run
     built = {"relations": 0, "cofactors": 0, "pairings": 0}
     real_relations = qgroup.full_relation_set
     real_cofactors = qgroup.orthogonality_cofactors
@@ -516,7 +517,7 @@ def test_verify_all_builds_each_object_once(monkeypatch, capsys):
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == len(cli.SUITES)
     # antipode reads the contracted group's cofactors; no suite forms them again
-    assert built == {"relations": 2, "cofactors": 2, "pairings": 1}
+    assert built == {"relations": 1, "cofactors": 2, "pairings": 1}
 
 
 def test_non_orthogonal_samples_report_fail_exit_1(monkeypatch, capsys):

@@ -357,56 +357,73 @@ def test_delta_compat_certificates_n4_sample():
 
 
 def _rows(rows) -> dict:
-    """The components of a certificate side, joined from its rows."""
-    return {k: v for row in rows for k, v in row.items()}
+    """The nonzero components of a certificate side, joined from its rows:
+    dicts, or iterators of (key, component)."""
+    return {k: v for row in rows
+            for k, v in (row.items() if isinstance(row, dict) else row) if v}
 
 
 @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "split"])
 @pytest.mark.parametrize("spec", [str(j) for j in all_signatures(3)]
                          + ["1,1,1", "iota,1,iota"])
 def test_exchange_tensors_match_the_per_component_oracle(spec, atomic):
-    # the tensor form of R T1 T2 - T2 T1 R, and the rows of the coproduct
-    # certificate and of its target (the components of A B), agree with
-    # the component-by-component sums, zero components dropped; the
-    # certificate is compared once more with one copy-1 component perturbed
+    # the rows of R T1 T2 - T2 T1 R in either row order, and the rows of
+    # the coproduct certificate and of its target (the components of A B),
+    # agree with the component-by-component sums, zero components dropped;
+    # the certificate is compared once more with one copy-1 component
+    # perturbed
     j = JSignature.parse(spec)
     G = QuantumCKGroup(j)
     A, B = build_t(j, 0, atomic), build_t(j, 1, atomic)
-    relA, relB = rtt_components(A, G.R), rtt_components(B, G.R)
-    nonzero = lambda comps: {k: p for k, p in comps.items() if p}
-    assert relA.data == nonzero(exchange_oracle.rtt_components(A, G.R))
-    assert relB.data == nonzero(exchange_oracle.rtt_components(B, G.R))
     rng = range(1, j.N + 1)
-    assert sorted(qgroup._row_order(j.N)) == list(product(rng, rng))
+    order = qgroup._row_order(j.N)
+    assert sorted(order) == list(product(rng, rng))
+    nonzero = lambda comps: {k: p for k, p in comps.items() if p}
+    relA, relB = rtt_components(A, G.R), rtt_components(B, G.R)
+    for X, rel in ((A, relA), (B, relB)):
+        assert rel.data == nonzero(exchange_oracle.rtt_components(X, G.R))
+        for o in (order, sorted(order)):
+            rows = list(qgroup.rtt_rows(X, G.R, None, o))
+            assert len(rows) == len(o)
+            assert all({k[:2] for k in row} <= {a} for a, row in zip(o, rows))
+            assert _rows(rows) == rel.data
     sums = exchange_oracle.certificate_sums(A, B, relA.data, relB.data, G.R)
-    cert = _rows(qgroup._certificate_rows(A, B, relA, relB, None))
-    target = _rows(qgroup._target_rows(A @ B, G.R, None))
+
+    def cert_rows(rel):
+        return _rows(qgroup._certificate_rows(
+            A, B, qgroup.rtt_rows(A, G.R, None, order), rel, None, order))
+
+    cert = cert_rows(relB)
+    target = _rows(qgroup.rtt_rows(A @ B, G.R, None, order))
     assert cert == nonzero({k: c for k, (c, _) in sums.items()})
     assert target == nonzero({k: t for k, (_, t) in sums.items()})
     assert cert == target == rtt_components(A @ B, G.R).data
     data = dict(relB.data)
     data[(2, 1, 1, 2)] = data.get((2, 1, 1, 2), NCPoly.zero(j.n)) + B.get(2, 2)
     sums = exchange_oracle.certificate_sums(A, B, relA.data, data, G.R)
-    cert = _rows(qgroup._certificate_rows(A, B, relA, QTensor(B.N, j.n, data), None))
+    cert = cert_rows(QTensor(B.N, j.n, data))
     assert cert == nonzero({k: c for k, (c, _) in sums.items()})
     assert cert != target
 
 
 def _corrupt_component(monkeypatch, copy):
     """Exchange component (2,1,1,3) of every copy-``copy`` T, atomic and
-    split alike, gains the entry T[3,3], so the splitting bridge still
-    holds and only the certificate can refute it."""
-    real = qgroup.rtt_components
+    split alike, gains the entry T[3,3] in every row stream that
+    ``rtt_rows`` yields, the collected ``rtt_components`` included, so the
+    splitting bridge still holds and only the certificate can refute it.
+    The target's rows, of a product whose words mix copies, are left
+    alone."""
+    real = qgroup.rtt_rows
 
-    def corrupt(T, R, table=None):
-        comps = real(T, R, table)
-        if next(iter(T.get(1, 1).terms))[0].copy == copy:
-            data = dict(comps.data)
-            data[(2, 1, 1, 3)] = data[(2, 1, 1, 3)] + T.get(3, 3)
-            comps = QTensor(comps.N, comps.n, data)
-        return comps
+    def corrupt(T, R, table, order):
+        copies = {g.copy for w in T.get(1, 1).terms for g in w}
+        for row in real(T, R, table, order):
+            if copies == {copy} and (2, 1, 1, 3) in row:
+                row = dict(row)
+                row[(2, 1, 1, 3)] = row[(2, 1, 1, 3)] + T.get(3, 3)
+            yield row
 
-    monkeypatch.setattr(qgroup, "rtt_components", corrupt)
+    monkeypatch.setattr(qgroup, "rtt_rows", corrupt)
 
 
 @pytest.mark.parametrize("spec", ["1,1", "iota,1,iota"])
@@ -498,10 +515,15 @@ def test_delta_compat_builds_each_split_entry_once(monkeypatch):
 
 
 def test_relation_specialize_once_per_distinct_coefficient(monkeypatch):
+    # contraction_commutes specializes each distinct coefficient of the
+    # symbolic exchange components and cofactor entries once
     j = JSignature.parse("iota,1,iota")
-    rels = QuantumCKGroup(j, contracted=False).relations()
-    distinct = {c for p in rels for c in p.terms.values()}
-    direct = [p.map_coeffs(lambda c: c.specialize(j)) for p in rels]
+    G = QuantumCKGroup(j)
+    G.relations()
+    H = QuantumCKGroup(j, contracted=False)
+    symbolic = list(rtt_components(H.T, H.R).data.values()) + [
+        p for F in H.cofactors for p in F.data.values()]
+    coeffs = [c for p in symbolic for c in p.terms.values()]
     calls = []
     real = DualElement.specialize
 
@@ -510,13 +532,9 @@ def test_relation_specialize_once_per_distinct_coefficient(monkeypatch):
         return real(self, jj)
 
     monkeypatch.setattr(DualElement, "specialize", counted)
-    out = rels.specialize(j)
-    assert len(calls) == len(distinct) < sum(len(p.terms) for p in rels)
-    monkeypatch.undo()
-    expected = RelationSet(rels.n)
-    for p, src in zip(direct, rels.sources):
-        expected.add(p, src)
-    assert out.polys == expected.polys and out.sources == expected.sources
+    assert contraction_commutes(G)
+    assert len(calls) == len(set(calls)) < len(coeffs)
+    assert set(calls) == set(coeffs)
 
 
 def test_delta_compat_commutative_shadow():
@@ -568,8 +586,8 @@ def test_tabled_relations_are_the_untabled_ones(j, contracted):
     relations, in order and with their sources, are those built with no
     table, and each distinct coefficient value is one object."""
     G = QuantumCKGroup(j, contracted=contracted)
-    plain = rtt_relations(G.T, G.R)
-    plain.extend(orthogonality_relations(orthogonality_cofactors(G.T, G.C)))
+    plain = orthogonality_relations(orthogonality_cofactors(G.T, G.C),
+                                    rtt_relations(G.T, G.R))
     rels = G.relations()
     assert rels.polys == plain.polys and rels.sources == plain.sources
     coeffs = [c for p in rels for c in p.terms.values()]
@@ -625,14 +643,48 @@ def test_relation_set_refuses_negations_and_accepts_new_words(j, monkeypatch):
 
 
 def test_contraction_commutes_compares_relations_up_to_sign():
-    G = QuantumCKGroup(JSignature.parse("iota,1"))
+    # one relation negated still passes; one relation dropped, or one
+    # extra relation added, fails
+    j = JSignature.parse("iota,1")
+    G = QuantumCKGroup(j)
     rels = G.relations()
-    flipped, dropped = RelationSet(rels.n), RelationSet(rels.n)
+    flipped, dropped, extra = (RelationSet(rels.n) for _ in range(3))
     for k, (p, src) in enumerate(rels.tagged()):
         flipped.add(-p if k == 0 else p, src)
+        extra.add(p, src)
         if k:
             dropped.add(p, src)
+    g = NCPoly.gen(j.n, t_symbols(G.T)[0])
+    assert extra.add(rels.polys[0] + g, "extra")
     G.relations = lambda: flipped
     assert contraction_commutes(G)
-    G.relations = lambda: dropped
-    assert not contraction_commutes(G)
+    for wrong in (dropped, extra):
+        G.relations = lambda: wrong
+        assert not contraction_commutes(G)
+
+
+def test_relations_and_contraction_hold_no_four_leg_tensor(monkeypatch):
+    # relation generation and the contraction check build no tensor of
+    # polynomials larger than a matrix (N^2 entries), and the contraction
+    # check creates one relation set, the contracted group's
+    j = JSignature.parse("iota,1,iota")
+    sizes, sets = [], []
+    real_tensor, real_set = QTensor.__init__, RelationSet.__init__
+
+    def tensor(self, N, n, data=None):
+        real_tensor(self, N, n, data)
+        if any(isinstance(e, NCPoly) for e in self.data.values()):
+            sizes.append(len(self.data))
+
+    def relation_set(self, n):
+        sets.append(n)
+        real_set(self, n)
+
+    monkeypatch.setattr(QTensor, "__init__", tensor)
+    monkeypatch.setattr(RelationSet, "__init__", relation_set)
+    G = QuantumCKGroup(j)
+    assert len(rtt_relations(G.T, G.R, G.dot_table)) == 148
+    assert sets == [j.n] and max(sizes) <= j.N ** 2
+    sets.clear()
+    assert contraction_commutes(QuantumCKGroup(j))
+    assert sets == [j.n] and max(sizes) <= j.N ** 2
