@@ -15,11 +15,11 @@ Exit codes: 0 all checks pass, 1 at least one check fails or crashes
 but at least one inconclusive check (a certificate cites a polynomial that
 is not a generator of the emitted ideal).
 
-Each command reads R, C, T and the relations from one ``QuantumCKGroup``,
-which builds each of them on first use.  ``verify`` deals the suites out to
-its worker processes in turn (serial is one worker); each worker builds one
-group and, for the dual-side suites, one ``DualPairing`` on it, and every
-suite takes one of these two objects.
+Each command reads the weight pattern, R, C, T, L+- and the relations from
+one ``QuantumCKGroup``, which builds each of them on first use.  ``verify``
+deals the suites out to its worker processes in turn (serial is one
+worker); each worker builds one group and, for the dual-side suites, one
+``DualPairing`` on it, and every suite takes one of these two objects.
 
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.  JSON documents
@@ -146,7 +146,7 @@ def cmd_rmatrix(ns) -> int:
     G = qgroup.QuantumCKGroup(j)
     R, C = G.R, G.C
     if ns.format == "json":
-        rp, rm = rmatrix.r_plus_minus(R, j)
+        rp, rm = G.l_tables
         doc = {"config": _config(ns, j),
                "r": render.tensor_json(R),
                "r_plus": render.tensor_json(rp),
@@ -193,7 +193,7 @@ def _classical_report(j: JSignature, samples: int, seed: int) -> dict:
 
 def cmd_classical(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
-    _check_at_least("--samples", ns.samples, 0)
+    _check_at_least("--samples", ns.samples, 1)
     report = _classical_report(j, ns.samples, ns.seed)
     doc = {"config": _config(ns, j), "report": report}
     if ns.format == "json":
@@ -207,15 +207,14 @@ def cmd_classical(ns) -> int:
 def cmd_dual(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     G = qgroup.QuantumCKGroup(j)
-    # the functional weight pattern is the entry weight pattern
-    pattern = ckclassical.weight_pattern_symplectic(j)
-    # the degree-one value tables are the two halves of the braiding
-    rp, rm = rmatrix.r_plus_minus(G.R, j)
+    # the functional weight pattern is the entry weight pattern, and the
+    # degree-one value tables are the two halves of the braiding
+    rp, rm = G.l_tables
     tables = {"upper": sorted(rp.data.items()),
               "lower": sorted(rm.data.items())}
     if ns.format == "json":
         doc = {"config": _config(ns, j),
-               "pattern": render.pattern_json(pattern),
+               "pattern": render.pattern_json(G.pattern),
                "tables": {family: [{"functional": [i, jj], "entry": [k, l],
                                     "value": render.dual_json(val)}
                                    for (i, k, jj, l), val in rows]
@@ -224,7 +223,7 @@ def cmd_dual(ns) -> int:
     else:
         parts = ["# formal functional weight pattern "
                  "(* marks inverted-weight terms defined only through the pairing)",
-                 render.pattern_text(pattern), "# degree-one pairing tables"]
+                 render.pattern_text(G.pattern), "# degree-one pairing tables"]
         for family, rows in tables.items():
             for (i, k, jj, l), val in rows:
                 parts.append("<%s[%d,%d], t[%d,%d]> = %s"
@@ -388,7 +387,7 @@ def cmd_verify(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     names = _parse_suites(ns.suite)
     _check_degree(ns.n, ns.degree)
-    _check_at_least("--samples", ns.samples, 0)
+    _check_at_least("--samples", ns.samples, 1)
     _check_at_least("--jobs", ns.jobs, 1)
     # suites dealt out to the workers in turn, so the costly ones late in
     # SUITES spread across them; serial is one chunk

@@ -1,7 +1,7 @@
 """Triangular functionals dual to the quantum matrix algebra.
 
 A ``DualPairing`` is built from one ``QuantumCKGroup`` and reads its
-braiding tensor, metric, generating matrix and relations;
+weight pattern, L+- tables, metric, generating matrix and relations;
 every dual-side check takes that one pairing context.
 
 The dual algebra is generated by two triangular matrices of linear
@@ -45,11 +45,10 @@ weight stays in the coefficient ring, where it is well defined.
 
 from itertools import product
 
-from .ckclassical import weight_pattern_symplectic
 from .coeffring import DualElement, _dots, interned
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup
-from .rmatrix import QTensor, r_plus_minus
+from .rmatrix import QTensor
 
 FUNCTIONAL_FAMILIES = ("upper", "lower")
 
@@ -134,10 +133,10 @@ def _position_counit(n: int, positions) -> DualElement:
 
 
 class DualPairing:
-    """Evaluation context of one contracted group: tensors and caches."""
+    """Evaluation context of one contracted group: caches over the group's
+    pattern and L+- tables (``r_plus``, ``r_minus``)."""
 
-    __slots__ = ("group", "N", "n", "r_plus", "r_minus", "table",
-                 "_pattern", "_steps")
+    __slots__ = ("group", "N", "n", "r_plus", "r_minus", "table", "_steps")
 
     def __init__(self, G: QuantumCKGroup):
         if not G.contracted:
@@ -145,13 +144,8 @@ class DualPairing:
         self.group = G
         self.N = G.N
         self.n = G.n
-        self.table = table = G.dot_table
-        # the tables' entries are interned, so sums of their products
-        # match table keys by identity
-        self.r_plus, self.r_minus = (
-            X.map_entries(lambda e: interned(table, e))
-            for X in r_plus_minus(G.R, G.j))
-        self._pattern = weight_pattern_symplectic(G.j)
+        self.table = G.dot_table
+        self.r_plus, self.r_minus = G.l_tables
         self._steps = {}
 
     def tensor(self, family):
@@ -174,7 +168,7 @@ class DualPairing:
         charged to ``mask`` all contain it, so their leftovers are
         distinct.
         """
-        masks = self._pattern[(k, l)]
+        masks = self.group.pattern[(k, l)]
         out: dict = {}
         for m, c in value.terms.items():
             target = None

@@ -1,18 +1,14 @@
 """The quantum Cayley-Klein matrix group and its Hopf structure.
 
-``QuantumCKGroup(j)`` is the one object per signature: it builds the
-braiding tensor R, the metric C, the generating matrix T and the relation
-ideal once each, on first use, and every check here and in ``qdual`` and
-``cli`` reads them from it.  It also owns the ``DualElement.dot`` table
-(``dot_table``) through which relation generation (the exchange
-components and the cofactors), the coproduct and antipode certificates,
-the coproduct's splitting bridge and assembly check, and the ``qdual``
-checks sum their coefficients by the summing rule of ``coeffring``, so
-each distinct coefficient of the group is formed once and held as one
-object.
+``QuantumCKGroup(j)`` is the one object per signature: it builds the weight
+pattern, the braiding tensor R, the metric C, the generating matrix T, the
+L+- tables and the relation ideal once each, on first use, and every check
+and emitter reads them from it.  Its ``dot_table`` sums the group's
+coefficients by the summing rule of ``coeffring``, so each distinct
+coefficient is formed once and held as one object.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
-subset monomial that the classical weight pattern allows there, so the
+subset monomial that the group's weight pattern allows there, so the
 entry is the D-valued combination sum_W iota_W * t[i,k;W].  The defining
 ideal collects the braid-exchange components R T1 T2 - T2 T1 R and the
 quantum orthogonality T C T^t = T^t C T = C, whose relations are the
@@ -23,12 +19,7 @@ checked when the group builds it, so the same two cofactors factor the
 antipode defects S(T) T - I = C L and T S(T) - I = M C.  T and every
 matrix built from it are two-leg ``QTensor`` instances with ``NCPoly``
 entries.  The exchange components come from one generator, ``rtt_rows``,
-one output row at a time; each row of T1 T2 that a row reads is built
-once and dropped after its last reader, so no four-leg product is held.
-The relation set adds each row as it arrives, the coproduct certificate
-streams its target and copy-0 relations from it, and the contraction
-check its symbolic components; only the certificate's copy-1 relations,
-which every row reads, are collected whole (``rtt_components``).
+one output row at a time, so no four-leg product is held.
 
 Every claimed identity is checked mechanically: coproduct axioms by exact
 expansion; the compatibility of the coproduct with the exchange relations
@@ -45,7 +36,8 @@ from itertools import chain, product
 
 from .coeffring import DualElement, JSignature, interned
 from .ckclassical import weight_pattern_symplectic
-from .rmatrix import QTensor, _compose, contract, frt_c, frt_r, q_scalar, rho2, specializer
+from .rmatrix import (QTensor, _compose, contract, frt_c, frt_r, q_scalar,
+                      r_plus_minus, rho2, specializer)
 from .freealg import GenSymbol, NCPoly, mat_symbol
 
 
@@ -63,25 +55,25 @@ def _lift(n: int, e: DualElement, table: dict | None) -> NCPoly:
 # --------------------------------------------------------- generating matrix
 
 
-def build_t(j: JSignature, copy: int = 0, atomic: bool = False) -> QTensor:
-    """The generating matrix, the one construction of T's symbols.
+def build_t(G: QuantumCKGroup, copy: int = 0, atomic: bool = False) -> QTensor:
+    """The generating matrix of G, the one construction of T's symbols.
 
-    Split form (default): entry (i,k) = sum_W iota_W * t[i,k;W] over the
-    weight pattern.  Atomic form: entry (i,k) is the single opaque symbol
+    Split form (default): entry (i,k) = sum_W iota_W * t[i,k;W] over
+    ``G.pattern``.  Atomic form: entry (i,k) is the single opaque symbol
     t[i,k], used where only the entry-level algebra matters (certificates);
     the split form is its image under ``splitting_map``.
     """
-    n, rng = j.n, range(1, j.N + 1)
+    n, rng = G.n, range(1, G.N + 1)
     if atomic:
         data = {(i, k): NCPoly.gen(n, mat_symbol(i, k, 0, copy))
                 for i in rng for k in rng}
     else:
-        pat = weight_pattern_symplectic(j)
+        pat = G.pattern
         data = {(i, k): NCPoly._raw(n, {(mat_symbol(i, k, mask, copy),):
                                         DualElement.monomial(n, mask)
                                         for mask in pat[(i, k)]})
                 for i in rng for k in rng}
-    return QTensor(j.N, n, data)
+    return QTensor(G.N, n, data)
 
 
 def t_symbols(T: QTensor) -> tuple:
@@ -319,13 +311,12 @@ def antipode(T: QTensor, C: QTensor, table: dict | None = None) -> QTensor:
 
 
 class QuantumCKGroup:
-    """One quantized group: R, C, T and the relation ideal.
+    """One quantized group: its weight pattern, R, C, T, L+- and ideal.
 
     This is the one object per signature that every suite, emitter and
-    ``DualPairing`` reads; nothing else builds R, C or T.  Each of them,
-    and the relation ideal from ``relations()``, is built on first use and
-    then kept, so a check builds only what it reads.  The weight pattern
-    is ``weight_pattern_symplectic(j)``, read off in closed form.
+    ``DualPairing`` reads; nothing else builds its pattern, R, C, T or L+-.
+    Each of them, and the relation ideal from ``relations()``, is built on
+    first use and then kept, so a check builds only what it reads.
 
     contracted=True (default) works over R_v(j), C(j); contracted=False
     keeps q symbolic while using the same signature-dependent symbols,
@@ -357,8 +348,22 @@ class QuantumCKGroup:
         return C
 
     @cached_property
+    def pattern(self) -> dict:
+        """(i,k) -> the subset masks of T's entry (i,k), in the frame that
+        pairs axis k with N+1-k."""
+        return weight_pattern_symplectic(self.j)
+
+    @cached_property
     def T(self) -> QTensor:
-        return build_t(self.j)
+        return build_t(self)
+
+    @cached_property
+    def l_tables(self) -> tuple:
+        """(R+, R-), the L+- value tables, entries interned in ``dot_table``
+        so that sums of their products match its keys by identity."""
+        table = self.dot_table
+        return tuple(X.map_entries(lambda e: interned(table, e))
+                     for X in r_plus_minus(self.R, self.j if self.contracted else None))
 
     @cached_property
     def cofactors(self) -> tuple:
@@ -413,11 +418,11 @@ def verify_coproduct_assembly(G: QuantumCKGroup) -> bool:
     homomorphism intertwines Delta with entrywise matrix comultiplication.
     Both sides sum through the group's ``dot_table``.
     """
-    j, n, table = G.j, G.n, G.dot_table
-    T1 = build_t(j, copy=1)
+    N, n, table = G.N, G.n, G.dot_table
+    T1 = build_t(G, copy=1)
     split = splitting_map(G.T, T1)
-    rng = range(1, j.N + 1)
-    split_delta = QTensor(j.N, n, {
+    rng = range(1, N + 1)
+    split_delta = QTensor(N, n, {
         (i, k): coproduct(NCPoly.gen(n, mat_symbol(i, k))).substitute(split, table)
         for i in rng for k in rng})
     return split_delta == QTensor.dot([(G.T, T1)], table)
@@ -473,7 +478,7 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
     certificate to the split symbols.  At N = 3 the certificates are also
     replayed after splitting.
     """
-    j, N, R, table = G.j, G.N, G.R, G.dot_table
+    N, R, table = G.N, G.R, G.dot_table
     n, order = G.n, _row_order(N)
     zero = NCPoly.zero(n)
 
@@ -501,10 +506,10 @@ def verify_delta_compat(G: QuantumCKGroup) -> dict:
                 unbridged.append(o)
             yield row
 
-    A0 = build_t(j, copy=0, atomic=True)
-    checked = check(A0, build_t(j, copy=1, atomic=True),
+    A0 = build_t(G, copy=0, atomic=True)
+    checked = check(A0, build_t(G, copy=1, atomic=True),
                     bridged(rtt_rows(A0, R, table, order)))
-    split_checked = (check(G.T, build_t(j, copy=1), rtt_rows(G.T, R, table, order))
+    split_checked = (check(G.T, build_t(G, copy=1), rtt_rows(G.T, R, table, order))
                      if N <= 3 else 0)
     return {"ok": not unbridged, "components": checked,
             "split_components": split_checked}

@@ -17,7 +17,6 @@ writes each shared fragment once.
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .ckclassical import weight_pattern_symplectic
 from .coeffring import (DualElement, JSignature, ScalarExpr, _compound,
                         _signed_sum)
 from .freealg import GenSymbol, NCPoly, word_key
@@ -268,7 +267,7 @@ def relations_text(G: QuantumCKGroup) -> str:
 
 def relations_tex(G: QuantumCKGroup) -> str:
     j, rels = G.j, G.relations()
-    symbol = _memo(EntryNaming(weight_pattern_symplectic(j)).symbol_tex)
+    symbol = _memo(EntryNaming(G.pattern).symbol_tex)
     coeff = _memo(dual_tex)
     lines = ["%% n=%d j=%s" % (j.N, ",".join(signature_json(j))),
              r"\begin{align*}"]
@@ -295,7 +294,7 @@ def tensor_text(T) -> str:
 
 def pattern_json(pattern: dict) -> list:
     """The functional weight pattern, read off the entry weight pattern
-    (``weight_pattern_symplectic``): a term with a nilpotent weight is
+    (``QuantumCKGroup.pattern``): a term with a nilpotent weight is
     defined only through the pairing."""
     out = []
     for (i, k) in sorted(pattern):

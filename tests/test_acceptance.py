@@ -198,7 +198,7 @@ def test_08_two_term_entry_functional_correspondence():
             failures.append("%s: masks differ" % raw)
         if not l_pat[-1]["pairing_defined"]:
             failures.append("%s: inverted weight not pairing-defined" % raw)
-        syms = {g.mask for (g,) in qgroup.build_t(j).get(1, 2).terms}
+        syms = {g.mask for (g,) in qgroup.QuantumCKGroup(j).T.get(1, 2).terms}
         if syms != set(t_pat):
             failures.append("%s: entry symbols disagree" % raw)
     ok = not failures

@@ -39,9 +39,9 @@ def test_relations_json_builds_t_once(tmp_path, monkeypatch):
     calls = []
     real = qgroup.build_t
 
-    def counted(j, copy=0, atomic=False):
+    def counted(G, copy=0, atomic=False):
         calls.append((copy, atomic))
-        return real(j, copy, atomic)
+        return real(G, copy, atomic)
 
     monkeypatch.setattr(qgroup, "build_t", counted)
     out = tmp_path / "rel.json"
@@ -302,8 +302,10 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "exchange", "--degree", "-1"],
     ["verify", "--suite", "classical", "--samples", "-1"],
+    ["verify", "--suite", "classical", "--samples", "0"],
     ["verify", "--suite", "ybe,cubic", "--jobs", "0"],
     ["classical", "--samples", "-1"],
+    ["classical", "--samples", "0"],
     ["verify", "--n", "4", "--suite", "exchange", "--degree", "4"],
     ["verify", "--n", "5", "--suite", "metric", "--degree", "4"],
     ["verify", "--n", "3", "--suite", "pairing", "--degree", "5"],
@@ -335,7 +337,8 @@ def test_rmatrix_forms_r_plus_minus_only_for_json(tmp_path, monkeypatch, fmt):
     def refuse(R, j=None):
         raise ArithmeticError("r_plus_minus formed")
 
-    monkeypatch.setattr(rmatrix, "r_plus_minus", refuse)
+    # the group's L+- tables are the one caller of r_plus_minus
+    monkeypatch.setattr(qgroup, "r_plus_minus", refuse)
     argv = ["rmatrix", "--n", "3", "--j", "iota,1", "--format", fmt]
     out = tmp_path / ("rm." + fmt)
     assert cli.main(argv + ["--out", str(out)]) == 0

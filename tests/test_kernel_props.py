@@ -24,7 +24,7 @@ from ckq.ckclassical import random_cayley  # noqa: E402
 from ckq.coeffring import (_V_CAP, Cyclo8, DegreeCapError, DualElement,  # noqa: E402
                            ScalarExpr, _dots)
 from ckq.freealg import NCPoly, mat_symbol  # noqa: E402
-from ckq.qgroup import build_t  # noqa: E402
+from ckq.qgroup import QuantumCKGroup, build_t  # noqa: E402
 from ckq.rmatrix import QTensor, _embed3  # noqa: E402
 from conftest import all_signatures  # noqa: E402
 
@@ -494,7 +494,7 @@ def test_tabled_pair_of_a_cayley_sample_is_the_plain_pair(j, rng):
 @pytest.mark.parametrize("j", SIGNATURES_N4, ids=str)
 @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "split"])
 def test_tabled_pair_of_t_is_the_plain_pair(j, atomic):
-    T = build_t(j, atomic=atomic)
+    T = build_t(QuantumCKGroup(j), atomic=atomic)
     table = {}
     got = QTensor.pair(T, table)
     assert got == QTensor.pair(T)

@@ -4,7 +4,7 @@ from ckq import coeffring
 from ckq.coeffring import DualElement, JSignature
 from ckq.ckclassical import solve, weight_pattern_symplectic
 from ckq.freealg import GenSymbol, NCPoly, mat_symbol, word_key
-from ckq.qgroup import QuantumCKGroup, antipode, build_t, t_symbols
+from ckq.qgroup import QuantumCKGroup, antipode, t_symbols
 from ckq.rmatrix import QTensor
 from ckq.qdual import (
     DualPairing,
@@ -103,7 +103,7 @@ def test_degree_one_tables_are_triangular():
 
 def test_off_triangle_functionals_vanish_beyond_degree_one():
     ctx = pairing(J33)
-    syms = t_symbols(build_t(J33))
+    syms = t_symbols(ctx.group.T)
     words = [(s,) for s in syms]
     words += [(s, t) for s in syms[:5] for t in syms[:5]]
     for w in words:
@@ -125,12 +125,12 @@ def test_pair_against_unit_element_is_kronecker():
 def test_unit_functional_pairs_as_counit():
     for j in (J31, J33):
         ctx = pairing(j)
-        T = build_t(j)
+        T = ctx.group.T
         for k in range(1, 4):
             for l in range(1, 4):
                 expect = one(j.n) if k == l else zero(j.n)
                 assert ctx.pair((), T.get(k, l)) == expect
-        for g in t_symbols(build_t(j)):
+        for g in t_symbols(ctx.group.T):
             expect = one(j.n) if (g.i == g.k and g.mask == 0) else zero(j.n)
             assert ctx.pair((), (g,)) == expect
 
@@ -168,7 +168,7 @@ def test_split_values_carry_leftover_weights():
 def test_pair_is_bilinear():
     rng = seeded("qdual-bilinear")
     ctx = pairing(J33)
-    syms = t_symbols(build_t(J33))
+    syms = t_symbols(ctx.group.T)
     duals = dual_symbols(3)
     for _ in range(12):
         w1 = tuple(rng.choice(syms) for _ in range(2))
@@ -193,7 +193,7 @@ def test_multiplication_is_dual_to_coproduct():
     rng = seeded("qdual-convolution")
     for j in (J30, J33):
         ctx = pairing(j)
-        syms = t_symbols(build_t(j))
+        syms = t_symbols(ctx.group.T)
         for _ in range(10):
             x = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
             y = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
@@ -214,7 +214,7 @@ def test_left_and_right_folds_agree_on_split_words():
     for j in (J30, J33):
         ctx = pairing(j)
         oracle = RightFold(ctx)
-        syms = t_symbols(build_t(j))
+        syms = t_symbols(ctx.group.T)
         duals = dual_symbols(3)
         words = [(a, b) for a in syms for b in syms]
         words += [tuple(rng.choice(syms) for _ in range(3)) for _ in range(60)]
@@ -231,7 +231,7 @@ def test_left_and_right_folds_agree_on_entry_products():
     for j in (J30, J33):
         ctx = pairing(j)
         oracle = RightFold(ctx)
-        T = build_t(j)
+        T = ctx.group.T
         functionals = [upper_symbol(1, 3), lower_symbol(3, 2),
                        (upper_symbol(1, 2), lower_symbol(2, 1)),
                        (upper_symbol(1, 1), upper_symbol(2, 3))]
@@ -267,7 +267,7 @@ def test_exchange_law_n4_contracted_sample():
 def test_batched_exchange_values_match_pointwise_pairing():
     rng = seeded("qdual-batch")
     ctx = pairing(J33)
-    T = build_t(J33)
+    T = ctx.group.T
     for fams in (("upper", "upper"), ("upper", "lower")):
         for _ in range(6):
             word = tuple((rng.randint(1, 3), rng.randint(1, 3))
@@ -484,7 +484,7 @@ def test_antipode_duality_degree_one():
 def test_dual_antipode_is_single_mirrored_generator():
     for j in (J30, J33):
         ctx = pairing(j)
-        T = build_t(j)
+        T = ctx.group.T
         S = antipode(T, ctx.group.C)
         for g in dual_symbols(3):
             coeff, m = dual_antipode(ctx, g)

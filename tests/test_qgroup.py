@@ -1,8 +1,11 @@
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from ckq import coeffring, qgroup
+import ckq
+from ckq import coeffring, qgroup, render
 from ckq.coeffring import DualElement, JSignature, ScalarExpr
 from ckq.ckclassical import (
     antidiagonal_c0,
@@ -12,6 +15,7 @@ from ckq.ckclassical import (
     weight_pattern_symplectic,
 )
 from ckq.freealg import NCPoly, mat_symbol
+from ckq.qdual import DualPairing, dual_symbols
 from ckq.rmatrix import QTensor
 from ckq.qgroup import (
     QuantumCKGroup,
@@ -50,16 +54,14 @@ def canon(p):
 
 
 def test_build_t_trivial_entries_are_single_symbols():
-    j = JSignature([False] * 2)
-    T = build_t(j)
+    T = build_t(QuantumCKGroup(JSignature([False] * 2)))
     for i in range(1, 4):
         for k in range(1, 4):
             assert T.get(i, k) == NCPoly.gen(2, mat_symbol(i, k))
 
 
 def test_build_t_split_entry_structure():
-    j = JSignature.parse("iota,iota")
-    T = build_t(j)
+    T = build_t(QuantumCKGroup(JSignature.parse("iota,iota")))
     # corner entry carries the trivial subset and the full one
     e11 = T.get(1, 1)
     assert set(e11.terms) == {(mat_symbol(1, 1, 0),), (mat_symbol(1, 1, 3),)}
@@ -76,7 +78,7 @@ def test_build_t_split_entry_structure():
 ])
 def test_symbol_count_n3(spec, count):
     j = JSignature.parse(spec)
-    syms = t_symbols(build_t(j))
+    syms = t_symbols(QuantumCKGroup(j).T)
     assert len(syms) == count
     assert len(set(syms)) == count
     pat = weight_pattern_symplectic(j)
@@ -84,8 +86,75 @@ def test_symbol_count_n3(spec, count):
 
 
 def test_symbol_count_n4():
-    assert len(t_symbols(build_t(JSignature([False] * 3)))) == 16
-    assert len(t_symbols(build_t(JSignature.parse("iota,iota,iota")))) == 48
+    assert len(t_symbols(QuantumCKGroup(JSignature([False] * 3)).T)) == 16
+    assert len(t_symbols(QuantumCKGroup(JSignature.parse("iota,iota,iota")).T)) == 48
+
+
+# --------------------------------------------------- one frame per group
+
+
+def _call_sites(name: str) -> list:
+    """(module, enclosing definitions) of every call of ``name`` in the
+    package, as a bare name or as an attribute."""
+    sites = []
+
+    def visit(node, path, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path + (child.name,), module)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                sites.append((module, ".".join(path)))
+            visit(child, path, module)
+
+    for path in sorted(Path(ckq.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), path.name)
+    return sites
+
+
+def test_the_group_is_the_one_builder_of_its_pattern_and_l_tables():
+    assert _call_sites("weight_pattern_symplectic") == [
+        ("qgroup.py", "QuantumCKGroup.pattern")]
+    assert _call_sites("r_plus_minus") == [("qgroup.py", "QuantumCKGroup.l_tables")]
+
+
+class _Watched(dict):
+    """A weight pattern that counts the lookups its readers make."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def test_readers_take_the_pattern_and_l_tables_from_the_group(monkeypatch):
+    # each is built once per group, and T's builder, the pairing and the
+    # LaTeX names read the group's own objects, not a copy of their own
+    built = []
+    for name in ("weight_pattern_symplectic", "r_plus_minus"):
+        monkeypatch.setattr(qgroup, name, lambda *args, real=getattr(qgroup, name), name=name:
+                            built.append(name) or real(*args))
+    G = QuantumCKGroup(JSignature.parse("iota,1"))
+    G.pattern = pattern = _Watched(G.pattern)
+    ctx, syms = DualPairing(G), t_symbols(G.T)
+    assert (ctx.r_plus, ctx.r_minus) == G.l_tables
+    assert ctx.r_plus is G.l_tables[0] and ctx.r_minus is G.l_tables[1]
+    readers = {
+        "build_t": lambda: build_t(G, copy=1),
+        "DualPairing": lambda: [ctx.pair(f, (g,)) for f in dual_symbols(3) for g in syms],
+        "relations_tex": lambda: render.relations_tex(G),
+    }
+    for name, read in readers.items():
+        pattern.reads = 0
+        read()
+        assert pattern.reads, name
+    assert built == ["weight_pattern_symplectic", "r_plus_minus"]
 
 
 # ------------------------------------------------------------- relation sets
@@ -131,8 +200,7 @@ def test_relation_sources_tagged():
 
 
 def test_identity_r_gives_plain_commutators():
-    j = JSignature([False] * 2)
-    T = build_t(j)
+    T = QuantumCKGroup(JSignature([False] * 2)).T
     comps = rtt_components(T, QTensor.pair(QTensor.identity(3, 2))).data
     rng = range(1, 4)
     for i, jj, k, l in product(rng, repeat=4):
@@ -235,8 +303,7 @@ def test_coproduct_rejects_split_symbols():
 
 def test_counit_on_assembled_entries():
     for spec in ("1,1", "iota,iota"):
-        j = JSignature.parse(spec)
-        T = build_t(j)
+        T = QuantumCKGroup(JSignature.parse(spec)).T
         for i in range(1, 4):
             for k in range(1, 4):
                 expect = DualElement.one(2) if i == k else DualElement.zero(2)
@@ -374,7 +441,7 @@ def test_exchange_tensors_match_the_per_component_oracle(spec, atomic):
     # perturbed
     j = JSignature.parse(spec)
     G = QuantumCKGroup(j)
-    A, B = build_t(j, 0, atomic), build_t(j, 1, atomic)
+    A, B = build_t(G, 0, atomic), build_t(G, 1, atomic)
     rng = range(1, j.N + 1)
     order = qgroup._row_order(j.N)
     assert sorted(order) == list(product(rng, rng))
@@ -505,9 +572,9 @@ def test_delta_compat_builds_each_split_entry_once(monkeypatch):
     calls = []
     real = qgroup.build_t
 
-    def counted(j, copy=0, atomic=False):
+    def counted(G, copy=0, atomic=False):
         calls.append((copy, atomic))
-        return real(j, copy, atomic)
+        return real(G, copy, atomic)
 
     monkeypatch.setattr(qgroup, "build_t", counted)
     assert verify_delta_compat(G)["ok"]
@@ -553,7 +620,7 @@ def test_splitting_is_algebra_map():
     j = JSignature.parse("iota,iota")
     rng = seeded("expand-atomic")
     n = j.n
-    split = splitting_map(build_t(j))
+    split = splitting_map(QuantumCKGroup(j).T)
     for _ in range(20):
         syms = [mat_symbol(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(2)]
         p = NCPoly.gen(n, syms[0])
@@ -603,9 +670,10 @@ _SIGN_KEY_CASES = (_N34_CASES
 def test_sign_key_is_key_up_to_sign(j, contracted):
     """A relation set holds each relation up to sign: p and -p are both
     in it, adding -p changes nothing, and p plus a generator is not in."""
-    rels = QuantumCKGroup(j, contracted=contracted).relations()
+    G = QuantumCKGroup(j, contracted=contracted)
+    rels = G.relations()
     size = len(rels)
-    g = NCPoly.gen(j.n, t_symbols(build_t(j))[0])
+    g = NCPoly.gen(j.n, t_symbols(G.T)[0])
     for p in list(rels):
         assert p in rels and -p in rels
         assert not rels.add(-p, "flipped")
@@ -618,11 +686,12 @@ def test_sign_key_is_key_up_to_sign(j, contracted):
 def test_relation_set_refuses_negations_and_accepts_new_words(j, monkeypatch):
     """At N=4: -p is refused, p plus a generator is accepted, and a
     candidate on a word set that no relation has builds no -p."""
-    source = QuantumCKGroup(j).relations()
+    G = QuantumCKGroup(j)
+    source = G.relations()
     rels = RelationSet(source.n)
     for p, src in source.tagged():
         assert rels.add(p, src)
-    g = NCPoly.gen(j.n, t_symbols(build_t(j))[0])
+    g = NCPoly.gen(j.n, t_symbols(G.T)[0])
     negations = []
     neg = NCPoly.__neg__
     monkeypatch.setattr(NCPoly, "__neg__", lambda p: negations.append(p) or neg(p))

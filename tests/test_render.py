@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ckq import cli, render
-from ckq.ckclassical import weight_pattern_symplectic
 from ckq.coeffring import Cyclo8, JSignature, ScalarExpr
 from ckq.freealg import mat_symbol
 from ckq.qgroup import QuantumCKGroup, build_t, t_symbols
@@ -87,10 +86,11 @@ def test_scalar_tex_matches_division_on_near_misses():
 def test_entry_naming_names_exactly_the_symbols_of_t():
     for N in (3, 4):
         for j in all_signatures(N):
-            naming = render.EntryNaming(weight_pattern_symplectic(j))
-            symbols = t_symbols(build_t(j)) + t_symbols(build_t(j, copy=1))
+            G = QuantumCKGroup(j)
+            naming = render.EntryNaming(G.pattern)
+            symbols = t_symbols(G.T) + t_symbols(build_t(G, copy=1))
             assert len({naming.symbol_tex(g) for g in symbols}) == len(symbols)
-    naming = render.EntryNaming(weight_pattern_symplectic(JSignature.parse("iota,iota")))
+    naming = render.EntryNaming(QuantumCKGroup(JSignature.parse("iota,iota")).pattern)
     assert naming.symbol_tex(mat_symbol(1, 2, 2)) == r"\tilde{t}_{12}"
     with pytest.raises(KeyError):
         naming.symbol_tex(mat_symbol(2, 2, 1))  # entry (2,2) has weight 0 only
