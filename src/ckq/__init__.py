@@ -20,7 +20,7 @@ from .coeffring import (
 )
 from .freealg import GenSymbol, NCPoly, mat_symbol
 from .qdual import (
-    DualPairing,
+    pair,
     relations_pair_to_zero,
     verify_antipode_duality,
     verify_l_additional,

@@ -18,8 +18,8 @@ is not a generator of the emitted ideal).
 Each command reads the weight pattern, R, C, T, L+- and the relations from
 one ``QuantumCKGroup``, which builds each of them on first use.  ``verify``
 deals the suites out to its worker processes in turn (serial is one
-worker); each worker builds one group and, for the dual-side suites, one
-``DualPairing`` on it, and every suite takes one of these two objects.
+worker); each worker builds one group, and every suite takes it, the
+dual-side suites included.
 
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.  JSON documents
@@ -38,8 +38,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-DUAL_SUITES = ("exchange", "metric", "pairing")  # take a qdual.DualPairing
 
 FORMATS = ("text", "json")
 LATEX_FORMATS = FORMATS + ("latex",)  # relations and rmatrix also write LaTeX
@@ -302,25 +300,25 @@ def _suite_contraction(G, ns) -> tuple:
             "specializing symbolic relations matches direct generation")
 
 
-def _suite_exchange(ctx, ns) -> tuple:
-    report = qdual.verify_ll(ctx, degree=ns.degree)
+def _suite_exchange(G, ns) -> tuple:
+    report = qdual.verify_ll(G, degree=ns.degree)
     return ("PASS" if report["ok"] else "FAIL",
             "%d exchange identities" % report["identities"])
 
 
-def _suite_metric(ctx, ns) -> tuple:
-    report = qdual.verify_l_additional(ctx, degree=ns.degree)
+def _suite_metric(G, ns) -> tuple:
+    report = qdual.verify_l_additional(G, degree=ns.degree)
     return ("PASS" if report["ok"] else "FAIL",
             "%d metric and diagonal identities" % report["identities"])
 
 
-def _suite_pairing(ctx, ns) -> tuple:
-    report = qdual.relations_pair_to_zero(ctx, max_len=ns.degree)
+def _suite_pairing(G, ns) -> tuple:
+    report = qdual.relations_pair_to_zero(G, max_len=ns.degree)
     ok = report["ok"]
     detail = ("%d relation evaluations on functional words of length <= %d"
               % (report["checked"], ns.degree))
     if ok:
-        anti = qdual.verify_antipode_duality(ctx)
+        anti = qdual.verify_antipode_duality(G)
         ok = anti["ok"]
         detail += ", %d antipode transposes" % anti["checked"]
     return ("PASS" if ok else "FAIL", detail)
@@ -365,18 +363,14 @@ def _parse_suites(raw: str) -> list:
 
 
 def _run_chunk(args: tuple) -> list:
-    """Run suites in order on one group, which builds R, C, T and the
-    relations as they are first read, and one pairing context, built by
-    the first dual-side suite."""
+    """Run suites in order on one group, which builds R, C, T, the
+    relations and the pairing's memo as they are first read."""
     names, j, ns = args
-    G, ctx = qgroup.QuantumCKGroup(j), None
+    G = qgroup.QuantumCKGroup(j)
     results = []
     for name in names:
         try:
-            if name in DUAL_SUITES:
-                ctx = ctx or qdual.DualPairing(G)
-            status, detail = _SUITE_FN[name](
-                ctx if name in DUAL_SUITES else G, ns)
+            status, detail = _SUITE_FN[name](G, ns)
         except Exception as exc:  # a crash is neither a pass nor a refutation
             status, detail = "ERROR", "%s: %s" % (type(exc).__name__, exc)
         results.append((name, status, detail))

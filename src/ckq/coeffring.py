@@ -446,9 +446,6 @@ class ScalarExpr(_Combination):
         """Set s = 1 (hence q = 1)."""
         return ScalarExpr._raw(_collect(((0, ve), c) for (_, ve), c in self.terms.items()))
 
-    def at_v_zero(self) -> "ScalarExpr":
-        return ScalarExpr({e: c for e, c in self.terms.items() if e[1] == 0})
-
     def constant_value(self) -> Cyclo8:
         """The coefficient of s^0 v^0."""
         return self.terms.get((0, 0), _C_ZERO)
@@ -665,9 +662,6 @@ class DualElement(_Combination):
     def at_q_one(self) -> "DualElement":
         return self.map_scalars(lambda s: s.at_q_one())
 
-    def at_v_zero(self) -> "DualElement":
-        return self.map_scalars(lambda s: s.at_v_zero())
-
     def specialize(self, j: "JSignature") -> "DualElement":
         """Apply q^a -> 1 + a*J*v to every scalar coefficient."""
         n = self.n
@@ -714,6 +708,19 @@ def interned(table: dict, x):
     first time: a table holds each value it has seen under itself too, so
     that equal values are one object."""
     return table.setdefault(x, x)
+
+
+def _memo(fn):
+    """fn, computed once per argument for as long as the caller keeps the
+    returned function."""
+    done = {}
+
+    def once(x):
+        out = done.get(x)
+        if out is None:
+            out = done[x] = fn(x)
+        return out
+    return once
 
 
 def _dots(n: int, by_key: dict, table: dict | None = None) -> dict:

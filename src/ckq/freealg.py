@@ -182,9 +182,6 @@ class NCPoly(_Combination):
     def map_coeffs(self, fn) -> "NCPoly":
         return NCPoly(self.n, {w: fn(c) for w, c in self.terms.items()})
 
-    def at_v_zero(self) -> "NCPoly":
-        return self.map_coeffs(lambda c: c.at_v_zero())
-
     # -- symbol maps ----------------------------------------------------
 
     def substitute(self, fn, table: dict | None = None) -> "NCPoly":

@@ -3,9 +3,11 @@
 ``QuantumCKGroup(j)`` is the one object per signature: it builds the weight
 pattern, the braiding tensor R, the metric C, the generating matrix T, the
 L+- tables and the relation ideal once each, on first use, and every check
-and emitter reads them from it.  Its ``dot_table`` sums the group's
-coefficients by the summing rule of ``coeffring``, so each distinct
-coefficient is formed once and held as one object.
+and emitter reads them from it.  The dual algebra is a view of the group:
+the ``qdual`` functions take the group itself and keep their one memo, the
+letter steps of the pairing, in its ``dual_steps``.  The group's
+``dot_table`` sums its coefficients by the summing rule of ``coeffring``,
+so each distinct coefficient is formed once and held as one object.
 
 The generating matrix T has, in entry (i,k), one independent symbol per
 subset monomial that the group's weight pattern allows there, so the
@@ -314,9 +316,10 @@ class QuantumCKGroup:
     """One quantized group: its weight pattern, R, C, T, L+- and ideal.
 
     This is the one object per signature that every suite, emitter and
-    ``DualPairing`` reads; nothing else builds its pattern, R, C, T or L+-.
-    Each of them, and the relation ideal from ``relations()``, is built on
-    first use and then kept, so a check builds only what it reads.
+    ``qdual`` function reads; nothing else builds its pattern, R, C, T or
+    L+-.  Each of them, the relation ideal from ``relations()`` and the
+    memo of the dual pairing (``dual_steps``) are built on first use and
+    then kept, so a check builds only what it reads.
 
     contracted=True (default) works over R_v(j), C(j); contracted=False
     keeps q symbolic while using the same signature-dependent symbols,
@@ -379,6 +382,13 @@ class QuantumCKGroup:
         products of the same few R-derived coefficients over and over, and
         read it, so every relation coefficient is one interned object per
         value.  It holds only D_n values of this group."""
+        return {}
+
+    @cached_property
+    def dual_steps(self) -> dict:
+        """The memo of ``qdual._step``: (families, start rows, letter) ->
+        the letter's transition row, shared by every pairing read of this
+        group."""
         return {}
 
     def relations(self) -> RelationSet:

@@ -10,15 +10,15 @@ square root of the deformation parameter).
 goes through it, straight to its output stream, one top-level member at a
 time.  A relation document holds thousands of coefficients but only a few
 dozen distinct values, so the relation emitters format each distinct
-coefficient and symbol once per document (``_memo``) and the JSON writer
-writes each shared fragment once.
+coefficient and symbol once per document (``coeffring._memo``) and the JSON
+writer writes each shared fragment once.
 """
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .coeffring import (DualElement, JSignature, ScalarExpr, _compound,
-                        _signed_sum)
+                        _memo, _signed_sum)
 from .freealg import GenSymbol, NCPoly, word_key
 from .qgroup import QuantumCKGroup, t_symbols
 
@@ -224,19 +224,6 @@ def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
 
 
 # ------------------------------------------------------------ documents
-
-
-def _memo(fn):
-    """fn, computed once per argument for as long as the caller keeps the
-    returned function."""
-    done = {}
-
-    def once(x):
-        out = done.get(x)
-        if out is None:
-            out = done[x] = fn(x)
-        return out
-    return once
 
 
 def relations_json(G: QuantumCKGroup) -> dict:

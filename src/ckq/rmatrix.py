@@ -28,6 +28,7 @@ from .coeffring import (
     ScalarExpr,
     _collect,
     _dots,
+    _memo,
 )
 
 
@@ -273,15 +274,7 @@ def specializer(j: JSignature):
     each distinct value once: R's many entries hold a few values, and the
     symbolic relations share few coefficients (152 distinct among 8,700
     at N=5 iota,1,iota,1)."""
-    memo: dict = {}
-
-    def spec(c: DualElement) -> DualElement:
-        out = memo.get(c)
-        if out is None:
-            out = memo[c] = c.specialize(j)
-        return out
-
-    return spec
+    return _memo(lambda c: c.specialize(j))
 
 
 # ------------------------------------------------------------- inversion

@@ -3,6 +3,7 @@ import zlib
 from fractions import Fraction
 
 from ckq.coeffring import Cyclo8, DualElement, JSignature, ScalarExpr
+from ckq.freealg import NCPoly
 
 ACCEPTANCE_RESULTS = []
 
@@ -27,6 +28,16 @@ def all_signatures(N):
     n = N - 1
     return [JSignature([(bits >> k) & 1 == 1 for k in range(n)])
             for bits in range(1 << n)]
+
+
+def at_v_zero(x):
+    """x at v = 0: every coefficient term carrying a power of v dropped,
+    for a ScalarExpr, a DualElement or an NCPoly."""
+    if isinstance(x, NCPoly):
+        return x.map_coeffs(at_v_zero)
+    if isinstance(x, DualElement):
+        return x.map_scalars(at_v_zero)
+    return ScalarExpr({e: c for e, c in x.terms.items() if e[1] == 0})
 
 
 def rand_cyclo(rng, span=4):

@@ -1,11 +1,11 @@
 """Right-folded dual pairing: an evaluation-order oracle for ckq.qdual.
 
-Built only from the degree-one tensors of a pairing context and the
-symplectic weight pattern.  The element word is absorbed from its right
+Built only from the degree-one tensors of a contracted group (its L+-
+tables) and the symplectic weight pattern.  The element word is absorbed from its right
 end, each generator walking the paired tensor backwards from the rows it
 produces, and each column value is split over the entry's weight pattern
 here rather than by the package.  It shares no evaluation code with
-`DualPairing`, so agreement checks the package's left fold.
+`ckq.qdual`, so agreement checks the package's left fold.
 
 `dual_antipode` states the antipode of a functional generator in closed
 form, as the metric twist of its transpose.
@@ -36,13 +36,13 @@ def _terms(n, x):
 class RightFold:
     """Pairing values of one signature, folded from the right."""
 
-    def __init__(self, ctx):
-        self.n = ctx.n
-        self.pattern = weight_pattern_symplectic(ctx.group.j)
+    def __init__(self, G):
+        self.n = G.n
+        self.pattern = weight_pattern_symplectic(G.j)
         self.rev = {}
-        for fam in ("upper", "lower"):
+        for fam, table in zip(("upper", "lower"), G.l_tables):
             rev = {}
-            for (o1, o2, i1, i2), val in ctx.tensor(fam).data.items():
+            for (o1, o2, i1, i2), val in table.data.items():
                 rev.setdefault((i1, i2), []).append((o1, o2, val))
             self.rev[fam] = rev
         self.columns = {}
@@ -97,15 +97,15 @@ class RightFold:
         return total
 
 
-def dual_antipode(ctx, sym):
+def dual_antipode(G, sym):
     """(coefficient, generator): the metric twist of the transpose.
 
     Entries mirror across the antidiagonal with an invertible scalar, so
     the antipode of a generator is again a scalar multiple of a single
     generator of the same family.
     """
-    N = ctx.N
-    ct = ctx.group.C.transpose()
+    N = G.N
+    ct = G.C.transpose()
     cti = solve(ct, QTensor.identity(N, ct.n))
     im = N + 1 - sym.i
     km = N + 1 - sym.k

@@ -10,14 +10,13 @@ import subprocess
 import sys
 import time
 
-from conftest import all_signatures, record_acceptance
+from conftest import all_signatures, at_v_zero, record_acceptance
 
 from ckq import ckclassical as ck
 from ckq import qgroup, render
 from ckq.coeffring import JSignature
 from ckq.freealg import NCPoly
 from ckq.qdual import (
-    DualPairing,
     relations_pair_to_zero,
     verify_antipode_duality,
     verify_l_additional,
@@ -38,7 +37,7 @@ SIZES = (3, 4, 5)
 
 
 def _flat(x):
-    return x.at_v_zero().at_q_one()
+    return at_v_zero(x).at_q_one()
 
 
 def _abelianized(p: NCPoly) -> NCPoly:
@@ -168,14 +167,14 @@ def test_07_duality_pairing():
     failures = []
     for N in SIZES:
         for j in all_signatures(N):
-            ctx = DualPairing(QuantumCKGroup(j))
-            if not relations_pair_to_zero(ctx, max_len=2)["ok"]:
+            G = QuantumCKGroup(j)
+            if not relations_pair_to_zero(G, max_len=2)["ok"]:
                 failures.append("relations N=%d %s" % (N, j))
-            if not verify_antipode_duality(ctx)["ok"]:
+            if not verify_antipode_duality(G)["ok"]:
                 failures.append("antipode transpose N=%d %s" % (N, j))
-            if not verify_ll(ctx, degree=2)["ok"]:
+            if not verify_ll(G, degree=2)["ok"]:
                 failures.append("exchange N=%d %s" % (N, j))
-            if not verify_l_additional(ctx, degree=2)["ok"]:
+            if not verify_l_additional(G, degree=2)["ok"]:
                 failures.append("metric laws N=%d %s" % (N, j))
     ok = not failures
     record_acceptance("07 dual pairing kills the ideal; exchange and "
@@ -251,9 +250,8 @@ def test_10_flat_limit_degenerates_to_classical_layer():
         if [F.map_entries(lambda p: p.map_coeffs(_flat))
                 for F in quantum] != list(classical):
             failures.append("orthogonality flat %s" % j)
-        ctx = DualPairing(G)
-        for family in ("upper", "lower"):
-            for (i, k, jj, l), val in ctx.tensor(family).data.items():
+        for family, table in zip(("upper", "lower"), G.l_tables):
+            for (i, k, jj, l), val in table.data.items():
                 want_one = i == jj and k == l
                 vf = _flat(val)
                 if vf != (vf.one(vf.n) if want_one else vf.zero(vf.n)):

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, formats, byte determinism."""
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ckq import ckclassical, cli, qdual, qgroup, rmatrix
+from ckq import ckclassical, cli, qgroup, rmatrix
 from ckq.coeffring import JSignature
 
 import classical_oracle
@@ -491,14 +492,17 @@ def test_pairing_detail_states_the_word_length_checked(capsys):
 
 
 def test_verify_all_builds_each_object_once(monkeypatch, capsys):
-    # one contracted relation set, the orthogonality cofactors of the
-    # contracted and of the symbolic group (contraction streams the
-    # symbolic relations, so it builds no second set) and one pairing
-    # context serve every suite of the run
-    built = {"relations": 0, "cofactors": 0, "pairings": 0}
+    # two groups, the contracted one and the symbolic one that contraction
+    # builds, one contracted relation set, the orthogonality cofactors of
+    # both groups (contraction streams the symbolic relations, so it builds
+    # no second set) and one memo of the pairing's letter steps serve every
+    # suite of the run
+    built = {"groups": 0, "relations": 0, "cofactors": 0, "steps": 0}
+    Group = qgroup.QuantumCKGroup
+    real_init = Group.__init__
+    real_steps = Group.dual_steps.func
     real_relations = qgroup.full_relation_set
     real_cofactors = qgroup.orthogonality_cofactors
-    real_init = qdual.DualPairing.__init__
 
     def relations(*args):
         built["relations"] += 1
@@ -508,19 +512,26 @@ def test_verify_all_builds_each_object_once(monkeypatch, capsys):
         built["cofactors"] += 1
         return real_cofactors(*args)
 
-    def init(self, *args):
-        built["pairings"] += 1
-        real_init(self, *args)
+    def init(self, *args, **kwargs):
+        built["groups"] += 1
+        real_init(self, *args, **kwargs)
 
+    def steps(self):
+        built["steps"] += 1
+        return real_steps(self)
+
+    steps = functools.cached_property(steps)
+    steps.__set_name__(Group, "dual_steps")
     monkeypatch.setattr(qgroup, "full_relation_set", relations)
     monkeypatch.setattr(qgroup, "orthogonality_cofactors", cofactors)
-    monkeypatch.setattr(qdual.DualPairing, "__init__", init)
+    monkeypatch.setattr(Group, "__init__", init)
+    monkeypatch.setattr(Group, "dual_steps", steps)
     rc = cli.main(["verify", "--n", "3", "--j", "iota,1", "--suite", "all",
                    "--jobs", "1"])
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == len(cli.SUITES)
     # antipode reads the contracted group's cofactors; no suite forms them again
-    assert built == {"relations": 1, "cofactors": 2, "pairings": 1}
+    assert built == {"groups": 2, "relations": 1, "cofactors": 2, "steps": 1}
 
 
 def test_non_orthogonal_samples_report_fail_exit_1(monkeypatch, capsys):

@@ -3,12 +3,13 @@
 A public module-level function in ``src/ckq`` must be used somewhere else
 in the package or be re-exported by ``ckq/__init__.py``.  Helpers that only
 tests need live in ``tests/`` as oracles.  A public method must be named by
-some attribute reference in the package, other than in its own body: a
-method that only tests call is dead code too.  A private helper,
-module-level or a method, must likewise be named somewhere in the package
-outside its own body.  Nor does the package keep process-wide state: no
-``functools.lru_cache`` or ``functools.cache`` decorator and no ``global``
-statement.
+some attribute reference in the package: a method that only tests call is
+dead code too.  A private helper, module-level or a method, must likewise
+be named somewhere in the package.  A reference made inside the body of a
+def of the same name is no use: neither a def's own recursion nor two
+namesake methods that only call each other keep a name alive.  Nor does
+the package keep process-wide state: no ``functools.lru_cache`` or
+``functools.cache`` decorator and no ``global`` statement.
 """
 
 import ast
@@ -25,40 +26,44 @@ def _trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _attribute_counts(node) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node)
-                   if isinstance(sub, ast.Attribute))
+def _uses(trees: dict, kinds: tuple) -> Counter:
+    """Name -> number of references of the given node kinds (``ast.Name``,
+    ``ast.Attribute``) in the package, leaving out every reference made
+    inside the body of a def of the same name."""
+    out = Counter()
 
+    def visit(node, enclosing: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, kinds):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
+                out[name] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
 
-def _used_names(node) -> set:
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+    for tree in trees.values():
+        visit(tree, frozenset())
     return out
+
+
+def _methods(tree) -> list:
+    """(class name, def) of the methods of one module's classes."""
+    return [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body]
 
 
 def unused_public_functions(trees: dict) -> list:
-    """(module, name) of every public module-level function that no other
-    code in the package uses and ``__init__`` does not re-export."""
+    """(module, name) of every public module-level function that no code in
+    the package uses and ``__init__`` does not re-export."""
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees["__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    out = []
-    for module, tree in trees.items():
-        for fn in tree.body:
-            if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
-                    or fn.name in exported):
-                continue
-            used = any(fn.name in _used_names(node)
-                       for mod, other in trees.items()
-                       for node in other.body
-                       if not (mod == module and node is fn))
-            if not used:
-                out.append((module, fn.name))
-    return out
+    uses = _uses(trees, (ast.Name, ast.Attribute))
+    return [(module, fn.name) for module, tree in trees.items()
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and fn.name not in exported and not uses[fn.name]]
 
 
 def test_every_public_function_is_used_or_exported():
@@ -75,20 +80,12 @@ def test_guard_catches_a_test_only_helper():
 
 def unreferenced_public_methods(trees: dict) -> list:
     """(module, class, name) of every public method that no attribute
-    reference in the package names outside its own body."""
-    refs = Counter()
-    for tree in trees.values():
-        refs += _attribute_counts(tree)
-    out = []
-    for module, tree in trees.items():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for fn in cls.body:
-                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                        and refs[fn.name] == _attribute_counts(fn)[fn.name]):
-                    out.append((module, cls.name, fn.name))
-    return out
+    reference in the package names outside a def of its name."""
+    uses = _uses(trees, (ast.Attribute,))
+    return [(module, cls, fn.name) for module, tree in trees.items()
+            for cls, fn in _methods(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and not fn.name.startswith("_") and not uses[fn.name]]
 
 
 def test_every_public_method_is_referenced():
@@ -105,30 +102,28 @@ def test_guard_catches_an_unreferenced_method():
         ("rmatrix.py", "QTensor", "determinant")]
 
 
+def test_guard_catches_namesake_methods_that_only_call_each_other():
+    # a reference inside a def of the same name is no use, so two
+    # same-named methods that only call each other are both dead
+    trees = _trees()
+    for module, name in (("rmatrix.py", "QTensor"), ("freealg.py", "NCPoly")):
+        cls = next(node for node in trees[module].body
+                   if isinstance(node, ast.ClassDef) and node.name == name)
+        cls.body.append(ast.parse(
+            "def trace(self):\n    return self.n * self.data.trace()\n").body[0])
+    assert unreferenced_public_methods(trees) == [
+        ("freealg.py", "NCPoly", "trace"), ("rmatrix.py", "QTensor", "trace")]
+
+
 def unreferenced_private_helpers(trees: dict) -> list:
     """(module, name) of every private module-level function or method,
     dunders aside, that no name or attribute in the package refers to
-    outside its own body."""
-    refs = Counter()
-    for tree in trees.values():
-        refs += _name_counts(tree)
-    out = []
-    for module, tree in trees.items():
-        defs = list(tree.body) + [fn for cls in tree.body
-                                  if isinstance(cls, ast.ClassDef)
-                                  for fn in cls.body]
-        for fn in defs:
-            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-                    and not fn.name.endswith("__")
-                    and refs[fn.name] == _name_counts(fn)[fn.name]):
-                out.append((module, fn.name))
-    return out
-
-
-def _name_counts(node) -> Counter:
-    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
-                   for sub in ast.walk(node)
-                   if isinstance(sub, (ast.Name, ast.Attribute)))
+    outside a def of its name."""
+    uses = _uses(trees, (ast.Name, ast.Attribute))
+    return [(module, fn.name) for module, tree in trees.items()
+            for fn in tree.body + [fn for _, fn in _methods(tree)]
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and not fn.name.endswith("__") and not uses[fn.name]]
 
 
 def test_every_private_helper_is_referenced():

@@ -1,17 +1,20 @@
+import inspect
+
 import pytest
 
-from ckq import coeffring
+from ckq import coeffring, qdual
 from ckq.coeffring import DualElement, JSignature
 from ckq.ckclassical import solve, weight_pattern_symplectic
 from ckq.freealg import GenSymbol, NCPoly, mat_symbol, word_key
 from ckq.qgroup import QuantumCKGroup, antipode, t_symbols
 from ckq.rmatrix import QTensor
 from ckq.qdual import (
-    DualPairing,
+    FUNCTIONAL_FAMILIES,
     dual_symbols,
     entry_words,
     _fold_word,
     lower_symbol,
+    pair,
     relations_pair_to_zero,
     upper_symbol,
     verify_antipode_duality,
@@ -19,7 +22,7 @@ from ckq.qdual import (
     verify_ll,
 )
 
-from conftest import all_signatures, seeded
+from conftest import all_signatures, at_v_zero, seeded
 from dual_oracle import RightFold, dual_antipode
 
 J33 = JSignature.parse("iota,iota")
@@ -27,8 +30,9 @@ J31 = JSignature.parse("iota,1")
 J30 = JSignature.parse("1,1")
 
 
-def pairing(j):
-    return DualPairing(QuantumCKGroup(j))
+def l_table(G, family):
+    """The degree-one value table of one functional family of G."""
+    return G.l_tables[FUNCTIONAL_FAMILIES.index(family)]
 
 
 def one(n):
@@ -54,21 +58,38 @@ def test_dual_symbols_enumerates_both_triangles():
 
 
 def test_functional_side_rejects_matrix_symbols():
-    ctx = pairing(J30)
+    G = QuantumCKGroup(J30)
     with pytest.raises(ValueError):
-        ctx.pair(mat_symbol(1, 1), NCPoly.one(J30.n))
+        pair(G, mat_symbol(1, 1), NCPoly.one(J30.n))
     with pytest.raises(ValueError):
-        ctx.pair(upper_symbol(1, 2), (upper_symbol(1, 1),))
+        pair(G, upper_symbol(1, 2), (upper_symbol(1, 1),))
     with pytest.raises(ValueError):
-        ctx.pair(GenSymbol("upper", 1, 2, 1), NCPoly.one(J30.n))
+        pair(G, GenSymbol("upper", 1, 2, 1), NCPoly.one(J30.n))
 
 
 def test_context_rejects_small_dimension():
     with pytest.raises(ValueError):
-        DualPairing(QuantumCKGroup(JSignature.parse("iota")))
-    # the tables are read off the contracted braiding only
-    with pytest.raises(ValueError):
-        DualPairing(QuantumCKGroup(J33, contracted=False))
+        QuantumCKGroup(JSignature.parse("iota"))
+    # the tables are read off the contracted braiding only, so every
+    # public function that takes a group refuses a symbolic one before
+    # any work, at word length 0 too
+    H = QuantumCKGroup(J33, contracted=False)
+    calls = {"pair": [(upper_symbol(1, 1), NCPoly.one(J33.n)), ((), ())],
+             "verify_ll": [(0,), (2,)],
+             "verify_l_additional": [(0,), (2,)],
+             "relations_pair_to_zero": [(0,), (2,)],
+             "verify_antipode_duality": [()]}
+    takes_group = {name for name, fn in vars(qdual).items()
+                   if not name.startswith("_") and inspect.isfunction(fn)
+                   and fn.__module__ == qdual.__name__
+                   and list(inspect.signature(fn).parameters)[:1] == ["G"]}
+    assert takes_group == set(calls)
+    for name, arglists in calls.items():
+        for args in arglists:
+            with pytest.raises(ValueError,
+                               match="the pairing reads a contracted group"):
+                getattr(qdual, name)(H, *args)
+    assert H.dual_steps == {}
 
 
 # ------------------------------------------------------------ degree one
@@ -78,61 +99,61 @@ def test_degree_one_tables_equal_paired_tensors():
     # <L[i,j], t[k,l]> through the word evaluator is entry (i,k,j,l) of the
     # family's tensor, zeros included, which is what ``dual`` emits
     for j in all_signatures(3) + all_signatures(4):
-        ctx = pairing(j)
-        T = ctx.group.T
+        G = QuantumCKGroup(j)
+        T = G.T
         rng = range(1, j.N + 1)
         for fam in ("upper", "lower"):
-            R = ctx.tensor(fam)
+            R = l_table(G, fam)
             for i in rng:
                 for jj in rng:
                     sym = GenSymbol(fam, i, jj)
                     for k in rng:
                         for l in rng:
-                            assert (ctx.pair(sym, T.get(k, l))
+                            assert (pair(G, sym, T.get(k, l))
                                     == R.get(i, k, jj, l)), (j, fam, i, jj, k, l)
 
 
 def test_degree_one_tables_are_triangular():
     for j in all_signatures(3) + [JSignature.parse("iota,1,iota")]:
-        ctx = pairing(j)
-        for (o1, _, i1, _) in ctx.tensor("upper").data:
+        G = QuantumCKGroup(j)
+        for (o1, _, i1, _) in l_table(G, "upper").data:
             assert o1 <= i1
-        for (o1, _, i1, _) in ctx.tensor("lower").data:
+        for (o1, _, i1, _) in l_table(G, "lower").data:
             assert o1 >= i1
 
 
 def test_off_triangle_functionals_vanish_beyond_degree_one():
-    ctx = pairing(J33)
-    syms = t_symbols(ctx.group.T)
+    G = QuantumCKGroup(J33)
+    syms = t_symbols(G.T)
     words = [(s,) for s in syms]
     words += [(s, t) for s in syms[:5] for t in syms[:5]]
     for w in words:
-        assert ctx.pair(upper_symbol(3, 1), w).is_zero()
-        assert ctx.pair(lower_symbol(1, 3), w).is_zero()
+        assert pair(G, upper_symbol(3, 1), w).is_zero()
+        assert pair(G, lower_symbol(1, 3), w).is_zero()
 
 
 def test_pair_against_unit_element_is_kronecker():
     for j in (J30, J33):
-        ctx = pairing(j)
+        G = QuantumCKGroup(j)
         unit = NCPoly.one(j.n)
         for g in dual_symbols(3):
             expect = one(j.n) if g.i == g.k else zero(j.n)
-            assert ctx.pair(g, unit) == expect
-        assert ctx.pair((upper_symbol(1, 2), lower_symbol(2, 1)), unit).is_zero()
-        assert ctx.pair((upper_symbol(1, 1), lower_symbol(2, 2)), unit) == one(j.n)
+            assert pair(G, g, unit) == expect
+        assert pair(G, (upper_symbol(1, 2), lower_symbol(2, 1)), unit).is_zero()
+        assert pair(G, (upper_symbol(1, 1), lower_symbol(2, 2)), unit) == one(j.n)
 
 
 def test_unit_functional_pairs_as_counit():
     for j in (J31, J33):
-        ctx = pairing(j)
-        T = ctx.group.T
+        G = QuantumCKGroup(j)
+        T = G.T
         for k in range(1, 4):
             for l in range(1, 4):
                 expect = one(j.n) if k == l else zero(j.n)
-                assert ctx.pair((), T.get(k, l)) == expect
-        for g in t_symbols(ctx.group.T):
+                assert pair(G, (), T.get(k, l)) == expect
+        for g in t_symbols(G.T):
             expect = one(j.n) if (g.i == g.k and g.mask == 0) else zero(j.n)
-            assert ctx.pair((), (g,)) == expect
+            assert pair(G, (), (g,)) == expect
 
 
 # ------------------------------------------------- weight-splitting layer
@@ -140,7 +161,7 @@ def test_unit_functional_pairs_as_counit():
 
 def test_split_values_reassemble_entry_values():
     for j in (J31, J33):
-        ctx = pairing(j)
+        G = QuantumCKGroup(j)
         pat = weight_pattern_symplectic(j)
         for fam in ("upper", "lower"):
             for i in range(1, 4):
@@ -150,25 +171,25 @@ def test_split_values_reassemble_entry_values():
                         for l in range(1, 4):
                             total = zero(j.n)
                             for mask in pat[(k, l)]:
-                                v = ctx.pair(sym, (mat_symbol(k, l, mask),))
+                                v = pair(G, sym, (mat_symbol(k, l, mask),))
                                 total = total + DualElement.monomial(j.n, mask) * v
-                            assert total == ctx.tensor(fam).get(i, k, jj, l)
+                            assert total == l_table(G, fam).get(i, k, jj, l)
 
 
 def test_split_values_carry_leftover_weights():
     # the flipped tensor holds a two-slot weight above a one-slot entry
     # pattern, so the read-off value keeps one nilpotent factor
-    ctx = pairing(J33)
-    v = ctx.pair(upper_symbol(1, 2), (mat_symbol(2, 1, 1),))
+    G = QuantumCKGroup(J33)
+    v = pair(G, upper_symbol(1, 2), (mat_symbol(2, 1, 1),))
     assert not v.is_zero()
     assert set(v.terms) == {2}
-    assert ctx.pair(upper_symbol(1, 2), (mat_symbol(2, 1, 2),)).is_zero()
+    assert pair(G, upper_symbol(1, 2), (mat_symbol(2, 1, 2),)).is_zero()
 
 
 def test_pair_is_bilinear():
     rng = seeded("qdual-bilinear")
-    ctx = pairing(J33)
-    syms = t_symbols(ctx.group.T)
+    G = QuantumCKGroup(J33)
+    syms = t_symbols(G.T)
     duals = dual_symbols(3)
     for _ in range(12):
         w1 = tuple(rng.choice(syms) for _ in range(2))
@@ -177,13 +198,13 @@ def test_pair_is_bilinear():
         c2 = DualElement.monomial(J33.n, rng.choice((0, 1, 2)), rng.randint(-3, -1))
         p = NCPoly(J33.n, {w1: c1, w2: c2})
         f = rng.choice(duals)
-        lhs = ctx.pair(f, p)
-        rhs = c1 * ctx.pair(f, w1) + c2 * ctx.pair(f, w2)
+        lhs = pair(G, f, p)
+        rhs = c1 * pair(G, f, w1) + c2 * pair(G, f, w2)
         assert lhs == rhs
         f1, f2 = upper_symbol(1, 2), lower_symbol(2, 1)
         fp = NCPoly(J33.n, {(f1,): c1, (f2,): c2})
-        assert ctx.pair(fp, w1) == \
-            c1 * ctx.pair(f1, w1) + c2 * ctx.pair(f2, w1)
+        assert pair(G, fp, w1) == \
+            c1 * pair(G, f1, w1) + c2 * pair(G, f2, w1)
 
 
 # ---------------------------------------------------- coproduct structure
@@ -192,36 +213,36 @@ def test_pair_is_bilinear():
 def test_multiplication_is_dual_to_coproduct():
     rng = seeded("qdual-convolution")
     for j in (J30, J33):
-        ctx = pairing(j)
-        syms = t_symbols(ctx.group.T)
+        G = QuantumCKGroup(j)
+        syms = t_symbols(G.T)
         for _ in range(10):
             x = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
             y = tuple(rng.choice(syms) for _ in range(rng.randint(1, 2)))
             for f in (upper_symbol(1, 2), lower_symbol(3, 1),
                       upper_symbol(2, 2)):
-                lhs = ctx.pair(f, x + y)
+                lhs = pair(G, f, x + y)
                 # f[i,k] -> sum_m f[i,m] (x) f[m,k]
                 rhs = zero(j.n)
                 for m in range(1, 4):
                     lft = GenSymbol(f.family, f.i, m)
                     rgt = GenSymbol(f.family, m, f.k)
-                    rhs = rhs + ctx.pair(lft, x) * ctx.pair(rgt, y)
+                    rhs = rhs + pair(G, lft, x) * pair(G, rgt, y)
                 assert lhs == rhs
 
 
 def test_left_and_right_folds_agree_on_split_words():
     rng = seeded("qdual-folds")
     for j in (J30, J33):
-        ctx = pairing(j)
-        oracle = RightFold(ctx)
-        syms = t_symbols(ctx.group.T)
+        G = QuantumCKGroup(j)
+        oracle = RightFold(G)
+        syms = t_symbols(G.T)
         duals = dual_symbols(3)
         words = [(a, b) for a in syms for b in syms]
         words += [tuple(rng.choice(syms) for _ in range(3)) for _ in range(60)]
         nonzero = 0
         for w in words:
             f = rng.choice(duals)
-            val = ctx.pair(f, w)
+            val = pair(G, f, w)
             assert val == oracle.pair(f, w)
             nonzero += bool(val)
         assert nonzero > 0
@@ -229,9 +250,9 @@ def test_left_and_right_folds_agree_on_split_words():
 
 def test_left_and_right_folds_agree_on_entry_products():
     for j in (J30, J33):
-        ctx = pairing(j)
-        oracle = RightFold(ctx)
-        T = ctx.group.T
+        G = QuantumCKGroup(j)
+        oracle = RightFold(G)
+        T = G.T
         functionals = [upper_symbol(1, 3), lower_symbol(3, 2),
                        (upper_symbol(1, 2), lower_symbol(2, 1)),
                        (upper_symbol(1, 1), upper_symbol(2, 3))]
@@ -242,7 +263,7 @@ def test_left_and_right_folds_agree_on_entry_products():
                     for l2 in range(1, 4):
                         m = T.get(k1, l1) * T.get(k2, l2)
                         for f in functionals:
-                            val = ctx.pair(f, m)
+                            val = pair(G, f, m)
                             assert val == oracle.pair(f, m)
                             nonzero += bool(val)
         assert nonzero > 0
@@ -253,26 +274,26 @@ def test_left_and_right_folds_agree_on_entry_products():
 
 def test_exchange_law_all_n3_signatures():
     for j in all_signatures(3):
-        report = verify_ll(pairing(j), degree=2)
+        report = verify_ll(QuantumCKGroup(j), degree=2)
         assert report["ok"], report["failures"][:3]
         assert report["identities"] == 3 * (1 + 9 + 81)
 
 
 def test_exchange_law_n4_contracted_sample():
-    report = verify_ll(pairing(JSignature.parse("iota,1,iota")), degree=2)
+    report = verify_ll(QuantumCKGroup(JSignature.parse("iota,1,iota")), degree=2)
     assert report["ok"], report["failures"][:3]
     assert report["identities"] == 3 * (1 + 16 + 256)
 
 
 def test_batched_exchange_values_match_pointwise_pairing():
     rng = seeded("qdual-batch")
-    ctx = pairing(J33)
-    T = ctx.group.T
+    G = QuantumCKGroup(J33)
+    T = G.T
     for fams in (("upper", "upper"), ("upper", "lower")):
         for _ in range(6):
             word = tuple((rng.randint(1, 3), rng.randint(1, 3))
                          for _ in range(rng.randint(1, 2)))
-            table = _fold_word(ctx, fams, word, {})
+            table = _fold_word(G, fams, word, {})
             elem = NCPoly.one(J33.n)
             for k, l in word:
                 elem = elem * T.get(k, l)
@@ -280,18 +301,18 @@ def test_batched_exchange_values_match_pointwise_pairing():
                 a, b, c, d = (rng.randint(1, 3) for _ in range(4))
                 fw = (GenSymbol(fams[0], a, c), GenSymbol(fams[1], b, d))
                 expect = table.get(a, b, c, d)
-                assert ctx.pair(fw, elem) == expect
+                assert pair(G, fw, elem) == expect
 
 
 def test_metric_and_diagonal_laws_all_n3_signatures():
     for j in all_signatures(3):
-        report = verify_l_additional(pairing(j), degree=2)
+        report = verify_l_additional(QuantumCKGroup(j), degree=2)
         assert report["ok"], report["failures"][:3]
         assert report["identities"] == 1001
 
 
 def test_metric_and_diagonal_laws_n4_contracted_sample():
-    report = verify_l_additional(pairing(JSignature.parse("1,iota,1")), degree=1)
+    report = verify_l_additional(QuantumCKGroup(JSignature.parse("1,iota,1")), degree=1)
     assert report["ok"], report["failures"][:3]
     assert report["identities"] == 17 * (4 + 8 + 1)
 
@@ -300,25 +321,25 @@ def test_transposed_metric_is_self_inverse():
     # the transposed metric squares to the identity, so its sandwich law is
     # also the inverse-metric law, and verify_l_additional checks it once
     for j in all_signatures(3) + [JSignature.parse("1,1,1")]:
-        ctx = pairing(j)
-        ct = ctx.group.C.transpose()
+        G = QuantumCKGroup(j)
+        ct = G.C.transpose()
         I = QTensor.identity(ct.N, ct.n)
         assert solve(ct, I) == ct
-        assert solve(ctx.group.C, I) == ctx.group.C
+        assert solve(G.C, I) == G.C
 
 
 def test_relations_pair_to_zero_all_n3_signatures():
     expected = {"1,1": 14287, "iota,1": 14287, "1,iota": 14287,
                 "iota,iota": 10362}
     for j in all_signatures(3):
-        report = relations_pair_to_zero(pairing(j), max_len=2)
+        report = relations_pair_to_zero(QuantumCKGroup(j), max_len=2)
         assert report["ok"], report["failures"][:3]
         assert report["checked"] == expected[str(j)]
 
 
 def test_relations_pair_to_zero_takes_words_of_every_admitted_length():
     # 66 relations times 1 + 12 + 12^2 + 12^3 functional words
-    report = relations_pair_to_zero(pairing(J33), max_len=3)
+    report = relations_pair_to_zero(QuantumCKGroup(J33), max_len=3)
     assert report["ok"], report["failures"][:3]
     assert report["checked"] == 124410
 
@@ -334,10 +355,9 @@ def test_relations_pair_to_zero_refutes_non_relations():
         rels = G.relations()
         assert rels.add(T.get(1, 2) * T.get(2, 1), "fake-product")
         assert rels.add(T.get(1, 1) + T.get(3, 3), "fake-trace")
-        ctx = DualPairing(G)
-        report = relations_pair_to_zero(ctx, max_len=2)
+        report = relations_pair_to_zero(G, max_len=2)
 
-        oracle = RightFold(ctx)
+        oracle = RightFold(G)
         syms = dual_symbols(3)
         words = [()] + [(s,) for s in syms]
         words += [(s, t) for s in syms for t in syms]
@@ -382,15 +402,14 @@ def test_relations_pair_to_zero_refutes_non_relations_n4(sig, caught):
     G = QuantumCKGroup(JSignature.parse(sig))
     real = len(G.relations())
     rels = _inject_n4_non_relations(G)
-    ctx = DualPairing(G)
-    report = relations_pair_to_zero(ctx, max_len=2)
+    report = relations_pair_to_zero(G, max_len=2)
 
     syms = dual_symbols(4)
     words = [()] + [(s,) for s in syms]
     words += [(s, t) for s in syms for t in syms]
     # the real relations pair to zero (the suite passes at every N=4
     # signature), so the oracle is asked about the injected ones only
-    oracle = RightFold(ctx)
+    oracle = RightFold(G)
     expect = [{"source": src, "word": w}
               for r, src in list(rels.tagged())[real:] for w in words
               if oracle.pair(w, r)]
@@ -406,31 +425,31 @@ def test_relations_pair_to_zero_refutes_non_relations_n4(sig, caught):
     groups = {(tuple(g.family for g in w), tuple(g.i for g in w))
               for w in words}
     for pre in {w[:-1] for w in fake.terms}:
-        assert any(not ctx._row(fams, avec, pre, {})
+        assert any(not qdual._row(G, fams, avec, pre, {})
                    for fams, avec in groups)
 
 
 def test_relations_pair_to_zero_folds_each_word_once(monkeypatch):
     """One call folds each relation word at most once per (families, start
     row), and never a word whose prefix row is empty."""
-    ctx = pairing(JSignature.parse("iota,1,iota"))
-    rel_words = {w for p in ctx.group.relations() for w in p.terms}
+    G = QuantumCKGroup(JSignature.parse("iota,1,iota"))
+    rel_words = {w for p in G.relations() for w in p.terms}
     folded = {}
     twice = []
-    row = DualPairing._row
+    row = qdual._row
 
-    def counted(self, fams, avec, word, memo):
+    def counted(G, fams, avec, word, memo):
         # a word is folded when its row is not yet in the memo
         if word in memo:
-            return row(self, fams, avec, word, memo)
+            return row(G, fams, avec, word, memo)
         key = (fams, avec, word)
         if key in folded:
             twice.append(key)
-        folded[key] = got = row(self, fams, avec, word, memo)
+        folded[key] = got = row(G, fams, avec, word, memo)
         return got
 
-    monkeypatch.setattr(DualPairing, "_row", counted)
-    assert relations_pair_to_zero(ctx, max_len=2)["ok"]
+    monkeypatch.setattr(qdual, "_row", counted)
+    assert relations_pair_to_zero(G, max_len=2)["ok"]
     assert not twice
     # a word is folded after its prefix, whose row must not be empty
     assert all(folded[(fams, avec, w[:-1])]
@@ -447,8 +466,10 @@ def test_relations_pair_to_zero_sums_each_coefficient_tuple_once(monkeypatch):
     table, so the body of ``DualElement.dot`` runs once per distinct tuple
     of pairs: under 1,500 times at N=4 1,1,1, where summing without the
     table runs it 15,619 times."""
-    ctx = pairing(JSignature.parse("1,1,1"))
-    ctx.group.relations()
+    G = QuantumCKGroup(JSignature.parse("1,1,1"))
+    # the relations and the L+- tables are built first: r_plus_minus
+    # inverts R without a table, and only the pairing's own sums count
+    G.relations(), G.l_tables
     summed = []
     body = coeffring._dual_dot
 
@@ -457,17 +478,17 @@ def test_relations_pair_to_zero_sums_each_coefficient_tuple_once(monkeypatch):
         return body(n, pairs)
 
     monkeypatch.setattr(coeffring, "_dual_dot", counted)
-    assert relations_pair_to_zero(ctx)["ok"]
+    assert relations_pair_to_zero(G)["ok"]
     assert len(summed) == len(set(summed))
     assert len(summed) < 1500
 
 
 def test_relation_values_vanish_term_by_term_sample():
-    ctx = pairing(J31)
+    G = QuantumCKGroup(J31)
     rels = QuantumCKGroup(J31).relations()
     w = (upper_symbol(1, 2), upper_symbol(2, 3))
     for r in rels.polys[:10]:
-        assert ctx.pair(w, r).is_zero()
+        assert pair(G, w, r).is_zero()
 
 
 # ------------------------------------------------------------- antipode
@@ -476,26 +497,26 @@ def test_relation_values_vanish_term_by_term_sample():
 def test_antipode_duality_degree_one():
     for j in all_signatures(3) + [JSignature.parse("1,1,1"),
                                   JSignature.parse("iota,iota,iota")]:
-        report = verify_antipode_duality(pairing(j))
+        report = verify_antipode_duality(QuantumCKGroup(j))
         assert report["ok"]
         assert report["checked"] == 2 * j.N ** 4
 
 
 def test_dual_antipode_is_single_mirrored_generator():
     for j in (J30, J33):
-        ctx = pairing(j)
-        T = ctx.group.T
-        S = antipode(T, ctx.group.C)
+        G = QuantumCKGroup(j)
+        T = G.T
+        S = antipode(T, G.C)
         for g in dual_symbols(3):
-            coeff, m = dual_antipode(ctx, g)
+            coeff, m = dual_antipode(G, g)
             assert m.family == g.family
             assert (m.i, m.k) == (4 - g.k, 4 - g.i)
             inv = coeff.inverse()
             assert inv is not None and coeff * inv == one(j.n)
             for k in range(1, 4):
                 for l in range(1, 4):
-                    lhs = coeff * ctx.pair(m, T.get(k, l))
-                    rhs = ctx.pair(g, S.get(k, l))
+                    lhs = coeff * pair(G, m, T.get(k, l))
+                    rhs = pair(G, g, S.get(k, l))
                     assert lhs == rhs
 
 
@@ -504,10 +525,10 @@ def test_dual_antipode_is_single_mirrored_generator():
 
 def test_pairing_tables_are_kronecker_at_flat_limit():
     for j in all_signatures(3):
-        ctx = pairing(j)
+        G = QuantumCKGroup(j)
         for fam in ("upper", "lower"):
-            flat = {key: val.at_v_zero().at_q_one()
-                    for key, val in ctx.tensor(fam).data.items()}
+            flat = {key: at_v_zero(val).at_q_one()
+                    for key, val in l_table(G, fam).data.items()}
             flat = {key: val for key, val in flat.items() if val}
             expect = {(i, k, i, k): one(j.n)
                       for i in range(1, 4) for k in range(1, 4)}

@@ -15,7 +15,7 @@ from ckq.ckclassical import (
     weight_pattern_symplectic,
 )
 from ckq.freealg import NCPoly, mat_symbol
-from ckq.qdual import DualPairing, dual_symbols
+from ckq.qdual import dual_symbols, pair
 from ckq.rmatrix import QTensor
 from ckq.qgroup import (
     QuantumCKGroup,
@@ -42,7 +42,7 @@ from ckq.qgroup import (
 )
 
 import exchange_oracle
-from conftest import all_signatures, seeded
+from conftest import all_signatures, at_v_zero, seeded
 
 
 def canon(p):
@@ -142,12 +142,10 @@ def test_readers_take_the_pattern_and_l_tables_from_the_group(monkeypatch):
                             built.append(name) or real(*args))
     G = QuantumCKGroup(JSignature.parse("iota,1"))
     G.pattern = pattern = _Watched(G.pattern)
-    ctx, syms = DualPairing(G), t_symbols(G.T)
-    assert (ctx.r_plus, ctx.r_minus) == G.l_tables
-    assert ctx.r_plus is G.l_tables[0] and ctx.r_minus is G.l_tables[1]
+    syms = t_symbols(G.T)
     readers = {
         "build_t": lambda: build_t(G, copy=1),
-        "DualPairing": lambda: [ctx.pair(f, (g,)) for f in dual_symbols(3) for g in syms],
+        "pair": lambda: [pair(G, f, (g,)) for f in dual_symbols(3) for g in syms],
         "relations_tex": lambda: render.relations_tex(G),
     }
     for name, read in readers.items():
@@ -213,7 +211,7 @@ def test_identity_r_gives_plain_commutators():
 def test_contracted_rtt_at_v0_is_commutators(spec):
     j = JSignature.parse(spec)
     G = QuantumCKGroup(j)
-    at_v0 = {canon(q) for q in (p.at_v_zero() for p in rtt_relations(G.T, G.R)) if q}
+    at_v0 = {canon(q) for q in (at_v_zero(p) for p in rtt_relations(G.T, G.R)) if q}
     flat = {canon(p) for p in rtt_relations(G.T, QTensor.pair(QTensor.identity(3, 2)))}
     assert at_v0 == flat
 
@@ -223,7 +221,7 @@ def test_contracted_orth_at_v0_is_classical(spec):
     j = JSignature.parse(spec)
     G = QuantumCKGroup(j)
     at_v0 = {canon(q) for q in
-             (p.at_v_zero() for p in orthogonality_relations(G.cofactors)) if q}
+             (at_v_zero(p) for p in orthogonality_relations(G.cofactors)) if q}
     classical = {canon(p) for p in
                  orthogonality_relations(
                      orthogonality_cofactors(G.T, antidiagonal_c0(3, 2)))}
@@ -264,7 +262,7 @@ def test_coefficient_shape_deformation_carries_jv():
 
 def deformation_part_is_nilpotent(p):
     # difference between the relation and its v=0 shadow must be nilpotent
-    diff = p - p.at_v_zero()
+    diff = p - at_v_zero(p)
     return all(0 not in c.terms for c in diff.terms.values())
 
 
@@ -611,7 +609,7 @@ def test_delta_compat_commutative_shadow():
     G = QuantumCKGroup(j)
     comps = rtt_components(G.T, G.R)
     for p in comps.data.values():
-        q = p.at_v_zero()
+        q = at_v_zero(p)
         # commutator structure: vanishes under any commutative evaluation
         assert q.evaluate(lambda g: DualElement.one(2)).is_zero()
 

@@ -18,7 +18,7 @@ from ckq.rmatrix import (
     verify_ybe,
 )
 
-from conftest import all_signatures, seeded
+from conftest import all_signatures, at_v_zero, seeded
 
 
 def lam():
@@ -149,7 +149,7 @@ def test_contracted_checks_all_signatures_n3():
 def test_contracted_r_is_identity_mod_nilpotents():
     j = JSignature.parse("iota,iota")
     Rc = contract(frt_r(3), j)
-    assert Rc.map_entries(lambda e: e.at_v_zero()) == identity_vv(3, 2)
+    assert Rc.map_entries(at_v_zero) == identity_vv(3, 2)
 
 
 def test_cubic_inverse_symbolic():
