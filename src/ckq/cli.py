@@ -16,10 +16,13 @@ but at least one inconclusive check (a certificate cites a polynomial that
 is not a generator of the emitted ideal).
 
 Each command reads the weight pattern, R, C, T, L+- and the relations from
-one ``QuantumCKGroup``, which builds each of them on first use.  ``verify``
-deals the suites out to its worker processes in turn (serial is one
-worker); each worker builds one group, and every suite takes it, the
-dual-side suites included.
+one ``QuantumCKGroup``, which builds each of them on first use.
+``relations``, ``rmatrix`` and ``dual`` are one command, ``cmd_emit``:
+``_EMITTERS`` maps each (command, --format) pair to the ``render`` function
+that builds the document from the group, so a new emitted document is one
+row there.  ``verify`` deals the suites out to its worker processes in turn
+(serial is one worker); each worker builds one group, and every suite takes
+it, the dual-side suites included.
 
 All output is byte-deterministic for a fixed command line: every container
 is sorted before emission and nothing depends on hash order.  JSON documents
@@ -65,18 +68,20 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise UsageError("%s must be at least %d, got %d" % (name, low, value))
 
 
-# entry_words yields N^(2*degree) functional words per family pair; the
-# largest admitted case is N=5 at degree 3.
-MAX_WORDS_PER_PAIR = 5 ** 6
+# pairing walks (N(N+1))^degree functional words; the largest admitted
+# cases are N=3 at degree 4 and N=5 at degree 3.
+MAX_FUNCTIONAL_WORDS = 30 ** 3
 
 
 def _check_degree(N: int, degree: int) -> None:
     _check_at_least("--degree", degree, 0)
-    words = N ** (2 * degree)
-    if words > MAX_WORDS_PER_PAIR:
-        raise UsageError("--degree %d at --n %d gives %d words per family "
-                         "pair, more than %d" % (degree, N, words,
-                                                 MAX_WORDS_PER_PAIR))
+    words = 1
+    for _ in range(degree):  # stops at the bound, so no large power is formed
+        words *= N * (N + 1)
+        if words > MAX_FUNCTIONAL_WORDS:
+            raise UsageError("--degree %d at --n %d walks more than %d "
+                             "functional words" % (degree, N,
+                                                   MAX_FUNCTIONAL_WORDS))
 
 
 def _check_out(path: str) -> None:
@@ -117,54 +122,29 @@ def _write(ns, payload) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _config(ns, j: JSignature) -> dict:
-    return {"n": ns.n, "j": render.signature_json(j)}
-
-
 # ----------------------------------------------------------- subcommands
 
 
-_RELATION_EMITTERS = {"json": render.relations_json,
-                      "latex": render.relations_tex,
-                      "text": render.relations_text}
+# (command, --format) -> the render function that builds the document the
+# command writes from its group; a command's --format choices are its rows
+_EMITTERS = {
+    ("relations", "text"): render.relations_text,
+    ("relations", "json"): render.relations_json,
+    ("relations", "latex"): render.relations_tex,
+    ("rmatrix", "text"): render.rmatrix_text,
+    ("rmatrix", "json"): render.rmatrix_json,
+    ("rmatrix", "latex"): render.rmatrix_tex,
+    ("dual", "text"): render.dual_text,
+    ("dual", "json"): render.dual_doc,
+}
 
 
-def cmd_relations(ns) -> int:
+def cmd_emit(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
-    emit = _RELATION_EMITTERS[ns.format]
     # no name holds the group: it, its dot table and the relation set are
     # freed once the document is built, before it is written, so the
     # command never holds both at its peak
-    _write(ns, emit(qgroup.QuantumCKGroup(j)))
-    return EXIT_PASS
-
-
-def cmd_rmatrix(ns) -> int:
-    j = _parse_signature(ns.j, ns.n)
-    G = qgroup.QuantumCKGroup(j)
-    R, C = G.R, G.C
-    if ns.format == "json":
-        rp, rm = G.l_tables
-        doc = {"config": _config(ns, j),
-               "r": render.tensor_json(R),
-               "r_plus": render.tensor_json(rp),
-               "r_minus": render.tensor_json(rm),
-               "metric": render.tensor_json(C)}
-        _write(ns, doc)
-    elif ns.format == "latex":
-        lines = [r"\begin{align*}"]
-        for key in sorted(R.data):
-            lines.append(r"  R^{%d%d}_{%d%d} &= %s \\"
-                         % (key[0], key[1], key[2], key[3],
-                            render.dual_tex(R.data[key])))
-        lines.append(r"\end{align*}")
-        _write(ns, "\n".join(lines) + "\n")
-    else:
-        parts = ["# braiding tensor", render.tensor_text(R),
-                 "# metric"]
-        for i, k in sorted(C.data):
-            parts.append("C[%d,%d] = %s" % (i, k, C.data[(i, k)]))
-        _write(ns, "\n".join(parts) + "\n")
+    _write(ns, _EMITTERS[ns.command, ns.format](qgroup.QuantumCKGroup(j)))
     return EXIT_PASS
 
 
@@ -193,41 +173,13 @@ def cmd_classical(ns) -> int:
     j = _parse_signature(ns.j, ns.n)
     _check_at_least("--samples", ns.samples, 1)
     report = _classical_report(j, ns.samples, ns.seed)
-    doc = {"config": _config(ns, j), "report": report}
+    doc = {"config": render.config_json(j), "report": report}
     if ns.format == "json":
         _write(ns, doc)
     else:
         lines = ["%s: %s" % (k, report[k]) for k in sorted(report)]
         _write(ns, "\n".join(lines) + "\n")
     return EXIT_PASS if report["ok"] else EXIT_FAIL
-
-
-def cmd_dual(ns) -> int:
-    j = _parse_signature(ns.j, ns.n)
-    G = qgroup.QuantumCKGroup(j)
-    # the functional weight pattern is the entry weight pattern, and the
-    # degree-one value tables are the two halves of the braiding
-    rp, rm = G.l_tables
-    tables = {"upper": sorted(rp.data.items()),
-              "lower": sorted(rm.data.items())}
-    if ns.format == "json":
-        doc = {"config": _config(ns, j),
-               "pattern": render.pattern_json(G.pattern),
-               "tables": {family: [{"functional": [i, jj], "entry": [k, l],
-                                    "value": render.dual_json(val)}
-                                   for (i, k, jj, l), val in rows]
-                          for family, rows in tables.items()}}
-        _write(ns, doc)
-    else:
-        parts = ["# formal functional weight pattern "
-                 "(* marks inverted-weight terms defined only through the pairing)",
-                 render.pattern_text(G.pattern), "# degree-one pairing tables"]
-        for family, rows in tables.items():
-            for (i, k, jj, l), val in rows:
-                parts.append("<%s[%d,%d], t[%d,%d]> = %s"
-                             % (family, i, jj, k, l, val))
-        _write(ns, "\n".join(parts) + "\n")
-    return EXIT_PASS
 
 
 # ---------------------------------------------------------------- verify
@@ -397,7 +349,7 @@ def cmd_verify(ns) -> int:
     # suite i ran as entry i // chunks of chunk i % chunks
     results = [parts[i % chunks][i // chunks] for i in range(len(names))]
     if ns.format == "json":
-        doc = {"config": _config(ns, j),
+        doc = {"config": render.config_json(j),
                "results": [{"suite": nm, "status": st, "detail": dt}
                            for nm, st, dt in results]}
         _write(ns, doc)
@@ -436,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("relations", help="emit the defining relations")
     _add_common(p, LATEX_FORMATS)
-    p.set_defaults(fn=cmd_relations)
+    p.set_defaults(fn=cmd_emit)
 
     p = subs.add_parser("rmatrix", help="emit braiding tensor and metric")
     _add_common(p, LATEX_FORMATS)
-    p.set_defaults(fn=cmd_rmatrix)
+    p.set_defaults(fn=cmd_emit)
 
     p = subs.add_parser("classical", help="commutative-limit group suite")
     _add_common(p)
@@ -450,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dual", help="emit pairing tables and weight pattern")
     _add_common(p)
-    p.set_defaults(fn=cmd_dual)
+    p.set_defaults(fn=cmd_emit)
 
     p = subs.add_parser("verify", help="run verification suites")
     _add_common(p)
@@ -458,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of suites, or all: %s" % ", ".join(SUITES))
     p.add_argument("--degree", type=int, default=2,
                    help="word length bound for dual-side suites "
-                        "(N^(2*degree) at most %d; pairing walks "
-                        "(N(N+1))^degree words, about 5 s at N=3 "
-                        "degree 4 and 12 s at N=5 degree 3)"
-                        % MAX_WORDS_PER_PAIR)
+                        "(pairing walks (N(N+1))^degree words, at most "
+                        "%d: about 5 s at N=3 degree 4 and 12 s at N=5 "
+                        "degree 3)" % MAX_FUNCTIONAL_WORDS)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; suites are dealt out to them "
                         "in turn")

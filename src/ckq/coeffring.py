@@ -358,10 +358,6 @@ class ScalarExpr(_Combination):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ScalarExpr":
-        return _S_ZERO
-
-    @classmethod
     def one(cls) -> "ScalarExpr":
         return _S_ONE
 
@@ -655,12 +651,6 @@ class DualElement(_Combination):
         return acc * b_inv
 
     # -- specializations ----------------------------------------------
-
-    def map_scalars(self, fn) -> "DualElement":
-        return DualElement(self.n, {m: fn(s) for m, s in self.terms.items()})
-
-    def at_q_one(self) -> "DualElement":
-        return self.map_scalars(lambda s: s.at_q_one())
 
     def specialize(self, j: "JSignature") -> "DualElement":
         """Apply q^a -> 1 + a*J*v to every scalar coefficient."""

@@ -146,10 +146,6 @@ class NCPoly(_Combination):
             return NCPoly._raw(self.n, {w: t for w, u in self.terms.items() if (t := u * c)})
         return NCPoly.dot(self.n, ((self, other),))
 
-    def __rmul__(self, other) -> "NCPoly":
-        # scalars only (NCPoly * NCPoly is handled by __mul__)
-        return self * other
-
     @classmethod
     def dot(cls, n: int, pairs, table: dict | None = None) -> "NCPoly":
         """The sum of p * q over the (p, q) pairs of polynomials over D_n.

@@ -6,6 +6,11 @@ decimal strings "p/q"; nilpotent subsets are sorted slot-index arrays;
 the deformation exponent is stored doubled (the internal variable is the
 square root of the deformation parameter).
 
+The documents of ``ckq relations``, ``rmatrix`` and ``dual`` are built here
+from the group: ``relations_text``/``_json``/``_tex``,
+``rmatrix_text``/``_json``/``_tex``, ``dual_text`` and ``dual_doc``
+(``dual_json`` encodes one element of D_n).
+
 ``write_json`` is the one JSON writer: every ``--format json`` document
 goes through it, straight to its output stream, one top-level member at a
 time.  A relation document holds thousands of coefficients but only a few
@@ -74,6 +79,10 @@ def poly_json(p: NCPoly, symbol, coeff) -> list:
 
 def signature_json(j: JSignature) -> list:
     return ["iota" if f else "1" for f in j.flags]
+
+
+def config_json(j: JSignature) -> dict:
+    return {"n": j.N, "j": signature_json(j)}
 
 
 # --------------------------------------------------------------- LaTeX
@@ -229,12 +238,10 @@ def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
 def relations_json(G: QuantumCKGroup) -> dict:
     """Equal symbols and equal coefficients share one fragment object, so
     ``write_json`` writes each of them once."""
-    j = G.j
     symbol = _memo(symbol_json)
     coeff = _memo(dual_json)
     return {
-        "n": j.N,
-        "j": signature_json(j),
+        **config_json(G.j),
         "symbols": [symbol(g) for g in t_symbols(G.T)],
         "relations": [{"terms": poly_json(p, symbol, coeff), "source": src}
                       for p, src in G.relations().tagged()],
@@ -279,6 +286,27 @@ def tensor_text(T) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rmatrix_json(G: QuantumCKGroup) -> dict:
+    rp, rm = G.l_tables
+    return {"config": config_json(G.j), "r": tensor_json(G.R),
+            "r_plus": tensor_json(rp), "r_minus": tensor_json(rm),
+            "metric": tensor_json(G.C)}
+
+
+def rmatrix_tex(G: QuantumCKGroup) -> str:
+    R = G.R
+    lines = [r"  R^{%d%d}_{%d%d} &= %s \\" % (*key, dual_tex(R.data[key]))
+             for key in sorted(R.data)]
+    return "\n".join([r"\begin{align*}", *lines, r"\end{align*}"]) + "\n"
+
+
+def rmatrix_text(G: QuantumCKGroup) -> str:
+    C = G.C
+    lines = ["# braiding tensor", tensor_text(G.R), "# metric"]
+    lines += ["C[%d,%d] = %s" % (i, k, C.data[(i, k)]) for i, k in sorted(C.data)]
+    return "\n".join(lines) + "\n"
+
+
 def pattern_json(pattern: dict) -> list:
     """The functional weight pattern, read off the entry weight pattern
     (``QuantumCKGroup.pattern``): a term with a nilpotent weight is
@@ -305,6 +333,31 @@ def pattern_text(pattern: dict) -> str:
             terms.append("%s%s[%d,%d]%s" % (weight and weight + " ",
                                             letter, i, k, mark))
         lines.append("L[%d,%d] = %s" % (i, k, " + ".join(terms)))
+    return "\n".join(lines) + "\n"
+
+
+# The functional weight pattern is the entry weight pattern, and the
+# degree-one value tables of the two functional families are the two halves
+# of the braiding, L+- (``QuantumCKGroup.l_tables``).
+_DUAL_FAMILIES = ("upper", "lower")
+
+
+def dual_doc(G: QuantumCKGroup) -> dict:
+    return {"config": config_json(G.j),
+            "pattern": pattern_json(G.pattern),
+            "tables": {family: [{"functional": [i, jj], "entry": [k, l],
+                                 "value": dual_json(val)}
+                                for (i, k, jj, l), val in sorted(L.data.items())]
+                       for family, L in zip(_DUAL_FAMILIES, G.l_tables)}}
+
+
+def dual_text(G: QuantumCKGroup) -> str:
+    lines = ["# formal functional weight pattern "
+             "(* marks inverted-weight terms defined only through the pairing)",
+             pattern_text(G.pattern), "# degree-one pairing tables"]
+    for family, L in zip(_DUAL_FAMILIES, G.l_tables):
+        for (i, k, jj, l), val in sorted(L.data.items()):
+            lines.append("<%s[%d,%d], t[%d,%d]> = %s" % (family, i, jj, k, l, val))
     return "\n".join(lines) + "\n"
 
 

@@ -154,9 +154,6 @@ class QTensor:
     def map_entries(self, fn) -> "QTensor":
         return QTensor(self.N, self.n, {k: fn(v) for k, v in self.data.items()})
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def apply_vec(self, vec: dict, table: dict | None = None) -> dict:
         """Apply to a vector {(k,l): coeff}, a right factor with empty input
         halves; ``table`` as in ``dot``."""

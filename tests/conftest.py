@@ -30,14 +30,25 @@ def all_signatures(N):
             for bits in range(1 << n)]
 
 
-def at_v_zero(x):
-    """x at v = 0: every coefficient term carrying a power of v dropped,
-    for a ScalarExpr, a DualElement or an NCPoly."""
+def _on_scalars(x, fn):
+    """fn applied to every scalar coefficient of x, a ScalarExpr, a
+    DualElement or an NCPoly."""
     if isinstance(x, NCPoly):
-        return x.map_coeffs(at_v_zero)
+        return x.map_coeffs(lambda c: _on_scalars(c, fn))
     if isinstance(x, DualElement):
-        return x.map_scalars(at_v_zero)
-    return ScalarExpr({e: c for e, c in x.terms.items() if e[1] == 0})
+        return DualElement(x.n, {m: fn(s) for m, s in x.terms.items()})
+    return fn(x)
+
+
+def at_v_zero(x):
+    """x at v = 0: every coefficient term carrying a power of v dropped."""
+    return _on_scalars(x, lambda s: ScalarExpr(
+        {e: c for e, c in s.terms.items() if e[1] == 0}))
+
+
+def at_q_one(x):
+    """x at q = 1 (s = 1)."""
+    return _on_scalars(x, ScalarExpr.at_q_one)
 
 
 def rand_cyclo(rng, span=4):

@@ -30,7 +30,7 @@ def exact_div(x: ScalarExpr, d: ScalarExpr) -> "ScalarExpr | None":
     if not d:
         return None
     if not x:
-        return ScalarExpr.zero()
+        return ScalarExpr()
     s_lo, s_hi, v_lo, v_hi = _exponent_box(x)
     d_s_lo, d_s_hi, d_v_lo, d_v_hi = _exponent_box(d)
     s_lo, s_hi = s_lo - d_s_lo, s_hi - d_s_hi

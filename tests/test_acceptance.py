@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from conftest import all_signatures, at_v_zero, record_acceptance
+from conftest import all_signatures, at_q_one, at_v_zero, record_acceptance
 
 from ckq import ckclassical as ck
 from ckq import qgroup, render
@@ -37,7 +37,7 @@ SIZES = (3, 4, 5)
 
 
 def _flat(x):
-    return at_v_zero(x).at_q_one()
+    return at_q_one(at_v_zero(x))
 
 
 def _abelianized(p: NCPoly) -> NCPoly:

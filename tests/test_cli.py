@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, formats, byte determinism."""
 
+import argparse
 import concurrent.futures
 import functools
 import hashlib
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -71,8 +73,8 @@ def test_rmatrix_json_matches_golden(tmp_path):
 # the sha256 of every document the emit-n5 benchmark workload writes
 N5_DIGESTS = json.loads((GOLDEN / "emit_n5_sha256.json").read_text())
 N5_SIGNATURES = ["1,1,1,1", "iota,1,iota,1", "iota,iota,iota,iota"]
-# the sha256 of relations json, rmatrix json/text and dual json/text at
-# every N=3 and N=4 signature
+# the sha256 of every emitted document (relations and rmatrix in text, json
+# and LaTeX, dual in text and json) at every N=3 and N=4 signature
 N34_DIGESTS = json.loads((GOLDEN / "emit_n34_sha256.json").read_text())
 N34_SIGNATURES = sorted({(int(key.split()[2]), key.split()[4])
                          for key in N34_DIGESTS})
@@ -110,8 +112,10 @@ def test_rmatrix_and_dual_n5_match_golden_digests(tmp_path, sig):
 @pytest.mark.parametrize("N,sig", N34_SIGNATURES)
 def test_emit_n3_n4_match_golden_digests(tmp_path, N, sig):
     _assert_digests(tmp_path, N34_DIGESTS, N, sig,
-                    [("relations", "json"), ("rmatrix", "json"),
-                     ("rmatrix", "text"), ("dual", "json"), ("dual", "text")])
+                    [("relations", "json"), ("relations", "text"),
+                     ("relations", "latex"), ("rmatrix", "json"),
+                     ("rmatrix", "text"), ("rmatrix", "latex"),
+                     ("dual", "json"), ("dual", "text")])
 
 
 @pytest.mark.parametrize("argv", sorted(VERIFY_N34_DIGESTS))
@@ -348,6 +352,18 @@ def test_rmatrix_forms_r_plus_minus_only_for_json(tmp_path, monkeypatch, fmt):
                       else RMATRIX_N3_IOTA1_LATEX_SHA256)
 
 
+def test_emitting_commands_offer_exactly_their_emitter_rows():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for command in ("relations", "rmatrix", "dual"):
+        fmt = next(a for a in subs.choices[command]._actions
+                   if a.dest == "format")
+        assert sorted(fmt.choices) == sorted(
+            f for c, f in cli._EMITTERS if c == command), command
+        assert subs.choices[command].get_default("fn") is cli.cmd_emit
+    assert {c for c, _ in cli._EMITTERS} == {"relations", "rmatrix", "dual"}
+
+
 @pytest.mark.parametrize("command", ["dual", "classical", "verify"])
 def test_latex_is_a_usage_error_where_not_written(capsys, command):
     # only relations and rmatrix write LaTeX
@@ -413,6 +429,28 @@ def test_largest_admitted_degrees_reach_the_suites(monkeypatch, n, degree):
             "--degree", str(degree)]
     assert cli.main(argv) == 0
     assert [(w[0], w[2].degree) for w in ran] == [(["exchange"], degree)]
+
+
+def test_admitted_degrees_are_those_with_at_most_27000_pairing_words(monkeypatch):
+    # (N(N+1))^degree <= 30^3: N=3 up to degree 4, N=4 and N=5 up to 3
+    monkeypatch.setattr(cli, "_run_chunk",
+                        lambda w: [(w[0][0], "PASS", "")])
+    admitted = {(n, degree) for n in (3, 4, 5) for degree in range(8)
+                if cli.main(["verify", "--n", str(n), "--suite", "exchange",
+                             "--degree", str(degree)]) == 0}
+    assert admitted == ({(3, d) for d in range(5)} | {(4, d) for d in range(4)}
+                        | {(5, d) for d in range(4)})
+
+
+@pytest.mark.parametrize("degree", [5, 3000, 100000, 10000000])
+def test_large_degree_is_refused_at_once_in_one_short_line(capsys, degree):
+    t0 = time.perf_counter()
+    assert cli.main(["verify", "--n", "3", "--suite", "ybe",
+                     "--degree", str(degree)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "ckq: --degree %d at --n 3 walks more than 27000 functional words\n"
+        % degree)
 
 
 def test_crashing_suite_reports_error_not_fail(monkeypatch, capsys):

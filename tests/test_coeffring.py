@@ -196,7 +196,7 @@ def test_v_degree_cap_guard():
 def test_scalar_rendering_canonical():
     x = ScalarExpr.s_power(1) + ScalarExpr({(0, 1): Fraction(-1, 2)})
     assert str(x) == "-1/2*v+q^(1/2)"
-    assert str(ScalarExpr.zero()) == "0"
+    assert str(ScalarExpr()) == "0"
     assert str(ScalarExpr.lam()) == "-q^-1+q"
     assert str(ScalarExpr.q_power(-1)) == "q^-1"
 

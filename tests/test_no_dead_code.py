@@ -7,13 +7,16 @@ some attribute reference in the package: a method that only tests call is
 dead code too.  A private helper, module-level or a method, must likewise
 be named somewhere in the package.  A reference made inside the body of a
 def of the same name is no use: neither a def's own recursion nor two
-namesake methods that only call each other keep a name alive.  Nor does
-the package keep process-wide state: no ``functools.lru_cache`` or
+namesake methods that only call each other keep a name alive.  The guard
+matches names, not owners, so a reference to one class's method also keeps
+a namesake on another class alive; the methods whose name several classes
+share are pinned, and a new one must be checked by hand.  Nor does the
+package keep process-wide state: no ``functools.lru_cache`` or
 ``functools.cache`` decorator and no ``global`` statement.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import ckq
@@ -113,6 +116,43 @@ def test_guard_catches_namesake_methods_that_only_call_each_other():
             "def trace(self):\n    return self.n * self.data.trace()\n").body[0])
     assert unreferenced_public_methods(trees) == [
         ("freealg.py", "NCPoly", "trace"), ("rmatrix.py", "QTensor", "trace")]
+
+
+def shared_method_names(trees: dict) -> set:
+    """(class, name) of every public method whose name a method of another
+    class in the package also has."""
+    owners = defaultdict(set)
+    for tree in trees.values():
+        for cls, fn in _methods(tree):
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                owners[fn.name].add(cls)
+    return {(cls, name) for name, classes in owners.items()
+            if len(classes) > 1 for cls in classes}
+
+
+# Each of these is run by some ckq command itself, not only by a namesake.
+SHARED_METHODS = {
+    ("DualElement", "dot"), ("NCPoly", "dot"), ("QTensor", "dot"),
+    ("Cyclo8", "inverse"), ("ScalarExpr", "inverse"), ("DualElement", "inverse"),
+    ("ScalarExpr", "one"), ("DualElement", "one"), ("NCPoly", "one"),
+    ("DualElement", "scalar"), ("NCPoly", "scalar"),
+    ("DualElement", "zero"), ("NCPoly", "zero"),
+}
+
+
+def test_shared_method_names_are_pinned():
+    assert shared_method_names(_trees()) == SHARED_METHODS
+
+
+def test_guard_catches_a_new_shared_method_name():
+    # QTensor.zero would live on the references to DualElement.zero
+    trees = _trees()
+    tensor = next(node for node in trees["rmatrix.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "QTensor")
+    tensor.body.append(ast.parse(
+        "def zero(self):\n    return QTensor(self.N, self.n)\n").body[0])
+    assert unreferenced_public_methods(trees) == []
+    assert shared_method_names(trees) - SHARED_METHODS == {("QTensor", "zero")}
 
 
 def unreferenced_private_helpers(trees: dict) -> list:

@@ -22,7 +22,7 @@ from ckq.qdual import (
     verify_ll,
 )
 
-from conftest import all_signatures, at_v_zero, seeded
+from conftest import all_signatures, at_q_one, at_v_zero, seeded
 from dual_oracle import RightFold, dual_antipode
 
 J33 = JSignature.parse("iota,iota")
@@ -527,7 +527,7 @@ def test_pairing_tables_are_kronecker_at_flat_limit():
     for j in all_signatures(3):
         G = QuantumCKGroup(j)
         for fam in ("upper", "lower"):
-            flat = {key: at_v_zero(val).at_q_one()
+            flat = {key: at_q_one(at_v_zero(val))
                     for key, val in l_table(G, fam).data.items()}
             flat = {key: val for key, val in flat.items() if val}
             expect = {(i, k, i, k): one(j.n)

@@ -42,7 +42,7 @@ from ckq.qgroup import (
 )
 
 import exchange_oracle
-from conftest import all_signatures, at_v_zero, seeded
+from conftest import all_signatures, at_q_one, at_v_zero, seeded
 
 
 def canon(p):
@@ -243,7 +243,7 @@ def test_classical_substitution_kills_relations_at_q_one():
             return DualElement.scalar(n, c) if c is not None else DualElement.zero(n)
 
         for rel in G.relations():
-            assert rel.map_coeffs(lambda c: c.at_q_one()).evaluate(fn).is_zero()
+            assert at_q_one(rel).evaluate(fn).is_zero()
 
 
 @pytest.mark.parametrize("spec", ["1,1", "iota,1", "1,iota", "iota,iota"])

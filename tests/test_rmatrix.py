@@ -18,7 +18,7 @@ from ckq.rmatrix import (
     verify_ybe,
 )
 
-from conftest import all_signatures, at_v_zero, seeded
+from conftest import all_signatures, at_q_one, at_v_zero, seeded
 
 
 def lam():
@@ -76,7 +76,7 @@ def test_frozen_entries_n3():
 def test_r_is_identity_at_q_one():
     for N in (3, 4, 5):
         R = frt_r(N)
-        assert R.map_entries(lambda e: e.at_q_one()) == identity_vv(N, N - 1)
+        assert R.map_entries(at_q_one) == identity_vv(N, N - 1)
 
 
 def test_degenerate_sizes_rejected():
@@ -99,7 +99,7 @@ def test_metric_squares_to_identity():
     for N in (3, 4, 5):
         C = frt_c(N)
         assert C @ C == QTensor.identity(N, N - 1)
-        assert C.map_entries(lambda e: e.at_q_one()) == antidiagonal_c0(N, N - 1)
+        assert C.map_entries(at_q_one) == antidiagonal_c0(N, N - 1)
 
 
 def test_ybe_symbolic():
