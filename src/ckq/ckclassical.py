@@ -5,7 +5,8 @@ carries the weight J(k,p) above the diagonal and J(p,k) below it, times a
 free parameter.  Such matrices preserve the weighted quadratic form.  A
 matrix is a two-leg ``rmatrix.QTensor`` keyed (i, k).  The module provides
 
-* the exact orthogonality test and ``solve``, one Gauss-Jordan over D_n,
+* the exact orthogonality test, which forms A A^t alone, and ``solve``,
+  one Gauss-Jordan over D_n,
 * the weighted antisymmetric generators and the exact Cayley transform,
   which samples group elements without any transcendental functions,
 * the fixed change of basis D with D C0 D^t = I (C0 the antidiagonal),
@@ -22,6 +23,7 @@ from .coeffring import (
     DualElement,
     JSignature,
     NotInvertibleError,
+    _collect,
 )
 from .rmatrix import QTensor
 
@@ -34,11 +36,12 @@ def solve(A: QTensor, B: QTensor) -> QTensor:
     """The X with A @ X = B, by one Gauss-Jordan on [A | B] over D_n
     (D_n entries only); pivots must be units of the local ring.
 
-    A row update a - f*b skips the zero entries b of the pivot row and
-    forms each other entry as one ``DualElement.dot``.
+    A row update a - f*b sets the pivot column to the exact zero, keeps a
+    over a zero b of the pivot row and forms each other entry as one
+    ``DualElement.dot``.
     """
     N, n = A.N, A.n
-    one = DualElement.one(n)
+    one, zero = DualElement.one(n), DualElement.zero(n)
     rng = range(1, N + 1)
     work = [[A.get(i, k) for k in rng] + [B.get(i, k) for k in rng] for i in rng]
     for col in range(N):
@@ -54,50 +57,49 @@ def solve(A: QTensor, B: QTensor) -> QTensor:
             raise SingularMatrixError("no invertible pivot in column %d" % (col + 1))
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col] = [e * pivot_inv for e in work[col]]
-        for r in range(N):
-            f = work[r][col]
+        cols = [k for k, b in enumerate(pivot) if b and k != col]
+        for r, row in enumerate(work):
+            f = row[col]
             if r == col or not f:
                 continue
             f = -f
-            work[r] = [DualElement.dot(n, ((a, one), (f, b))) if b else a
-                       for a, b in zip(work[r], pivot)]
+            for k in cols:
+                row[k] = DualElement.dot(n, ((row[k], one), (f, pivot[k])))
+            row[col] = zero
     return QTensor(N, n, {(i + 1, k + 1): e for i, r in enumerate(work)
                           for k, e in enumerate(r[N:])})
 
 
-# ------------------------------------------------------------ construction
+# -- construction
 
 
 def is_j_orthogonal(A: QTensor) -> bool:
-    """Exact test of A A^t = A^t A = I.
+    """Exact test of A A^t = A^t A = I, by forming A A^t alone.
 
-    D_n is commutative, so both products are symmetric: entry (k,i) equals
-    entry (i,k), and only the N(N+1)/2 entries with i <= k of each are
-    formed, as dot products of two rows of A (of A^t for A^t A).
+    D_n is commutative, so det(A A^t) = det(A)^2 and A A^t = I gives
+    det(A)^2 = 1: det(A) is a unit, A has the inverse adj(A)/det(A), so
+    A^(-1) = A^t and A^t A = I.  A A^t is symmetric, so only its
+    N(N+1)/2 entries with i <= k are formed, as dot products of rows of A.
     """
     n, one = A.n, DualElement.one(A.n)
     rng = range(1, A.N + 1)
-    dense = [[A.get(i, k) for k in rng] for i in rng]
-    for rows in (dense, list(zip(*dense))):
-        for i, ri in enumerate(rows):
-            for k in range(i, A.N):
-                e = DualElement.dot(n, [(a, b) for a, b in zip(ri, rows[k]) if a and b])
-                if (e != one) if i == k else e:
-                    return False
+    rows = [[A.get(i, k) for k in rng] for i in rng]
+    for i, ri in enumerate(rows):
+        for k in range(i, A.N):
+            e = DualElement.dot(n, [(a, b) for a, b in zip(ri, rows[k]) if a and b])
+            if (e != one) if i == k else e:
+                return False
     return True
 
 
 def _generator_mix(j: JSignature, theta: dict) -> QTensor:
-    """sum theta[k,p] J(k,p) (e_kp - e_pk) over the keys k < p of theta."""
-
-    def fn(i, m):
-        if (i, m) in theta:
-            return j.J(i, m) * theta[(i, m)]
-        if (m, i) in theta:
-            return j.J(m, i) * -theta[(m, i)]
-        return 0
-
-    return QTensor.build(j.N, j.n, fn)
+    """sum theta[k,p] J(k,p) (e_kp - e_pk) over the keys k < p of theta,
+    each entry one monomial of D_n."""
+    data = {}
+    for (k, p), t in theta.items():
+        (mask,) = j.J(k, p).terms
+        data[k, p], data[p, k] = (DualElement.monomial(j.n, mask, x) for x in (t, -t))
+    return QTensor(j.N, j.n, data)
 
 
 def lie_generator(k: int, p: int, j: JSignature) -> QTensor:
@@ -112,9 +114,12 @@ def cayley(X: QTensor) -> QTensor:
 
     I + X and (I - X)^(-1) commute, so this is the solution A of
     (I - X) A = I + X, found by one Gauss-Jordan with no matrix product.
+    I - X and I + X are summed entry by entry.
     """
-    I = QTensor.identity(X.N, X.n)
-    return solve(I - X, I + X)
+    I = QTensor.identity(X.N, X.n).data
+    minus = _collect(((k, -e) for k, e in X.data.items()), dict(I))
+    plus = _collect(X.data.items(), dict(I))
+    return solve(QTensor(X.N, X.n, minus), QTensor(X.N, X.n, plus))
 
 
 def random_cayley(j: JSignature, rng) -> QTensor:
@@ -126,7 +131,7 @@ def random_cayley(j: JSignature, rng) -> QTensor:
     return cayley(_generator_mix(j, theta))
 
 
-# ------------------------------------------------------- symplectic frame
+# -- symplectic frame
 
 
 def antidiagonal_c0(N: int, n: int) -> QTensor:

@@ -32,23 +32,27 @@ number it equals.
 Every sum of products over D_n is formed by one rule.  A kernel
 (``freealg.NCPoly.dot``, ``rmatrix.QTensor.dot``, the ``qdual`` rows)
 groups the (a, b) pairs of each output key and hands them to ``_dots``,
-which sums each key once with the entry type's own ``dot``.  Each sum of
-D_n pairs ends in ``DualElement.dot``, the one place that chooses how.
-With a table it is memoized by the tuple of its pairs, compared by value,
-and interned (``interned``), so equal values are one object and later
-keys match by identity first.  Without one, a single pair with the
-interned one or zero of D_n as a factor gives the other operand or that
-zero, as ``*`` does, and any other sum is formed afresh by ``_dual_dot``.
-``ScalarExpr`` products by ``ScalarExpr.one()`` return the other operand.
+which sums each key once with the entry type's own ``dot``; over D_n,
+``DualElement.dot`` decides in this order:
 
-A table belongs to one ``qgroup.QuantumCKGroup``, whose R-derived
-coefficients repeat: relation generation, the cofactors, the coproduct
-certificate, bridge and assembly check, the antipode certificate and
-the ``qdual`` checks sum through it, so the 6,030 coefficients of the
-557 relations at N=5 iota,1,iota,1 are 26 objects.  Sums where no group
-exists take no table: the R-matrix checks of ``rmatrix`` on the bare R,
-and ``ckclassical`` with the ``classical`` suite, whose random Cayley
-samples hardly repeat (18,472 distinct tuples among 24,590 sums at N=5).
+1. a single pair with the interned one or zero of D_n as a factor gives
+   the other operand or that zero, as ``*`` does (``_dots`` answers the
+   unit case inline, with no call);
+2. with a table, any other sum is memoized by the tuple of its pairs,
+   compared by value;
+3. ``_dual_dot`` forms the sum, adding the integer numerators of each
+   (subset, s, v) coefficient over one denominator and reducing once.
+
+A table interns every result (``interned``), so equal values are one
+object and later keys match by identity first.  It belongs to one
+``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat: relation
+generation, the cofactors, the L+- tables and the group's checks sum
+through it, so the 6,030 coefficients of the 557 relations at N=5
+iota,1,iota,1 are 26 objects.  The R-matrix checks of ``rmatrix`` on the
+bare R and the random Cayley samples of ``ckclassical`` have no group
+and take no table; the samples hardly repeat (15,117 distinct tuples
+among 18,899 sums at N=5 1,1,1,1).  ``ScalarExpr`` products by
+``ScalarExpr.one()`` return the other operand.
 """
 
 from __future__ import annotations
@@ -163,9 +167,7 @@ class Cyclo8:
             a1, b1, c1, d1 = a1 * e2, b1 * e2, c1 * e2, d1 * e2
             a2, b2, c2, d2 = a2 * e1, b2 * e1, c2 * e1, d2 * e1
             e1 *= e2
-        if b1 or c1 or d1 or b2 or c2 or d2:
-            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
-        return _reduced_rational(a1 + a2, e1)
+        return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
 
     __radd__ = __add__
 
@@ -186,17 +188,7 @@ class Cyclo8:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Cyclo8._rational(other)
-        a1, b1, c1, d1, e1 = self._t
-        a2, b2, c2, d2, e2 = other._t
-        if b1 or c1 or d1 or b2 or c2 or d2:
-            return _reduced(
-                a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-                a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-                a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-                e1 * e2,
-            )
-        return _reduced_rational(a1 * a2, e1 * e2)
+        return _reduced(*_times(self._t, other._t))
 
     __rmul__ = __mul__
 
@@ -242,6 +234,18 @@ _new = object.__new__
 _ZERO_T = (0, 0, 0, 0, 1)
 
 
+def _times(x: tuple, y: tuple) -> list:
+    """The product of two ``Cyclo8`` tuples, not reduced."""
+    a1, b1, c1, d1, e1 = x
+    a2, b2, c2, d2, e2 = y
+    if b1 or c1 or d1 or b2 or c2 or d2:
+        return [a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2, e1 * e2]
+    return [a1 * a2, 0, 0, 0, e1 * e2]
+
+
 def _reduced(a: int, b: int, c: int, d: int, den: int) -> Cyclo8:
     """The element (a + b*i + c*sqrt2 + d*i*sqrt2) / den, den > 0."""
     if den != 1:
@@ -249,15 +253,6 @@ def _reduced(a: int, b: int, c: int, d: int, den: int) -> Cyclo8:
         if g != 1:
             a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
     return Cyclo8._raw((a, b, c, d, den))
-
-
-def _reduced_rational(a: int, den: int) -> Cyclo8:
-    """The rational element a / den, den > 0."""
-    if den != 1:
-        g = gcd(a, den)
-        if g != 1:
-            a, den = a // g, den // g
-    return Cyclo8._raw((a, 0, 0, 0, den))
 
 
 _C_ZERO = Cyclo8()
@@ -355,7 +350,7 @@ class ScalarExpr(_Combination):
         obj._hash = None
         return obj
 
-    # -- constructors -------------------------------------------------
+    # -- constructors
 
     @classmethod
     def one(cls) -> "ScalarExpr":
@@ -387,7 +382,7 @@ class ScalarExpr(_Combination):
         """The standard deformation factor q - q^(-1), kept expanded."""
         return cls({(2, 0): _C_ONE, (-2, 0): Cyclo8(-1)})
 
-    # -- ring operations ----------------------------------------------
+    # -- ring operations
 
     def _lift(self, other) -> "ScalarExpr":
         if type(other) is ScalarExpr:
@@ -436,7 +431,7 @@ class ScalarExpr(_Combination):
             raise NotInvertibleError("v is not invertible")
         return ScalarExpr({(-se, 0): coef.inverse()})
 
-    # -- specializations ----------------------------------------------
+    # -- specializations
 
     def at_q_one(self) -> "ScalarExpr":
         """Set s = 1 (hence q = 1)."""
@@ -449,7 +444,7 @@ class ScalarExpr(_Combination):
     def is_constant(self) -> bool:
         return all(e == (0, 0) for e in self.terms)
 
-    # -- rendering ----------------------------------------------------
+    # -- rendering
 
     def __str__(self) -> str:
         parts = []
@@ -486,29 +481,34 @@ def _scalar_dot(pairs) -> dict:
     """The terms of the sum of s1 * s2 over the (s1, s2) pairs of scalars:
     a map from (s, v) exponents to nonzero coefficients.
 
-    Nonzero times nonzero is nonzero in Q(i, sqrt2), so only sums cancel;
-    for the same reason the top v-degree of a product never cancels, and
-    the cap is checked per pair of terms.
+    Each exponent sums the integer numerators of its products over one
+    denominator, reduced once.  Nonzero times nonzero is nonzero in
+    Q(i, sqrt2), so only sums cancel; for the same reason the top v-degree
+    of a product never cancels, and the cap is checked per pair of terms.
     """
-    out: dict = {}
+    acc: dict = {}
     for s1, s2 in pairs:
-        for (se1, ve1), c1 in s1.terms.items():
-            for (se2, ve2), c2 in s2.terms.items():
+        for (se1, ve1), x in s1.terms.items():
+            for (se2, ve2), y in s2.terms.items():
                 ve = ve1 + ve2
                 if ve > _V_CAP:
                     raise DegreeCapError("v-degree %d exceeds cap %d" % (ve, _V_CAP))
-                e = (se1 + se2, ve)
-                c = c2 if c1 is _C_ONE else c1 if c2 is _C_ONE else c1 * c2
-                t = out.get(e)
-                if t is None:
-                    out[e] = c
+                p = _times(x._t, y._t)
+                t = acc.setdefault((se1 + se2, ve), p)
+                if t is p:
                     continue
-                t = t + c
-                if t:
-                    out[e] = t
-                else:
-                    del out[e]
-    return out
+                f, g = p[4], t[4]
+                if f == g:
+                    t[0] += p[0]
+                    t[1] += p[1]
+                    t[2] += p[2]
+                    t[3] += p[3]
+                else:  # over the lcm of the two denominators
+                    h = gcd(f, g)
+                    f, g = f // h, g // h
+                    t[:] = [t[0] * f + p[0] * g, t[1] * f + p[1] * g,
+                            t[2] * f + p[2] * g, t[3] * f + p[3] * g, t[4] * f]
+    return {e: _reduced(*t) for e, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
 
 
 class DualElement(_Combination):
@@ -539,7 +539,7 @@ class DualElement(_Combination):
         obj._hash = None
         return obj
 
-    # -- constructors -------------------------------------------------
+    # -- constructors
 
     @classmethod
     def zero(cls, n: int) -> "DualElement":
@@ -562,7 +562,7 @@ class DualElement(_Combination):
             return cls.scalar(n, x)
         return cls(n, {mask: ScalarExpr.from_value(x)})
 
-    # -- structure ----------------------------------------------------
+    # -- structure
 
     def body(self) -> ScalarExpr:
         """The coefficient of the empty subset."""
@@ -595,7 +595,7 @@ class DualElement(_Combination):
     def _like(self, terms: dict) -> "DualElement":
         return DualElement._raw(self.n, terms)
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic
 
     def __mul__(self, other) -> "DualElement":
         # ScalarExpr has no zero divisors, so only sums can cancel.
@@ -621,21 +621,21 @@ class DualElement(_Combination):
         ``DegreeCapError``, which ``table`` does not store; the owner of
         the table keeps it to one D_n.
         """
-        if table is not None:
-            key = tuple(pairs)
-            got = table.get(key)
-            if got is None:
-                got = table[key] = interned(table, _dual_dot(n, key))
-            return got
         if len(pairs) == 1:
             (a, b), = pairs
             if a.n == n == b.n:
                 one, zero = _D_ONES[n], _D_ZEROS[n]
-                if a is one or b is zero:
-                    return b
-                if b is one or a is zero:
-                    return a
-        return _dual_dot(n, pairs)
+                got = (b if a is one or b is zero else
+                       a if b is one or a is zero else None)
+                if got is not None:
+                    return got if table is None else interned(table, got)
+        if table is None:
+            return _dual_dot(n, pairs)
+        key = tuple(pairs)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = interned(table, _dual_dot(n, key))
+        return got
 
     def inverse(self) -> "DualElement":
         """Inverse via the finite geometric series over the nilpotent part."""
@@ -650,7 +650,7 @@ class DualElement(_Combination):
             acc = acc + p
         return acc * b_inv
 
-    # -- specializations ----------------------------------------------
+    # -- specializations
 
     def specialize(self, j: "JSignature") -> "DualElement":
         """Apply q^a -> 1 + a*J*v to every scalar coefficient."""
@@ -660,7 +660,7 @@ class DualElement(_Combination):
         return _dual_dot(n, [(DualElement._raw(n, {m: _S_ONE}), specialize_q(s, j))
                              for m, s in self.terms.items()])
 
-    # -- rendering ----------------------------------------------------
+    # -- rendering
 
     def __str__(self) -> str:
         parts = []
@@ -717,9 +717,13 @@ def _dots(n: int, by_key: dict, table: dict | None = None) -> dict:
     """Key -> nonzero sum of the key's (a, b) pairs, each key summed once
     by the entry type's own ``dot`` with ``table``."""
     out = {}
+    one = _D_ONES[n]
     for key, pairs in by_key.items():
-        c = type(pairs[0][0]).dot(n, pairs, table)
-        if c:
+        a, b = pairs[0]
+        if len(pairs) == 1 and (a is one or b is one) and a.n == b.n:
+            c = b if a is one else a  # the unit rule; entries are nonzero
+            out[key] = c if table is None else table.setdefault(c, c)
+        elif c := type(a).dot(n, pairs, table):
             out[key] = c
     return out
 
@@ -741,9 +745,9 @@ def _dual_dot(n: int, pairs) -> DualElement:
                     scalars.append((s1, s2))
     terms: dict = {}
     for m, scalars in by_subset.items():
-        if len(scalars) == 1:
-            (s1, s2), = scalars
-            s = s1 * s2  # ScalarExpr has no zero divisors
+        s1, s2 = scalars[0]
+        if len(scalars) == 1 and (s1 is _S_ONE or s2 is _S_ONE):
+            s = s2 if s1 is _S_ONE else s1
         else:
             out = _scalar_dot(scalars)
             if not out:
@@ -794,11 +798,7 @@ class JSignature:
 
     @property
     def iota_mask(self) -> int:
-        m = 0
-        for k, f in enumerate(self.flags):
-            if f:
-                m |= 1 << k
-        return m
+        return sum(1 << k for k, f in enumerate(self.flags) if f)
 
     def has_iota(self) -> bool:
         return any(self.flags)
@@ -809,11 +809,8 @@ class JSignature:
             raise ValueError("indices out of range")
         if mu >= nu:
             return DualElement.one(self.n)
-        mask = 0
-        for r in range(mu, nu):
-            if self.flags[r - 1]:
-                mask |= 1 << (r - 1)
-        return DualElement.monomial(self.n, mask)
+        # slots mu..nu-1 are bits mu-1..nu-2
+        return DualElement.monomial(self.n, self.iota_mask & ((1 << nu - 1) - (1 << mu - 1)))
 
     def weight(self, k: int, p: int) -> DualElement:
         """The matrix-entry weight: J(k,p) above the diagonal, J(p,k) below."""

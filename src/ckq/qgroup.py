@@ -54,7 +54,7 @@ def _lift(n: int, e: DualElement, table: dict | None) -> NCPoly:
     return NCPoly.scalar(n, e if table is None else interned(table, e))
 
 
-# --------------------------------------------------------- generating matrix
+# -- generating matrix
 
 
 def build_t(G: QuantumCKGroup, copy: int = 0, atomic: bool = False) -> QTensor:
@@ -91,7 +91,7 @@ def splitting_map(*copies: QTensor):
     return lambda g: copies[g.copy].get(g.i, g.k)
 
 
-# ------------------------------------------------------------- relation sets
+# -- relation sets
 
 
 class RelationSet:
@@ -249,7 +249,7 @@ def full_relation_set(G: QuantumCKGroup) -> RelationSet:
     return orthogonality_relations(G.cofactors, rtt_relations(G.T, G.R, G.dot_table))
 
 
-# ------------------------------------------------------------ Hopf structure
+# -- Hopf structure
 
 
 def coproduct(p: NCPoly, leg: int = 0) -> NCPoly:
@@ -309,7 +309,7 @@ def antipode(T: QTensor, C: QTensor, table: dict | None = None) -> QTensor:
     return QTensor.dot([(QTensor.dot([(Cp, T.transpose())], table), Cp)], table)
 
 
-# ------------------------------------------------------------- verification
+# -- verification
 
 
 class QuantumCKGroup:
@@ -366,7 +366,8 @@ class QuantumCKGroup:
         so that sums of their products match its keys by identity."""
         table = self.dot_table
         return tuple(X.map_entries(lambda e: interned(table, e))
-                     for X in r_plus_minus(self.R, self.j if self.contracted else None))
+                     for X in r_plus_minus(self.R, self.j if self.contracted else None,
+                                           table))
 
     @cached_property
     def cofactors(self) -> tuple:
@@ -378,7 +379,7 @@ class QuantumCKGroup:
     @cached_property
     def dot_table(self) -> dict:
         """The group's ``DualElement.dot`` table.  Relation generation,
-        the coproduct and antipode checks and the ``qdual`` checks sum
+        the L+- tables, the coproduct and antipode checks and ``qdual`` sum
         products of the same few R-derived coefficients over and over, and
         read it, so every relation coefficient is one interned object per
         value.  It holds only D_n values of this group."""

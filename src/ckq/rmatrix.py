@@ -11,12 +11,10 @@ group element of ``ckclassical`` or the generating matrix T of
 ``qgroup``, is a two-leg tensor keyed (i, k), and the braiding tensor R
 and the exchange components have four legs.  ``QTensor.dot`` and its
 kernel ``_compose`` are the one place where tensors are composed, by
-``@``, ``apply_vec``, ``qgroup`` and ``qdual``; they sum the entry pairs
-that land on each output key by the summing rule of ``coeffring``.  ``dot``, ``apply_vec`` and ``pair`` (the
-one-pair ``dot`` of each two entries) take the group's dot table
-(``QuantumCKGroup.dot_table``) from the checks that own one; the R-matrix
-checks here, and the classical matrices, have no group and sum without
-one.
+``@``, ``apply_vec``, ``qgroup`` and ``qdual``, by the summing rule of
+``coeffring``.  ``dot``, ``apply_vec``, ``pair`` (the one-pair ``dot`` of
+each two entries) and ``r_plus_minus`` take the group's dot table from
+their callers; the R-matrix checks here have no group and sum without one.
 """
 
 from __future__ import annotations
@@ -182,7 +180,7 @@ def _compose(n: int, pairs, table: dict | None = None) -> dict:
     return _dots(n, by_key, table)
 
 
-# ----------------------------------------------------------- construction
+# -- construction
 
 
 def mirror(N: int, i: int) -> int:
@@ -256,7 +254,7 @@ def r_hat(R: QTensor) -> QTensor:
     return QTensor.flip(R.N, R.n) @ R
 
 
-# ------------------------------------------------------------ contraction
+# -- contraction
 
 
 def contract(x: QTensor, j: JSignature) -> QTensor:
@@ -274,7 +272,7 @@ def specializer(j: JSignature):
     return _memo(lambda c: c.specialize(j))
 
 
-# ------------------------------------------------------------- inversion
+# -- inversion
 
 
 def q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
@@ -283,7 +281,8 @@ def q_scalar(n: int, e: int, j: JSignature | None) -> DualElement:
     return out if j is None else out.specialize(j)
 
 
-def _rhat_inverse(R: QTensor, j: JSignature | None) -> QTensor | None:
+def _rhat_inverse(R: QTensor, j: JSignature | None,
+                  table: dict | None = None) -> QTensor | None:
     """Rhat^(-1) from the cubic, or None when R is off the cubic.
 
     With e1, e2, e3 the elementary symmetric functions of the cubic's
@@ -297,26 +296,28 @@ def _rhat_inverse(R: QTensor, j: JSignature | None) -> QTensor | None:
     I = QTensor.pair(QTensor.identity(N, n))
     e1 = q_scalar(n, 1, j) - q_scalar(n, -1, j) + q_scalar(n, 1 - N, j)
     e2 = q_scalar(n, 2 - N, j) - q_scalar(n, -N, j) - DualElement.one(n)
-    # 1/e3 = -q^(N-1)
-    X = (M @ M - M.scale(e1) + I.scale(e2)).scale(-q_scalar(n, N - 1, j))
-    return X if M @ X == I else None
+    # (Rhat^2 - e1 Rhat + e2) times 1/e3 = -q^(N-1)
+    X = QTensor.dot([(M, M), (M, I.scale(-e1)), (I, I.scale(e2))], table)
+    X = QTensor.dot([(X, I.scale(-q_scalar(n, N - 1, j)))], table)
+    return X if QTensor.dot([(M, X)], table) == I else None
 
 
-def r_plus_minus(R: QTensor, j: JSignature | None = None) -> tuple:
+def r_plus_minus(R: QTensor, j: JSignature | None = None,
+                 table: dict | None = None) -> tuple:
     """(flip R flip, R^(-1)), with R^(-1) = Rhat^(-1) flip.
 
     Rhat^(-1) is read off the cubic of ``verify_cubic`` by the one check
     Rhat X = I (``_rhat_inverse``), so a tensor off the cubic raises
     ArithmeticError.  Pass the signature used to contract R so the scalars
-    are taken in the same ring.
+    are taken in the same ring; ``table`` as in ``QTensor.dot``.
     """
-    X = _rhat_inverse(R, j)
+    X = _rhat_inverse(R, j, table)
     if X is None:
         raise ArithmeticError("inverse check failed")
     return R.flipped(), X @ QTensor.flip(R.N, R.n)
 
 
-# ----------------------------------------------------------- three slots
+# -- three slots
 
 
 def _embed3(R: QTensor, legs: tuple) -> QTensor:
@@ -342,7 +343,7 @@ def verify_ybe(R: QTensor) -> bool:
     return r12 @ r13 @ r23 == r23 @ r13 @ r12
 
 
-# -------------------------------------------------------------- checks
+# -- checks
 
 
 def verify_cubic(R: QTensor, j: JSignature | None = None) -> bool:

@@ -118,8 +118,8 @@ def test_cayley_elements_are_orthogonal():
 
 
 def test_orthogonality_refutes_a_perturbed_entry():
-    # the test forms only the entries with i <= k of the two symmetric
-    # products.  One entry off by one breaks a diagonal entry; one entry
+    # the test forms only the entries with i <= k of the symmetric
+    # product A A^t.  One entry off by one breaks a diagonal entry; one entry
     # with its sign flipped keeps every diagonal entry and can only show
     # off the diagonal, so there the full products decide
     rng = seeded("cayley-perturbed")

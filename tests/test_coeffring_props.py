@@ -1,5 +1,7 @@
 """Property tests of the scalar tower against the four-fraction oracle.
 
+The fused kernel ``DualElement.dot`` is checked against a term-by-term
+sum in the oracle's arithmetic, with and without a dot table.
 Derandomized, so every run draws the same examples.
 """
 
@@ -12,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ckq import render  # noqa: E402
-from ckq.coeffring import _V_CAP, Cyclo8, DegreeCapError, DualElement, ScalarExpr  # noqa: E402
+from ckq.coeffring import (_V_CAP, Cyclo8, DegreeCapError, DualElement,  # noqa: E402
+                           ScalarExpr, _dots)
 from cyclo_oracle import FracCyclo8  # noqa: E402
 
 PROPS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -143,3 +146,121 @@ def test_raw_products_keep_the_v_degree_cap(v1, v2, c1, c2):
         valid_scalar(x * y)
         valid_dual(dx * dy)
 
+
+
+# ------------------------------------------------- the fused kernel, DualElement.dot
+
+capped = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(0, _V_CAP)), cyclos, max_size=3,
+).map(ScalarExpr)
+wide_duals = st.one_of(
+    st.sampled_from([DualElement.one(N), DualElement.zero(N)]),
+    st.dictionaries(st.integers(0, (1 << N) - 1), capped, max_size=3).map(
+        lambda terms: DualElement(N, terms)))
+ONE = {(0, 0, 0): (1, 0, 0, 0)}
+
+
+def oracle_dot(pairs):
+    """(subset, s, v) -> the four components of the coefficient, nonzero:
+    every product of two terms formed and added one at a time in the
+    four-fraction arithmetic; None past the v-degree cap."""
+    out = {}
+    for a, b in pairs:
+        for m1, s1 in a.terms.items():
+            for m2, s2 in b.terms.items():
+                if m1 & m2:
+                    continue
+                for (se1, ve1), c1 in s1.terms.items():
+                    for (se2, ve2), c2 in s2.terms.items():
+                        if ve1 + ve2 > _V_CAP:
+                            return None
+                        key = (m1 | m2, se1 + se2, ve1 + ve2)
+                        out[key] = out.get(key, FracCyclo8()) + frac(c1) * frac(c2)
+    return {k: c.parts() for k, c in out.items() if c}
+
+
+def frac(c):
+    return FracCyclo8(c.a, c.b, c.c, c.d)
+
+
+def flat(x):
+    """x as the oracle's map, checking that each coefficient is in
+    lowest terms over a positive denominator."""
+    out = {}
+    for m, sc in x.terms.items():
+        for (se, ve), c in sc.terms.items():
+            *nums, den = c._t
+            assert den > 0 and gcd(*nums, den) == 1
+            out[(m, se, ve)] = frac(c).parts()
+    return out
+
+
+@st.composite
+def dual_sums(draw):
+    """Pairs of D_3 elements; a drawn pair may be cancelled by its
+    negation."""
+    pairs = draw(st.lists(st.tuples(wide_duals, wide_duals), max_size=4))
+    if pairs and draw(st.booleans()):
+        a, b = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((-a, b))
+    return pairs
+
+
+@settings(PROPS, max_examples=150)
+@given(dual_sums(), st.booleans())
+def test_dot_is_the_term_by_term_oracle_sum(pairs, to_one):
+    want = oracle_dot(pairs)
+    if want is None:
+        for table in (None, {}):
+            with pytest.raises(DegreeCapError):
+                DualElement.dot(N, pairs, table)
+        return
+    one, zero = DualElement.one(N), DualElement.zero(N)
+    if to_one:
+        # top the sum up to one by two more pairs, 2d - d with d = 1 - sum
+        d = one - DualElement.dot(N, pairs)
+        pairs = pairs + [(d, DualElement.scalar(N, 2)), (d, DualElement.scalar(N, -1))]
+        want = ONE
+    got = DualElement.dot(N, pairs)
+    table = {}
+    tabled = DualElement.dot(N, pairs, table)
+    assert flat(got) == want and flat(tabled) == want
+    assert table[tabled] is tabled
+    if len(pairs) != 1:
+        # no one-pair short-cut: a cancelled sum and a sum equal to one
+        # are the interned zero and one
+        if not want:
+            assert got is zero and tabled is zero
+        if want == ONE:
+            assert got is one and tabled is one
+
+
+@FEW
+@given(st.integers(1, _V_CAP), st.integers(1, _V_CAP), cyclos, cyclos)
+def test_dot_past_the_cap_raises_and_stores_nothing(v1, v2, c1, c2):
+    assume(c1 and c2 and v1 + v2 > _V_CAP)
+    a = DualElement(N, {1: ScalarExpr({(0, v1): c1})})
+    b = DualElement(N, {2: ScalarExpr({(1, v2): c2})})
+    for pairs in ([(a, b)], [(a, b), (b, a)]):
+        table = {}
+        with pytest.raises(DegreeCapError):
+            DualElement.dot(N, pairs, table)
+        assert table == {}
+
+
+def test_unit_pairs_return_the_table_object_and_add_no_key(monkeypatch):
+    one = DualElement.one(N)
+    x = DualElement(N, {3: ScalarExpr.lam(), 4: ScalarExpr.s_power(1)})
+    held = DualElement(N, dict(x.terms))
+    assert held == x and held is not x
+    for pair in ((one, x), (x, one)):
+        table = {held: held}
+        assert DualElement.dot(N, (pair,), table) is held
+        assert _dots(N, {"k": [pair]}, table)["k"] is held
+        assert table == {held: held}
+    # without a table the operand itself is the sum
+    assert DualElement.dot(N, ((one, x),)) is x
+    assert _dots(N, {"k": [(x, one)]})["k"] is x
+    # _dots answers unit pairs inline, with no call per key
+    monkeypatch.setattr(DualElement, "dot", None)
+    assert _dots(N, {"k": [(one, x)], "m": [(x, one)]}, {}) == {"k": x, "m": x}

@@ -467,8 +467,8 @@ def test_relations_pair_to_zero_sums_each_coefficient_tuple_once(monkeypatch):
     of pairs: under 1,500 times at N=4 1,1,1, where summing without the
     table runs it 15,619 times."""
     G = QuantumCKGroup(JSignature.parse("1,1,1"))
-    # the relations and the L+- tables are built first: r_plus_minus
-    # inverts R without a table, and only the pairing's own sums count
+    # the relations and the L+- tables are built first, each through the
+    # same table, so only the pairing's own sums count
     G.relations(), G.l_tables
     summed = []
     body = coeffring._dual_dot
