@@ -36,9 +36,9 @@ def solve(A: QTensor, B: QTensor) -> QTensor:
     """The X with A @ X = B, by one Gauss-Jordan on [A | B] over D_n
     (D_n entries only); pivots must be units of the local ring.
 
-    A row update a - f*b sets the pivot column to the exact zero, keeps a
-    over a zero b of the pivot row and forms each other entry as one
-    ``DualElement.dot``.
+    Only the nonzero entries of the pivot row are scaled.  A row update
+    a - f*b sets the pivot column to the exact zero, keeps a over a zero b
+    of the pivot row and forms each other entry as one ``DualElement.dot``.
     """
     N, n = A.N, A.n
     one, zero = DualElement.one(n), DualElement.zero(n)
@@ -56,7 +56,7 @@ def solve(A: QTensor, B: QTensor) -> QTensor:
         if pivot_row is None:
             raise SingularMatrixError("no invertible pivot in column %d" % (col + 1))
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col] = [e * pivot_inv for e in work[col]]
+        pivot = work[col] = [e * pivot_inv if e else e for e in work[col]]
         cols = [k for k, b in enumerate(pivot) if b and k != col]
         for r, row in enumerate(work):
             f = row[col]
@@ -112,14 +112,17 @@ def lie_generator(k: int, p: int, j: JSignature) -> QTensor:
 def cayley(X: QTensor) -> QTensor:
     """The exact Cayley transform (I + X)(I - X)^(-1).
 
-    I + X and (I - X)^(-1) commute, so this is the solution A of
-    (I - X) A = I + X, found by one Gauss-Jordan with no matrix product.
-    I - X and I + X are summed entry by entry.
+    I + X = 2I - (I - X) commutes with (I - X)^(-1), so the transform is
+    2 (I - X)^(-1) - I: one Gauss-Jordan solves (I - X) Y = 2I, whose right
+    side is diagonal, and I is taken off the diagonal of Y.
     """
-    I = QTensor.identity(X.N, X.n).data
-    minus = _collect(((k, -e) for k, e in X.data.items()), dict(I))
-    plus = _collect(X.data.items(), dict(I))
-    return solve(QTensor(X.N, X.n, minus), QTensor(X.N, X.n, plus))
+    N, n, diag = X.N, X.n, [(i, i) for i in range(1, X.N + 1)]
+    one, two, zero = DualElement.one(n), DualElement.scalar(n, 2), DualElement.zero(n)
+    minus = _collect(((k, -e) for k, e in X.data.items()), dict.fromkeys(diag, one))
+    Y = solve(QTensor(N, n, minus), QTensor(N, n, dict.fromkeys(diag, two))).data
+    for d in diag:
+        Y[d] = DualElement.dot(n, ((Y.get(d, zero), one), (-one, one)))
+    return QTensor(N, n, Y)
 
 
 def random_cayley(j: JSignature, rng) -> QTensor:

@@ -17,10 +17,8 @@ is not a generator of the emitted ideal).
 
 Each command reads the weight pattern, R, C, T, L+- and the relations from
 one ``QuantumCKGroup``, which builds each of them on first use.
-``relations``, ``rmatrix`` and ``dual`` are one command, ``cmd_emit``:
-``_EMITTERS`` maps each (command, --format) pair to the ``render`` function
-that builds the document from the group, so a new emitted document is one
-row there.  ``verify`` deals the suites out to its worker processes in turn
+``relations``, ``rmatrix`` and ``dual`` are one command, ``cmd_emit``, and
+a new emitted document is one row of ``_EMITTERS``.  ``verify`` deals the suites out to its worker processes in turn
 (serial is one worker); each worker builds one group, and every suite takes
 it, the dual-side suites included.
 
@@ -122,7 +120,7 @@ def _write(ns, payload) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-# ----------------------------------------------------------- subcommands
+# -- subcommands
 
 
 # (command, --format) -> the render function that builds the document the
@@ -182,7 +180,7 @@ def cmd_classical(ns) -> int:
     return EXIT_PASS if report["ok"] else EXIT_FAIL
 
 
-# ---------------------------------------------------------------- verify
+# -- verify
 
 
 def _suite_ybe(G, ns) -> tuple:
@@ -366,7 +364,7 @@ def cmd_verify(ns) -> int:
     return EXIT_PASS
 
 
-# ----------------------------------------------------------------- main
+# -- main
 
 
 def _add_common(sub, formats=FORMATS):

@@ -45,14 +45,12 @@ which sums each key once with the entry type's own ``dot``; over D_n,
 
 A table interns every result (``interned``), so equal values are one
 object and later keys match by identity first.  It belongs to one
-``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat: relation
-generation, the cofactors, the L+- tables and the group's checks sum
-through it, so the 6,030 coefficients of the 557 relations at N=5
-iota,1,iota,1 are 26 objects.  The R-matrix checks of ``rmatrix`` on the
-bare R and the random Cayley samples of ``ckclassical`` have no group
-and take no table; the samples hardly repeat (15,117 distinct tuples
-among 18,899 sums at N=5 1,1,1,1).  ``ScalarExpr`` products by
-``ScalarExpr.one()`` return the other operand.
+``qgroup.QuantumCKGroup``, whose R-derived coefficients repeat, and
+relation generation, the cofactors, the L+- tables and the group's
+checks sum through it.  The R-matrix checks of ``rmatrix`` on the bare R
+and the Cayley samples of ``ckclassical``, which hardly repeat, take no
+table.  ``ScalarExpr`` products by ``ScalarExpr.one()`` return the other
+operand.
 """
 
 from __future__ import annotations
@@ -201,9 +199,12 @@ class Cyclo8:
         return Cyclo8._raw((a, b, -c, -d, den))
 
     def inverse(self) -> "Cyclo8":
-        """Field inverse via the product of the three Galois conjugates."""
+        """Field inverse: a rational's reciprocal, else via the product of
+        the three Galois conjugates."""
         if not self:
             raise NotInvertibleError("division by zero in Q(i, sqrt2)")
+        if self.is_rational():
+            return Cyclo8._rational(1 / self.a)
         cofactor = self.conj_i() * self.conj_sqrt2() * self.conj_i().conj_sqrt2()
         norm = self * cofactor
         if not norm.is_rational():  # pragma: no cover - norm is Galois invariant
@@ -641,8 +642,7 @@ class DualElement(_Combination):
         """Inverse via the finite geometric series over the nilpotent part."""
         b_inv = self.body().inverse()  # raises NotInvertibleError if not a unit
         u = self * b_inv - DualElement.one(self.n)
-        acc = DualElement.one(self.n)
-        p = DualElement.one(self.n)
+        acc = p = DualElement.one(self.n)
         for _ in range(self.n):
             p = -(p * u)
             if not p:

@@ -1,19 +1,19 @@
 """Noncommutative polynomials over the dual-number scalars.
 
 Words are sequences of generator symbols; coefficients live in D_n and are
-central.  Symbols carry a tensor-copy label, and symbols with distinct
+central.  A symbol is one int packing (copy, family rank, i, k, mask)
+from high bits to low, each field range-checked into its own bits, so
+word order is int order and copy is the top field.  Symbols with distinct
 copies commute — words are kept normalized with copies in ascending order
 (stable, so the order inside each copy is untouched).  ``NCPoly`` is one
-of the finite sums of ``coeffring``: it takes its sum, negation and
-difference from the shared base, and ring results adopt their terms
+of the finite sums of ``coeffring``; ring results adopt their terms
 through ``NCPoly._raw``.
 
 ``NCPoly.dot`` is the one place where word products are formed: ``*``,
 matrix-product entries and the exchange components and certificates of
 ``qgroup`` all go through it.  It sums the coefficients that land on each
-output word by the summing rule of ``coeffring``.  A caller that owns a
-dot table (a ``qgroup.QuantumCKGroup``) hands it down to ``dot``, or to
-``substitute``, which hands it to each of its products.
+output word by the summing rule of ``coeffring``, with the dot table of
+the caller's ``qgroup.QuantumCKGroup`` if any.
 
 There is no normal form modulo a relation ideal here: ideal membership is
 shown by explicit certificates, built and replayed by exact expansion
@@ -23,37 +23,49 @@ where a claim needs one (see ``qgroup``).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coeffring import (Cyclo8, DimensionError, DualElement, ScalarExpr, _Combination,
                         _collect, _compound, _dots)
 
-#: ordering rank of the symbol families: quantum-matrix coordinates first,
+#: the symbol families in packing order: quantum-matrix coordinates first,
 #: then the upper and lower triangular functionals of the dual algebra.
-_FAMILY_RANK = {"mat": 0, "upper": 1, "lower": 2}
+_FAMILIES = ("mat", "upper", "lower")
+_LABELS = ("t", "l+", "l-")
+_copy_of = (34).__rrshift__  # g -> g >> 34, the copy label
 
-_FAMILY_LABEL = {"mat": "t", "upper": "l+", "lower": "l-"}
 
+class GenSymbol(int):
+    """One generator: family, matrix slot (i,k), weight tag, copy label,
+    packed into one int as the module docstring says."""
 
-class GenSymbol(NamedTuple):
-    """One generator: family, matrix slot (i,k), weight tag, copy label."""
+    __slots__ = ()
 
-    family: str
-    i: int
-    k: int
-    mask: int = 0
-    copy: int = 0
+    def __new__(cls, family: str, i: int, k: int, mask: int = 0, copy: int = 0):
+        if not (0 <= i < 256 and 0 <= k < 256 and 0 <= mask < 65536 and copy >= 0):
+            raise ValueError("symbol field out of range")
+        # an unknown family raises ValueError in index
+        return int.__new__(cls, copy << 34 | _FAMILIES.index(family) << 32
+                           | i << 24 | k << 16 | mask)
 
-    def rank(self) -> tuple:
-        return (self.copy, _FAMILY_RANK[self.family], self.i, self.k, self.mask)
+    family = property(lambda g: _FAMILIES[g >> 32 & 3])
+    i = property(lambda g: g >> 24 & 255)
+    k = property(lambda g: g >> 16 & 255)
+    mask = property(lambda g: g & 65535)
+    copy = property(_copy_of)
+
+    def __getnewargs__(self) -> tuple:
+        return (self.family, self.i, self.k, self.mask, self.copy)
 
     def with_copy(self, copy: int) -> "GenSymbol":
-        return self._replace(copy=copy)
+        return GenSymbol(self.family, self.i, self.k, self.mask, copy)
 
     def __str__(self) -> str:
         tag = ";%d" % self.mask if self.mask else ""
         prime = "'" * self.copy
-        return "%s[%d,%d%s]%s" % (_FAMILY_LABEL[self.family], self.i, self.k, tag, prime)
+        return "%s[%d,%d%s]%s" % (_LABELS[self >> 32 & 3], self.i, self.k, tag, prime)
+
+    def __repr__(self) -> str:
+        return "GenSymbol(family=%r, i=%d, k=%d, mask=%d, copy=%d)" % self.__getnewargs__()
 
 
 def mat_symbol(i: int, k: int, mask: int = 0, copy: int = 0) -> GenSymbol:
@@ -61,13 +73,15 @@ def mat_symbol(i: int, k: int, mask: int = 0, copy: int = 0) -> GenSymbol:
 
 
 def canonical_word(word: tuple) -> tuple:
-    """Sort by copy label only; stable, so same-copy order is preserved."""
-    return tuple(sorted(word, key=lambda g: g.copy))
+    """Sort by copy label only; stable, so same-copy order is preserved.
+    The copy is the top field of a symbol, so the key is one shift."""
+    return tuple(sorted(word, key=_copy_of))
 
 
 def word_key(word: tuple) -> tuple:
-    """Degree first, then symbol ranks left to right."""
-    return (len(word), tuple(g.rank() for g in word))
+    """Degree first, then the symbols left to right in int order, the
+    order of (copy, family rank, i, k, mask)."""
+    return (len(word), word)
 
 
 def _coerce(n: int, x) -> DualElement:
@@ -97,7 +111,7 @@ class NCPoly(_Combination):
         obj.terms = terms
         return obj
 
-    # -- constructors -------------------------------------------------
+    # -- constructors
 
     @classmethod
     def zero(cls, n: int) -> "NCPoly":
@@ -113,9 +127,11 @@ class NCPoly(_Combination):
 
     @classmethod
     def gen(cls, n: int, sym: GenSymbol, coeff=1) -> "NCPoly":
+        if type(coeff) is int and coeff == 1:
+            return cls._raw(n, {(sym,): DualElement.one(n)})
         return cls(n, {(sym,): _coerce(n, coeff)})
 
-    # -- structure ----------------------------------------------------
+    # -- structure
 
     def __eq__(self, other) -> bool:
         if isinstance(other, NCPoly):
@@ -125,7 +141,7 @@ class NCPoly(_Combination):
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic
 
     def _lift(self, other) -> "NCPoly":
         if type(other) is not NCPoly:
@@ -159,12 +175,12 @@ class NCPoly(_Combination):
             if p.n != n or q.n != n:
                 raise DimensionError("operand outside D_%d" % n)
             for w1, c1 in p.terms.items():
-                last = w1[-1].copy if w1 else -1
+                # both words are canonical, and so is w1 + w2 unless w2
+                # starts below the least symbol of w1's last copy
+                low = _copy_of(w1[-1]) << 34 if w1 else 0
                 for w2, c2 in q.terms.items():
-                    # both words are canonical: already in copy order unless
-                    # w1 ends in a later copy than w2 starts
                     w = w1 + w2
-                    if w2 and last > w2[0].copy:
+                    if w2 and w2[0] < low:
                         w = canonical_word(w)
                     coeffs = by_word.get(w)
                     if coeffs is None:
@@ -173,12 +189,14 @@ class NCPoly(_Combination):
                         coeffs.append((c1, c2))
         return cls._raw(n, _dots(n, by_word, table))
 
-    # -- coefficient maps ----------------------------------------------
+    # -- coefficient maps
 
     def map_coeffs(self, fn) -> "NCPoly":
-        return NCPoly(self.n, {w: fn(c) for w, c in self.terms.items()})
+        """The coefficients mapped by ``fn`` into D_n; the words are
+        already canonical and distinct, and the zeros are dropped."""
+        return NCPoly._raw(self.n, {w: x for w, c in self.terms.items() if (x := fn(c))})
 
-    # -- symbol maps ----------------------------------------------------
+    # -- symbol maps
 
     def substitute(self, fn, table: dict | None = None) -> "NCPoly":
         """Algebra map: replace each symbol g by the polynomial fn(g).
@@ -204,8 +222,12 @@ class NCPoly(_Combination):
         for w, c in self.terms.items():
             acc = c
             for g in w:
-                acc = acc * fn(g)
-            out = out + acc
+                x = fn(g)
+                if not x:
+                    break  # the term is zero
+                acc = acc * x
+            else:
+                out = out + acc
         return out
 
     def __str__(self) -> str:

@@ -21,15 +21,13 @@ word and its prefixes are kept in a memo the caller owns.  A polynomial is
 evaluated word by word, each distinct word once per start row, and the
 value at an end row is one coefficient dot over the words' rows.
 
-Every coefficient sum in a column, a row, a relation value or a tensor
-law is formed by the summing rule of ``coeffring`` through the group's
-dot table (``QuantumCKGroup.dot_table``): the values are products of a
-few contracted R entries, so the same tuple of pairs recurs thousands of
-times.  Two sums skip the table: ``verify_antipode_duality`` composes its
-metric sandwiches with ``@``, and ``pair`` adds its per-word values with
-``+``.  The tables' entries, the relation coefficients and the split
-column values are interned in it too, so a recurring tuple matches its
-key by identity.
+Every coefficient sum is formed by the summing rule of ``coeffring``
+through the group's ``dot_table``, but for the ``@`` metric sandwiches of
+``verify_antipode_duality`` and the ``+`` of ``pair``'s per-word values:
+the values are products of a few contracted R entries, so tuples of pairs
+recur thousands of times.  Table entries, relation coefficients and split
+column values are interned there, so a recurring tuple matches its key by
+identity.
 
 The tables of a family pair against one entry word form a two-leg
 ``QTensor`` (`_fold_word`), so the functional laws are tensor identities:
@@ -132,7 +130,7 @@ def _position_counit(n: int, positions) -> DualElement:
     return DualElement.one(n)
 
 
-# ------------------------------------------------------------ the pairing
+# -- the pairing
 
 
 def _contracted(G: QuantumCKGroup) -> None:
@@ -264,7 +262,7 @@ def _fold_word(G: QuantumCKGroup, fams: tuple, word: tuple,
     return QTensor(G.N, G.n, out)
 
 
-# ------------------------------------------------------------ verification
+# -- verification
 
 
 def verify_ll(G: QuantumCKGroup, degree: int = 2) -> dict:

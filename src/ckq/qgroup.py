@@ -231,9 +231,6 @@ def orthogonality_relations(cofactors: tuple,
     """Quantum orthogonality T C T^t = T^t C T = C: the entries of the
     cofactors (M, L) from ``orthogonality_cofactors``, M first, row by row,
     added to ``rels`` (a new set by default).
-
-    The antipode axiom consumes the same family for C^(-1), which is C
-    itself: ``QuantumCKGroup.C`` checks that the metric is an involution.
     """
     if rels is None:
         rels = RelationSet(cofactors[0].n)
@@ -315,11 +312,9 @@ def antipode(T: QTensor, C: QTensor, table: dict | None = None) -> QTensor:
 class QuantumCKGroup:
     """One quantized group: its weight pattern, R, C, T, L+- and ideal.
 
-    This is the one object per signature that every suite, emitter and
-    ``qdual`` function reads; nothing else builds its pattern, R, C, T or
-    L+-.  Each of them, the relation ideal from ``relations()`` and the
-    memo of the dual pairing (``dual_steps``) are built on first use and
-    then kept, so a check builds only what it reads.
+    Each of them, the relations and the pairing memo ``dual_steps`` are
+    built on first use and kept (see the module docstring), so a check
+    builds only what it reads.
 
     contracted=True (default) works over R_v(j), C(j); contracted=False
     keeps q symbolic while using the same signature-dependent symbols,
@@ -378,11 +373,10 @@ class QuantumCKGroup:
 
     @cached_property
     def dot_table(self) -> dict:
-        """The group's ``DualElement.dot`` table.  Relation generation,
-        the L+- tables, the coproduct and antipode checks and ``qdual`` sum
-        products of the same few R-derived coefficients over and over, and
-        read it, so every relation coefficient is one interned object per
-        value.  It holds only D_n values of this group."""
+        """The group's ``DualElement.dot`` table, through which relation
+        generation, the L+- tables, the Hopf checks and ``qdual`` sum the
+        same few R-derived coefficients, so every relation coefficient is
+        one interned object per value.  It holds only D_n values of G."""
         return {}
 
     @cached_property
@@ -425,9 +419,7 @@ def verify_coproduct_assembly(G: QuantumCKGroup) -> bool:
     """Splitting the comultiplied entries gives the two-copy matrix product.
 
     The splitting homomorphism applied to Delta t[i,k] must equal entry
-    (i,k) of T0 @ T1 over the split symbols, i.e. the splitting
-    homomorphism intertwines Delta with entrywise matrix comultiplication.
-    Both sides sum through the group's ``dot_table``.
+    (i,k) of T0 @ T1 over the split symbols.  Both sides sum through the group's ``dot_table``.
     """
     N, n, table = G.N, G.n, G.dot_table
     T1 = build_t(G, copy=1)

@@ -85,7 +85,7 @@ def config_json(j: JSignature) -> dict:
     return {"n": j.N, "j": signature_json(j)}
 
 
-# --------------------------------------------------------------- LaTeX
+# -- LaTeX
 
 
 def _cyclo_tex(c) -> str:
@@ -232,7 +232,7 @@ def poly_tex(p: NCPoly, symbol_tex, coeff_tex) -> str:
     return _signed_sum(parts, " + ", " ")
 
 
-# ------------------------------------------------------------ documents
+# -- documents
 
 
 def relations_json(G: QuantumCKGroup) -> dict:
@@ -361,7 +361,7 @@ def dual_text(G: QuantumCKGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------- JSON writer
+# -- JSON writer
 
 
 def _shared_containers(doc) -> set:

@@ -43,7 +43,7 @@ def _flat(x):
 def _abelianized(p: NCPoly) -> NCPoly:
     out = {}
     for w, c in p.terms.items():
-        key = tuple(sorted(w, key=lambda g: g.rank()))
+        key = tuple(sorted(w))
         out[key] = out[key] + c if key in out else c
     return NCPoly(p.n, out)
 

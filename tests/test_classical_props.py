@@ -1,12 +1,15 @@
-"""Property test of the orthogonality lemma behind ``is_j_orthogonal``.
+"""Property tests of the orthogonality lemma behind ``is_j_orthogonal``
+and of the Cayley transform's one solve.
 
 ``is_j_orthogonal`` forms A A^t alone: over the commutative D_n,
 A A^t = I makes det(A) a unit, so A^(-1) = A^t and A^t A = I follows.
 The oracle ``is_orthogonal_by_products`` forms both products in full.
 The matrices are Cayley samples with one entry spoiled, some of them
 still orthogonal, and sparse matrices of signed units and nilpotents,
-among them signed permutations.  Derandomized, so every run draws the
-same examples.
+among them signed permutations.  ``cayley`` solves (I - X) Y = 2I and
+takes I off the diagonal of Y; it must equal the solution A of
+(I - X) A = I + X on random generator mixes.  Derandomized, so every run
+draws the same examples.
 """
 
 import random
@@ -17,10 +20,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ckq.ckclassical import is_j_orthogonal, random_cayley  # noqa: E402
+from ckq.ckclassical import cayley, is_j_orthogonal, random_cayley, solve  # noqa: E402
 from ckq.coeffring import DualElement, JSignature, ScalarExpr  # noqa: E402
 from ckq.rmatrix import QTensor  # noqa: E402
-from classical_oracle import is_orthogonal_by_products  # noqa: E402
+from classical_oracle import (generator_mix_by_definition,  # noqa: E402
+                              is_orthogonal_by_products)
 
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -65,3 +69,11 @@ def sparse_matrices(draw):
 @given(st.one_of(spoiled_cayley(), sparse_matrices()))
 def test_one_gram_product_decides_orthogonality(A):
     assert is_j_orthogonal(A) == is_orthogonal_by_products(A)
+
+
+@PROPS
+@given(signatures, st.integers(0, 10 ** 6))
+def test_cayley_equals_the_solve_against_i_plus_x(j, seed):
+    X = generator_mix_by_definition(j, random.Random(seed))
+    I = QTensor.identity(j.N, j.n)
+    assert cayley(X) == solve(I - X, I + X)

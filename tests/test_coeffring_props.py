@@ -85,6 +85,22 @@ def test_cyclo8_inverse_matches_oracle(xp):
     agree(x * x.inverse(), FracCyclo8(1))
 
 
+nonzero_rationals = rationals.filter(bool)
+
+
+@PROPS
+@given(nonzero_rationals, st.booleans())
+def test_rational_inverse_is_the_reciprocal(r, negate):
+    x = Cyclo8(-r if negate else r)
+    # the three conjugate products, as for an irrational element
+    cofactor = x.conj_i() * x.conj_sqrt2() * x.conj_i().conj_sqrt2()
+    by_conjugates = cofactor * (1 / (x * cofactor).a)
+    inv = x.inverse()
+    assert inv == by_conjugates and inv._t == by_conjugates._t
+    assert inv._t[4] > 0 and gcd(*inv._t) == 1  # the sign on the numerator
+    assert x * inv == 1
+
+
 # ------------------------------------------------ ScalarExpr and DualElement
 
 cyclos = cyclo_pairs().map(lambda pair: pair[0])

@@ -1,5 +1,10 @@
 """Free algebra: word normalization, arithmetic, symbol and coefficient maps."""
 
+import copy
+import pickle
+
+import pytest
+
 from ckq.coeffring import DualElement, JSignature, ScalarExpr
 from ckq.freealg import GenSymbol, NCPoly, canonical_word, mat_symbol, word_key
 
@@ -110,3 +115,28 @@ def test_symbol_rendering():
     assert str(t(1, 2, copy=1)) == "t[1,2]'"
     assert str(GenSymbol("upper", 1, 2)) == "l+[1,2]"
     assert str(GenSymbol("lower", 2, 1)) == "l-[2,1]"
+    assert str(GenSymbol("lower", 2, 1, 5, 2)) == "l-[2,1;5]''"
+
+
+def test_symbol_repr_is_pinned():
+    assert repr(t(1, 2)) == "GenSymbol(family='mat', i=1, k=2, mask=0, copy=0)"
+    assert (repr(GenSymbol("upper", 3, 4, 6, 1))
+            == "GenSymbol(family='upper', i=3, k=4, mask=6, copy=1)")
+
+
+@pytest.mark.parametrize("fields", [
+    ("mat", 256, 1), ("mat", 1, 256), ("mat", 1, 1, 1 << 16),
+    ("mat", -1, 1), ("mat", 1, -1), ("mat", 1, 1, -1), ("mat", 1, 1, 0, -1),
+    ("upper", 1, 1, 0, -2), ("t", 1, 1), ("matrix", 1, 1)])
+def test_symbol_fields_are_range_checked(fields):
+    # each field is packed into its own bits, so one out of range raises
+    with pytest.raises(ValueError):
+        GenSymbol(*fields)
+
+
+def test_symbol_pickles_and_copies_to_an_equal_symbol():
+    g = GenSymbol("lower", 255, 7, (1 << 16) - 1, 3)
+    for h in [pickle.loads(pickle.dumps(g, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy(g), copy.deepcopy(g)]:
+        assert h == g and type(h) is GenSymbol
+        assert (h.family, h.i, h.k, h.mask, h.copy) == ("lower", 255, 7, (1 << 16) - 1, 3)
