@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2,
                    help="word length bound for dual-side suites "
                         "(pairing walks (N(N+1))^degree words, at most "
-                        "%d: about 5 s at N=3 degree 4 and 12 s at N=5 "
+                        "%d: about 2.5 s at N=3 degree 4 and 5 s at N=5 "
                         "degree 3)" % MAX_FUNCTIONAL_WORDS)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; suites are dealt out to them "

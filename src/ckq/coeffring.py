@@ -30,7 +30,7 @@ of each of the four types, which trusts it.  A constant hashes like the
 number it equals.
 
 Every sum of products over D_n is formed by one rule.  A kernel
-(``freealg.NCPoly.dot``, ``rmatrix.QTensor.dot``, the ``qdual`` rows)
+(``freealg.NCPoly.dot``, ``rmatrix.QTensor.dot``, the ``qdual`` fold)
 groups the (a, b) pairs of each output key and hands them to ``_dots``,
 which sums each key once with the entry type's own ``dot``; over D_n,
 ``DualElement.dot`` decides in this order:

@@ -15,11 +15,13 @@ representation matrix: for one letter of the element, the transition row
 avec -> cvec is the chained tensor column of that letter, and the pairing
 is entry (avec, bvec) of the product of the rows.
 
-There is one letter step, `_step`, and one word fold, `_row`: a word is
-folded from the left, one transition row per letter, and the rows of the
-word and its prefixes are kept in a memo the caller owns.  A polynomial is
-evaluated word by word, each distinct word once per start row, and the
-value at an end row is one coefficient dot over the words' rows.
+There is one letter step, `_step`, and one word fold, `_fold`: from a set
+of start rows, a word's tensor (avec, cvec) -> value is its prefix's
+stepped by the last letter, from the states the prefix reaches only, all
+start rows summed in one coefficient dot; each word is folded once per
+family tuple.  `pair` passes its one start row, the exchange and metric
+laws and `relations_pair_to_zero` all start rows, the diagonal laws the
+diagonal ones.
 
 Every coefficient sum is formed by the summing rule of ``coeffring``
 through the group's ``dot_table``, but for the ``@`` metric sandwiches of
@@ -29,12 +31,12 @@ recur thousands of times.  Table entries, relation coefficients and split
 column values are interned there, so a recurring tuple matches its key by
 identity.
 
-The tables of a family pair against one entry word form a two-leg
-``QTensor`` (`_fold_word`), so the functional laws are tensor identities:
-the exchange law is R+ A == flip(B) R+ for the tables A and B of a family
-pair and of its reverse, and the metric laws are ``apply_vec`` of vec(C^t)
-on A and on its transpose.  A column hops through the braiding tensor's
-``by_output`` index, the one ``QTensor.dot`` composes with.
+The tensor of a family pair is a two-leg ``QTensor`` (`_flat`), so the
+functional laws are tensor identities: the exchange law is R+ A ==
+flip(B) R+ for the tensors A and B of a family pair and of its reverse,
+and the metric laws are ``apply_vec`` of vec(C^t) on A and on its
+transpose.  A column hops through the braiding tensor's ``by_output``
+index, the one ``QTensor.dot`` composes with.
 
 Weight-tagged generators never force an inverse nilpotent into a
 coefficient.  The row of a split generator takes each column value whole
@@ -111,18 +113,6 @@ def _terms(G: QuantumCKGroup, x, check) -> list:
     return out
 
 
-def _dot_at(G: QuantumCKGroup, terms: list, rows: dict, ends) -> dict:
-    """End row -> nonzero value of sum c * rows[w][end] over the (c, w)
-    terms of one polynomial, for the end rows in `ends`; a word missing
-    from `rows` has an empty row."""
-    pairs: dict = {}
-    for c, w in terms:
-        for cvec, val in rows.get(w, {}).items():
-            if cvec in ends:
-                pairs.setdefault(cvec, []).append((c, val))
-    return _dots(G.n, pairs, G.dot_table)
-
-
 def _position_counit(n: int, positions) -> DualElement:
     for k, l in positions:
         if k != l:
@@ -196,32 +186,38 @@ def _step(G: QuantumCKGroup, fams: tuple, avec: tuple, letter) -> dict:
     return got
 
 
-def _row(G: QuantumCKGroup, fams: tuple, avec: tuple, word: tuple,
-         memo: dict) -> dict:
-    """Row avec of the word's representation matrix: cvec -> value.
-
-    The word is a product of split generators or of assembled entries
-    (k, l).  `memo` maps words to their rows for this one (fams, avec);
-    the caller owns it, and each word and prefix is folded once per memo.
-    A word whose prefix row is empty has an empty row, returned without
-    being stored.
-    """
+def _fold(G: QuantumCKGroup, fams: tuple, starts: tuple, word: tuple,
+          memo: dict) -> dict:
+    """The word's tensor from the start rows, (avec, cvec) -> value, kept
+    in `memo`, which the caller owns for this (fams, starts).  A word whose
+    prefix tensor is empty is not stored; memo[None] holds one copy of
+    each key, which the tensors share."""
     got = memo.get(word)
     if got is not None:
         return got
     if not word:
-        got = {avec: DualElement.one(G.n)}
+        got = {(a, a): DualElement.one(G.n) for a in starts}
     else:
-        head = _row(G, fams, avec, word[:-1], memo)
+        head = _fold(G, fams, starts, word[:-1], memo)
         if not head:
-            return {}
-        pairs: dict = {}
-        for cur, acc in head.items():
-            for cvec, val in _step(G, fams, cur, word[-1]).items():
-                pairs.setdefault(cvec, []).append((acc, val))
-        got = _dots(G.n, pairs, G.dot_table)
+            return head
+        pairs, steps = {}, {}
+        for (a, cur), acc in head.items():
+            step = steps.get(cur)
+            if step is None:
+                step = steps[cur] = _step(G, fams, cur, word[-1]).items()
+            for cvec, val in step:
+                pairs.setdefault((a, cvec), []).append((acc, val))
+        keys = memo.setdefault(None, {})
+        got = {keys.setdefault(k, k): v
+               for k, v in _dots(G.n, pairs, G.dot_table).items()}
     memo[word] = got
     return got
+
+
+def _flat(tensor: dict, N: int, n: int) -> QTensor:
+    """The tensor of a family pair as a ``QTensor`` keyed avec + cvec."""
+    return QTensor(N, n, {a + c: v for (a, c), v in tensor.items()})
 
 
 def pair(G: QuantumCKGroup, functional, element) -> DualElement:
@@ -237,32 +233,22 @@ def pair(G: QuantumCKGroup, functional, element) -> DualElement:
     terms = _terms(G, element, _check_matrix)
     for lc, lw in _terms(G, functional, _check_functional):
         fams, avec = tuple(g.family for g in lw), tuple(g.i for g in lw)
-        memo: dict = {}
-        rows = {w: _row(G, fams, avec, w, memo) for _, w in terms}
-        bvec = tuple(g.k for g in lw)
-        val = _dot_at(G, terms, rows, (bvec,)).get(bvec)
-        if val is not None:
+        key, memo, pairs = (avec, tuple(g.k for g in lw)), {}, {}
+        for c, w in terms:
+            t = _fold(G, fams, (avec,), w, memo)
+            if key in t:
+                pairs.setdefault(key, []).append((c, t[key]))
+        for val in _dots(G.n, pairs, G.dot_table).values():
             total = total + lc * val
     return total
 
 
-def _fold_word(G: QuantumCKGroup, fams: tuple, word: tuple,
-               memos: dict) -> QTensor:
-    """Pairing values of every functional word over the families against
-    one entry word, as a tensor keyed avec + cvec.
-
-    `memos` maps each start row avec to its prefix memo; share it across
-    the words of one family tuple only.
-    """
-    out = {}
-    for avec in product(range(1, G.N + 1), repeat=len(fams)):
-        memo = memos.setdefault(avec, {})
-        for cvec, val in _row(G, fams, avec, word, memo).items():
-            out[avec + cvec] = val
-    return QTensor(G.N, G.n, out)
-
-
 # -- verification
+
+
+def _starts(N: int, r: int) -> tuple:
+    """Every start row of r functional letters."""
+    return tuple(product(range(1, N + 1), repeat=r))
 
 
 def verify_ll(G: QuantumCKGroup, degree: int = 2) -> dict:
@@ -271,21 +257,24 @@ def verify_ll(G: QuantumCKGroup, degree: int = 2) -> dict:
     For every family pair and every product of assembled entries up to
     the degree, both sides of the braid exchange R+ L1 L2 = L2 L1 R+ are
     paired against the word and compared exactly: with A and B the
-    tables of the family pair and of its reverse, R+ A == flip(B) R+.
+    tensors of the family pair and of its reverse, R+ A == flip(B) R+,
+    composed only if A or B is not empty.
     """
     _contracted(G)
-    N, table = G.N, G.dot_table
-    rp = G.l_tables[0]
+    N, n, table = G.N, G.n, G.dot_table
+    rp, starts = G.l_tables[0], _starts(N, 2)
     failures = []
     identities = 0
     for fams in (("upper", "upper"), ("lower", "lower"), ("upper", "lower")):
         rev = (fams[1], fams[0])
         memos = {fams: {}, rev: {}}
         for word in entry_words(N, degree):
-            A = _fold_word(G, fams, word, memos[fams])
-            B = A if rev == fams else _fold_word(G, rev, word, memos[rev])
+            A = _flat(_fold(G, fams, starts, word, memos[fams]), N, n)
+            B = A if rev == fams else _flat(
+                _fold(G, rev, starts, word, memos[rev]), N, n)
             identities += 1
-            if (QTensor.dot([(rp, A)], table)
+            if ((A.data or B.data)
+                    and QTensor.dot([(rp, A)], table)
                     != QTensor.dot([(B.flipped(), rp)], table)):
                 failures.append({"families": fams, "word": word})
     return {"ok": not failures, "identities": identities,
@@ -300,7 +289,8 @@ def verify_l_additional(G: QuantumCKGroup, degree: int = 2) -> dict:
     sandwich transposed, in either position, exactly as the generating
     matrix is), which is its own inverse, so this is also the law for the
     inverse metric; opposite diagonal generators are mutually inverse; the
-    full upper diagonal multiplies to the unit functional.
+    full upper diagonal multiplies to the unit functional.  A sandwich
+    of an empty tensor that should be empty is not formed.
     """
     _contracted(G)
     N, n, table = G.N, G.n, G.dot_table
@@ -308,34 +298,34 @@ def verify_l_additional(G: QuantumCKGroup, degree: int = 2) -> dict:
     failures = []
     identities = 0
     words = tuple(entry_words(N, degree))
+    starts, zero = _starts(N, 2), DualElement.zero(n)
     for fam in FUNCTIONAL_FAMILIES:
-        fams = (fam, fam)
-        memos: dict = {}
+        fams, memo = (fam, fam), {}
         for word in words:
-            A = _fold_word(G, fams, word, memos)
+            A = _flat(_fold(G, fams, starts, word, memo), N, n)
             expect = ct if _position_counit(n, word) else {}
-            for law, vals in (("sandwich-right", A.apply_vec(ct, table)),
-                              ("sandwich-left",
-                               A.transpose().apply_vec(ct, table))):
+            for law, T in (("sandwich-right", A),
+                           ("sandwich-left", A.transpose())):
                 identities += 1
-                if vals != expect:
+                if (T.data or expect) and T.apply_vec(ct, table) != expect:
                     failures.append({"family": fam, "law": law,
                                      "word": word})
-    zero = DualElement.zero(n)
+    kk = tuple((k, k) for k in range(1, N + 1))
+    mixed = {}
+    for fams in (("upper", "lower"), ("lower", "upper")):
+        memo = {}
+        mixed[fams] = [_fold(G, fams, kk, w, memo) for w in words]
     for k in range(1, N + 1):
-        for fams in (("upper", "lower"), ("lower", "upper")):
-            memo: dict = {}
-            for word in words:
-                val = _row(G, fams, (k, k), word, memo).get((k, k), zero)
+        for fams, tensors in mixed.items():
+            for word, t in zip(words, tensors):
                 identities += 1
-                if val != _position_counit(n, word):
+                if t.get(((k, k), (k, k)), zero) != _position_counit(n, word):
                     failures.append({"law": "diagonal-inverse", "slot": k,
                                      "families": fams, "word": word})
     diag = tuple(range(1, N + 1))
-    fams = ("upper",) * N
-    memo = {}
+    fams, memo = ("upper",) * N, {}
     for word in words:
-        val = _row(G, fams, diag, word, memo).get(diag, zero)
+        val = _fold(G, fams, (diag,), word, memo).get((diag, diag), zero)
         identities += 1
         if val != _position_counit(n, word):
             failures.append({"law": "diagonal-product", "word": word})
@@ -349,41 +339,40 @@ def relations_pair_to_zero(G: QuantumCKGroup, max_len: int = 2) -> dict:
 
     This is the statement that the degree-one tables extend to
     functionals on the quotient algebra, not merely on the free one.
-    Functional words sharing their families and start row avec share the
-    rows avec of the relation words, so each distinct relation word is
-    folded once per such group.  The words are grouped by prefix, the word
-    minus its last letter: a word whose prefix row is empty has an empty
-    row and is not folded at all.  Only the relations that use a word with
-    a nonempty row can be nonzero there; each of them is summed, one at a
-    time, at every end row bvec of the group by one coefficient dot.
+    Each relation word is folded once per family tuple from all start
+    rows, and each relation summed by one coefficient dot at every
+    (start, end) pair of its words' tensors that names a functional word.
+    A tensor leaves the memo after the last relation that reads it.
     """
     _contracted(G)
     rels = [(_terms(G, r, _check_matrix), source)
             for r, source in G.relations().tagged()]
-    uses: dict = {}
-    for r, (terms, _) in enumerate(rels):
-        for _, w in terms:
-            uses.setdefault(w, []).append(r)
-    by_prefix: dict = {}
-    for w in uses:
-        by_prefix.setdefault(w[:-1], []).append(w)
     syms = dual_symbols(G.N)
     words = [w for d in range(max_len + 1) for w in product(syms, repeat=d)]
-    groups: dict = {}
+    groups: dict = {}  # families -> start row -> end row -> word index
     for idx, w in enumerate(words):
-        key = (tuple(g.family for g in w), tuple(g.i for g in w))
-        groups.setdefault(key, {})[tuple(g.k for g in w)] = idx
+        rows = groups.setdefault(tuple(g.family for g in w), {})
+        rows.setdefault(tuple(g.i for g in w), {})[
+            tuple(g.k for g in w)] = idx
+    last = {w[:d]: r for r, (terms, _) in enumerate(rels)
+            for _, w in terms for d in range(len(w) + 1)}
+    spent: dict = {}  # relation -> the words and prefixes it reads last
+    for w, r in last.items():
+        spent.setdefault(r, []).append(w)
     hits = []
-    for (fams, avec), members in groups.items():
-        rows: dict = {}  # the fold's memo; a word not in it has no row
-        for pre, ws in by_prefix.items():
-            if _row(G, fams, avec, pre, rows):
-                for w in ws:
-                    _row(G, fams, avec, w, rows)
-        for r in {r for w, row in rows.items() if row
-                  for r in uses.get(w, ())}:
-            hits.extend((r, members[bvec])
-                        for bvec in _dot_at(G, rels[r][0], rows, members))
+    for fams, members in groups.items():
+        starts, memo = _starts(G.N, len(fams)), {}
+        for r, (terms, _) in enumerate(rels):
+            pairs: dict = {}
+            for c, w in terms:
+                for (avec, bvec), val in _fold(G, fams, starts, w,
+                                               memo).items():
+                    idx = members.get(avec, {}).get(bvec)
+                    if idx is not None:
+                        pairs.setdefault(idx, []).append((c, val))
+            hits.extend((r, idx) for idx in _dots(G.n, pairs, G.dot_table))
+            for w in spent.get(r, ()):
+                memo.pop(w, None)
     hits.sort()
     failures = [{"source": rels[r][1], "word": words[idx]} for r, idx in hits]
     return {"ok": not failures, "checked": len(rels) * len(words),

@@ -11,6 +11,8 @@ here rather than by the package.  It shares no evaluation code with
 form, as the metric twist of its transpose.
 """
 
+from itertools import product
+
 from ckq.ckclassical import solve, weight_pattern_symplectic
 from ckq.coeffring import DualElement
 from ckq.freealg import GenSymbol, NCPoly
@@ -74,8 +76,10 @@ class RightFold:
                 _add_to(out, m ^ first, c)
         return DualElement(self.n, out)
 
-    def word_value(self, fams, avec, bvec, word):
-        states = {bvec: DualElement.one(self.n)}
+    def unfold(self, fams, bvec, word, acc):
+        """Start row -> value of the element word from end row bvec, folded
+        back from the word's right end, with acc at bvec."""
+        states = {bvec: acc}
         for g in reversed(word):
             new = {}
             for cur, acc in states.items():
@@ -84,7 +88,22 @@ class RightFold:
                     if v:
                         _add_to(new, pvec, v * acc)
             states = new
+        return states
+
+    def word_value(self, fams, avec, bvec, word):
+        states = self.unfold(fams, bvec, word, DualElement.one(self.n))
         return states.get(avec, DualElement.zero(self.n))
+
+    def tensor(self, fams, element, N):
+        """Values of every functional word over the families against the
+        element, keyed avec + bvec: every end row folded back over every
+        term of the element."""
+        out = {}
+        for tw, tc in _terms(self.n, element):
+            for bvec in product(range(1, N + 1), repeat=len(fams)):
+                for avec, val in self.unfold(fams, bvec, tw, tc).items():
+                    _add_to(out, avec + bvec, val)
+        return out
 
     def pair(self, functional, element):
         total = DualElement.zero(self.n)

@@ -12,7 +12,6 @@ from ckq.qdual import (
     FUNCTIONAL_FAMILIES,
     dual_symbols,
     entry_words,
-    _fold_word,
     lower_symbol,
     pair,
     relations_pair_to_zero,
@@ -286,14 +285,18 @@ def test_exchange_law_n4_contracted_sample():
 
 
 def test_batched_exchange_values_match_pointwise_pairing():
+    # one fold of the entry word from all start rows holds, at each key
+    # (avec, bvec), the pairing of the functional word those rows name
     rng = seeded("qdual-batch")
     G = QuantumCKGroup(J33)
     T = G.T
+    starts = qdual._starts(3, 2)
     for fams in (("upper", "upper"), ("upper", "lower")):
         for _ in range(6):
             word = tuple((rng.randint(1, 3), rng.randint(1, 3))
                          for _ in range(rng.randint(1, 2)))
-            table = _fold_word(G, fams, word, {})
+            table = qdual._flat(qdual._fold(G, fams, starts, word, {}),
+                                3, J33.n)
             elem = NCPoly.one(J33.n)
             for k, l in word:
                 elem = elem * T.get(k, l)
@@ -302,6 +305,109 @@ def test_batched_exchange_values_match_pointwise_pairing():
                 fw = (GenSymbol(fams[0], a, c), GenSymbol(fams[1], b, d))
                 expect = table.get(a, b, c, d)
                 assert pair(G, fw, elem) == expect
+
+
+def _doubled(key):
+    return lambda k, v: v + v if k == key else v
+
+
+def _row_dropped(row):
+    # every entry whose second output index is `row`, so that the tensors
+    # of some diagonal words are empty where the counit is not
+    return lambda k, v: None if k[1] == row else v
+
+
+def _mutated(G, change):
+    """G with each R+ entry v at key k replaced by change(k, v), or dropped
+    where that is None, before any fold has read the table."""
+    rp, rm = G.l_tables
+    # a tensor drops the entries that are None, as it drops zeros
+    G.__dict__["l_tables"] = (
+        QTensor(G.N, G.n, {k: change(k, v) for k, v in rp.data.items()}), rm)
+    return G
+
+
+def _oracle_law_failures(G, degree):
+    """The failure lists of ``verify_ll`` and ``verify_l_additional``, with
+    every tensor folded by the right-folded oracle and every identity
+    composed, the empty ones too."""
+    N, n, T = G.N, G.n, G.T
+    oracle = RightFold(G)
+    rp, ct = G.l_tables[0], G.C.transpose().data
+    words = list(entry_words(N, degree))
+    elems, tensors = {}, {}
+    for word in words:
+        elems[word] = NCPoly.one(n)
+        for k, l in word:
+            elems[word] = elems[word] * T.get(k, l)
+
+    def tensor(fams, word):
+        if (fams, word) not in tensors:
+            tensors[fams, word] = QTensor(
+                N, n, oracle.tensor(fams, elems[word], N))
+        return tensors[fams, word]
+
+    def counit(word):
+        return one(n) if all(k == l for k, l in word) else zero(n)
+
+    ll = [{"families": fams, "word": word}
+          for fams in (("upper", "upper"), ("lower", "lower"),
+                       ("upper", "lower"))
+          for word in words
+          if rp @ tensor(fams, word) != tensor(fams[::-1], word).flipped() @ rp]
+    add = []
+    for fam in FUNCTIONAL_FAMILIES:
+        for word in words:
+            A = tensor((fam, fam), word)
+            expect = ct if counit(word) else {}
+            for law, X in (("sandwich-right", A),
+                           ("sandwich-left", A.transpose())):
+                if X.apply_vec(ct) != expect:
+                    add.append({"family": fam, "law": law, "word": word})
+    for k in range(1, N + 1):
+        for fams in (("upper", "lower"), ("lower", "upper")):
+            fw = (GenSymbol(fams[0], k, k), GenSymbol(fams[1], k, k))
+            add.extend({"law": "diagonal-inverse", "slot": k,
+                        "families": fams, "word": word}
+                       for word in words
+                       if oracle.pair(fw, elems[word]) != counit(word))
+    diag = tuple(upper_symbol(i, i) for i in range(1, N + 1))
+    add.extend({"law": "diagonal-product", "word": word} for word in words
+               if oracle.pair(diag, elems[word]) != counit(word))
+    return ll, add
+
+
+@pytest.mark.parametrize("sig,change,sizes", [
+    pytest.param("1,1", _doubled((1, 2, 2, 1)), (103, 25), id="1,1-double"),
+    pytest.param("1,1,1", _doubled((1, 2, 2, 1)), (213, 31),
+                 id="1,1,1-double"),
+    # off the diagonal, a contracted R+ entry is nilpotent, and doubling
+    # (1,2,2,1) at iota,1 breaks the metric laws only; a doubled diagonal
+    # entry breaks both suites
+    pytest.param("iota,1", _doubled((1, 2, 2, 1)), (0, 14),
+                 id="iota,1-double-off-diagonal"),
+    pytest.param("iota,1", _doubled((2, 2, 2, 2)), (68, 58),
+                 id="iota,1-double-diagonal"),
+    pytest.param("iota,1,iota", _doubled((2, 2, 2, 2)), (160, 64),
+                 id="iota,1,iota-double-diagonal"),
+    # identities with one empty side, and empty sandwiches that should
+    # not be, which the suites must compose and count as failures
+    pytest.param("iota,1", _row_dropped(2), (29, 64), id="iota,1-drop-row"),
+])
+def test_functional_laws_refute_a_wrong_r_plus_table(sig, change, sizes):
+    """A wrong R+ table fails the exchange and metric laws exactly where
+    the right-folded oracle, composing every identity, says so."""
+    j = JSignature.parse(sig)
+    G = _mutated(QuantumCKGroup(j), change)
+    ll, add = verify_ll(G), verify_l_additional(G)
+    expect_ll, expect_add = _oracle_law_failures(G, 2)
+    assert ll["failures"] == expect_ll
+    assert add["failures"] == expect_add
+    assert (len(expect_ll), len(expect_add)) == sizes
+    assert ll["ok"] == (not expect_ll) and not add["ok"]
+    clean = QuantumCKGroup(j)
+    assert ll["identities"] == verify_ll(clean)["identities"]
+    assert add["identities"] == verify_l_additional(clean)["identities"]
 
 
 def test_metric_and_diagonal_laws_all_n3_signatures():
@@ -419,46 +525,51 @@ def test_relations_pair_to_zero_refutes_non_relations_n4(sig, caught):
     assert report["failures"] == expect
 
     # the lower-prefix fake is caught although each of its prefixes has
-    # an empty row in some (families, start row) group, where its words
-    # are skipped unfolded
+    # an empty tensor from all start rows under some family tuple, where
+    # its words are skipped unfolded
     fake = rels.polys[-1]
-    groups = {(tuple(g.family for g in w), tuple(g.i for g in w))
-              for w in words}
+    fam_tuples = {tuple(g.family for g in w) for w in words}
     for pre in {w[:-1] for w in fake.terms}:
-        assert any(not qdual._row(G, fams, avec, pre, {})
-                   for fams, avec in groups)
+        assert any(not qdual._fold(G, fams, qdual._starts(4, len(fams)),
+                                   pre, {})
+                   for fams in fam_tuples)
 
 
 def test_relations_pair_to_zero_folds_each_word_once(monkeypatch):
-    """One call folds each relation word at most once per (families, start
-    row), and never a word whose prefix row is empty."""
+    """One call folds each relation word at most once per family tuple,
+    from all start rows, and never a word whose prefix tensor is empty."""
     G = QuantumCKGroup(JSignature.parse("iota,1,iota"))
     rel_words = {w for p in G.relations() for w in p.terms}
-    folded = {}
+    folded, starts, skipped = {}, {}, set()
     twice = []
-    row = qdual._row
+    fold = qdual._fold
 
-    def counted(G, fams, avec, word, memo):
-        # a word is folded when its row is not yet in the memo
-        if word in memo:
-            return row(G, fams, avec, word, memo)
-        key = (fams, avec, word)
-        if key in folded:
-            twice.append(key)
-        folded[key] = got = row(G, fams, avec, word, memo)
+    def counted(G, fams, rows, word, memo):
+        # a word is folded when its tensor is formed and stored; one that
+        # is returned unstored was skipped
+        fresh = word not in memo
+        got = fold(G, fams, rows, word, memo)
+        if fresh and word in memo:
+            if (fams, word) in folded:
+                twice.append((fams, word))
+            folded[(fams, word)] = got
+            starts.setdefault(fams, set()).add(rows)
+        elif fresh:
+            skipped.add((fams, word))
         return got
 
-    monkeypatch.setattr(qdual, "_row", counted)
+    monkeypatch.setattr(qdual, "_fold", counted)
     assert relations_pair_to_zero(G, max_len=2)["ok"]
     assert not twice
-    # a word is folded after its prefix, whose row must not be empty
-    assert all(folded[(fams, avec, w[:-1])]
-               for fams, avec, w in folded if w)
-    groups = {(fams, avec) for fams, avec, _ in folded}
-    assert {w for _, _, w in folded} <= rel_words | {
+    assert starts == {fams: {qdual._starts(4, len(fams))} for fams in starts}
+    assert len(starts) == 1 + 2 + 4
+    # a word is folded after its prefix, whose tensor must not be empty
+    assert all(folded[(fams, w[:-1])] for fams, w in folded if w)
+    assert {w for _, w in folded} <= rel_words | {
         w[:-1] for w in rel_words}
     # the skip is not vacuous: some relation word goes unfolded somewhere
-    assert len(folded) < len(groups) * len(rel_words)
+    assert skipped and not skipped & set(folded)
+    assert len(folded) < len(starts) * len(rel_words)
 
 
 def test_relations_pair_to_zero_sums_each_coefficient_tuple_once(monkeypatch):
